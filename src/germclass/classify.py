@@ -35,7 +35,7 @@ from .frames import (b3_adapt, h2_adapt, h4_adapt, linear_normalize,
                      rank_df0, s3_adapt, sb2_adapt)
 from .jets import Jet2, MapJet, cross3, det3, det3_jet
 from .scalars import Scalar, fmt_scalar
-from .vfields import FramePair, apply, apply_to_jet, apply_word
+from .vfields import FramePair, apply, apply_to_jet
 
 
 class Verdict(Enum):
@@ -128,14 +128,6 @@ def second_derivatives_phi(f: MapJet, pair: FramePair):
             apply_to_jet(pair.eta, eta_p, "eta^2 phi").at0())
 
 
-def _word_det_b(f, pair, word, label):
-    """det(xi f, eta^2 f, word f)(0) for the B-branch criterion slots."""
-    xif0 = apply(pair.xi, f).at0()
-    eta2f0 = apply(pair.eta, apply(pair.eta, f)).at0()
-    w0 = apply_word(word, f, label).at0()
-    return det3((xif0, eta2f0, w0))
-
-
 def classify(f: MapJet):
     """Classify a map-germ; returns (Classification, Certificate)."""
     ctx = f.zero_ctx()
@@ -208,11 +200,8 @@ def _classify_sb(g, ctx, cert, gu0, gvv0, guv0):
     if not sA and sC:
         s3 = s3_adapt(g)
         cert.frame.update(s3.params)
-        xi, eta = s3.pair.xi, s3.pair.eta
-        xif0 = apply(xi, g).at0()
-        eta2f0 = apply(eta, apply(eta, g)).at0()
-        w0 = apply_word([xi, xi, xi, eta], g, "xi^3 eta f").at0()
-        s2_det = det3((xif0, w0, eta2f0))
+        words = s3.words
+        s2_det = det3((words.at0("x"), words.at0("xxxe"), words.at0("ee")))
         cert.record("s2_det", s2_det)
         if not ctx.is_zero(s2_det):
             return Classification(Verdict.S2), cert
@@ -223,10 +212,10 @@ def _classify_sb(g, ctx, cert, gu0, gvv0, guv0):
     if sA and not sC:
         b3 = b3_adapt(g)
         cert.frame.update(b3.params)
-        xi, eta = b3.pair.xi, b3.pair.eta
-        d1 = _word_det_b(g, b3.pair, [eta, eta, eta, xi], "eta^3 xi f")
-        d2 = _word_det_b(g, b3.pair, [eta, xi, xi], "eta xi^2 f")
-        d3 = _word_det_b(g, b3.pair, [eta] * 5, "eta^5 f")
+        words = b3.words
+        # det(xi f, eta^2 f, w f)(0) for the three criterion words w
+        d1, d2, d3 = (det3((words.at0("x"), words.at0("ee"), words.at0(w)))
+                      for w in ("eeex", "exx", "eeeee"))
         cert.record("b2_det_eta3xi", d1)
         cert.record("b2_det_etaxi2", d2)
         cert.record("b2_det_eta5", d3)
@@ -249,22 +238,16 @@ def _classify_sb(g, ctx, cert, gu0, gvv0, guv0):
 def _classify_hp(g, ctx, cert):
     h2 = h2_adapt(g)
     cert.frame.update(h2.params)
-    xi, eta = h2.pair.xi, h2.pair.eta
-    xif0 = apply(xi, g).at0()
-    xietaf0 = apply_word([xi, eta], g, "xi eta f").at0()
-    eta3f0 = apply_word([eta, eta, eta], g, "eta^3 f").at0()
-    h_type_det = det3((xif0, xietaf0, eta3f0))
+    words = h2.words
+    h_type_det = det3((words.at0("x"), words.at0("xe"), words.at0("eee")))
     cert.record("h_type_det", h_type_det)
     if ctx.is_zero(h_type_det):
         return Classification(Verdict.MORE_DEGENERATE, "P-type or worse"), cert
 
     h4 = h4_adapt(g)
     cert.frame.update(h4.params)
-    xi, eta = h4.pair.xi, h4.pair.eta
-    xif0 = apply(xi, g).at0()
-    eta3f = apply_word([eta, eta, eta], g, "eta^3 f")
-    eta5f0 = apply(eta, apply(eta, eta3f, "eta^4 f"), "eta^5 f").at0()
-    h2_det = det3((xif0, eta5f0, eta3f.at0()))
+    words = h4.words
+    h2_det = det3((words.at0("x"), words.at0("eeeee"), words.at0("eee")))
     cert.record("h2_det", h2_det)
     if not ctx.is_zero(h2_det):
         return Classification(Verdict.H2), cert

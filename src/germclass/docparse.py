@@ -19,6 +19,7 @@ exact rational point on the unit circle (theta_cos/theta_sin) or a float
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,6 +48,14 @@ def _tokenize(src: str):
         pos = m.end()
     tokens.append((None, len(src)))
     return tokens
+
+
+def _int(tok: str, pos: int) -> int:
+    """A digit token as an int; literals past Python's digit limit are a ParseError."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError("integer literal of %d digits is too long" % len(tok), pos)
 
 
 class _PolyParser:
@@ -108,7 +117,7 @@ class _PolyParser:
             tok, pos = self.advance()
             if tok is None or not tok.isdigit():
                 raise ParseError("exponent must be a natural number", pos)
-            exponent = int(tok)
+            exponent = _int(tok, pos)
             if exponent > self.order:
                 self.truncated = True
                 if base.at0() == 0:
@@ -121,15 +130,16 @@ class _PolyParser:
         if tok is None:
             raise ParseError("unexpected end of input", pos)
         if tok.isdigit():
-            value = Fraction(int(tok))
+            value = Fraction(_int(tok, pos))
             if self.peek() == "/":
                 self.advance()
                 den_tok, den_pos = self.advance()
                 if den_tok is None or not den_tok.isdigit():
                     raise ParseError("denominator must be a positive integer", den_pos)
-                if int(den_tok) == 0:
+                den = _int(den_tok, den_pos)
+                if den == 0:
                     raise ParseError("zero denominator", den_pos)
-                value /= int(den_tok)
+                value /= den
             return Jet2.const(value, self.order, self.eps)
         if tok in ("u", "v"):
             return Jet2.variable(tok, self.order, self.eps)
@@ -262,7 +272,12 @@ def parse_doc(text: str) -> MapSpecDoc:
             doc.mode = value
         elif key in _KEYS[doc.kind]:
             if key == "theta":
-                doc.theta = float(value)
+                try:
+                    doc.theta = float(value)
+                except ValueError:
+                    raise ParseError("key theta: not a number: %r" % value)
+                if not math.isfinite(doc.theta):
+                    raise ParseError("key theta: must be finite, got %r" % value)
                 doc.mode = "float"
             elif key == "theta_cos":
                 theta_cos = _parse_rational(value, key)

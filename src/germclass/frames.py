@@ -14,8 +14,16 @@ first, so that f_v(0) = 0 and f_u(0) != 0 and the pair can be built as an
 explicit perturbation of (d/du, d/dv).  The coefficient formulas below are
 exact: each constructor solves a small linear system for the defect of f
 at the origin and writes the correction directly into the field
-coefficients.  The solved parameters are returned alongside the pair so a
-classification certificate can expose them.
+coefficients.  S-3 solves its three corrections jointly (the level-3
+conditions are affine in them); H-4 solves its three one slot at a time
+in one triangular pass, because eta^4 f(0) is not jointly affine in its
+slots (float mode may repeat the pass to refine rounding).  The solved
+parameters are returned alongside the pair so a classification
+certificate can expose them.
+
+Derivative words are read through `Words`, a per-pair table that
+evaluates each word once.  Each constructor returns the table of its pair,
+so the criteria in `classify` reuse what the frame solve already computed.
 """
 
 from __future__ import annotations
@@ -25,14 +33,38 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .jets import Jet2, MapJet, PolyMap2, compose_map, cross3, det3
 from .scalars import ZeroCtx
-from .vfields import (B3, FramePair, H2, H4, S3, SB2, VectorFieldJet,
-                      apply, apply_word, d_du)
+from .vfields import FramePair, VectorFieldJet, apply, d_du
+
+
+class Words:
+    """The derivative words of f on one pair, each evaluated once.
+
+    A word is a string over the letters x (xi) and e (eta), read as the
+    operator product: "xxe" is xi(xi(eta f)).  The empty word is f itself.
+    Each new word costs one `apply` on top of its (cached) suffix.
+    """
+
+    def __init__(self, f: MapJet, pair: FramePair):
+        self.pair = pair
+        self._jets = {"": f}
+
+    def jet(self, word: str) -> MapJet:
+        out = self._jets.get(word)
+        if out is None:
+            field = self.pair.xi if word[0] == "x" else self.pair.eta
+            out = apply(field, self.jet(word[1:]), word + " f")
+            self._jets[word] = out
+        return out
+
+    def at0(self, word: str):
+        return self.jet(word).at0()
 
 
 @dataclass(frozen=True)
 class FrameBuild:
     pair: FramePair
     params: dict
+    words: Words
 
 
 def rank_df0(f: MapJet, ctx: ZeroCtx | None = None) -> int:
@@ -152,9 +184,10 @@ def sb2_adapt(f: MapJet) -> FrameBuild:
     alpha, beta = _sb_defect(f, ctx)
     n, eps = f.order, f.eps
     xi = VectorFieldJet(Jet2(n, {(0, 0): 1, (0, 1): -alpha}, eps),
-                        Jet2.const(-beta, n, eps), SB2)
-    eta = VectorFieldJet(Jet2(n, {(1, 0): -alpha}, eps), Jet2.const(1, n, eps), SB2)
-    return FrameBuild(FramePair(xi, eta, SB2), {"alpha": alpha, "beta": beta})
+                        Jet2.const(-beta, n, eps))
+    eta = VectorFieldJet(Jet2(n, {(1, 0): -alpha}, eps), Jet2.const(1, n, eps))
+    pair = FramePair(xi, eta)
+    return FrameBuild(pair, {"alpha": alpha, "beta": beta}, Words(f, pair))
 
 
 def _solve_affine(columns, rhs, ctx: ZeroCtx):
@@ -198,9 +231,9 @@ def _solve_affine(columns, rhs, ctx: ZeroCtx):
 def s3_adapt(f: MapJet) -> FrameBuild:
     """S-3 pair, built from scratch over the normalized coordinates.
 
-    Stage one solves the SB-2 defect (alpha, beta).  Stage two writes
-    corrections into three fixed coefficient slots -- a uv term in xi's
-    du-coefficient, a u term in its dv-coefficient, a u^2 term in eta's
+    Stage one is the SB-2 pair and its defect (alpha, beta).  Stage two
+    writes corrections into three fixed coefficient slots -- a uv term in
+    xi's du-coefficient, a u term in its dv-coefficient, a u^2 term in eta's
     du-coefficient -- and solves the three correction coefficients exactly
     against the level-3 vanishing conditions.  (Closed forms for these
     corrections exist but are fragile: the classical expressions break
@@ -208,73 +241,69 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     used instead.)  The conditions are affine in the corrections: each
     correction coefficient surfaces at the origin through exactly one
     coefficient-derivative extraction, which together with at least one
-    derivative left for f exhausts the three letters of every word.
+    derivative left for f exhausts the three letters of every word.  The
+    zero-correction trial is the SB-2 pair itself, so it reads the SB-2
+    word table.
     """
     ctx = f.zero_ctx()
-    alpha, beta = _sb_defect(f, ctx)
     sb = sb2_adapt(f)
-    xi_t, eta_t = sb.pair.xi, sb.pair.eta
-    xif0 = apply(xi_t, f).at0()
-    etaetaf = apply(eta_t, apply(eta_t, f))
-    eta2f0 = etaetaf.at0()
+    alpha, beta = sb.params["alpha"], sb.params["beta"]
+    sbw = sb.words
+    xif0 = sbw.at0("x")
+    eta2f0 = sbw.at0("ee")
     # S-type guard: eta^2 phi(0) = det(xi f, eta^2 f, eta^3 f)(0) must survive.
-    eta3f0 = apply(eta_t, etaetaf).at0()
-    if ctx.is_zero(det3((xif0, eta2f0, eta3f0))):
+    if ctx.is_zero(det3((xif0, eta2f0, sbw.at0("eee")))):
         raise PreconditionError("germ is not S-type: eta^2 phi vanishes at 0")
-    xi2eta0 = apply_word([xi_t, xi_t, eta_t], f).at0()
     try:
-        alpha1, beta1 = solve_span2(xi2eta0, xif0, eta2f0, ctx)
+        alpha1, beta1 = solve_span2(sbw.at0("xxe"), xif0, eta2f0, ctx)
     except PreconditionError:
         raise PreconditionError("germ is not S-type: xi^2 eta f(0) outside the span")
 
     n, eps = f.order, f.eps
 
-    def build(p, q, r):
+    def trial(p, q, r):
         a1 = Jet2(n, {(0, 0): 1, (0, 1): -alpha, (1, 1): p}, eps)
         b1 = Jet2(n, {(0, 0): -beta, (1, 0): q}, eps)
         c1 = Jet2(n, {(1, 0): -alpha, (2, 0): r}, eps)
         d1 = Jet2.const(1, n, eps)
-        return FramePair(VectorFieldJet(a1, b1, S3), VectorFieldJet(c1, d1, S3), S3)
+        return Words(f, FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, d1)))
 
-    def level3_defect(pair):
-        xi, eta = pair.xi, pair.eta
+    def level3_defect(words):
         out = []
-        for word in ([xi, xi, eta], [xi, eta, xi], [eta, xi, xi]):
-            out.extend(apply_word(word, f).at0())
+        for word in ("xxe", "xex", "exx"):
+            out.extend(words.at0(word))
         return out
 
     zero = alpha * 0
     one = zero + 1
-    base = level3_defect(build(zero, zero, zero))
+    base = level3_defect(sbw)
     columns = []
     for unit in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):
-        shifted = level3_defect(build(*unit))
+        shifted = level3_defect(trial(*unit))
         columns.append([s - b for s, b in zip(shifted, base)])
     p, q, r = _solve_affine(columns, [-b for b in base], ctx)
-    pair = build(p, q, r)
-    if not all(ctx.is_zero(value) for value in level3_defect(pair)):
+    words = trial(p, q, r)
+    if not all(ctx.is_zero(value) for value in level3_defect(words)):
         raise PreconditionError("S-3 correction failed verification")
-    return FrameBuild(pair, {"alpha": alpha, "beta": beta,
-                             "alpha1": alpha1, "beta1": beta1,
-                             "corr_xi_uv": p, "corr_xi_u": q, "corr_eta_uu": r})
+    return FrameBuild(words.pair, {"alpha": alpha, "beta": beta,
+                                   "alpha1": alpha1, "beta1": beta1,
+                                   "corr_xi_uv": p, "corr_xi_u": q, "corr_eta_uu": r},
+                      words)
 
 
 def b3_adapt(f: MapJet) -> FrameBuild:
     """B-3 pair: the SB-2 pair corrected so that eta^3 f(0) = 0."""
     ctx = f.zero_ctx()
-    alpha, beta = _sb_defect(f, ctx)
     sb = sb2_adapt(f)
-    xi_t, eta_t = sb.pair.xi, sb.pair.eta
-    xif0 = apply(xi_t, f).at0()
-    etaetaf = apply(eta_t, apply(eta_t, f))
-    eta2f0 = etaetaf.at0()
+    alpha, beta = sb.params["alpha"], sb.params["beta"]
+    sbw = sb.words
+    xif0 = sbw.at0("x")
+    eta2f0 = sbw.at0("ee")
     # B-type guard: xi^2 phi(0), equivalently det(xi f, xi^2 eta f, eta^2 f)(0).
-    xi2eta0 = apply_word([xi_t, xi_t, eta_t], f).at0()
-    if ctx.is_zero(det3((xif0, xi2eta0, eta2f0))):
+    if ctx.is_zero(det3((xif0, sbw.at0("xxe"), eta2f0))):
         raise PreconditionError("germ is not B-type: xi^2 phi vanishes at 0")
-    eta3f0 = apply(eta_t, etaetaf).at0()
     try:
-        alpha1, beta1 = solve_span2(eta3f0, xif0, eta2f0, ctx)
+        alpha1, beta1 = solve_span2(sbw.at0("eee"), xif0, eta2f0, ctx)
     except PreconditionError:
         raise PreconditionError("germ is not B-type: eta^3 f(0) outside the span")
     n, eps = f.order, f.eps
@@ -282,9 +311,9 @@ def b3_adapt(f: MapJet) -> FrameBuild:
     b1 = Jet2.const(-beta, n, eps)
     c1 = Jet2(n, {(1, 0): -alpha, (0, 2): -alpha1 / 2}, eps)
     d1 = Jet2(n, {(0, 0): 1, (0, 1): -beta1 / 3}, eps)
-    pair = FramePair(VectorFieldJet(a1, b1, B3), VectorFieldJet(c1, d1, B3), B3)
+    pair = FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, d1))
     return FrameBuild(pair, {"alpha": alpha, "beta": beta,
-                             "alpha1": alpha1, "beta1": beta1})
+                             "alpha1": alpha1, "beta1": beta1}, Words(f, pair))
 
 
 def h2_adapt(f: MapJet) -> FrameBuild:
@@ -299,10 +328,9 @@ def h2_adapt(f: MapJet) -> FrameBuild:
         raise PreconditionError("germ is not HP-type: f_u(0) x f_uv(0) = 0")
     alpha = solve_parallel(fvv0, fu0, ctx)
     n, eps = f.order, f.eps
-    xi = d_du(n, eps)
-    eta = VectorFieldJet(Jet2(n, {(0, 1): -alpha}, eps), Jet2.const(1, n, eps), H2)
-    pair = FramePair(VectorFieldJet(xi.a, xi.b, H2), eta, H2)
-    return FrameBuild(pair, {"alpha": alpha})
+    eta = VectorFieldJet(Jet2(n, {(0, 1): -alpha}, eps), Jet2.const(1, n, eps))
+    pair = FramePair(d_du(n, eps), eta)
+    return FrameBuild(pair, {"alpha": alpha}, Words(f, pair))
 
 
 def h4_adapt(f: MapJet) -> FrameBuild:
@@ -310,68 +338,70 @@ def h4_adapt(f: MapJet) -> FrameBuild:
 
     Needs f of H-type so that {xi f, xi eta f, eta^3 f}(0) is a basis.  The
     corrections live in three fixed slots (v^2 and v^3 terms of eta's
-    du-coefficient, a v term of its dv-coefficient) and are solved exactly,
-    in the triangular order the basis expansion dictates: the dv-slot from
-    the eta^3 f component of eta^4 f(0), then the v^2 slot from the
-    xi eta f component, then the v^3 slot from the xi f component.  Each
-    step is affine in its unknown; cross terms only feed components that a
-    later step still controls, and the result is verified outright.
+    du-coefficient, a v term of its dv-coefficient) and are solved in one
+    triangular pass, in the order the basis expansion of eta^4 f(0)
+    dictates: the dv-slot w from the eta^3 f component, then the v^2 slot s
+    from the xi eta f component, then the v^3 slot t from the xi f
+    component.  Each step is affine in its own unknown, and each slot's
+    cross terms only feed components that a later step still controls, so
+    in exact arithmetic the first pass leaves eta^4 f(0) = 0.  The slots
+    are not jointly affine (eta^4 f(0) has an s*w term), so they cannot be
+    solved as one linear system.  In float mode an ill-conditioned germ can
+    leave a rounding residue after the first pass; up to two more passes
+    refine it, starting from the residue the last pass verified.  The zero
+    trial is the H-2 pair, so the first pass starts from its word table.
     """
     ctx = f.zero_ctx()
     h2 = h2_adapt(f)
     alpha = h2.params["alpha"]
-    xi_t, eta_t = h2.pair.xi, h2.pair.eta
-    xif0 = apply(xi_t, f).at0()
-    etaf = apply(eta_t, f)
-    xietaf0 = apply(xi_t, etaf).at0()
-    eta2f = apply(eta_t, etaf)
-    eta3f = apply(eta_t, eta2f)
-    eta3f0 = eta3f.at0()
+    h2w = h2.words
+    xif0 = h2w.at0("x")
+    xietaf0 = h2w.at0("xe")
+    eta3f0 = h2w.at0("eee")
     if ctx.is_zero(det3((xif0, xietaf0, eta3f0))):
         raise PreconditionError("germ is not H-type: det(xi f, xi eta f, eta^3 f)(0) = 0")
-    eta4f0 = apply(eta_t, eta3f).at0()
-    alpha1, beta1, delta1 = solve_basis3(eta4f0, xif0, xietaf0, eta3f0, ctx)
+    alpha1, beta1, delta1 = solve_basis3(h2w.at0("eeee"), xif0, xietaf0, eta3f0, ctx)
 
     n, eps = f.order, f.eps
-    xi = VectorFieldJet(Jet2.const(1, n, eps), Jet2.zero(n, eps), H4)
+    xi = d_du(n, eps)
 
-    def build(s, t, w):
+    def trial(s, t, w):
         c1 = Jet2(n, {(0, 1): -alpha, (0, 2): s, (0, 3): t}, eps)
         d1 = Jet2(n, {(0, 0): 1, (0, 1): w}, eps)
-        return VectorFieldJet(c1, d1, H4)
+        return Words(f, FramePair(xi, VectorFieldJet(c1, d1)))
 
-    def components(s, t, w):
-        eta = build(s, t, w)
-        e4 = apply_word([eta] * 4, f).at0()
-        return solve_basis3(e4, xif0, xietaf0, eta3f0, ctx)
+    def components(words):
+        return solve_basis3(words.at0("eeee"), xif0, xietaf0, eta3f0, ctx)
 
     zero = alpha * 0
     one = zero + 1
     s = t = w = zero
+    residue = (alpha1, beta1, delta1)   # the zero trial is the H-2 pair
     for _ in range(3):
         # dv-slot against the eta^3 f component
-        c0 = components(s, t, w)[2]
-        slope = components(s, t, w + one)[2] - c0
+        c0 = residue[2]
+        slope = components(trial(s, t, w + one))[2] - c0
         if not ctx.is_zero(slope):
             w = w - c0 / slope
         # v^2 slot against the xi eta f component
-        c0 = components(s, t, w)[1]
-        slope = components(s + one, t, w)[1] - c0
+        c0 = components(trial(s, t, w))[1]
+        slope = components(trial(s + one, t, w))[1] - c0
         if not ctx.is_zero(slope):
             s = s - c0 / slope
         # v^3 slot against the xi f component
-        c0 = components(s, t, w)[0]
-        slope = components(s, t + one, w)[0] - c0
+        c0 = components(trial(s, t, w))[0]
+        slope = components(trial(s, t + one, w))[0] - c0
         if not ctx.is_zero(slope):
             t = t - c0 / slope
-        if all(ctx.is_zero(c) for c in components(s, t, w)):
+        words = trial(s, t, w)
+        residue = components(words)
+        if all(ctx.is_zero(c) for c in residue):
             break
     else:
         raise PreconditionError("H-4 correction failed to converge")
-    eta = build(s, t, w)
-    if not all(ctx.is_zero(c) for c in apply_word([eta, eta], f).at0()):
+    if not all(ctx.is_zero(c) for c in words.at0("ee")):
         raise PreconditionError("H-4 correction broke the H-2 level")
-    return FrameBuild(FramePair(xi, eta, H4),
+    return FrameBuild(words.pair,
                       {"alpha": alpha, "alpha1": alpha1, "beta1": beta1,
                        "delta1": delta1, "corr_eta_vv": s, "corr_eta_vvv": t,
-                       "corr_d_v": w})
+                       "corr_d_v": w}, words)

@@ -411,28 +411,6 @@ class PolyMap3:
         return tuple(sum(m[r][c] * vec[c] for c in range(3)) for r in range(3))
 
 
-# -- ring-level operations --------------------------------------------------
-
-def add(a: Jet2, b: Jet2) -> Jet2:
-    return a + b
-
-
-def mul(a: Jet2, b: Jet2) -> Jet2:
-    return a * b
-
-
-def scale(c: Scalar, a: Jet2) -> Jet2:
-    return a * c
-
-
-def partial_u(a: Jet2) -> Jet2:
-    return a.partial_u()
-
-
-def partial_v(a: Jet2) -> Jet2:
-    return a.partial_v()
-
-
 def _power_table(base: Jet2, n: int, one: Jet2):
     powers = [one]
     for _ in range(n):
@@ -569,10 +547,6 @@ def to_divided_coeff(jet: Jet2, i: int, j: int) -> Scalar:
 def det3(m) -> Scalar:
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def eval0(f: MapJet):
-    return f.at0()
 
 
 def det3_at0(x: MapJet, y: MapJet, z: MapJet) -> Scalar:

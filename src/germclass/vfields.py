@@ -15,27 +15,11 @@ from dataclasses import dataclass
 from .errors import OrderExhaustedError, PreconditionError
 from .jets import Jet2, MapJet
 
-# Adaptedness levels, ordered by how many derivative words the pair kills at 0.
-UNTAGGED = "untagged"
-ADAPTED = "adapted"
-SB2 = "sb2"
-S3 = "s3"
-B3 = "b3"
-H2 = "h2"
-H4 = "h4"
-
 
 @dataclass(frozen=True)
 class VectorFieldJet:
     a: Jet2
     b: Jet2
-    level: str = UNTAGGED
-
-    def __post_init__(self):
-        if self.level != UNTAGGED:
-            ctx = self.a.zero_ctx().merge(self.b.zero_ctx())
-            if ctx.is_zero(self.a.at0()) and ctx.is_zero(self.b.at0()):
-                raise PreconditionError("tagged vector field vanishes at the origin")
 
     def at0(self):
         return (self.a.at0(), self.b.at0())
@@ -46,11 +30,11 @@ class VectorFieldJet:
 
 
 def d_du(order: int, eps=None) -> VectorFieldJet:
-    return VectorFieldJet(Jet2.const(1, order, eps), Jet2.zero(order, eps), ADAPTED)
+    return VectorFieldJet(Jet2.const(1, order, eps), Jet2.zero(order, eps))
 
 
 def d_dv(order: int, eps=None) -> VectorFieldJet:
-    return VectorFieldJet(Jet2.zero(order, eps), Jet2.const(1, order, eps), ADAPTED)
+    return VectorFieldJet(Jet2.zero(order, eps), Jet2.const(1, order, eps))
 
 
 def apply_to_jet(zeta: VectorFieldJet, g: Jet2, label=None) -> Jet2:
@@ -80,7 +64,7 @@ def apply_word(word, f: MapJet, label=None) -> MapJet:
 
 
 def bracket(z1: VectorFieldJet, z2: VectorFieldJet) -> VectorFieldJet:
-    """Lie bracket [z1, z2], as an untagged field."""
+    """Lie bracket [z1, z2]."""
     a = apply_to_jet(z1, z2.a) - apply_to_jet(z2, z1.a)
     b = apply_to_jet(z1, z2.b) - apply_to_jet(z2, z1.b)
     return VectorFieldJet(a, b)
@@ -88,15 +72,15 @@ def bracket(z1: VectorFieldJet, z2: VectorFieldJet) -> VectorFieldJet:
 
 @dataclass(frozen=True)
 class FramePair:
-    """A pair (xi, eta) of vector fields with a shared adaptedness tag.
+    """A pair (xi, eta) of vector fields, independent at the origin.
 
-    eta is the member expected to span ker df0 for tags >= adapted; frame
-    constructors validate that, the type only checks pointwise independence.
+    eta is the member expected to span ker df0; frame constructors validate
+    that, the type only checks pointwise independence (which also rules out
+    a field vanishing at 0).
     """
 
     xi: VectorFieldJet
     eta: VectorFieldJet
-    level: str = UNTAGGED
 
     def __post_init__(self):
         a1, b1 = self.xi.at0()
@@ -106,8 +90,8 @@ class FramePair:
             raise PreconditionError("frame pair is linearly dependent at the origin")
 
 
-def coordinate_pair(order: int, level: str = ADAPTED, eps=None) -> FramePair:
-    return FramePair(d_du(order, eps), d_dv(order, eps), level)
+def coordinate_pair(order: int, eps=None) -> FramePair:
+    return FramePair(d_du(order, eps), d_dv(order, eps))
 
 
 def is_adapted(pair: FramePair, f: MapJet) -> bool:

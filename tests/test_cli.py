@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from germclass.cli import main
 
 S2_DOC = "[map]\nf1 = u\nf2 = v^2\nf3 = v*(u^3+v^2)\n"
@@ -59,6 +61,26 @@ def test_input_error_exit_1(tmp_path, capsys):
     assert "error:" in err
     code, _, err = run(capsys, "classify", str(tmp_path / "missing.germ"))
     assert code == 1
+
+
+FOLDED_HEAD = "[folded]\na02 = 1\na20 = 1\na03 = 1\na21 = 2\n"
+MALFORMED = [
+    ("classify", "[map]\nf1 = %s*u\nf2 = v^2\nf3 = u*v\n" % ("7" * 5000)),
+    ("folded", FOLDED_HEAD + "theta = abc\n"),
+    ("folded", FOLDED_HEAD + "theta = inf\n"),
+    ("folded", FOLDED_HEAD + "theta = nan\n"),
+]
+
+
+@pytest.mark.parametrize("cmd, text", MALFORMED, ids=["5000-digits", "theta-abc",
+                                                     "theta-inf", "theta-nan"])
+def test_malformed_document_exit_1(tmp_path, capsys, cmd, text):
+    path = write(tmp_path, "malformed.germ", text)
+    code, out, err = run(capsys, cmd, path, "--json")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_kind_mismatch_exit_1(tmp_path, capsys):

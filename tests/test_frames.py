@@ -1,9 +1,11 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 from germclass.errors import PreconditionError
-from germclass.frames import (b3_adapt, h2_adapt, h4_adapt, linear_normalize,
+from germclass import frames
+from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
                               rank_df0, s3_adapt, sb2_adapt)
 from germclass.jets import det3_at0
 from germclass.vfields import apply_word, is_adapted
@@ -187,6 +189,16 @@ def test_h4_solves_fourth_order_defect():
     assert_level_conditions(f, build.pair, "h4")
 
 
+def test_h4_pins_all_parameters_with_nonzero_alpha():
+    # alpha != 0 and all three basis components of eta^4 f(0) nonzero
+    f = germ("u+2*v^2+v^4", "u*v+u*v^2+v^4", "v^3+v^4")
+    build = h4_adapt(f)
+    assert build.params == {"alpha": 4, "alpha1": 24, "beta1": 24, "delta1": 4,
+                            "corr_eta_vv": Fraction(-1, 3), "corr_eta_vvv": -6,
+                            "corr_d_v": Fraction(-2, 3)}
+    assert_level_conditions(f, build.pair, "h4")
+
+
 def test_h4_rejects_non_h_type():
     with pytest.raises(PreconditionError):
         h4_adapt(germ("u", "u*v", "v^4"))
@@ -212,3 +224,36 @@ def test_constructor_vanishing_conditions_random(branch):
         g, _ = linear_normalize(f)
         build = constructor(g)
         assert_level_conditions(g, build.pair, level)
+
+
+# -- Words -------------------------------------------------------------------
+
+def test_words_reads_operator_product():
+    f = germ("u+v^2", "u*v+v^3", "v^3+u^2*v")
+    pair = sb2_adapt(germ("u", "v^2", "u^2*v+v^3")).pair
+    words = Words(f, pair)
+    xi, eta = pair.xi, pair.eta
+    assert words.jet("xxe") == apply_word([xi, xi, eta], f)
+    assert words.jet("") is f
+
+
+def test_words_applies_once_per_distinct_word(monkeypatch):
+    calls = []
+    apply = frames.apply
+
+    def counted(zeta, g, *args):
+        calls.append(zeta)
+        return apply(zeta, g, *args)
+
+    monkeypatch.setattr(frames, "apply", counted)
+    f = germ("u", "v^2", "v*(u^3+v^2)")
+    words = Words(f, sb2_adapt(f).pair)
+    calls.clear()
+    words.at0("xxe")
+    assert len(calls) == 3                  # e, xe, xxe
+    for word in ("xe", "e", "xxe"):
+        words.at0(word)
+    assert len(calls) == 3
+    words.at0("exxe")
+    words.at0("ee")
+    assert len(calls) == 5

@@ -4,8 +4,8 @@ import pytest
 
 from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass.jets import Jet2, MapJet
-from germclass.vfields import (FramePair, SB2, VectorFieldJet, apply, apply_to_jet,
-                               apply_word, bracket, d_du, d_dv)
+from germclass.vfields import (FramePair, VectorFieldJet, apply, apply_to_jet, apply_word,
+                               bracket, d_du, d_dv)
 from util import germ, jet, random_jet
 
 
@@ -88,9 +88,12 @@ def test_bracket_antisymmetry_on_self():
     assert got.a.is_zero() and got.b.is_zero()
 
 
-def test_tagged_field_must_not_vanish_at_origin():
+def test_pair_field_must_not_vanish_at_origin():
+    vanishing = VectorFieldJet(jet({(1, 0): 1}), jet({(0, 1): 1}))
     with pytest.raises(PreconditionError):
-        VectorFieldJet(jet({(1, 0): 1}), jet({(0, 1): 1}), SB2)
+        FramePair(d_du(6), vanishing)
+    with pytest.raises(PreconditionError):
+        FramePair(vanishing, d_dv(6))
 
 
 def test_frame_pair_requires_independence():
