@@ -28,7 +28,9 @@ Families:
   the z-axis, reduced to (u, v^2, f3).  The Hessian entries h11, h22 of
   the fold's phi function and the branch discriminants r_s, r_b are
   polynomials in (cos theta, sin theta); theta enters only through that
-  pair, which may be an exact rational point on the unit circle.
+  pair, an exact rational point on the unit circle.  An angle given as a
+  float is read as such a point within a few ulps (see `_theta_pair`),
+  and both routes work on that one point.
 
 Sign conventions (resolved against the generic classifier, see the
 generated SIGN_CONVENTIONS.md): S1_PLUS corresponds to a negative phi
@@ -42,15 +44,15 @@ equals -4 r_b (the sign follows -r_b).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, sin
 
 from .classify import Classification, Verdict
 from .errors import PreconditionError
 from .jets import (Jet2, MapJet, PolyMap2, compose2, det3,
                    from_divided_coeffs, invsqrt_series)
-from .scalars import DEFAULT_EPS, ZeroCtx
+from .scalars import EXACT
 
 Vec3 = tuple
 
@@ -72,7 +74,7 @@ def deriv0(jet: Jet2, k: int):
 
 def integrate_v(jet: Jet2, cap: int) -> Jet2:
     out = {(0, j + 1): c / (j + 1) for (_, j), c in jet.coeffs.items()}
-    return Jet2(min(cap, jet.order + 1), out, jet.eps, jet.scale)
+    return Jet2(min(cap, jet.order + 1), out)
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,7 @@ class RuledData:
     def __post_init__(self):
         for name in ("gamma1", "gamma3", "c3"):
             _univariate(getattr(self, name), name)
-        ctx = self.gamma3.zero_ctx()
-        if not ctx.is_zero(self.gamma3.at0()):
+        if not EXACT.is_zero(self.gamma3.at0()):
             raise PreconditionError("gamma3(0) must vanish (origin not singular otherwise)")
 
     @property
@@ -99,14 +100,12 @@ def ruled_frame(c3: Jet2, order: int | None = None):
     """Power-series solution of the rotating frame ODE with a_i(0) = e_i.
 
     a1' = a2, a2' = -a1 + c3 a3, a3' = -c3 a2, solved by coefficient
-    recursion; the skew-symmetry of the system keeps the frame orthonormal
+    recursion; the skew-symmetry of the system leaves the frame orthonormal
     identically in v, which the tests assert termwise.
     """
     _univariate(c3, "c3")
     n = c3.order + 1 if order is None else order
-    eps = c3.eps
-    zero = 0.0 if eps is not None else Fraction(0)
-    one = 1.0 if eps is not None else Fraction(1)
+    zero, one = Fraction(0), Fraction(1)
     c = [c3.coeff(0, m) if m <= c3.order else zero for m in range(n)]
     a1 = [(one, zero, zero)]
     a2 = [(zero, one, zero)]
@@ -118,7 +117,7 @@ def ruled_frame(c3: Jet2, order: int | None = None):
         a2.append(tuple((-a1[k][i] + conv_a3[i]) / (k + 1) for i in range(3)))
         a3.append(tuple(-conv_a2[i] / (k + 1) for i in range(3)))
     def pack(rows):
-        return tuple(Jet2(n, {(0, k): rows[k][i] for k in range(n + 1)}, eps)
+        return tuple(Jet2(n, {(0, k): rows[k][i] for k in range(n + 1)})
                      for i in range(3))
     return pack(a1), pack(a2), pack(a3)
 
@@ -135,7 +134,7 @@ def ruled_map(d: RuledData) -> MapJet:
     gamma_prime = tuple(d.gamma1 * a1[i] + d.gamma3 * a3[i] for i in range(3))
     gamma = tuple(integrate_v(gp, n) for gp in gamma_prime)
     g1 = integrate_v(d.gamma1, n)
-    u = Jet2.variable("u", n, d.gamma1.eps)
+    u = Jet2.variable("u", n)
     comps = tuple(gamma[i] + (u - g1) * a1[i] for i in range(3))
     return MapJet.germ(*comps)
 
@@ -159,7 +158,6 @@ def ruled_h_polynomial(g1p, g1pp, g1ppp, g3pp, g3ppp, g3pppp, c3v, c3p):
 
 def ruled_classify_formulas(d: RuledData):
     """Evaluate the ruled-surface conditions in order; first match wins."""
-    ctx = d.gamma1.zero_ctx().merge(d.gamma3.zero_ctx()).merge(d.c3.zero_ctx())
     g1 = deriv0(d.gamma1, 0)
     g1p = deriv0(d.gamma1, 1)
     g1pp = deriv0(d.gamma1, 2)
@@ -177,32 +175,32 @@ def ruled_classify_formulas(d: RuledData):
     inv = {"gamma3_d1": g3p, "gamma3_d2": g3pp, "gamma3_d3": g3ppp,
            "gamma1_0": g1, "c3_0": c3v, "hess_entry2": hess2}
 
-    if not ctx.is_zero(g3p):
+    if not EXACT.is_zero(g3p):
         return Classification(Verdict.WHITNEY_UMBRELLA), inv
-    if not ctx.is_zero(g1) and not ctx.is_zero(g3pp) and not ctx.is_zero(hess2):
+    if not EXACT.is_zero(g1) and not EXACT.is_zero(g3pp) and not EXACT.is_zero(hess2):
         # det hess phi is a positive multiple of gamma3''(2 c3 gamma1 - gamma3'')
         # (= -gamma3'' * hess2; established against the generic classifier),
         # and a negative Hessian determinant is S1+.
         q = g3pp * (2 * c3v * g1 - g3pp)
         inv["s1_disc"] = q
-        verdict = Verdict.S1_PLUS if ctx.sign(q) < 0 else Verdict.S1_MINUS
+        verdict = Verdict.S1_PLUS if EXACT.sign(q) < 0 else Verdict.S1_MINUS
         return Classification(verdict), inv
-    if ctx.is_zero(g3pp) and not ctx.is_zero(c3v * g1 * g3ppp):
+    if EXACT.is_zero(g3pp) and not EXACT.is_zero(c3v * g1 * g3ppp):
         inv["s2_value"] = c3v * g1 * g3ppp
         return Classification(Verdict.S2), inv
-    if (not ctx.is_zero(g1) and ctx.is_zero(hess2) and not ctx.is_zero(g3pp)):
+    if (not EXACT.is_zero(g1) and EXACT.is_zero(hess2) and not EXACT.is_zero(g3pp)):
         b = ruled_b_polynomial(g1, g1p, g1pp, g3pp, g3ppp, g3pppp, c3p, c3pp)
         inv["b_poly"] = b
-        sb = ctx.sign(b)
+        sb = EXACT.sign(b)
         if sb > 0:
             return Classification(Verdict.B2_PLUS), inv
         if sb < 0:
             return Classification(Verdict.B2_MINUS), inv
         return Classification(Verdict.MORE_DEGENERATE, "B-type with b = 0"), inv
-    if ctx.is_zero(g1) and not ctx.is_zero(g3pp):
+    if EXACT.is_zero(g1) and not EXACT.is_zero(g3pp):
         h = ruled_h_polynomial(g1p, g1pp, g1ppp, g3pp, g3ppp, g3pppp, c3v, c3p)
         inv["h_poly"] = h
-        if not ctx.is_zero(h):
+        if not EXACT.is_zero(h):
             return Classification(Verdict.H2), inv
         return Classification(Verdict.MORE_DEGENERATE, "H-type with h = 0"), inv
     return Classification(Verdict.MORE_DEGENERATE, "no ruled-surface condition matched"), inv
@@ -229,8 +227,8 @@ class MongeCoeffs:
     def a_(self, i, j) -> Fraction:
         return self.a.get((i, j), Fraction(0))
 
-    def jet(self, order: int, eps=None) -> Jet2:
-        return from_divided_coeffs(self.a, order, eps)
+    def jet(self, order: int) -> Jet2:
+        return from_divided_coeffs(self.a, order)
 
 
 def _require_center(m: MongeCoeffs):
@@ -261,14 +259,13 @@ def center_map(m: MongeCoeffs, order: int = 6) -> MapJet:
     f = (u, v, a + k)
     rho = f[0] * nu[0] + f[1] * nu[1] + f[2] * nu[2]
     c = tuple(f[i] - rho * nu[i] for i in range(3))
-    ctx = ZeroCtx()
-    if not ctx.is_zero_vec(tuple(ci.at0() for ci in c)):
+    if not EXACT.is_zero_vec(tuple(ci.at0() for ci in c)):
         raise PreconditionError("center map does not fix the origin (internal error)")
     cm = MapJet.germ(*(ci.truncate(order) for ci in c))
     cu0 = cm.partial_u().at0()
     cuv0 = cm.partial_u().partial_v().at0()
     cvv0 = cm.partial_v().partial_v().at0()
-    if not ctx.is_zero(det3((cu0, cvv0, cuv0))):
+    if not EXACT.is_zero(det3((cu0, cvv0, cuv0))):
         raise PreconditionError("center map lost det(c_u, c_vv, c_uv)(0) = 0 (internal error)")
     return cm
 
@@ -309,15 +306,42 @@ def center_classify_formulas(m: MongeCoeffs):
             inv)
 
 
+def _convergent_within(x: Fraction, tol: Fraction) -> Fraction:
+    """The first continued-fraction convergent of x within tol of x."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    rest = x
+    while True:
+        a = math.floor(rest)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if abs(x - Fraction(p1, q1)) <= tol:
+            return Fraction(p1, q1)
+        rest = 1 / (rest - a)
+
+
 def _theta_pair(theta):
-    """Accept an exact (cos, sin) pair on the unit circle, or a float angle."""
+    """(cos, sin) of the fold angle as an exact rational point on the unit circle.
+
+    An exact (cos, sin) pair is checked and returned.  A float angle is
+    reduced to |r| <= pi/2 by k half turns, and t = tan(r/2) is read as its
+    first continued-fraction convergent q within a few ulps, enough to
+    cover the rounding of theta itself and of tan; the point is
+    ((1 - q^2)/(1 + q^2), 2q/(1 + q^2)), negated for odd k.  So the float
+    nearest to the angle of a rational point with small denominators, such
+    as atan2(4, 3) for (3/5, 4/5), gives that point back exactly.
+    """
     if isinstance(theta, tuple):
         c, s = Fraction(theta[0]), Fraction(theta[1])
         if c * c + s * s != 1:
             raise PreconditionError("(cos, sin) pair is not on the unit circle")
-        return c, s, None
+        return c, s
     theta = float(theta)
-    return cos(theta), sin(theta), DEFAULT_EPS
+    if not math.isfinite(theta):
+        raise PreconditionError("fold angle must be finite, got %r" % theta)
+    k = round(theta / math.pi)
+    t = math.tan((theta - k * math.pi) / 2)
+    q = _convergent_within(Fraction(t), Fraction(4 * (math.ulp(theta) + math.ulp(t))))
+    c, s = (1 - q * q) / (1 + q * q), 2 * q / (1 + q * q)
+    return (-c, -s) if k % 2 else (c, s)
 
 
 def folded_map(m: MongeCoeffs, theta=(1, 0), order: int = 6) -> MapJet:
@@ -325,16 +349,16 @@ def folded_map(m: MongeCoeffs, theta=(1, 0), order: int = 6) -> MapJet:
 
     Reduced form (u, v^2, f3) with f3(u,v) = a(u c + v s, v c - u s); the
     trailing target rotation of the fold is dropped as a target
-    diffeomorphism.  Exact when theta is an exact point on the unit circle.
+    diffeomorphism.  (c, s) is the exact point `_theta_pair` reads theta as.
     """
-    c, s, eps = _theta_pair(theta)
+    c, s = _theta_pair(theta)
     n = order + 1
-    a = m.jet(n, eps)
-    rot = PolyMap2(Jet2(n, {(1, 0): c, (0, 1): s}, eps),
-                   Jet2(n, {(1, 0): -s, (0, 1): c}, eps))
+    a = m.jet(n)
+    rot = PolyMap2(Jet2(n, {(1, 0): c, (0, 1): s}),
+                   Jet2(n, {(1, 0): -s, (0, 1): c}))
     f3 = compose2(a, rot).truncate(order)
-    u = Jet2.variable("u", order, eps)
-    v = Jet2.variable("v", order, eps)
+    u = Jet2.variable("u", order)
+    v = Jet2.variable("v", order)
     return MapJet.germ(u, v * v, f3)
 
 
@@ -346,7 +370,7 @@ def folded_invariants(m: MongeCoeffs, theta=(1, 0)):
     r_b the B2 discriminant when h22 = 0.  Derived for umbilic input or
     theta = 0, where the fold's 2-jet has no uv cross term.
     """
-    c, s, _ = _theta_pair(theta)
+    c, s = _theta_pair(theta)
     a = m.a_
     h11 = (-a(2, 1) * c ** 3 + (2 * a(1, 2) - a(3, 0)) * c ** 2 * s
            - (a(0, 3) - 2 * a(2, 1)) * c * s ** 2 - a(1, 2) * s ** 3)
@@ -389,28 +413,28 @@ def folded_invariants(m: MongeCoeffs, theta=(1, 0)):
 
 
 def folded_classify_formulas(m: MongeCoeffs, theta=(1, 0)):
-    """Verdict from (h11, h22, r_s, r_b); umbilic input or theta = 0 required."""
-    c, s, eps = _theta_pair(theta)
-    if eps is None:
-        ctx = ZeroCtx()
-    else:
-        ctx = ZeroCtx(eps, max((abs(float(x)) for x in m.a.values()), default=1.0))
-    if not ctx.is_zero(s) and m.a_(2, 0) != m.a_(0, 2):
+    """Verdict from (h11, h22, r_s, r_b); umbilic input or theta = 0 required.
+
+    The invariants start with the exact point (theta_cos, theta_sin) the
+    angle was read as, so the certificate shows the input of every verdict.
+    """
+    c, s = _theta_pair(theta)
+    if not EXACT.is_zero(s) and m.a_(2, 0) != m.a_(0, 2):
         raise PreconditionError("folded formulas need an umbilic point or theta = 0")
-    h11, h22, r_s, r_b = folded_invariants(m, theta)
-    inv = {"h11": h11, "h22": h22, "r_s": r_s, "r_b": r_b}
-    s11 = ctx.sign(h11)
-    s22 = ctx.sign(h22)
+    h11, h22, r_s, r_b = folded_invariants(m, (c, s))
+    inv = {"theta_cos": c, "theta_sin": s, "h11": h11, "h22": h22, "r_s": r_s, "r_b": r_b}
+    s11 = EXACT.sign(h11)
+    s22 = EXACT.sign(h22)
     if s11 and s22:
         # phi Hessian entries are (2 h11, 2 h22); negative product is S1+.
         verdict = Verdict.S1_PLUS if s11 * s22 < 0 else Verdict.S1_MINUS
         return Classification(verdict), inv
     if not s11 and s22:
-        if not ctx.is_zero(r_s):
+        if not EXACT.is_zero(r_s):
             return Classification(Verdict.S2), inv
         return Classification(Verdict.MORE_DEGENERATE, "fold S branch with r_s = 0"), inv
     if s11 and not s22:
-        sb = ctx.sign(-r_b)
+        sb = EXACT.sign(-r_b)
         if sb > 0:
             return Classification(Verdict.B2_PLUS), inv
         if sb < 0:

@@ -34,7 +34,7 @@ from .errors import GermError, OrderExhaustedError, PreconditionError
 from .frames import (b3_adapt, h2_adapt, h4_adapt, linear_normalize,
                      rank_df0, s3_adapt, sb2_adapt)
 from .jets import Jet2, MapJet, cross3, det3, det3_jet
-from .scalars import Scalar, fmt_scalar
+from .scalars import EXACT, Scalar, fmt_scalar
 from .vfields import FramePair, apply, apply_to_jet
 
 
@@ -68,7 +68,6 @@ class Classification:
 
 @dataclass
 class Certificate:
-    mode: str
     order: int
     trace: list = field(default_factory=list)
     invariants: dict = field(default_factory=dict)
@@ -87,7 +86,7 @@ class Certificate:
         obj = {
             "verdict": classification.verdict.value,
             "reason": classification.reason,
-            "mode": self.mode,
+            "mode": "exact",
             "order": self.order,
             "trace": [[name, value] for name, value in self.trace],
             "invariants": {k: fmt_scalar(v) for k, v in self.invariants.items()},
@@ -130,17 +129,13 @@ def second_derivatives_phi(f: MapJet, pair: FramePair):
 
 def classify(f: MapJet):
     """Classify a map-germ; returns (Classification, Certificate)."""
-    ctx = f.zero_ctx()
     if f.order < 5:
         raise OrderExhaustedError("classification needs a jet of order >= 5")
-    if not all(ctx.is_zero(c) for c in f.at0()):
+    if not EXACT.is_zero_vec(f.at0()):
         raise PreconditionError("classify expects a germ sending the origin to the origin")
-    cert = Certificate(mode="exact" if ctx.exact else "float", order=f.order)
-    if not ctx.exact:
-        # float decisions are |x| < eps * max(1, scale); record the margin base
-        cert.note("zero_threshold", ctx.eps * max(1.0, ctx.scale))
+    cert = Certificate(order=f.order)
 
-    rank = rank_df0(f, ctx)
+    rank = rank_df0(f)
     cert.note("rank_df0", str(rank))
     if rank == 2:
         return Classification(Verdict.REGULAR), cert
@@ -157,26 +152,26 @@ def classify(f: MapJet):
     gvv0 = gv.partial_v().at0()
     guv0 = gu.partial_v().at0()
     sb_cross = cross3(gu0, gvv0)
-    sb_type = not ctx.is_zero_vec(sb_cross)
+    sb_type = not EXACT.is_zero_vec(sb_cross)
     cert.note("sb_type", str(sb_type))
 
     if sb_type:
-        return _classify_sb(g, ctx, cert, gu0, gvv0, guv0)
+        return _classify_sb(g, cert, gu0, gvv0, guv0)
 
     hp_cross = cross3(gu0, guv0)
-    hp_type = not ctx.is_zero_vec(hp_cross)
+    hp_type = not EXACT.is_zero_vec(hp_cross)
     cert.note("hp_type", str(hp_type))
     if hp_type:
-        return _classify_hp(g, ctx, cert)
+        return _classify_hp(g, cert)
 
     return (Classification(Verdict.MORE_DEGENERATE, "2-jet equivalent to (u,0,0)"),
             cert)
 
 
-def _classify_sb(g, ctx, cert, gu0, gvv0, guv0):
+def _classify_sb(g, cert, gu0, gvv0, guv0):
     whitney_det = det3((gu0, gvv0, guv0))
     cert.record("whitney_det", whitney_det)
-    if not ctx.is_zero(whitney_det):
+    if not EXACT.is_zero(whitney_det):
         return Classification(Verdict.WHITNEY_UMBRELLA), cert
 
     build = sb2_adapt(g)
@@ -187,11 +182,11 @@ def _classify_sb(g, ctx, cert, gu0, gvv0, guv0):
     cert.record("hess_mixed_xi_eta", m1)
     cert.record("hess_mixed_eta_xi", m2)
     cert.record("eta2phi", C)
-    if ctx.exact and (m1 != 0 or m2 != 0):
+    if m1 != 0 or m2 != 0:
         raise GermError("mixed phi Hessian entries must vanish on an SB-2 pair")
 
-    sA = ctx.sign(A)
-    sC = ctx.sign(C)
+    sA = EXACT.sign(A)
+    sC = EXACT.sign(C)
     if sA and sC:
         # A*C = det hess phi(0); -48 on the S1+ normal form fixes the wiring.
         verdict = Verdict.S1_PLUS if sA * sC < 0 else Verdict.S1_MINUS
@@ -203,7 +198,7 @@ def _classify_sb(g, ctx, cert, gu0, gvv0, guv0):
         words = s3.words
         s2_det = det3((words.at0("x"), words.at0("xxxe"), words.at0("ee")))
         cert.record("s2_det", s2_det)
-        if not ctx.is_zero(s2_det):
+        if not EXACT.is_zero(s2_det):
             return Classification(Verdict.S2), cert
         return (Classification(Verdict.MORE_DEGENERATE,
                                "S-type with vanishing S2 determinant (S3 or beyond)"),
@@ -221,7 +216,7 @@ def _classify_sb(g, ctx, cert, gu0, gvv0, guv0):
         cert.record("b2_det_eta5", d3)
         V = -5 * d1 * d1 + 3 * d2 * d3
         cert.record("b2_value", V)
-        sV = ctx.sign(V)
+        sV = EXACT.sign(V)
         if sV > 0:
             return Classification(Verdict.B2_PLUS), cert
         if sV < 0:
@@ -235,13 +230,13 @@ def _classify_sb(g, ctx, cert, gu0, gvv0, guv0):
             cert)
 
 
-def _classify_hp(g, ctx, cert):
+def _classify_hp(g, cert):
     h2 = h2_adapt(g)
     cert.frame.update(h2.params)
     words = h2.words
     h_type_det = det3((words.at0("x"), words.at0("xe"), words.at0("eee")))
     cert.record("h_type_det", h_type_det)
-    if ctx.is_zero(h_type_det):
+    if EXACT.is_zero(h_type_det):
         return Classification(Verdict.MORE_DEGENERATE, "P-type or worse"), cert
 
     h4 = h4_adapt(g)
@@ -249,7 +244,7 @@ def _classify_hp(g, ctx, cert):
     words = h4.words
     h2_det = det3((words.at0("x"), words.at0("eeeee"), words.at0("eee")))
     cert.record("h2_det", h2_det)
-    if not ctx.is_zero(h2_det):
+    if not EXACT.is_zero(h2_det):
         return Classification(Verdict.H2), cert
     return (Classification(Verdict.MORE_DEGENERATE,
                            "H-type with vanishing H2 determinant (H3 or beyond)"),

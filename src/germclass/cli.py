@@ -3,9 +3,10 @@
 Commands take a document file (see `docparse`) and print a certificate:
 the verdict, the branch trace, every evaluated invariant, the frame
 parameters and the normalizing linear map.  `--json` emits the same data
-as one JSON object with stable key names; rationals print as `p/q`,
-floats with 17 significant digits, so output is bit-stable for golden
-tests.
+as one JSON object with stable key names; every scalar is exact and
+prints as `p/q`, so output is bit-stable for golden tests.  Parser
+warnings (such as a degree overflow truncated to the document's order)
+are printed as `warning:` lines, or listed under `warnings` in JSON.
 
 Exit codes: 0 definite classification, 2 MoreDegenerate, 1 input error,
 3 formula/classifier disagreement (ruled, center, folded, oracle) or a
@@ -32,7 +33,7 @@ def _print_cert(classification, cert, warnings=()):
     print("verdict: %s" % classification.verdict.value)
     if classification.reason:
         print("reason: %s" % classification.reason)
-    print("mode: %s" % cert.mode)
+    print("mode: exact")
     print("order: %d" % cert.order)
     for message in warnings:
         print("warning: %s" % message)
@@ -89,7 +90,7 @@ def cmd_classify(args) -> int:
     return _exit_code(classification)
 
 
-def _dual(args, kind, formula_result, generic_input):
+def _dual(args, kind, formula_result, generic_input, warnings):
     formula_cls, formula_inv = formula_result
     generic_cls, cert = classify(generic_input)
     agree = formula_cls.verdict == generic_cls.verdict
@@ -103,6 +104,7 @@ def _dual(args, kind, formula_result, generic_input):
             },
             "generic": cert.to_json_obj(generic_cls),
             "agree": agree,
+            "warnings": warnings,
         }
         print(json.dumps(obj, indent=2))
     else:
@@ -110,7 +112,7 @@ def _dual(args, kind, formula_result, generic_input):
         for name, value in formula_inv.items():
             print("  %s = %s" % (name, fmt_scalar(value)))
         print("generic verdict: %s" % generic_cls)
-        _print_cert(generic_cls, cert)
+        _print_cert(generic_cls, cert, warnings)
         print("agreement: %s" % ("yes" if agree else "NO"))
     if not agree:
         return 3
@@ -122,7 +124,8 @@ def cmd_ruled(args) -> int:
     if doc.kind != "ruled":
         raise GermError("ruled expects a [ruled] document, got [%s]" % doc.kind)
     data = doc.to_ruled_data()
-    return _dual(args, "ruled", ruled_classify_formulas(data), ruled_map(data))
+    return _dual(args, "ruled", ruled_classify_formulas(data), ruled_map(data),
+                 doc.warnings)
 
 
 def cmd_center(args) -> int:
@@ -131,7 +134,7 @@ def cmd_center(args) -> int:
         raise GermError("center expects a [center] document, got [%s]" % doc.kind)
     monge = doc.to_monge()
     return _dual(args, "center", center_classify_formulas(monge),
-                 center_map(monge, doc.order))
+                 center_map(monge, doc.order), doc.warnings)
 
 
 def cmd_folded(args) -> int:
@@ -140,7 +143,7 @@ def cmd_folded(args) -> int:
         raise GermError("folded expects a [folded] document, got [%s]" % doc.kind)
     monge = doc.to_monge()
     return _dual(args, "folded", folded_classify_formulas(monge, doc.theta),
-                 folded_map(monge, doc.theta, doc.order))
+                 folded_map(monge, doc.theta, doc.order), doc.warnings)
 
 
 def cmd_oracle(args) -> int:
@@ -156,7 +159,8 @@ def cmd_oracle(args) -> int:
     else:
         raise GermError("oracle expects an [sb-normal] or [h-normal] document, got [%s]"
                         % doc.kind)
-    return _dual(args, doc.kind, (formula, {}), coeffs.to_map_jet(doc.order))
+    return _dual(args, doc.kind, (formula, {}), coeffs.to_map_jet(doc.order),
+                 doc.warnings)
 
 
 def cmd_fuzz(args) -> int:

@@ -14,7 +14,8 @@ Documents are line-oriented `key = value` files under a `[kind]` header,
 kind one of map, ruled, center, folded, sb-normal, h-normal.  Blank lines
 and '#' comments are ignored.  Angles for folded documents are either an
 exact rational point on the unit circle (theta_cos/theta_sin) or a float
-(theta), which switches the computation into float mode.
+(theta), kept as given here and read as an exact point on the unit circle
+by `applications._theta_pair`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .applications import MongeCoeffs, RuledData
 from .errors import ParseError
 from .jets import Jet2, MapJet, poly_str
 from .oracle import HNormalCoeffs, SBNormalCoeffs
-from .scalars import DEFAULT_EPS
 
 _TOKEN = re.compile(r"\s*(\d+|[uv]|\^|\*|\+|-|/|\(|\))")
 
@@ -59,10 +59,9 @@ def _int(tok: str, pos: int) -> int:
 
 
 class _PolyParser:
-    def __init__(self, src: str, order: int, eps=None):
+    def __init__(self, src: str, order: int):
         self.src = src
         self.order = order
-        self.eps = eps
         self.tokens = _tokenize(src)
         self.k = 0
         self.truncated = False
@@ -121,7 +120,7 @@ class _PolyParser:
             if exponent > self.order:
                 self.truncated = True
                 if base.at0() == 0:
-                    return Jet2.zero(self.order, self.eps)
+                    return Jet2.zero(self.order)
             base = base ** exponent
         return base
 
@@ -140,9 +139,9 @@ class _PolyParser:
                 if den == 0:
                     raise ParseError("zero denominator", den_pos)
                 value /= den
-            return Jet2.const(value, self.order, self.eps)
+            return Jet2.const(value, self.order)
         if tok in ("u", "v"):
-            return Jet2.variable(tok, self.order, self.eps)
+            return Jet2.variable(tok, self.order)
         if tok == "(":
             inner = self.expr()
             closing, cpos = self.advance()
@@ -152,22 +151,22 @@ class _PolyParser:
         raise ParseError("unexpected token %r" % tok, pos)
 
 
-def parse_poly(src: str, order: int = 6, eps=None) -> Jet2:
+def parse_poly(src: str, order: int = 6) -> Jet2:
     """Parse a polynomial expression into a jet of the given order."""
-    return _PolyParser(src, order, eps).parse()
+    return _PolyParser(src, order).parse()
 
 
-def parse_poly_ex(src: str, order: int = 6, eps=None):
+def parse_poly_ex(src: str, order: int = 6):
     """Like parse_poly, also reporting whether degree overflow was truncated."""
-    parser = _PolyParser(src, order, eps)
+    parser = _PolyParser(src, order)
     jet = parser.parse()
-    truncated = parser.truncated or _overflow(src, order, eps)
+    truncated = parser.truncated or _overflow(src, order)
     return jet, truncated
 
 
-def _overflow(src, order, eps) -> bool:
+def _overflow(src, order) -> bool:
     """Reparse at double the order to detect coefficients beyond the target order."""
-    wide = _PolyParser(src, 2 * order, eps).parse()
+    wide = _PolyParser(src, 2 * order).parse()
     return any(i + j > order for (i, j) in wide.coeffs)
 
 
@@ -188,20 +187,15 @@ _COEFF_KEY = re.compile(r"^([ab])(\d)(\d)$")
 class MapSpecDoc:
     kind: str
     order: int = 6
-    mode: str = "exact"
     exprs: dict = field(default_factory=dict)        # key -> raw source string
     coeffs: dict = field(default_factory=dict)       # ('a', i, j) -> Fraction
     theta: tuple | float | None = None
     warnings: list = field(default_factory=list)
 
-    @property
-    def eps(self):
-        return DEFAULT_EPS if self.mode == "float" else None
-
     # -- builders --------------------------------------------------------
 
     def jet(self, key: str) -> Jet2:
-        jet, truncated = parse_poly_ex(self.exprs[key], self.order, self.eps)
+        jet, truncated = parse_poly_ex(self.exprs[key], self.order)
         if truncated:
             message = "%s: degree overflow truncated to order %d" % (key, self.order)
             if message not in self.warnings:
@@ -266,10 +260,6 @@ def parse_doc(text: str) -> MapSpecDoc:
             if not 2 <= order <= 10:
                 raise ParseError("key order: must be within 2..10, got %d" % order)
             doc.order = order
-        elif key == "mode":
-            if value not in ("exact", "float"):
-                raise ParseError("key mode: must be 'exact' or 'float', got %r" % value)
-            doc.mode = value
         elif key in _KEYS[doc.kind]:
             if key == "theta":
                 try:
@@ -278,7 +268,6 @@ def parse_doc(text: str) -> MapSpecDoc:
                     raise ParseError("key theta: not a number: %r" % value)
                 if not math.isfinite(doc.theta):
                     raise ParseError("key theta: must be finite, got %r" % value)
-                doc.mode = "float"
             elif key == "theta_cos":
                 theta_cos = _parse_rational(value, key)
             elif key == "theta_sin":
@@ -329,8 +318,6 @@ def _validate_doc(doc: MapSpecDoc, theta_cos, theta_sin) -> None:
 def format_doc(doc: MapSpecDoc) -> str:
     """Canonical text for a document; parse(format(doc)) round-trips."""
     lines = ["[%s]" % doc.kind, "order = %d" % doc.order]
-    if doc.mode != "exact":
-        lines.append("mode = %s" % doc.mode)
     for key in sorted(doc.exprs):
         lines.append("%s = %s" % (key, poly_str(parse_poly(doc.exprs[key], doc.order))))
     for (g, i, j) in sorted(doc.coeffs):

@@ -17,9 +17,8 @@ at the origin and writes the correction directly into the field
 coefficients.  S-3 solves its three corrections jointly (the level-3
 conditions are affine in them); H-4 solves its three one slot at a time
 in one triangular pass, because eta^4 f(0) is not jointly affine in its
-slots (float mode may repeat the pass to refine rounding).  The solved
-parameters are returned alongside the pair so a classification
-certificate can expose them.
+slots.  The solved parameters are returned alongside the pair so a
+classification certificate can expose them.
 
 Derivative words are read through `Words`, a per-pair table that
 evaluates each word once.  Each constructor returns the table of its pair,
@@ -29,10 +28,11 @@ so the criteria in `classify` reuse what the frame solve already computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import PreconditionError
 from .jets import Jet2, MapJet, PolyMap2, compose_map, cross3, det3
-from .scalars import ZeroCtx
+from .scalars import EXACT
 from .vfields import FramePair, VectorFieldJet, apply, d_du
 
 
@@ -67,13 +67,12 @@ class FrameBuild:
     words: Words
 
 
-def rank_df0(f: MapJet, ctx: ZeroCtx | None = None) -> int:
-    ctx = ctx or f.zero_ctx()
+def rank_df0(f: MapJet) -> int:
     fu0 = f.partial_u().at0()
     fv0 = f.partial_v().at0()
-    if not ctx.is_zero_vec(cross3(fu0, fv0)):
+    if not EXACT.is_zero_vec(cross3(fu0, fv0)):
         return 2
-    if ctx.is_zero_vec(fu0) and ctx.is_zero_vec(fv0):
+    if EXACT.is_zero_vec(fu0) and EXACT.is_zero_vec(fv0):
         return 0
     return 1
 
@@ -84,81 +83,62 @@ def linear_normalize(f: MapJet):
     Returns (f o L, L).  Requires rank df0 = 1; rank 0 and rank 2 germs are
     rejected (they are classified before any frame is built).
     """
-    ctx = f.zero_ctx()
-    rank = rank_df0(f, ctx)
+    rank = rank_df0(f)
     if rank != 1:
         raise PreconditionError("linear_normalize needs rank df0 = 1, got %d" % rank)
     fu0 = f.partial_u().at0()
     fv0 = f.partial_v().at0()
-    one = 1 if ctx.exact else 1.0
-    if ctx.is_zero_vec(fv0):
-        L = PolyMap2.identity(f.order, f.eps)
-    elif ctx.is_zero_vec(fu0):
-        L = PolyMap2.swap(f.order, f.eps)
+    if EXACT.is_zero_vec(fv0):
+        L = PolyMap2.identity(f.order)
+    elif EXACT.is_zero_vec(fu0):
+        L = PolyMap2.swap(f.order)
     else:
         # f_v(0) = t f_u(0); kernel direction (t, -1).
-        if ctx.exact:
-            k = next(i for i in range(3) if fu0[i] != 0)
-        else:
-            k = max(range(3), key=lambda i: abs(fu0[i]))
+        k = next(i for i in range(3) if fu0[i] != 0)
         t = fv0[k] / fu0[k]
         for i in range(3):
-            if not ctx.is_zero(fv0[i] - t * fu0[i]):
+            if not EXACT.is_zero(fv0[i] - t * fu0[i]):
                 raise PreconditionError("df0 columns not parallel despite rank 1")
-        L = PolyMap2.linear(((one, t), (0, -one)), f.order, f.eps)
+        L = PolyMap2.linear(((1, t), (0, -1)), f.order)
     return compose_map(f, L), L
 
 
-def solve_span2(target, w1, w2, ctx: ZeroCtx):
+def solve_span2(target, w1, w2):
     """Solve target = alpha*w1 + beta*w2 in R^3, verifying consistency.
 
-    Picks the 2x2 row subsystem with nonzero determinant (largest pivot in
-    float mode) and checks the remaining row.
+    Picks the first 2x2 row subsystem with nonzero determinant and checks
+    the remaining row.
     """
-    rows = [(0, 1), (0, 2), (1, 2)]
-    best = None
-    best_det = None
-    for r, s in rows:
+    for r, s in ((0, 1), (0, 2), (1, 2)):
         d = w1[r] * w2[s] - w1[s] * w2[r]
-        if ctx.is_zero(d):
-            continue
-        if ctx.exact:
-            best, best_det = (r, s), d
+        if not EXACT.is_zero(d):
             break
-        if best is None or abs(d) > abs(best_det):
-            best, best_det = (r, s), d
-    if best is None:
+    else:
         raise PreconditionError("span vectors are linearly dependent")
-    r, s = best
-    alpha = (target[r] * w2[s] - target[s] * w2[r]) / best_det
-    beta = (w1[r] * target[s] - w1[s] * target[r]) / best_det
+    alpha = (target[r] * w2[s] - target[s] * w2[r]) / d
+    beta = (w1[r] * target[s] - w1[s] * target[r]) / d
     for i in range(3):
-        if not ctx.is_zero(target[i] - alpha * w1[i] - beta * w2[i]):
+        if not EXACT.is_zero(target[i] - alpha * w1[i] - beta * w2[i]):
             raise PreconditionError("vector does not lie in the required span")
     return alpha, beta
 
 
-def solve_parallel(target, w, ctx: ZeroCtx):
+def solve_parallel(target, w):
     """Solve target = alpha*w, verifying the remaining components."""
-    if ctx.exact:
-        k = next((i for i in range(3) if w[i] != 0), None)
-    else:
-        k = max(range(3), key=lambda i: abs(w[i]))
-        if ctx.is_zero(w[k]):
-            k = None
+    k = next((i for i in range(3) if w[i] != 0), None)
     if k is None:
         raise PreconditionError("cannot solve along the zero vector")
     alpha = target[k] / w[k]
     for i in range(3):
-        if not ctx.is_zero(target[i] - alpha * w[i]):
+        if not EXACT.is_zero(target[i] - alpha * w[i]):
             raise PreconditionError("vector is not parallel to the required direction")
     return alpha
 
 
-def solve_basis3(target, w1, w2, w3, ctx: ZeroCtx):
+def solve_basis3(target, w1, w2, w3):
     """Solve target = a*w1 + b*w2 + c*w3 by Cramer's rule (basis required)."""
     d = det3((w1, w2, w3))
-    if ctx.is_zero(d):
+    if EXACT.is_zero(d):
         raise PreconditionError("the three vectors do not form a basis")
     a = det3((target, w2, w3)) / d
     b = det3((w1, target, w3)) / d
@@ -166,31 +146,29 @@ def solve_basis3(target, w1, w2, w3, ctx: ZeroCtx):
     return a, b, c
 
 
-def _sb_defect(f: MapJet, ctx: ZeroCtx):
+def _sb_defect(f: MapJet):
     """alpha, beta with f_uv(0) = alpha f_u(0) + beta f_vv(0), after SB guards."""
     fu0 = f.partial_u().at0()
     fvv0 = f.partial_v().partial_v().at0()
     fuv0 = f.partial_u().partial_v().at0()
-    if ctx.is_zero_vec(cross3(fu0, fvv0)):
+    if EXACT.is_zero_vec(cross3(fu0, fvv0)):
         raise PreconditionError("germ is not SB-type: f_u(0) x f_vv(0) = 0")
-    if not ctx.is_zero(det3((fu0, fvv0, fuv0))):
+    if not EXACT.is_zero(det3((fu0, fvv0, fuv0))):
         raise PreconditionError("germ is a Whitney umbrella, no SB-2 pair exists")
-    return solve_span2(fuv0, fu0, fvv0, ctx)
+    return solve_span2(fuv0, fu0, fvv0)
 
 
 def sb2_adapt(f: MapJet) -> FrameBuild:
     """SB-2 pair: xi = (1 - alpha v) du - beta dv, eta = -alpha u du + dv."""
-    ctx = f.zero_ctx()
-    alpha, beta = _sb_defect(f, ctx)
-    n, eps = f.order, f.eps
-    xi = VectorFieldJet(Jet2(n, {(0, 0): 1, (0, 1): -alpha}, eps),
-                        Jet2.const(-beta, n, eps))
-    eta = VectorFieldJet(Jet2(n, {(1, 0): -alpha}, eps), Jet2.const(1, n, eps))
+    alpha, beta = _sb_defect(f)
+    n = f.order
+    xi = VectorFieldJet(Jet2(n, {(0, 0): 1, (0, 1): -alpha}), Jet2.const(-beta, n))
+    eta = VectorFieldJet(Jet2(n, {(1, 0): -alpha}), Jet2.const(1, n))
     pair = FramePair(xi, eta)
     return FrameBuild(pair, {"alpha": alpha, "beta": beta}, Words(f, pair))
 
 
-def _solve_affine(columns, rhs, ctx: ZeroCtx):
+def _solve_affine(columns, rhs):
     """Solve sum_j x_j columns[j] = rhs exactly (consistent overdetermined system)."""
     m = len(rhs)
     n = len(columns)
@@ -200,12 +178,7 @@ def _solve_affine(columns, rhs, ctx: ZeroCtx):
     row = 0
     pivots = []
     for col in range(n):
-        if ctx.exact:
-            pivot_row = next((k for k in range(row, m) if rows[k][col] != 0), None)
-        else:
-            pivot_row = max(range(row, m), key=lambda k: abs(rows[k][col]), default=None)
-            if pivot_row is not None and ctx.is_zero(rows[pivot_row][col]):
-                pivot_row = None
+        pivot_row = next((k for k in range(row, m) if rows[k][col] != 0), None)
         if pivot_row is None:
             continue
         rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
@@ -221,7 +194,7 @@ def _solve_affine(columns, rhs, ctx: ZeroCtx):
         if row == m:
             break
     for k in range(row, m):
-        if not ctx.is_zero(rows[k][n]):
+        if not EXACT.is_zero(rows[k][n]):
             raise PreconditionError("correction system is inconsistent")
     for idx, col in enumerate(pivots):
         x[col] = rows[idx][n]
@@ -245,27 +218,26 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     zero-correction trial is the SB-2 pair itself, so it reads the SB-2
     word table.
     """
-    ctx = f.zero_ctx()
     sb = sb2_adapt(f)
     alpha, beta = sb.params["alpha"], sb.params["beta"]
     sbw = sb.words
     xif0 = sbw.at0("x")
     eta2f0 = sbw.at0("ee")
     # S-type guard: eta^2 phi(0) = det(xi f, eta^2 f, eta^3 f)(0) must survive.
-    if ctx.is_zero(det3((xif0, eta2f0, sbw.at0("eee")))):
+    if EXACT.is_zero(det3((xif0, eta2f0, sbw.at0("eee")))):
         raise PreconditionError("germ is not S-type: eta^2 phi vanishes at 0")
     try:
-        alpha1, beta1 = solve_span2(sbw.at0("xxe"), xif0, eta2f0, ctx)
+        alpha1, beta1 = solve_span2(sbw.at0("xxe"), xif0, eta2f0)
     except PreconditionError:
         raise PreconditionError("germ is not S-type: xi^2 eta f(0) outside the span")
 
-    n, eps = f.order, f.eps
+    n = f.order
 
     def trial(p, q, r):
-        a1 = Jet2(n, {(0, 0): 1, (0, 1): -alpha, (1, 1): p}, eps)
-        b1 = Jet2(n, {(0, 0): -beta, (1, 0): q}, eps)
-        c1 = Jet2(n, {(1, 0): -alpha, (2, 0): r}, eps)
-        d1 = Jet2.const(1, n, eps)
+        a1 = Jet2(n, {(0, 0): 1, (0, 1): -alpha, (1, 1): p})
+        b1 = Jet2(n, {(0, 0): -beta, (1, 0): q})
+        c1 = Jet2(n, {(1, 0): -alpha, (2, 0): r})
+        d1 = Jet2.const(1, n)
         return Words(f, FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, d1)))
 
     def level3_defect(words):
@@ -274,16 +246,14 @@ def s3_adapt(f: MapJet) -> FrameBuild:
             out.extend(words.at0(word))
         return out
 
-    zero = alpha * 0
-    one = zero + 1
     base = level3_defect(sbw)
     columns = []
-    for unit in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):
+    for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         shifted = level3_defect(trial(*unit))
         columns.append([s - b for s, b in zip(shifted, base)])
-    p, q, r = _solve_affine(columns, [-b for b in base], ctx)
+    p, q, r = _solve_affine(columns, [-b for b in base])
     words = trial(p, q, r)
-    if not all(ctx.is_zero(value) for value in level3_defect(words)):
+    if not EXACT.is_zero_vec(level3_defect(words)):
         raise PreconditionError("S-3 correction failed verification")
     return FrameBuild(words.pair, {"alpha": alpha, "beta": beta,
                                    "alpha1": alpha1, "beta1": beta1,
@@ -293,24 +263,23 @@ def s3_adapt(f: MapJet) -> FrameBuild:
 
 def b3_adapt(f: MapJet) -> FrameBuild:
     """B-3 pair: the SB-2 pair corrected so that eta^3 f(0) = 0."""
-    ctx = f.zero_ctx()
     sb = sb2_adapt(f)
     alpha, beta = sb.params["alpha"], sb.params["beta"]
     sbw = sb.words
     xif0 = sbw.at0("x")
     eta2f0 = sbw.at0("ee")
     # B-type guard: xi^2 phi(0), equivalently det(xi f, xi^2 eta f, eta^2 f)(0).
-    if ctx.is_zero(det3((xif0, sbw.at0("xxe"), eta2f0))):
+    if EXACT.is_zero(det3((xif0, sbw.at0("xxe"), eta2f0))):
         raise PreconditionError("germ is not B-type: xi^2 phi vanishes at 0")
     try:
-        alpha1, beta1 = solve_span2(sbw.at0("eee"), xif0, eta2f0, ctx)
+        alpha1, beta1 = solve_span2(sbw.at0("eee"), xif0, eta2f0)
     except PreconditionError:
         raise PreconditionError("germ is not B-type: eta^3 f(0) outside the span")
-    n, eps = f.order, f.eps
-    a1 = Jet2(n, {(0, 0): 1, (0, 1): -alpha}, eps)
-    b1 = Jet2.const(-beta, n, eps)
-    c1 = Jet2(n, {(1, 0): -alpha, (0, 2): -alpha1 / 2}, eps)
-    d1 = Jet2(n, {(0, 0): 1, (0, 1): -beta1 / 3}, eps)
+    n = f.order
+    a1 = Jet2(n, {(0, 0): 1, (0, 1): -alpha})
+    b1 = Jet2.const(-beta, n)
+    c1 = Jet2(n, {(1, 0): -alpha, (0, 2): -alpha1 / 2})
+    d1 = Jet2(n, {(0, 0): 1, (0, 1): -beta1 / 3})
     pair = FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, d1))
     return FrameBuild(pair, {"alpha": alpha, "beta": beta,
                              "alpha1": alpha1, "beta1": beta1}, Words(f, pair))
@@ -318,18 +287,17 @@ def b3_adapt(f: MapJet) -> FrameBuild:
 
 def h2_adapt(f: MapJet) -> FrameBuild:
     """H-2 pair: xi = du, eta = -alpha v du + dv, where f_vv(0) = alpha f_u(0)."""
-    ctx = f.zero_ctx()
     fu0 = f.partial_u().at0()
     fvv0 = f.partial_v().partial_v().at0()
     fuv0 = f.partial_u().partial_v().at0()
-    if not ctx.is_zero_vec(cross3(fu0, fvv0)):
+    if not EXACT.is_zero_vec(cross3(fu0, fvv0)):
         raise PreconditionError("germ is not HP-type: f_u(0) x f_vv(0) != 0")
-    if ctx.is_zero_vec(cross3(fu0, fuv0)):
+    if EXACT.is_zero_vec(cross3(fu0, fuv0)):
         raise PreconditionError("germ is not HP-type: f_u(0) x f_uv(0) = 0")
-    alpha = solve_parallel(fvv0, fu0, ctx)
-    n, eps = f.order, f.eps
-    eta = VectorFieldJet(Jet2(n, {(0, 1): -alpha}, eps), Jet2.const(1, n, eps))
-    pair = FramePair(d_du(n, eps), eta)
+    alpha = solve_parallel(fvv0, fu0)
+    n = f.order
+    eta = VectorFieldJet(Jet2(n, {(0, 1): -alpha}), Jet2.const(1, n))
+    pair = FramePair(d_du(n), eta)
     return FrameBuild(pair, {"alpha": alpha}, Words(f, pair))
 
 
@@ -344,62 +312,51 @@ def h4_adapt(f: MapJet) -> FrameBuild:
     from the xi eta f component, then the v^3 slot t from the xi f
     component.  Each step is affine in its own unknown, and each slot's
     cross terms only feed components that a later step still controls, so
-    in exact arithmetic the first pass leaves eta^4 f(0) = 0.  The slots
-    are not jointly affine (eta^4 f(0) has an s*w term), so they cannot be
-    solved as one linear system.  In float mode an ill-conditioned germ can
-    leave a rounding residue after the first pass; up to two more passes
-    refine it, starting from the residue the last pass verified.  The zero
-    trial is the H-2 pair, so the first pass starts from its word table.
+    the one pass leaves eta^4 f(0) = 0; the result is still verified.  The
+    slots are not jointly affine (eta^4 f(0) has an s*w term), so they
+    cannot be solved as one linear system.  The zero trial is the H-2 pair,
+    so the pass starts from its word table.
     """
-    ctx = f.zero_ctx()
     h2 = h2_adapt(f)
     alpha = h2.params["alpha"]
     h2w = h2.words
     xif0 = h2w.at0("x")
     xietaf0 = h2w.at0("xe")
     eta3f0 = h2w.at0("eee")
-    if ctx.is_zero(det3((xif0, xietaf0, eta3f0))):
+    if EXACT.is_zero(det3((xif0, xietaf0, eta3f0))):
         raise PreconditionError("germ is not H-type: det(xi f, xi eta f, eta^3 f)(0) = 0")
-    alpha1, beta1, delta1 = solve_basis3(h2w.at0("eeee"), xif0, xietaf0, eta3f0, ctx)
+    alpha1, beta1, delta1 = solve_basis3(h2w.at0("eeee"), xif0, xietaf0, eta3f0)
 
-    n, eps = f.order, f.eps
-    xi = d_du(n, eps)
+    n = f.order
+    xi = d_du(n)
 
     def trial(s, t, w):
-        c1 = Jet2(n, {(0, 1): -alpha, (0, 2): s, (0, 3): t}, eps)
-        d1 = Jet2(n, {(0, 0): 1, (0, 1): w}, eps)
+        c1 = Jet2(n, {(0, 1): -alpha, (0, 2): s, (0, 3): t})
+        d1 = Jet2(n, {(0, 0): 1, (0, 1): w})
         return Words(f, FramePair(xi, VectorFieldJet(c1, d1)))
 
     def components(words):
-        return solve_basis3(words.at0("eeee"), xif0, xietaf0, eta3f0, ctx)
+        return solve_basis3(words.at0("eeee"), xif0, xietaf0, eta3f0)
 
-    zero = alpha * 0
-    one = zero + 1
-    s = t = w = zero
-    residue = (alpha1, beta1, delta1)   # the zero trial is the H-2 pair
-    for _ in range(3):
-        # dv-slot against the eta^3 f component
-        c0 = residue[2]
-        slope = components(trial(s, t, w + one))[2] - c0
-        if not ctx.is_zero(slope):
-            w = w - c0 / slope
-        # v^2 slot against the xi eta f component
-        c0 = components(trial(s, t, w))[1]
-        slope = components(trial(s + one, t, w))[1] - c0
-        if not ctx.is_zero(slope):
-            s = s - c0 / slope
-        # v^3 slot against the xi f component
-        c0 = components(trial(s, t, w))[0]
-        slope = components(trial(s, t + one, w))[0] - c0
-        if not ctx.is_zero(slope):
-            t = t - c0 / slope
-        words = trial(s, t, w)
-        residue = components(words)
-        if all(ctx.is_zero(c) for c in residue):
-            break
-    else:
-        raise PreconditionError("H-4 correction failed to converge")
-    if not all(ctx.is_zero(c) for c in words.at0("ee")):
+    s = t = w = Fraction(0)
+    # dv-slot against the eta^3 f component; the zero trial's is delta1
+    slope = components(trial(s, t, w + 1))[2] - delta1
+    if not EXACT.is_zero(slope):
+        w = -delta1 / slope
+    # v^2 slot against the xi eta f component
+    c0 = components(trial(s, t, w))[1]
+    slope = components(trial(s + 1, t, w))[1] - c0
+    if not EXACT.is_zero(slope):
+        s = -c0 / slope
+    # v^3 slot against the xi f component
+    c0 = components(trial(s, t, w))[0]
+    slope = components(trial(s, t + 1, w))[0] - c0
+    if not EXACT.is_zero(slope):
+        t = -c0 / slope
+    words = trial(s, t, w)
+    if not EXACT.is_zero_vec(components(words)):
+        raise PreconditionError("H-4 correction failed verification")
+    if not EXACT.is_zero_vec(words.at0("ee")):
         raise PreconditionError("H-4 correction broke the H-2 level")
     return FrameBuild(words.pair,
                       {"alpha": alpha, "alpha1": alpha1, "beta1": beta1,

@@ -22,6 +22,7 @@ from random import Random
 from .errors import PreconditionError
 from .jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose_map,
                    post_compose)
+from .scalars import EXACT
 from .vfields import VectorFieldJet, apply, apply_word
 
 
@@ -32,7 +33,6 @@ class FuzzConfig:
     bound: int = 9          # numerator/denominator cap for sampled rationals
     degree: int = 3         # max total degree of sampled diffeos
     order: int = 6
-    eps: float | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -83,8 +83,7 @@ def random_source_diffeo(cfg: FuzzConfig, rng: Random | None = None,
                - tables[0].get((0, 1), 0) * tables[1].get((1, 0), 0))
         if det == 0:
             continue
-        return PolyMap2(Jet2(cfg.order, tables[0], cfg.eps),
-                        Jet2(cfg.order, tables[1], cfg.eps))
+        return PolyMap2(Jet2(cfg.order, tables[0]), Jet2(cfg.order, tables[1]))
 
 
 def random_target_diffeo(cfg: FuzzConfig, rng: Random | None = None,
@@ -102,7 +101,7 @@ def random_target_diffeo(cfg: FuzzConfig, rng: Random | None = None,
                     table[key] = random_rational(rng, cfg.bound)
             comps.append(table)
         try:
-            return PolyMap3(comps, cfg.order, cfg.eps)
+            return PolyMap3(comps, cfg.order)
         except PreconditionError:
             continue
 
@@ -116,8 +115,7 @@ def act(f: MapJet, phi_s: PolyMap2, phi_t: PolyMap3) -> MapJet:
 # -- target pushforward hypotheses ------------------------------------------
 
 def _is_null(zeta: VectorFieldJet, f: MapJet) -> bool:
-    ctx = f.zero_ctx()
-    return all(ctx.is_zero(c) for c in apply(zeta, f).at0())
+    return EXACT.is_zero_vec(apply(zeta, f).at0())
 
 
 def _word_key(word):
@@ -135,9 +133,9 @@ def _word_key(word):
     return distinct, pattern
 
 
-def _sb2_holds(f, xi, eta, ctx):
-    return (all(ctx.is_zero(c) for c in apply_word([xi, eta], f).at0())
-            and all(ctx.is_zero(c) for c in apply_word([eta, xi], f).at0()))
+def _sb2_holds(f, xi, eta):
+    return (EXACT.is_zero_vec(apply_word([xi, eta], f).at0())
+            and EXACT.is_zero_vec(apply_word([eta, xi], f).at0()))
 
 
 def _word_hypothesis(f: MapJet, word) -> str:
@@ -157,7 +155,6 @@ def _word_hypothesis(f: MapJet, word) -> str:
     T-6: length 4 over a B-3 pair, exactly three eta.
     T-7: eta^5 over an H-2 pair (H-type germ).
     """
-    ctx = f.zero_ctx()
     n = len(word)
     if n == 1:
         return "T-1"
@@ -165,14 +162,13 @@ def _word_hypothesis(f: MapJet, word) -> str:
         return "T-2"
     if n == 3 and _is_null(word[0], f) and _is_null(word[2], f):
         skip_mid = apply_word([word[0], word[2]], f).at0()
-        if _is_null(word[1], f) or all(ctx.is_zero(c) for c in skip_mid):
+        if _is_null(word[1], f) or EXACT.is_zero_vec(skip_mid):
             return "T-3"
 
     distinct, pattern = _word_key(word)
     if n == 5 and len(distinct) == 1:
         eta = distinct[0]
-        if _is_null(eta, f) and all(
-                ctx.is_zero(c) for c in apply_word([eta, eta], f).at0()):
+        if _is_null(eta, f) and EXACT.is_zero_vec(apply_word([eta, eta], f).at0()):
             return "T-7"
     if len(distinct) == 2 and n in (3, 4):
         a, b = distinct
@@ -183,17 +179,17 @@ def _word_hypothesis(f: MapJet, word) -> str:
         else:
             raise PreconditionError("word does not match any pushforward hypothesis")
         n_eta = sum(1 for zeta in word if zeta is eta)
-        if not _sb2_holds(f, xi, eta, ctx):
+        if not _sb2_holds(f, xi, eta):
             raise PreconditionError("word pair is not SB-2-adapted")
         if n == 3 and n_eta == 1:
             return "T-4"
         if n == 4 and n_eta == 1:
             for w in ([xi, xi, eta], [xi, eta, xi], [eta, xi, xi]):
-                if not all(ctx.is_zero(c) for c in apply_word(w, f).at0()):
+                if not EXACT.is_zero_vec(apply_word(w, f).at0()):
                     raise PreconditionError("word pair is not S-3-adapted")
             return "T-5"
         if n == 4 and n_eta == 3:
-            if not all(ctx.is_zero(c) for c in apply_word([eta] * 3, f).at0()):
+            if not EXACT.is_zero_vec(apply_word([eta] * 3, f).at0()):
                 raise PreconditionError("word pair is not B-3-adapted")
             return "T-6"
     raise PreconditionError("word does not match any pushforward hypothesis")
@@ -207,10 +203,9 @@ def check_target_pushforward(f: MapJet, phi: PolyMap3, word) -> bool:
 
 def pushforward_identity_holds(f: MapJet, phi: PolyMap3, word) -> bool:
     """The raw identity test, with no hypothesis validation (negative controls)."""
-    ctx = f.zero_ctx()
     lhs = apply_word(word, post_compose(phi, f)).at0()
     rhs = phi.apply_linear0(apply_word(word, f).at0())
-    return all(ctx.is_zero(a - b) for a, b in zip(lhs, rhs))
+    return EXACT.is_zero_vec(a - b for a, b in zip(lhs, rhs))
 
 
 def run_invariance(cfg: FuzzConfig, germs: dict) -> dict:

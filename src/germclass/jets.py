@@ -24,66 +24,42 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import OrderExhaustedError, PreconditionError
-from .scalars import Scalar, ZeroCtx, as_exact, fmt_scalar
+from .scalars import EXACT, Scalar, as_exact, fmt_scalar
 
 _ZERO = Fraction(0)
 
 
-def _merge_mode(*jets):
-    """Combine (eps, scale) across operands; exact unless some operand floats."""
-    eps = None
-    scale = 0.0
-    for j in jets:
-        if j.eps is not None:
-            eps = j.eps if eps is None else max(eps, j.eps)
-        if j.scale > scale:
-            scale = j.scale
-    return eps, scale
-
-
 class Jet2:
-    __slots__ = ("order", "coeffs", "eps", "scale")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs=None, eps=None, scale=0.0):
+    def __init__(self, order: int, coeffs=None):
         self.order = order
-        self.eps = eps
         clean = {}
-        top = 0.0
         if coeffs:
             for (i, j), value in coeffs.items():
                 if i + j > order:
                     continue
-                if eps is None:
-                    value = as_exact(value)
-                    if value == 0:
-                        continue
-                else:
-                    value = float(value)
-                    if value == 0.0:
-                        continue
-                    a = abs(value)
-                    if a > top:
-                        top = a
-                clean[(i, j)] = value
+                value = as_exact(value)
+                if value != 0:
+                    clean[(i, j)] = value
         self.coeffs = clean
-        self.scale = max(float(scale), top) if eps is not None else 0.0
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int, eps=None, scale=0.0) -> "Jet2":
-        return cls(order, None, eps, scale)
+    def zero(cls, order: int) -> "Jet2":
+        return cls(order)
 
     @classmethod
-    def const(cls, value, order: int, eps=None, scale=0.0) -> "Jet2":
-        return cls(order, {(0, 0): value}, eps, scale)
+    def const(cls, value, order: int) -> "Jet2":
+        return cls(order, {(0, 0): value})
 
     @classmethod
-    def variable(cls, name: str, order: int, eps=None) -> "Jet2":
+    def variable(cls, name: str, order: int) -> "Jet2":
         if name == "u":
-            return cls(order, {(1, 0): 1}, eps)
+            return cls(order, {(1, 0): 1})
         if name == "v":
-            return cls(order, {(0, 1): 1}, eps)
+            return cls(order, {(0, 1): 1})
         raise ValueError("unknown variable %r" % name)
 
     # -- basic queries -----------------------------------------------------
@@ -92,22 +68,16 @@ class Jet2:
         if i + j > self.order:
             raise OrderExhaustedError(
                 "coefficient (%d,%d) beyond truncation order %d" % (i, j, self.order))
-        return self.coeffs.get((i, j), 0.0 if self.eps is not None else _ZERO)
+        return self.coeffs.get((i, j), _ZERO)
 
     def at0(self) -> Scalar:
         """Constant term.  Errors if the order has been consumed below 0."""
         if self.order < 0:
             raise OrderExhaustedError("constant term of an order-exhausted jet")
-        return self.coeffs.get((0, 0), 0.0 if self.eps is not None else _ZERO)
-
-    def zero_ctx(self) -> ZeroCtx:
-        return ZeroCtx(self.eps, self.scale)
+        return self.coeffs.get((0, 0), _ZERO)
 
     def is_zero(self) -> bool:
-        if self.eps is None:
-            return not self.coeffs
-        ctx = self.zero_ctx()
-        return all(ctx.is_zero(c) for c in self.coeffs.values())
+        return not self.coeffs
 
     def degree(self) -> int:
         """Largest total degree with a stored coefficient (-1 for the zero jet)."""
@@ -119,10 +89,7 @@ class Jet2:
         if isinstance(other, Jet2):
             return other
         if isinstance(other, (int, Fraction, float)):
-            eps = self.eps
-            if eps is None and isinstance(other, float):
-                raise TypeError("float scalar mixed into an exact jet")
-            return Jet2.const(other, self.order, eps, self.scale)
+            return Jet2.const(other, self.order)
         return None
 
     def __add__(self, other):
@@ -130,17 +97,16 @@ class Jet2:
         if other is None:
             return NotImplemented
         order = min(self.order, other.order)
-        eps, scale = _merge_mode(self, other)
         out = dict(self.coeffs)
         for key, value in other.coeffs.items():
             got = out.get(key)
             out[key] = value if got is None else got + value
-        return Jet2(order, out, eps, scale)
+        return Jet2(order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(self.order, {k: -v for k, v in self.coeffs.items()}, self.eps, self.scale)
+        return Jet2(self.order, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -153,16 +119,13 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
+            other = as_exact(other)
             if other == 0:
-                return Jet2.zero(self.order, self.eps, self.scale)
-            if self.eps is None and isinstance(other, float):
-                raise TypeError("float scalar mixed into an exact jet")
-            return Jet2(self.order, {k: v * other for k, v in self.coeffs.items()},
-                        self.eps, self.scale)
+                return Jet2.zero(self.order)
+            return Jet2(self.order, {k: v * other for k, v in self.coeffs.items()})
         if not isinstance(other, Jet2):
             return NotImplemented
         order = min(self.order, other.order)
-        eps, scale = _merge_mode(self, other)
         out = {}
         for (i1, j1), c1 in self.coeffs.items():
             room = order - i1 - j1
@@ -175,14 +138,14 @@ class Jet2:
                 got = out.get(key)
                 prod = c1 * c2
                 out[key] = prod if got is None else got + prod
-        return Jet2(order, out, eps, scale)
+        return Jet2(order, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("jet powers must be non-negative integers")
-        result = Jet2.const(1, self.order, self.eps, self.scale)
+        result = Jet2.const(1, self.order)
         base = self
         while n:
             if n & 1:
@@ -204,16 +167,16 @@ class Jet2:
 
     def partial_u(self) -> "Jet2":
         out = {(i - 1, j): i * c for (i, j), c in self.coeffs.items() if i > 0}
-        return Jet2(self.order - 1, out, self.eps, self.scale)
+        return Jet2(self.order - 1, out)
 
     def partial_v(self) -> "Jet2":
         out = {(i, j - 1): j * c for (i, j), c in self.coeffs.items() if j > 0}
-        return Jet2(self.order - 1, out, self.eps, self.scale)
+        return Jet2(self.order - 1, out)
 
     def truncate(self, order: int) -> "Jet2":
         if order >= self.order:
             return self
-        return Jet2(order, self.coeffs, self.eps, self.scale)
+        return Jet2(order, self.coeffs)
 
     def compose(self, p: "PolyMap2") -> "Jet2":
         return compose2(self, p)
@@ -267,22 +230,13 @@ class MapJet:
     @classmethod
     def germ(cls, f1: Jet2, f2: Jet2, f3: Jet2) -> "MapJet":
         f = cls(f1, f2, f3)
-        ctx = f.zero_ctx()
-        if not all(ctx.is_zero(c) for c in f.at0()):
+        if not EXACT.is_zero_vec(f.at0()):
             raise PreconditionError("map-germ must send the origin to the origin")
         return f
 
     @property
     def order(self) -> int:
         return self.components[0].order
-
-    @property
-    def eps(self):
-        return _merge_mode(*self.components)[0]
-
-    @property
-    def scale(self):
-        return _merge_mode(*self.components)[1]
 
     def __iter__(self):
         return iter(self.components)
@@ -304,10 +258,6 @@ class MapJet:
     def at0(self):
         return tuple(c.at0() for c in self.components)
 
-    def zero_ctx(self) -> ZeroCtx:
-        eps, scale = _merge_mode(*self.components)
-        return ZeroCtx(eps, scale)
-
     def truncate(self, order: int) -> "MapJet":
         return MapJet(*(c.truncate(order) for c in self.components))
 
@@ -321,13 +271,12 @@ class PolyMap2:
     __slots__ = ("p1", "p2")
 
     def __init__(self, p1: Jet2, p2: Jet2):
-        ctx = ZeroCtx(*_merge_mode(p1, p2))
         for p in (p1, p2):
-            if not ctx.is_zero(p.at0()):
+            if not EXACT.is_zero(p.at0()):
                 raise PreconditionError("coordinate change must fix the origin")
         self.p1 = p1
         self.p2 = p2
-        if ctx.is_zero(self.linear_det()):
+        if EXACT.is_zero(self.linear_det()):
             raise PreconditionError("coordinate change has singular linear part")
 
     @property
@@ -343,18 +292,18 @@ class PolyMap2:
         return a * d - b * c
 
     @classmethod
-    def identity(cls, order: int, eps=None) -> "PolyMap2":
-        return cls(Jet2.variable("u", order, eps), Jet2.variable("v", order, eps))
+    def identity(cls, order: int) -> "PolyMap2":
+        return cls(Jet2.variable("u", order), Jet2.variable("v", order))
 
     @classmethod
-    def swap(cls, order: int, eps=None) -> "PolyMap2":
-        return cls(Jet2.variable("v", order, eps), Jet2.variable("u", order, eps))
+    def swap(cls, order: int) -> "PolyMap2":
+        return cls(Jet2.variable("v", order), Jet2.variable("u", order))
 
     @classmethod
-    def linear(cls, matrix, order: int, eps=None) -> "PolyMap2":
+    def linear(cls, matrix, order: int) -> "PolyMap2":
         (a, b), (c, d) = matrix
-        return cls(Jet2(order, {(1, 0): a, (0, 1): b}, eps),
-                   Jet2(order, {(1, 0): c, (0, 1): d}, eps))
+        return cls(Jet2(order, {(1, 0): a, (0, 1): b}),
+                   Jet2(order, {(1, 0): c, (0, 1): d}))
 
     def __repr__(self):
         return "PolyMap2(%s, %s)" % (poly_str(self.p1), poly_str(self.p2))
@@ -368,18 +317,17 @@ class PolyMap3:
     inversion.
     """
 
-    __slots__ = ("comps", "order", "eps")
+    __slots__ = ("comps", "order")
 
-    def __init__(self, comps, order: int, eps=None):
+    def __init__(self, comps, order: int):
         self.order = order
-        self.eps = eps
         cleaned = []
         for table in comps:
             clean = {}
             for key, value in table.items():
                 if sum(key) > order:
                     continue
-                value = as_exact(value) if eps is None else float(value)
+                value = as_exact(value)
                 if value != 0:
                     clean[key] = value
             if clean.get((0, 0, 0)):
@@ -388,22 +336,16 @@ class PolyMap3:
         self.comps = tuple(cleaned)
         if len(self.comps) != 3:
             raise PreconditionError("PolyMap3 needs exactly 3 components")
-        if ZeroCtx(eps, self._scale()).is_zero(det3(self.linear_matrix())):
+        if EXACT.is_zero(det3(self.linear_matrix())):
             raise PreconditionError("coordinate change has singular linear part")
-
-    def _scale(self):
-        if self.eps is None:
-            return 0.0
-        return max((abs(v) for t in self.comps for v in t.values()), default=0.0)
 
     def linear_matrix(self):
         basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        zero = 0.0 if self.eps is not None else _ZERO
-        return tuple(tuple(t.get(e, zero) for e in basis) for t in self.comps)
+        return tuple(tuple(t.get(e, _ZERO) for e in basis) for t in self.comps)
 
     @classmethod
-    def identity(cls, order: int, eps=None) -> "PolyMap3":
-        return cls(({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}), order, eps)
+    def identity(cls, order: int) -> "PolyMap3":
+        return cls(({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}), order)
 
     def apply_linear0(self, vec):
         """Multiply the linear part (the Jacobian at 0) against a 3-vector."""
@@ -421,8 +363,7 @@ def _power_table(base: Jet2, n: int, one: Jet2):
 def compose_many(jets, p: PolyMap2):
     """Substitute (u,v) -> (p1,p2) into several jets, sharing power tables."""
     order = min(min(a.order for a in jets), p.order)
-    eps, scl = _merge_mode(*jets, p.p1, p.p2)
-    one = Jet2.const(1, order, eps, scl)
+    one = Jet2.const(1, order)
     p1 = p.p1.truncate(order)
     p2 = p.p2.truncate(order)
     max_i = max((i for a in jets for (i, _) in a.coeffs), default=0)
@@ -431,14 +372,14 @@ def compose_many(jets, p: PolyMap2):
     p1_pows = _power_table(p1, min(max_i, order), one)
     results = []
     for a in jets:
-        total = Jet2.zero(order, eps, scl)
+        total = Jet2.zero(order)
         rows = {}
         for (i, j), c in a.coeffs.items():
             if i + j > order:
                 continue
             rows.setdefault(i, []).append((j, c))
         for i, entries in rows.items():
-            inner = Jet2.zero(order, eps, scl)
+            inner = Jet2.zero(order)
             for j, c in entries:
                 inner = inner + p2_pows[j] * c
             total = total + p1_pows[i] * inner
@@ -457,11 +398,7 @@ def compose_map(f: MapJet, p: PolyMap2) -> MapJet:
 def post_compose(phi: PolyMap3, f: MapJet) -> MapJet:
     """Evaluate each component polynomial of phi at (f1, f2, f3)."""
     order = min(f.order, phi.order)
-    eps, scl = _merge_mode(*f)
-    if phi.eps is not None:
-        eps = phi.eps if eps is None else max(eps, phi.eps)
-        scl = max(scl, phi._scale())
-    one = Jet2.const(1, order, eps, scl)
+    one = Jet2.const(1, order)
     f1, f2, f3 = (c.truncate(order) for c in f)
     deg = max((sum(k) for t in phi.comps for k in t), default=0)
     pows1 = _power_table(f1, min(deg, order), one)
@@ -469,7 +406,7 @@ def post_compose(phi: PolyMap3, f: MapJet) -> MapJet:
     pows3 = _power_table(f3, min(deg, order), one)
     out = []
     for table in phi.comps:
-        total = Jet2.zero(order, eps, scl)
+        total = Jet2.zero(order)
         for (i, j, k), c in table.items():
             if i + j + k > order:
                 continue
@@ -484,58 +421,41 @@ def post_compose(phi: PolyMap3, f: MapJet) -> MapJet:
 
 
 def inv_series(a: Jet2) -> Jet2:
-    """Multiplicative inverse of a jet with constant term 1 (exact mode).
-
-    Float mode accepts any positive constant term.
-    """
-    c0 = a.at0()
-    if a.eps is None:
-        if c0 != 1:
-            raise PreconditionError("inv_series needs constant term 1 in exact mode")
-        unit, lead = a, 1
-    else:
-        if c0 <= 0:
-            raise PreconditionError("inv_series needs a positive constant term")
-        unit, lead = a * (1.0 / c0), 1.0 / c0
-    e = unit - 1
-    result = Jet2.const(1, a.order, a.eps, a.scale)
+    """Multiplicative inverse of a jet with constant term 1."""
+    if a.at0() != 1:
+        raise PreconditionError("inv_series needs constant term 1")
+    e = a - 1
+    result = Jet2.const(1, a.order)
     term = result
     for _ in range(a.order):
         term = -(term * e)
         result = result + term
-    return result * lead
+    return result
 
 
 def invsqrt_series(a: Jet2) -> Jet2:
-    """Inverse square root via the binomial series in (a - constant term)."""
-    c0 = a.at0()
-    if a.eps is None:
-        if c0 != 1:
-            raise PreconditionError("invsqrt_series needs constant term 1 in exact mode")
-        unit, lead = a, 1
-    else:
-        if c0 <= 0:
-            raise PreconditionError("invsqrt_series needs a positive constant term")
-        unit, lead = a * (1.0 / c0), 1.0 / (c0 ** 0.5)
-    e = unit - 1
-    result = Jet2.const(1, a.order, a.eps, a.scale)
+    """Inverse square root of a jet with constant term 1, by the binomial series."""
+    if a.at0() != 1:
+        raise PreconditionError("invsqrt_series needs constant term 1")
+    e = a - 1
+    result = Jet2.const(1, a.order)
     term = result
     binom = Fraction(1)
     for k in range(1, a.order + 1):
         binom *= Fraction(-(2 * k - 1), 2 * k)
         term = term * e
         result = result + term * binom
-    return result * lead
+    return result
 
 
-def from_divided_coeffs(table, order: int, eps=None) -> Jet2:
+def from_divided_coeffs(table, order: int) -> Jet2:
     """Build a jet from coefficients in the divided convention c_ij/(i! j!)."""
     out = {}
     for (i, j), c in table.items():
         if i < 0 or j < 0 or i + j > order:
             raise PreconditionError("divided coefficient index (%d,%d) out of range" % (i, j))
         out[(i, j)] = Fraction(1, factorial(i) * factorial(j)) * c
-    return Jet2(order, out, eps)
+    return Jet2(order, out)
 
 
 def to_divided_coeff(jet: Jet2, i: int, j: int) -> Scalar:

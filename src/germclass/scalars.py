@@ -1,53 +1,36 @@
-"""Scalar coefficients: exact rationals by default, floats as an escape hatch.
+"""Scalar coefficients: exact rationals throughout.
 
 Every criterion in this package is ultimately a zero test (or sign test) of
-some determinant, so the default scalar is `fractions.Fraction` and zero
-tests are literal.  Floats only enter when an input is irrational -- in
-practice the cosine/sine of a folding angle -- and then a zero test must be
-relative to the size of the numbers that went into the computation.  Jets
-in float mode therefore carry a running magnitude (`scale`) of their input
-coefficients, and `ZeroCtx` turns (eps, scale) into is_zero/sign decisions.
+some determinant, so every scalar is a `fractions.Fraction` and zero tests
+are literal.  The one irrational input the package accepts, a folding angle
+given as a float, is read as an exact rational point on the unit circle
+(`applications._theta_pair`) before any jet is built, so no float reaches
+the arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
-Scalar = Union[Fraction, float]
-
-DEFAULT_EPS = 1e-9
+Scalar = Fraction
 
 
 def as_exact(value) -> Fraction:
     """Coerce an int/Fraction to Fraction; reject floats."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
-        raise TypeError("float coefficient %r in exact mode (pass eps= for float mode)" % value)
+        raise TypeError("float coefficient %r: coefficients must be exact" % value)
     return Fraction(value)
 
 
 class ZeroCtx:
-    """Zero and sign tests under a fixed arithmetic mode.
+    """Zero and sign tests of exact scalars; the one place they are made."""
 
-    eps is None in exact mode.  In float mode a value x counts as zero when
-    |x| < eps * max(1, scale), scale being the magnitude accumulator of the
-    computation that produced x.
-    """
-
-    __slots__ = ("eps", "scale")
-
-    def __init__(self, eps=None, scale=0.0):
-        self.eps = eps
-        self.scale = float(scale)
-
-    @property
-    def exact(self) -> bool:
-        return self.eps is None
+    __slots__ = ()
 
     def is_zero(self, x: Scalar) -> bool:
-        if self.eps is None:
-            return x == 0
-        return abs(x) < self.eps * max(1.0, self.scale)
+        return x == 0
 
     def is_zero_vec(self, xs) -> bool:
         return all(self.is_zero(x) for x in xs)
@@ -57,20 +40,10 @@ class ZeroCtx:
             return 0
         return 1 if x > 0 else -1
 
-    def merge(self, other: "ZeroCtx") -> "ZeroCtx":
-        if self.eps is None and other.eps is None:
-            return self
-        eps = max(e for e in (self.eps, other.eps) if e is not None)
-        return ZeroCtx(eps, max(self.scale, other.scale))
 
-    def __repr__(self):
-        if self.eps is None:
-            return "ZeroCtx(exact)"
-        return "ZeroCtx(eps=%g, scale=%g)" % (self.eps, self.scale)
+EXACT = ZeroCtx()
 
 
 def fmt_scalar(x: Scalar) -> str:
-    """Print a scalar exactly: `p/q` for rationals, 17 significant digits for floats."""
-    if isinstance(x, float):
-        return "%.17g" % x
+    """Print a scalar exactly, as `p/q` (or an integer)."""
     return str(x)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import OrderExhaustedError, PreconditionError
 from .jets import Jet2, MapJet
+from .scalars import EXACT
 
 
 @dataclass(frozen=True)
@@ -29,12 +30,12 @@ class VectorFieldJet:
         return "(%s)du + (%s)dv" % (poly_str(self.a), poly_str(self.b))
 
 
-def d_du(order: int, eps=None) -> VectorFieldJet:
-    return VectorFieldJet(Jet2.const(1, order, eps), Jet2.zero(order, eps))
+def d_du(order: int) -> VectorFieldJet:
+    return VectorFieldJet(Jet2.const(1, order), Jet2.zero(order))
 
 
-def d_dv(order: int, eps=None) -> VectorFieldJet:
-    return VectorFieldJet(Jet2.zero(order, eps), Jet2.const(1, order, eps))
+def d_dv(order: int) -> VectorFieldJet:
+    return VectorFieldJet(Jet2.zero(order), Jet2.const(1, order))
 
 
 def apply_to_jet(zeta: VectorFieldJet, g: Jet2, label=None) -> Jet2:
@@ -85,17 +86,14 @@ class FramePair:
     def __post_init__(self):
         a1, b1 = self.xi.at0()
         a2, b2 = self.eta.at0()
-        ctx = self.xi.a.zero_ctx().merge(self.eta.a.zero_ctx())
-        if ctx.is_zero(a1 * b2 - b1 * a2):
+        if EXACT.is_zero(a1 * b2 - b1 * a2):
             raise PreconditionError("frame pair is linearly dependent at the origin")
 
 
-def coordinate_pair(order: int, eps=None) -> FramePair:
-    return FramePair(d_du(order, eps), d_dv(order, eps))
+def coordinate_pair(order: int) -> FramePair:
+    return FramePair(d_du(order), d_dv(order))
 
 
 def is_adapted(pair: FramePair, f: MapJet) -> bool:
     """True when eta(0) spans ker df0 (and the pair is independent, by type)."""
-    ctx = f.zero_ctx()
-    deta = apply(pair.eta, f).at0()
-    return all(ctx.is_zero(c) for c in deta)
+    return EXACT.is_zero_vec(apply(pair.eta, f).at0())

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from germclass.applications import (MongeCoeffs, RuledData, center_classify_formulas,
+from germclass.applications import (MongeCoeffs, RuledData, _theta_pair,
+                                    center_classify_formulas,
                                     center_map, folded_classify_formulas,
                                     folded_invariants, folded_map,
                                     ruled_classify_formulas, ruled_frame, ruled_map)
@@ -326,8 +328,6 @@ def test_folded_rational_angle_s_branch():
 
 
 def test_folded_float_mode_matches_exact():
-    import math
-
     c, s = Fraction(4, 5), Fraction(-3, 5)
     a = {(0, 2): Fraction(1), (2, 0): Fraction(1), (0, 3): Fraction(2),
          (1, 2): Fraction(1, 2), (3, 0): Fraction(-1), (3, 1): Fraction(3)}
@@ -342,3 +342,56 @@ def test_folded_float_mode_matches_exact():
     assert float_verdict == exact_verdict
     cls, _ = folded_classify_formulas(m, theta)
     assert cls.verdict == exact_verdict
+
+
+# -- float fold angles --------------------------------------------------------
+
+# (-84, 13, 85) lies near pi: once the half turn is removed tan(r/2) is
+# small, and the rounding of theta, not of tan, bounds the float's error
+PYTHAGOREAN = [(3, 4, 5), (4, -3, 5), (-5, 12, 13), (8, 15, 17), (-7, -24, 25),
+               (20, 21, 29), (-84, 13, 85), (0, 1, 1), (0, -1, 1), (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("c, s, h", PYTHAGOREAN)
+def test_float_angle_of_pythagorean_point_reads_exactly(c, s, h):
+    assert _theta_pair(math.atan2(s, c)) == (Fraction(c, h), Fraction(s, h))
+
+
+def test_float_angle_special_values_read_exactly():
+    assert _theta_pair(0.0) == (1, 0)
+    assert _theta_pair(math.pi) == (-1, 0)
+    assert _theta_pair(-math.pi / 2) == (0, -1)
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.0, -2.5, 7.0])
+def test_float_angle_reads_as_nearby_point_on_unit_circle(theta):
+    c, s = _theta_pair(theta)
+    assert type(c) is Fraction and type(s) is Fraction
+    assert c * c + s * s == 1
+    assert abs(c - Fraction(math.cos(theta))) <= 8 * Fraction(math.ulp(theta))
+    assert abs(s - Fraction(math.sin(theta))) <= 8 * Fraction(math.ulp(theta))
+
+
+def test_float_angle_is_recorded_by_formula_route():
+    m = MongeCoeffs({(0, 2): 1, (2, 0): 1, (0, 3): 1, (2, 1): 2})
+    _, inv = folded_classify_formulas(m, math.atan2(12, -5))
+    assert (inv["theta_cos"], inv["theta_sin"]) == (Fraction(-5, 13), Fraction(12, 13))
+
+
+def _b2_fold_anchor():
+    """The B2- fold anchor of the sign-convention report, h22 = 0 at (3/5, 4/5)."""
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    a12, a21, a30 = Fraction(1), Fraction(2), Fraction(3)
+    a03 = -(3 * a12 * c * c * s + 3 * a21 * c * s * s + a30 * s ** 3) / c ** 3
+    return {(0, 2): Fraction(1), (2, 0): Fraction(1), (0, 3): a03, (1, 2): a12,
+            (2, 1): a21, (3, 0): a30, (0, 5): Fraction(2)}
+
+
+@pytest.mark.parametrize("k", range(-6, 7))
+def test_b2_fold_anchor_survives_target_scaling_at_float_angle(k):
+    # scaling every Monge coefficient by lam is the target change z -> lam z
+    lam = Fraction(10) ** k
+    m = MongeCoeffs({key: lam * value for key, value in _b2_fold_anchor().items()})
+    theta = math.atan2(4, 3)
+    assert classify(folded_map(m, theta))[0].verdict is Verdict.B2_MINUS
+    assert folded_classify_formulas(m, theta)[0].verdict is Verdict.B2_MINUS

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -69,11 +70,12 @@ MALFORMED = [
     ("folded", FOLDED_HEAD + "theta = abc\n"),
     ("folded", FOLDED_HEAD + "theta = inf\n"),
     ("folded", FOLDED_HEAD + "theta = nan\n"),
+    ("folded", FOLDED_HEAD + "mode = float\ntheta = 0.5\n"),
 ]
 
 
 @pytest.mark.parametrize("cmd, text", MALFORMED, ids=["5000-digits", "theta-abc",
-                                                     "theta-inf", "theta-nan"])
+                                                     "theta-inf", "theta-nan", "mode-key"])
 def test_malformed_document_exit_1(tmp_path, capsys, cmd, text):
     path = write(tmp_path, "malformed.germ", text)
     code, out, err = run(capsys, cmd, path, "--json")
@@ -125,6 +127,28 @@ def test_folded_exact_angle(tmp_path, capsys):
     code, out, _ = run(capsys, "folded", path)
     assert code == 0
     assert "agreement: yes" in out
+
+
+def test_folded_float_angle_shows_exact_point(tmp_path, capsys):
+    path = write(tmp_path, "folded.germ", FOLDED_HEAD + "theta = %r\n" % math.atan2(4, 3))
+    code, out, _ = run(capsys, "folded", path, "--json")
+    obj = json.loads(out)
+    assert obj["formula"]["invariants"]["theta_cos"] == "3/5"
+    assert obj["formula"]["invariants"]["theta_sin"] == "4/5"
+    assert obj["generic"]["mode"] == "exact"
+    assert obj["agree"] and code == 0
+
+
+RULED_OVERFLOW = "[ruled]\ngamma1 = 1 + v^9\ngamma3 = v^3\nc3 = 1\n"
+
+
+def test_dual_path_reports_parser_warnings(tmp_path, capsys):
+    path = write(tmp_path, "ruled.germ", RULED_OVERFLOW)
+    _, out, _ = run(capsys, "ruled", path, "--json")
+    assert json.loads(out)["warnings"] == ["gamma1: degree overflow truncated to order 6"]
+    code, out, _ = run(capsys, "ruled", path)
+    assert "warning: gamma1: degree overflow truncated to order 6" in out
+    assert code == 0
 
 
 def test_oracle_sb(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,14 @@ def test_doc_round_trip():
     assert format_doc(parse_doc(format_doc(folded))) == format_doc(folded)
 
 
+@pytest.mark.parametrize("theta", [0.5, 0.1, math.atan2(4, 3), -2.5, 7.0])
+def test_doc_round_trip_float_angle(theta):
+    folded = parse_doc("[folded]\na02 = 1\na20 = 1\ntheta = %r\n" % theta)
+    again = parse_doc(format_doc(folded))
+    assert again.theta == folded.theta == theta
+    assert format_doc(again) == format_doc(folded)
+
+
 def test_center_doc_coefficients():
     doc = parse_doc("[center]\na02 = 1\na20 = 2\na03 = 1\na21 = 1\n")
     m = doc.to_monge()
@@ -102,10 +111,13 @@ def test_folded_doc_unit_circle_enforced():
     assert "unit circle" in str(err.value) or "equal 1" in str(err.value)
 
 
-def test_folded_doc_float_angle_switches_mode():
+def test_folded_doc_float_angle_kept_and_mode_key_unknown():
     doc = parse_doc("[folded]\na02 = 1\na20 = 1\ntheta = 0.5\n")
-    assert doc.mode == "float"
     assert doc.theta == 0.5
+    for value in ("float", "exact"):
+        with pytest.raises(ParseError) as err:
+            parse_doc("[folded]\na02 = 1\na20 = 1\nmode = %s\ntheta = 0.5\n" % value)
+        assert "unknown key 'mode'" in str(err.value)
 
 
 def test_unknown_key_names_key():

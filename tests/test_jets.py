@@ -140,14 +140,6 @@ def test_germ_constructor_requires_origin():
         MapJet.germ(Jet2.const(1, 6), Jet2.zero(6), Jet2.zero(6))
 
 
-def test_float_mode_scale_and_zero_test():
-    a = Jet2(6, {(0, 0): 1.0, (1, 0): 1e6}, eps=1e-9)
-    ctx = a.zero_ctx()
-    assert ctx.is_zero(1e-4)        # below eps * scale = 1e-3
-    assert not ctx.is_zero(1e-2)
-    assert not a.zero_ctx().exact
-
-
 def test_float_scalar_rejected_in_exact_mode():
     with pytest.raises(TypeError):
         Jet2(6, {(0, 0): 0.5})
