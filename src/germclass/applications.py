@@ -327,7 +327,8 @@ def _theta_pair(theta):
     cover the rounding of theta itself and of tan; the point is
     ((1 - q^2)/(1 + q^2), 2q/(1 + q^2)), negated for odd k.  So the float
     nearest to the angle of a rational point with small denominators, such
-    as atan2(4, 3) for (3/5, 4/5), gives that point back exactly.
+    as atan2(4, 3) for (3/5, 4/5), gives that point back exactly.  A float
+    that is not finite, or is 2^33 or more in magnitude, is rejected.
     """
     if isinstance(theta, tuple):
         c, s = Fraction(theta[0]), Fraction(theta[1])
@@ -335,8 +336,10 @@ def _theta_pair(theta):
             raise PreconditionError("(cos, sin) pair is not on the unit circle")
         return c, s
     theta = float(theta)
-    if not math.isfinite(theta):
-        raise PreconditionError("fold angle must be finite, got %r" % theta)
+    # past 2^33 the spacing of floats exceeds 2^-20 rad: no angle is left
+    if not abs(theta) < 2 ** 33:
+        raise PreconditionError("fold angle must be finite and below 2^33 in"
+                                " magnitude, got %r" % theta)
     k = round(theta / math.pi)
     t = math.tan((theta - k * math.pi) / 2)
     q = _convergent_within(Fraction(t), Fraction(4 * (math.ulp(theta) + math.ulp(t))))

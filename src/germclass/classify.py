@@ -32,7 +32,7 @@ from enum import Enum
 
 from .errors import GermError, OrderExhaustedError, PreconditionError
 from .frames import (b3_adapt, h2_adapt, h4_adapt, linear_normalize,
-                     rank_df0, s3_adapt, sb2_adapt)
+                     partials0, rank_df0, s3_adapt, sb2_adapt)
 from .jets import Jet2, MapJet, cross3, det3, det3_jet
 from .scalars import EXACT, Scalar, fmt_scalar
 from .vfields import FramePair, apply, apply_to_jet
@@ -146,11 +146,7 @@ def classify(f: MapJet):
     cert.normalization = L.linear_matrix()
     cert.normalized = g
 
-    gu = g.partial_u()
-    gv = g.partial_v()
-    gu0 = gu.at0()
-    gvv0 = gv.partial_v().at0()
-    guv0 = gu.partial_v().at0()
+    gu0, gvv0, guv0 = partials0(g)
     sb_cross = cross3(gu0, gvv0)
     sb_type = not EXACT.is_zero_vec(sb_cross)
     cert.note("sb_type", str(sb_type))

@@ -70,10 +70,17 @@ def _verify(classification, cert) -> bool:
     return all(recert.invariants[k] == v for k, v in cert.invariants.items())
 
 
-def cmd_classify(args) -> int:
+def _doc(args, *kinds):
+    """The document at args.path, which must be of one of the given kinds."""
     doc = parse_doc(_read(args.path))
-    if doc.kind != "map":
-        raise GermError("classify expects a [map] document, got [%s]" % doc.kind)
+    if doc.kind not in kinds:
+        raise GermError("%s expects a %s document, got [%s]" % (
+            args.command, " or ".join("[%s]" % kind for kind in kinds), doc.kind))
+    return doc
+
+
+def cmd_classify(args) -> int:
+    doc = _doc(args, "map")
     f = doc.to_map_jet()
     classification, cert = classify(f)
     if args.json:
@@ -120,45 +127,36 @@ def _dual(args, kind, formula_result, generic_input, warnings):
 
 
 def cmd_ruled(args) -> int:
-    doc = parse_doc(_read(args.path))
-    if doc.kind != "ruled":
-        raise GermError("ruled expects a [ruled] document, got [%s]" % doc.kind)
+    doc = _doc(args, "ruled")
     data = doc.to_ruled_data()
     return _dual(args, "ruled", ruled_classify_formulas(data), ruled_map(data),
                  doc.warnings)
 
 
 def cmd_center(args) -> int:
-    doc = parse_doc(_read(args.path))
-    if doc.kind != "center":
-        raise GermError("center expects a [center] document, got [%s]" % doc.kind)
+    doc = _doc(args, "center")
     monge = doc.to_monge()
     return _dual(args, "center", center_classify_formulas(monge),
                  center_map(monge, doc.order), doc.warnings)
 
 
 def cmd_folded(args) -> int:
-    doc = parse_doc(_read(args.path))
-    if doc.kind != "folded":
-        raise GermError("folded expects a [folded] document, got [%s]" % doc.kind)
+    doc = _doc(args, "folded")
     monge = doc.to_monge()
     return _dual(args, "folded", folded_classify_formulas(monge, doc.theta),
                  folded_map(monge, doc.theta, doc.order), doc.warnings)
 
 
 def cmd_oracle(args) -> int:
-    doc = parse_doc(_read(args.path))
+    doc = _doc(args, "sb-normal", "h-normal")
     if doc.kind == "sb-normal":
         from .oracle import skbk_classify
         coeffs = doc.to_sb_coeffs()
         formula = skbk_classify(coeffs)
-    elif doc.kind == "h-normal":
+    else:
         from .oracle import h2_check
         coeffs = doc.to_h_coeffs()
         formula = h2_check(coeffs)
-    else:
-        raise GermError("oracle expects an [sb-normal] or [h-normal] document, got [%s]"
-                        % doc.kind)
     return _dual(args, doc.kind, (formula, {}), coeffs.to_map_jet(doc.order),
                  doc.warnings)
 

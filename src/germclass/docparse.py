@@ -103,7 +103,11 @@ class _PolyParser:
         while True:
             if self.peek() == "*":
                 self.advance()
-                total = total * self.factor()
+                rhs = self.factor()
+                # deg(ab) = deg a + deg b; the zero jet's degree is -1, so it never flags
+                if total.degree() + rhs.degree() > self.order:
+                    self.truncated = True
+                total = total * rhs
             elif self.peek() == "/":
                 raise ParseError("division token outside a rational literal", self.pos())
             else:
@@ -117,10 +121,10 @@ class _PolyParser:
             if tok is None or not tok.isdigit():
                 raise ParseError("exponent must be a natural number", pos)
             exponent = _int(tok, pos)
-            if exponent > self.order:
+            if exponent * base.degree() > self.order:
                 self.truncated = True
-                if base.at0() == 0:
-                    return Jet2.zero(self.order)
+            if exponent > self.order and base.at0() == 0:
+                return Jet2.zero(self.order)
             base = base ** exponent
         return base
 
@@ -157,17 +161,10 @@ def parse_poly(src: str, order: int = 6) -> Jet2:
 
 
 def parse_poly_ex(src: str, order: int = 6):
-    """Like parse_poly, also reporting whether degree overflow was truncated."""
+    """Like parse_poly, also reporting whether a product or power ran past the order."""
     parser = _PolyParser(src, order)
     jet = parser.parse()
-    truncated = parser.truncated or _overflow(src, order)
-    return jet, truncated
-
-
-def _overflow(src, order) -> bool:
-    """Reparse at double the order to detect coefficients beyond the target order."""
-    wide = _PolyParser(src, 2 * order).parse()
-    return any(i + j > order for (i, j) in wide.coeffs)
+    return jet, parser.truncated
 
 
 KINDS = ("map", "ruled", "center", "folded", "sb-normal", "h-normal")

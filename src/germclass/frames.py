@@ -14,10 +14,12 @@ first, so that f_v(0) = 0 and f_u(0) != 0 and the pair can be built as an
 explicit perturbation of (d/du, d/dv).  The coefficient formulas below are
 exact: each constructor solves a small linear system for the defect of f
 at the origin and writes the correction directly into the field
-coefficients.  S-3 solves its three corrections jointly (the level-3
-conditions are affine in them); H-4 solves its three one slot at a time
-in one triangular pass, because eta^4 f(0) is not jointly affine in its
-slots.  The solved parameters are returned alongside the pair so a
+coefficients.  Every such system goes through `solve`, one exact
+Gauss-Jordan elimination; the guards each constructor checks first make
+its solution unique.  S-3 solves its three corrections jointly (the
+level-3 conditions are affine in them); H-4 solves its three one slot at
+a time in one triangular pass, because eta^4 f(0) is not jointly affine
+in its slots.  The solved parameters are returned alongside the pair so a
 classification certificate can expose them.
 
 Derivative words are read through `Words`, a per-pair table that
@@ -67,6 +69,46 @@ class FrameBuild:
     words: Words
 
 
+def solve(columns, rhs):
+    """Solve sum_j x_j columns[j] = rhs exactly by Gauss-Jordan elimination.
+
+    The system may be overdetermined: a leftover row that does not vanish
+    raises PreconditionError.  A column without a pivot gets 0, so a caller
+    that needs the unique solution checks the columns' independence first.
+    """
+    m, n = len(rhs), len(columns)
+    rows = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
+    x = [Fraction(0)] * n
+    row = 0
+    pivots = []
+    for col in range(n):
+        pivot_row = next((k for k in range(row, m) if rows[k][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
+        pivot = rows[row][col]
+        rows[row] = [value / pivot for value in rows[row]]
+        for k in range(m):
+            if k != row:
+                factor = rows[k][col]
+                if factor:
+                    rows[k] = [a - factor * b for a, b in zip(rows[k], rows[row])]
+        pivots.append(col)
+        row += 1
+    for k in range(row, m):
+        if not EXACT.is_zero(rows[k][n]):
+            raise PreconditionError("linear system is inconsistent")
+    for idx, col in enumerate(pivots):
+        x[col] = rows[idx][n]
+    return x
+
+
+def partials0(f: MapJet):
+    """(f_u, f_vv, f_uv)(0): the vectors the SB and HP guards read."""
+    fu = f.partial_u()
+    return fu.at0(), f.partial_v().partial_v().at0(), fu.partial_v().at0()
+
+
 def rank_df0(f: MapJet) -> int:
     fu0 = f.partial_u().at0()
     fv0 = f.partial_v().at0()
@@ -94,68 +136,19 @@ def linear_normalize(f: MapJet):
         L = PolyMap2.swap(f.order)
     else:
         # f_v(0) = t f_u(0); kernel direction (t, -1).
-        k = next(i for i in range(3) if fu0[i] != 0)
-        t = fv0[k] / fu0[k]
-        for i in range(3):
-            if not EXACT.is_zero(fv0[i] - t * fu0[i]):
-                raise PreconditionError("df0 columns not parallel despite rank 1")
+        (t,) = solve([fu0], fv0)
         L = PolyMap2.linear(((1, t), (0, -1)), f.order)
     return compose_map(f, L), L
 
 
-def solve_span2(target, w1, w2):
-    """Solve target = alpha*w1 + beta*w2 in R^3, verifying consistency.
-
-    Picks the first 2x2 row subsystem with nonzero determinant and checks
-    the remaining row.
-    """
-    for r, s in ((0, 1), (0, 2), (1, 2)):
-        d = w1[r] * w2[s] - w1[s] * w2[r]
-        if not EXACT.is_zero(d):
-            break
-    else:
-        raise PreconditionError("span vectors are linearly dependent")
-    alpha = (target[r] * w2[s] - target[s] * w2[r]) / d
-    beta = (w1[r] * target[s] - w1[s] * target[r]) / d
-    for i in range(3):
-        if not EXACT.is_zero(target[i] - alpha * w1[i] - beta * w2[i]):
-            raise PreconditionError("vector does not lie in the required span")
-    return alpha, beta
-
-
-def solve_parallel(target, w):
-    """Solve target = alpha*w, verifying the remaining components."""
-    k = next((i for i in range(3) if w[i] != 0), None)
-    if k is None:
-        raise PreconditionError("cannot solve along the zero vector")
-    alpha = target[k] / w[k]
-    for i in range(3):
-        if not EXACT.is_zero(target[i] - alpha * w[i]):
-            raise PreconditionError("vector is not parallel to the required direction")
-    return alpha
-
-
-def solve_basis3(target, w1, w2, w3):
-    """Solve target = a*w1 + b*w2 + c*w3 by Cramer's rule (basis required)."""
-    d = det3((w1, w2, w3))
-    if EXACT.is_zero(d):
-        raise PreconditionError("the three vectors do not form a basis")
-    a = det3((target, w2, w3)) / d
-    b = det3((w1, target, w3)) / d
-    c = det3((w1, w2, target)) / d
-    return a, b, c
-
-
 def _sb_defect(f: MapJet):
     """alpha, beta with f_uv(0) = alpha f_u(0) + beta f_vv(0), after SB guards."""
-    fu0 = f.partial_u().at0()
-    fvv0 = f.partial_v().partial_v().at0()
-    fuv0 = f.partial_u().partial_v().at0()
+    fu0, fvv0, fuv0 = partials0(f)
     if EXACT.is_zero_vec(cross3(fu0, fvv0)):
         raise PreconditionError("germ is not SB-type: f_u(0) x f_vv(0) = 0")
     if not EXACT.is_zero(det3((fu0, fvv0, fuv0))):
         raise PreconditionError("germ is a Whitney umbrella, no SB-2 pair exists")
-    return solve_span2(fuv0, fu0, fvv0)
+    return solve([fu0, fvv0], fuv0)
 
 
 def sb2_adapt(f: MapJet) -> FrameBuild:
@@ -166,39 +159,6 @@ def sb2_adapt(f: MapJet) -> FrameBuild:
     eta = VectorFieldJet(Jet2(n, {(1, 0): -alpha}), Jet2.const(1, n))
     pair = FramePair(xi, eta)
     return FrameBuild(pair, {"alpha": alpha, "beta": beta}, Words(f, pair))
-
-
-def _solve_affine(columns, rhs):
-    """Solve sum_j x_j columns[j] = rhs exactly (consistent overdetermined system)."""
-    m = len(rhs)
-    n = len(columns)
-    rows = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
-    zero = rhs[0] * 0
-    x = [zero] * n
-    row = 0
-    pivots = []
-    for col in range(n):
-        pivot_row = next((k for k in range(row, m) if rows[k][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
-        pivot = rows[row][col]
-        rows[row] = [value / pivot for value in rows[row]]
-        for k in range(m):
-            if k != row:
-                factor = rows[k][col]
-                if factor:
-                    rows[k] = [a - factor * b for a, b in zip(rows[k], rows[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for k in range(row, m):
-        if not EXACT.is_zero(rows[k][n]):
-            raise PreconditionError("correction system is inconsistent")
-    for idx, col in enumerate(pivots):
-        x[col] = rows[idx][n]
-    return x
 
 
 def s3_adapt(f: MapJet) -> FrameBuild:
@@ -227,7 +187,7 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     if EXACT.is_zero(det3((xif0, eta2f0, sbw.at0("eee")))):
         raise PreconditionError("germ is not S-type: eta^2 phi vanishes at 0")
     try:
-        alpha1, beta1 = solve_span2(sbw.at0("xxe"), xif0, eta2f0)
+        alpha1, beta1 = solve([xif0, eta2f0], sbw.at0("xxe"))
     except PreconditionError:
         raise PreconditionError("germ is not S-type: xi^2 eta f(0) outside the span")
 
@@ -241,17 +201,14 @@ def s3_adapt(f: MapJet) -> FrameBuild:
         return Words(f, FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, d1)))
 
     def level3_defect(words):
-        out = []
-        for word in ("xxe", "xex", "exx"):
-            out.extend(words.at0(word))
-        return out
+        return [c for word in ("xxe", "xex", "exx") for c in words.at0(word)]
 
     base = level3_defect(sbw)
     columns = []
     for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         shifted = level3_defect(trial(*unit))
         columns.append([s - b for s, b in zip(shifted, base)])
-    p, q, r = _solve_affine(columns, [-b for b in base])
+    p, q, r = solve(columns, [-b for b in base])
     words = trial(p, q, r)
     if not EXACT.is_zero_vec(level3_defect(words)):
         raise PreconditionError("S-3 correction failed verification")
@@ -272,7 +229,7 @@ def b3_adapt(f: MapJet) -> FrameBuild:
     if EXACT.is_zero(det3((xif0, sbw.at0("xxe"), eta2f0))):
         raise PreconditionError("germ is not B-type: xi^2 phi vanishes at 0")
     try:
-        alpha1, beta1 = solve_span2(sbw.at0("eee"), xif0, eta2f0)
+        alpha1, beta1 = solve([xif0, eta2f0], sbw.at0("eee"))
     except PreconditionError:
         raise PreconditionError("germ is not B-type: eta^3 f(0) outside the span")
     n = f.order
@@ -287,14 +244,12 @@ def b3_adapt(f: MapJet) -> FrameBuild:
 
 def h2_adapt(f: MapJet) -> FrameBuild:
     """H-2 pair: xi = du, eta = -alpha v du + dv, where f_vv(0) = alpha f_u(0)."""
-    fu0 = f.partial_u().at0()
-    fvv0 = f.partial_v().partial_v().at0()
-    fuv0 = f.partial_u().partial_v().at0()
+    fu0, fvv0, fuv0 = partials0(f)
     if not EXACT.is_zero_vec(cross3(fu0, fvv0)):
         raise PreconditionError("germ is not HP-type: f_u(0) x f_vv(0) != 0")
     if EXACT.is_zero_vec(cross3(fu0, fuv0)):
         raise PreconditionError("germ is not HP-type: f_u(0) x f_uv(0) = 0")
-    alpha = solve_parallel(fvv0, fu0)
+    (alpha,) = solve([fu0], fvv0)
     n = f.order
     eta = VectorFieldJet(Jet2(n, {(0, 1): -alpha}), Jet2.const(1, n))
     pair = FramePair(d_du(n), eta)
@@ -314,18 +269,17 @@ def h4_adapt(f: MapJet) -> FrameBuild:
     cross terms only feed components that a later step still controls, so
     the one pass leaves eta^4 f(0) = 0; the result is still verified.  The
     slots are not jointly affine (eta^4 f(0) has an s*w term), so they
-    cannot be solved as one linear system.  The zero trial is the H-2 pair,
-    so the pass starts from its word table.
+    cannot be solved by one `solve` call; `solve` only reads each trial's
+    components in the basis.  The zero trial is the H-2 pair, so the pass
+    starts from its word table.
     """
     h2 = h2_adapt(f)
     alpha = h2.params["alpha"]
     h2w = h2.words
-    xif0 = h2w.at0("x")
-    xietaf0 = h2w.at0("xe")
-    eta3f0 = h2w.at0("eee")
-    if EXACT.is_zero(det3((xif0, xietaf0, eta3f0))):
+    basis = [h2w.at0(word) for word in ("x", "xe", "eee")]
+    if EXACT.is_zero(det3(basis)):
         raise PreconditionError("germ is not H-type: det(xi f, xi eta f, eta^3 f)(0) = 0")
-    alpha1, beta1, delta1 = solve_basis3(h2w.at0("eeee"), xif0, xietaf0, eta3f0)
+    alpha1, beta1, delta1 = solve(basis, h2w.at0("eeee"))
 
     n = f.order
     xi = d_du(n)
@@ -336,7 +290,7 @@ def h4_adapt(f: MapJet) -> FrameBuild:
         return Words(f, FramePair(xi, VectorFieldJet(c1, d1)))
 
     def components(words):
-        return solve_basis3(words.at0("eeee"), xif0, xietaf0, eta3f0)
+        return solve(basis, words.at0("eeee"))
 
     s = t = w = Fraction(0)
     # dv-slot against the eta^3 f component; the zero trial's is delta1

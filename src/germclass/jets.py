@@ -76,9 +76,6 @@ class Jet2:
             raise OrderExhaustedError("constant term of an order-exhausted jet")
         return self.coeffs.get((0, 0), _ZERO)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
         """Largest total degree with a stored coefficient (-1 for the zero jet)."""
         return max((i + j for (i, j) in self.coeffs), default=-1)
@@ -177,9 +174,6 @@ class Jet2:
         if order >= self.order:
             return self
         return Jet2(order, self.coeffs)
-
-    def compose(self, p: "PolyMap2") -> "Jet2":
-        return compose2(self, p)
 
     def __repr__(self):
         return "Jet2(order=%d, %s)" % (self.order, poly_str(self))

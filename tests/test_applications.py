@@ -32,8 +32,9 @@ def test_frame_circular_solution_when_flat():
     assert a1[0].coeff(0, 4) == Fraction(1, 24)
     assert a1[1].coeff(0, 1) == 1
     assert a1[1].coeff(0, 3) == Fraction(-1, 6)
-    assert a1[2].is_zero()
-    assert a3[0].is_zero() and a3[1].is_zero()
+    zero = Jet2.zero(a1[2].order)
+    assert a1[2] == zero
+    assert a3[0] == a3[1] == zero
     assert a3[2] == Jet2.const(1, a3[2].order)
 
 
@@ -370,6 +371,18 @@ def test_float_angle_reads_as_nearby_point_on_unit_circle(theta):
     assert c * c + s * s == 1
     assert abs(c - Fraction(math.cos(theta))) <= 8 * Fraction(math.ulp(theta))
     assert abs(s - Fraction(math.sin(theta))) <= 8 * Fraction(math.ulp(theta))
+
+
+def test_float_angle_is_read_below_two_to_the_33_only():
+    theta = math.nextafter(2.0 ** 33, 0)
+    for t in (theta, -theta):
+        c, s = _theta_pair(t)
+        assert c * c + s * s == 1
+        assert abs(c - Fraction(math.cos(t))) <= Fraction(1, 2 ** 16)
+        assert abs(s - Fraction(math.sin(t))) <= Fraction(1, 2 ** 16)
+    for t in (2.0 ** 33, -2.0 ** 33, 1e16):
+        with pytest.raises(PreconditionError):
+            _theta_pair(t)
 
 
 def test_float_angle_is_recorded_by_formula_route():

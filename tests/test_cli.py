@@ -71,11 +71,13 @@ MALFORMED = [
     ("folded", FOLDED_HEAD + "theta = inf\n"),
     ("folded", FOLDED_HEAD + "theta = nan\n"),
     ("folded", FOLDED_HEAD + "mode = float\ntheta = 0.5\n"),
+    ("folded", FOLDED_HEAD + "theta = 1e20\n"),
 ]
 
 
 @pytest.mark.parametrize("cmd, text", MALFORMED, ids=["5000-digits", "theta-abc",
-                                                     "theta-inf", "theta-nan", "mode-key"])
+                                                     "theta-inf", "theta-nan", "mode-key",
+                                                     "theta-1e20"])
 def test_malformed_document_exit_1(tmp_path, capsys, cmd, text):
     path = write(tmp_path, "malformed.germ", text)
     code, out, err = run(capsys, cmd, path, "--json")

@@ -52,6 +52,12 @@ def test_overflow_flag():
     assert parse_poly_ex("u^4*v^4", 6)[1] is True
     assert parse_poly_ex("u^3*v^3", 6)[1] is False
     assert parse_poly_ex("u^7", 6)[0] == Jet2.zero(6)
+    # products whose degree is past twice the order still flag
+    assert parse_poly_ex("u^4*u^4*u^4*u^4", 6)[1] is True
+    assert parse_poly_ex("u^5*v^5*u^5", 6)[1] is True
+    assert parse_poly_ex("(u^2)^4", 6)[1] is True
+    # a large exponent on a constant truncates nothing
+    assert parse_poly_ex("2^10", 6) == (Jet2.const(1024, 6), False)
 
 
 def test_whitespace_insignificant():

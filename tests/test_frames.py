@@ -68,6 +68,37 @@ def test_normalize_rejects_rank0_and_rank2():
     assert rank_df0(germ("u", "v", "0")) == 2
 
 
+# -- solve -------------------------------------------------------------------
+
+F = Fraction
+NINE_BY_THREE = [(1, 0, 2, 3, -1, 0, 4, 1, 2), (0, 1, 1, -2, 5, 3, 0, 0, 1),
+                 (2, 2, 0, 1, 1, -4, 1, 3, 0)]
+SOLVE_CASES = {
+    "parallel": ([(0, F(2, 3), -1)], (0, F(4, 9), F(-2, 3)), [F(2, 3)]),
+    "span2": ([(1, 0, 1), (0, 1, 1)], (F(1, 2), -3, F(-5, 2)), [F(1, 2), -3]),
+    "basis3": ([(1, 1, 0), (0, 1, 1), (1, 0, 1)], (1, 2, 4), [F(-1, 2), F(5, 2), F(3, 2)]),
+    "9x3": (NINE_BY_THREE,
+            [F(1, 2) * a - 3 * b + F(7, 5) * c for a, b, c in zip(*NINE_BY_THREE)],
+            [F(1, 2), -3, F(7, 5)]),
+    "zero-column": ([(2, 0, 0), (0, 0, 0)], (6, 0, 0), [3, 0]),
+    "inconsistent": ([(1, 2, 3)], (1, 2, 4), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_solve(case):
+    columns, rhs, expected = SOLVE_CASES[case]
+    columns = [[F(c) for c in col] for col in columns]
+    rhs = [F(r) for r in rhs]
+    if expected is None:
+        with pytest.raises(PreconditionError):
+            frames.solve(columns, rhs)
+        return
+    x = frames.solve(columns, rhs)
+    assert x == expected
+    assert all(type(value) is Fraction for value in x)
+
+
 # -- sb2_adapt ---------------------------------------------------------------
 
 def test_sb2_trivial_when_already_adapted():
