@@ -117,8 +117,9 @@ def second_derivatives_phi(f: MapJet, pair: FramePair):
 
     Applied as vector fields to the jet phi -- the fields have non-constant
     coefficients, so these are not second partials of phi's coefficients.
+    They read phi only to order 2, hence f only to degree 4.
     """
-    p = phi(f, pair)
+    p = phi(f.truncate(4), pair)
     xi_p = apply_to_jet(pair.xi, p, "xi phi")
     eta_p = apply_to_jet(pair.eta, p, "eta phi")
     return (apply_to_jet(pair.xi, xi_p, "xi^2 phi").at0(),

@@ -188,15 +188,19 @@ class MapSpecDoc:
     coeffs: dict = field(default_factory=dict)       # ('a', i, j) -> Fraction
     theta: tuple | float | None = None
     warnings: list = field(default_factory=list)
+    jets: dict = field(default_factory=dict, repr=False, compare=False)  # key -> parsed Jet2
 
     # -- builders --------------------------------------------------------
 
     def jet(self, key: str) -> Jet2:
-        jet, truncated = parse_poly_ex(self.exprs[key], self.order)
-        if truncated:
-            message = "%s: degree overflow truncated to order %d" % (key, self.order)
-            if message not in self.warnings:
-                self.warnings.append(message)
+        """The jet of one component, parsed once (its warning is recorded then)."""
+        jet = self.jets.get(key)
+        if jet is None:
+            jet, truncated = parse_poly_ex(self.exprs[key], self.order)
+            if truncated:
+                self.warnings.append("%s: degree overflow truncated to order %d"
+                                     % (key, self.order))
+            self.jets[key] = jet
         return jet
 
     def to_map_jet(self) -> MapJet:
@@ -289,7 +293,7 @@ def _validate_doc(doc: MapSpecDoc, theta_cos, theta_sin) -> None:
     for key in needed.get(doc.kind, ()):
         if key not in doc.exprs:
             raise ParseError("kind %r: missing component %r" % (doc.kind, key))
-        doc.jet(key)  # surface syntax errors with the key's source position
+        doc.jet(key)  # parsed once, here: syntax errors carry the key's source position
     if doc.kind in ("center", "folded", "sb-normal", "h-normal") and not doc.coeffs:
         raise ParseError("kind %r: no coefficients given" % doc.kind)
     if doc.kind == "folded":

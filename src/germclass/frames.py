@@ -23,8 +23,13 @@ in its slots.  The solved parameters are returned alongside the pair so a
 classification certificate can expose them.
 
 Derivative words are read through `Words`, a per-pair table that
-evaluates each word once.  Each constructor returns the table of its pair,
-so the criteria in `classify` reuse what the frame solve already computed.
+evaluates each word once per order.  Each constructor returns the table of
+its pair, so the criteria in `classify` reuse what the frame solve already
+computed.  Every criterion reads its words at the origin only, and a word
+read at 0 reads f only to degree len(word), so the table computes each
+word at the lowest order its reader needs (phi's second derivatives in
+`classify` likewise read f only to degree 4).  The vectors f_u, f_v, f_vv,
+f_uv at 0 are read straight from f's coefficients.
 """
 
 from __future__ import annotations
@@ -39,27 +44,39 @@ from .vfields import FramePair, VectorFieldJet, apply, d_du
 
 
 class Words:
-    """The derivative words of f on one pair, each evaluated once.
+    """The derivative words of f on one pair, each evaluated once per order.
 
     A word is a string over the letters x (xi) and e (eta), read as the
     operator product: "xxe" is xi(xi(eta f)).  The empty word is f itself.
-    Each new word costs one `apply` on top of its (cached) suffix.
+
+    A word read at 0 reads f only to degree len(word), so `at0(w)` asks
+    for w f at order 0: each suffix s of w is computed at order
+    len(w) - len(s), from f truncated to order len(w).  The table keeps
+    each word with the order it was computed at.  A read at or below that
+    order costs nothing; a read that needs more recomputes the word, one
+    `apply` on its suffix at one order higher.
     """
 
     def __init__(self, f: MapJet, pair: FramePair):
+        self.f = f
         self.pair = pair
-        self._jets = {"": f}
+        self._jets = {}
 
-    def jet(self, word: str) -> MapJet:
+    def jet(self, word: str, order: int | None = None) -> MapJet:
+        """w f to at least `order`; by default the full order f.order - len(word)."""
+        if order is None:
+            order = self.f.order - len(word)
+        if not word:
+            return self.f.truncate(order) if order < self.f.order else self.f
         out = self._jets.get(word)
-        if out is None:
+        if out is None or out.order < order:
             field = self.pair.xi if word[0] == "x" else self.pair.eta
-            out = apply(field, self.jet(word[1:]), word + " f")
+            out = apply(field, self.jet(word[1:], order + 1), word + " f")
             self._jets[word] = out
         return out
 
     def at0(self, word: str):
-        return self.jet(word).at0()
+        return self.jet(word, 0).at0()
 
 
 @dataclass(frozen=True)
@@ -103,15 +120,20 @@ def solve(columns, rhs):
     return x
 
 
+def _coeffs(f: MapJet, i: int, j: int):
+    """The u^i v^j coefficient of each component of f."""
+    return tuple(c.coeff(i, j) for c in f)
+
+
 def partials0(f: MapJet):
     """(f_u, f_vv, f_uv)(0): the vectors the SB and HP guards read."""
-    fu = f.partial_u()
-    return fu.at0(), f.partial_v().partial_v().at0(), fu.partial_v().at0()
+    return (_coeffs(f, 1, 0), tuple(2 * c for c in _coeffs(f, 0, 2)),
+            _coeffs(f, 1, 1))
 
 
 def rank_df0(f: MapJet) -> int:
-    fu0 = f.partial_u().at0()
-    fv0 = f.partial_v().at0()
+    fu0 = _coeffs(f, 1, 0)
+    fv0 = _coeffs(f, 0, 1)
     if not EXACT.is_zero_vec(cross3(fu0, fv0)):
         return 2
     if EXACT.is_zero_vec(fu0) and EXACT.is_zero_vec(fv0):
@@ -128,8 +150,8 @@ def linear_normalize(f: MapJet):
     rank = rank_df0(f)
     if rank != 1:
         raise PreconditionError("linear_normalize needs rank df0 = 1, got %d" % rank)
-    fu0 = f.partial_u().at0()
-    fv0 = f.partial_v().at0()
+    fu0 = _coeffs(f, 1, 0)
+    fv0 = _coeffs(f, 0, 1)
     if EXACT.is_zero_vec(fv0):
         L = PolyMap2.identity(f.order)
     elif EXACT.is_zero_vec(fu0):

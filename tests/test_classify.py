@@ -1,3 +1,4 @@
+import itertools
 import time
 from random import Random
 
@@ -5,8 +6,9 @@ import pytest
 
 from germclass.classify import (NORMAL_FORM_VERDICTS, Verdict, classify,
                                 normal_forms, phi, second_derivatives_phi)
-from germclass.errors import OrderExhaustedError
-from germclass.frames import b3_adapt, linear_normalize, sb2_adapt
+from germclass.errors import OrderExhaustedError, PreconditionError
+from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
+                              s3_adapt, sb2_adapt)
 from germclass.jets import PolyMap2, det3
 from germclass.vfields import apply, apply_word
 from util import germ, random_branch_germ, rational, scramble
@@ -198,3 +200,32 @@ def test_classify_other_orders():
         cls, cert = classify(f)
         assert cls.verdict is Verdict.S2
         assert cert.invariants["s2_det"] == -12
+
+
+# -- truncation is exact ------------------------------------------------------
+
+WORDS_TO_5 = ["".join(w) for n in range(1, 6) for w in itertools.product("xe", repeat=n)]
+
+
+@pytest.mark.parametrize("branch", ["S1", "S", "S2", "B", "B2", "SB", "HP2", "H", "H2", "WU"])
+def test_truncation_is_exact(branch):
+    """The criteria read f only to degree 5, and a word read at 0 only to its length."""
+    rng = Random("truncation|" + branch)
+    for _ in range(2):
+        f = random_branch_germ(rng, branch, order=8)
+        results = [classify(h) for h in (f, f.truncate(6), f.truncate(5))]
+        for cls, cert in results[1:]:
+            assert cls == results[0][0]
+            assert cert.invariants == results[0][1].invariants
+            assert cert.frame == results[0][1].frame
+        g, _ = linear_normalize(f)
+        for constructor in (sb2_adapt, s3_adapt, b3_adapt, h2_adapt, h4_adapt):
+            try:
+                pair = constructor(g).pair
+            except PreconditionError:
+                continue
+            words = Words(g, pair)
+            fields = {"x": pair.xi, "e": pair.eta}
+            for word in WORDS_TO_5:
+                full = apply_word([fields[letter] for letter in word], g)
+                assert words.at0(word) == full.at0(), (constructor.__name__, word)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from germclass import docparse
 from germclass.docparse import format_doc, parse_doc, parse_poly, parse_poly_ex
 from germclass.errors import ParseError
 from germclass.jets import Jet2
@@ -80,6 +81,21 @@ def test_parse_map_doc():
     assert doc.order == 6
     f = doc.to_map_jet()
     assert f[2] == jet({(3, 1): 1, (0, 3): 1})
+
+
+def test_map_doc_parses_each_component_once(monkeypatch):
+    calls = []
+    parse = docparse._PolyParser.parse
+
+    def counted(self):
+        calls.append(self.src)
+        return parse(self)
+
+    monkeypatch.setattr(docparse._PolyParser, "parse", counted)
+    doc = parse_doc(MAP_DOC)
+    doc.to_map_jet()
+    doc.to_map_jet()
+    assert sorted(calls) == sorted(["u", "v^2", "v*(u^3+v^2)"])
 
 
 def test_doc_round_trip():
@@ -166,4 +182,4 @@ def test_h_normal_doc():
 def test_overflow_warning_recorded():
     doc = parse_doc("[map]\norder = 4\nf1 = u\nf2 = v^2\nf3 = u^2*v+v^5\n")
     doc.to_map_jet()
-    assert any("overflow" in w for w in doc.warnings)
+    assert doc.warnings == ["f3: degree overflow truncated to order 4"]

@@ -281,10 +281,11 @@ def test_words_applies_once_per_distinct_word(monkeypatch):
     words = Words(f, sb2_adapt(f).pair)
     calls.clear()
     words.at0("xxe")
-    assert len(calls) == 3                  # e, xe, xxe
+    assert len(calls) == 3                  # e at order 2, xe at 1, xxe at 0
     for word in ("xe", "e", "xxe"):
         words.at0(word)
-    assert len(calls) == 3
+    assert len(calls) == 3                  # each is cached at or above order 0
     words.at0("exxe")
+    assert len(calls) == 7                  # e, xe, xxe one order higher, then exxe
     words.at0("ee")
-    assert len(calls) == 5
+    assert len(calls) == 8                  # e is cached at order 3
