@@ -4,8 +4,8 @@ from .classify import (Certificate, Classification, Verdict, classify,
                        normal_forms, phi, second_derivatives_phi)
 from .errors import GermError, OrderExhaustedError, ParseError, PreconditionError
 from .jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2, compose_map,
-                   cross_at0, det3_at0, det3_jet, from_divided_coeffs,
-                   inv_series, invsqrt_series, post_compose)
+                   det3_jet, from_divided_coeffs, inv_series, invsqrt_series,
+                   post_compose)
 from .vfields import FramePair, VectorFieldJet, apply, apply_word, bracket
 
 __all__ = [
@@ -13,7 +13,7 @@ __all__ = [
     "phi", "second_derivatives_phi",
     "GermError", "OrderExhaustedError", "ParseError", "PreconditionError",
     "Jet2", "MapJet", "PolyMap2", "PolyMap3", "compose2", "compose_map",
-    "cross_at0", "det3_at0", "det3_jet", "from_divided_coeffs",
+    "det3_jet", "from_divided_coeffs",
     "inv_series", "invsqrt_series", "post_compose",
     "FramePair", "VectorFieldJet", "apply", "apply_word", "bracket",
 ]

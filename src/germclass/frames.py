@@ -22,6 +22,13 @@ a time in one triangular pass, because eta^4 f(0) is not jointly affine
 in its slots.  The solved parameters are returned alongside the pair so a
 classification certificate can expose them.
 
+The S-3 columns and the H-4 slopes are closed forms in words the parent
+table already holds, found by counting letters.  A correction slot is a
+monomial in a field coefficient, and it surfaces at 0 only where the
+letters to its left differentiate it away through their constant parts,
+xi(0) = du - beta dv and eta(0) = dv; whatever letters are left then act
+on f.  `s3_adapt` and `h4_adapt` give the count for each slot.
+
 Derivative words are read through `Words`, a per-pair table that
 evaluates each word once per order.  Each constructor returns the table of
 its pair, so the criteria in `classify` reuse what the frame solve already
@@ -187,18 +194,23 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     """S-3 pair, built from scratch over the normalized coordinates.
 
     Stage one is the SB-2 pair and its defect (alpha, beta).  Stage two
-    writes corrections into three fixed coefficient slots -- a uv term in
-    xi's du-coefficient, a u term in its dv-coefficient, a u^2 term in eta's
-    du-coefficient -- and solves the three correction coefficients exactly
-    against the level-3 vanishing conditions.  (Closed forms for these
-    corrections exist but are fragile: the classical expressions break
-    when alpha and beta are both nonzero, so the solve-and-verify route is
-    used instead.)  The conditions are affine in the corrections: each
-    correction coefficient surfaces at the origin through exactly one
+    writes corrections into three fixed coefficient slots -- p, a uv term in
+    xi's du-coefficient; q, a u term in its dv-coefficient; r, a u^2 term
+    in eta's du-coefficient -- and solves the three exactly against the
+    level-3 conditions xxe f = xex f = exx f = 0 at 0, then verifies them.
+    The conditions are affine in the corrections: each correction
+    coefficient surfaces at the origin through exactly one
     coefficient-derivative extraction, which together with at least one
-    derivative left for f exhausts the three letters of every word.  The
-    zero-correction trial is the SB-2 pair itself, so it reads the SB-2
-    word table.
+    derivative left for f exhausts the three letters of every word.
+
+    So each slot's column over (xxe, xex, exx) at 0 is read off the SB-2
+    table.  Only xi(0) has a du part, and f_v(0) = 0 makes du f(0) = xi f(0):
+      p: u needs an outer xi and v an outer eta, with du f left; only the
+         innermost x of xex and exx has both: (0, xi f, xi f).
+      q: u needs an outer xi; the dv of the slot and the letter left over
+         read eta^2 f, once in each word: (eta^2 f, eta^2 f, eta^2 f).
+      r: u^2 needs two outer xi, d_u^2 u^2 = 2, du f left; only the e of
+         xxe has them: (2 xi f, 0, 0).
     """
     sb = sb2_adapt(f)
     alpha, beta = sb.params["alpha"], sb.params["beta"]
@@ -213,26 +225,18 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     except PreconditionError:
         raise PreconditionError("germ is not S-type: xi^2 eta f(0) outside the span")
 
-    n = f.order
-
-    def trial(p, q, r):
-        a1 = Jet2(n, {(0, 0): 1, (0, 1): -alpha, (1, 1): p})
-        b1 = Jet2(n, {(0, 0): -beta, (1, 0): q})
-        c1 = Jet2(n, {(1, 0): -alpha, (2, 0): r})
-        d1 = Jet2.const(1, n)
-        return Words(f, FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, d1)))
-
-    def level3_defect(words):
-        return [c for word in ("xxe", "xex", "exx") for c in words.at0(word)]
-
-    base = level3_defect(sbw)
-    columns = []
-    for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        shifted = level3_defect(trial(*unit))
-        columns.append([s - b for s, b in zip(shifted, base)])
+    # the columns of p, q, r over (xxe, xex, exx) at 0, in closed form
+    zero = (0, 0, 0)
+    two_xif0 = tuple(2 * c for c in xif0)
+    columns = [zero + xif0 + xif0, eta2f0 + eta2f0 + eta2f0, two_xif0 + zero + zero]
+    base = [c for word in ("xxe", "xex", "exx") for c in sbw.at0(word)]
     p, q, r = solve(columns, [-b for b in base])
-    words = trial(p, q, r)
-    if not EXACT.is_zero_vec(level3_defect(words)):
+    n = f.order
+    a1 = Jet2(n, {(0, 0): 1, (0, 1): -alpha, (1, 1): p})
+    b1 = Jet2(n, {(0, 0): -beta, (1, 0): q})
+    c1 = Jet2(n, {(1, 0): -alpha, (2, 0): r})
+    words = Words(f, FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, Jet2.const(1, n))))
+    if not all(EXACT.is_zero_vec(words.at0(word)) for word in ("xxe", "xex", "exx")):
         raise PreconditionError("S-3 correction failed verification")
     return FrameBuild(words.pair, {"alpha": alpha, "beta": beta,
                                    "alpha1": alpha1, "beta1": beta1,
@@ -291,9 +295,19 @@ def h4_adapt(f: MapJet) -> FrameBuild:
     cross terms only feed components that a later step still controls, so
     the one pass leaves eta^4 f(0) = 0; the result is still verified.  The
     slots are not jointly affine (eta^4 f(0) has an s*w term), so they
-    cannot be solved by one `solve` call; `solve` only reads each trial's
-    components in the basis.  The zero trial is the H-2 pair, so the pass
-    starts from its word table.
+    cannot be solved by one `solve` call.
+
+    Each slot's slope in its own component is a constant.  In eta^4 the
+    slot's monomial must be differentiated away by the eta(0) = dv of the
+    letters to its left:
+      w (v, in the dv-coefficient): one of the k outer letters takes v, the
+         rest read eta^3 f; k = 1, 2, 3 gives 1+2+3 = 6 in eta^3 f.
+      s (v^2, in the du-coefficient): two outer letters take v^2 (factor
+         2) and du is left: with three outer letters 3*2 = 6 times
+         d_v d_u f, with two, 2 times du eta f; 6+2 = 8 in xi eta f.
+      t (v^3): all three outer letters take it, du f left; 3! = 6 in xi f.
+    The cross terms (alpha w, w^2, s w) are read from a trial, not derived,
+    so s and t each read the components of one trial pair.
     """
     h2 = h2_adapt(f)
     alpha = h2.params["alpha"]
@@ -314,21 +328,10 @@ def h4_adapt(f: MapJet) -> FrameBuild:
     def components(words):
         return solve(basis, words.at0("eeee"))
 
-    s = t = w = Fraction(0)
-    # dv-slot against the eta^3 f component; the zero trial's is delta1
-    slope = components(trial(s, t, w + 1))[2] - delta1
-    if not EXACT.is_zero(slope):
-        w = -delta1 / slope
-    # v^2 slot against the xi eta f component
-    c0 = components(trial(s, t, w))[1]
-    slope = components(trial(s + 1, t, w))[1] - c0
-    if not EXACT.is_zero(slope):
-        s = -c0 / slope
-    # v^3 slot against the xi f component
-    c0 = components(trial(s, t, w))[0]
-    slope = components(trial(s, t + 1, w))[0] - c0
-    if not EXACT.is_zero(slope):
-        t = -c0 / slope
+    # each slot over its constant slope in its own component
+    w = -delta1 / 6
+    s = -components(trial(0, 0, w))[1] / 8
+    t = -components(trial(s, 0, w))[0] / 6
     words = trial(s, t, w)
     if not EXACT.is_zero_vec(components(words)):
         raise PreconditionError("H-4 correction failed verification")

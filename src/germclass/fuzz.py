@@ -204,7 +204,8 @@ def check_target_pushforward(f: MapJet, phi: PolyMap3, word) -> bool:
 def pushforward_identity_holds(f: MapJet, phi: PolyMap3, word) -> bool:
     """The raw identity test, with no hypothesis validation (negative controls)."""
     lhs = apply_word(word, post_compose(phi, f)).at0()
-    rhs = phi.apply_linear0(apply_word(word, f).at0())
+    vec = apply_word(word, f).at0()
+    rhs = [sum(m * x for m, x in zip(row, vec)) for row in phi.linear_matrix()]
     return EXACT.is_zero_vec(a - b for a, b in zip(lhs, rhs))
 
 

@@ -341,11 +341,6 @@ class PolyMap3:
     def identity(cls, order: int) -> "PolyMap3":
         return cls(({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}), order)
 
-    def apply_linear0(self, vec):
-        """Multiply the linear part (the Jacobian at 0) against a 3-vector."""
-        m = self.linear_matrix()
-        return tuple(sum(m[r][c] * vec[c] for c in range(3)) for r in range(3))
-
 
 def _power_table(base: Jet2, n: int, one: Jet2):
     powers = [one]
@@ -463,18 +458,10 @@ def det3(m) -> Scalar:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def det3_at0(x: MapJet, y: MapJet, z: MapJet) -> Scalar:
-    return det3((x.at0(), y.at0(), z.at0()))
-
-
 def cross3(x, y):
     return (x[1] * y[2] - x[2] * y[1],
             x[2] * y[0] - x[0] * y[2],
             x[0] * y[1] - x[1] * y[0])
-
-
-def cross_at0(x: MapJet, y: MapJet):
-    return cross3(x.at0(), y.at0())
 
 
 def det3_jet(x: MapJet, y: MapJet, z: MapJet) -> Jet2:

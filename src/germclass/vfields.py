@@ -92,8 +92,3 @@ class FramePair:
 
 def coordinate_pair(order: int) -> FramePair:
     return FramePair(d_du(order), d_dv(order))
-
-
-def is_adapted(pair: FramePair, f: MapJet) -> bool:
-    """True when eta(0) spans ker df0 (and the pair is independent, by type)."""
-    return EXACT.is_zero_vec(apply(pair.eta, f).at0())

@@ -126,7 +126,7 @@ def _branch_ruled(rng, branch):
 
 @pytest.mark.parametrize("branch", ["WU", "S1", "S2", "B", "H"])
 def test_ruled_formula_agrees_with_classifier(branch):
-    rng = Random(("ruled", branch).__hash__() & 0xFFFF)
+    rng = Random("ruled|" + branch)
     for _ in range(25):
         d = _branch_ruled(rng, branch)
         formula, _ = ruled_classify_formulas(d)
@@ -199,7 +199,7 @@ def _random_center(rng, branch):
 
 @pytest.mark.parametrize("branch", ["S1", "S2", "H"])
 def test_center_formula_agrees_with_classifier(branch):
-    rng = Random(("center", branch).__hash__() & 0xFFFF)
+    rng = Random("center|" + branch)
     for _ in range(25):
         m = _random_center(rng, branch)
         formula, _ = center_classify_formulas(m)

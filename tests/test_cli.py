@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germclass.cli import main
 
@@ -189,3 +195,67 @@ def test_fuzz_deterministic_output(tmp_path, capsys):
     _, out1, _ = run(capsys, "fuzz", "--trials", "2", "--seed", "3", "--json")
     _, out2, _ = run(capsys, "fuzz", "--trials", "2", "--seed", "3", "--json")
     assert out1 == out2
+
+
+# -- property test over [map] document text -----------------------------------
+
+@st.composite
+def polynomials(draw):
+    """A polynomial without constant term: signed c*u^i*v^j terms, maybe squared."""
+    terms = draw(st.lists(st.tuples(st.sampled_from("+-"), st.integers(0, 5),
+                                    st.integers(1, 3), st.integers(0, 3),
+                                    st.integers(0, 3)).filter(lambda t: t[3] + t[4]),
+                          min_size=1, max_size=4))
+    text = "".join(" %s %d/%d*u^%d*v^%d" % term for term in terms).lstrip(" +")
+    return "(%s)^2" % text if draw(st.booleans()) else text
+
+
+BAD_LITERALS = ["u**2", "2.5*u", "u/2", "(u+v", "1/0*u", "u^", "u v", "u^-1", "",
+                "1e3*u", "u^1.5", "v)"]
+BAD_ORDERS = ["-1", "0", "1", "11", "100", "10" * 20, "five", "5.0", ""]
+
+
+@st.composite
+def map_documents(draw):
+    """(text, corrupted): a valid [map] document, or one with a single defect."""
+    values = {}
+    for key in ("f1", "f2", "f3"):
+        lead = draw(st.sampled_from(["", "u", "v", "v^2", "u*v"]))
+        poly = draw(polynomials())
+        values[key] = "%s + (%s)" % (lead, poly) if lead else poly
+    if draw(st.booleans()):
+        values["order"] = str(draw(st.integers(2, 8)))
+    defect = draw(st.sampled_from([None, "stray", "key", "literal", "order", "header"]))
+    if defect == "literal":
+        values[draw(st.sampled_from(["f1", "f2", "f3"]))] = draw(st.sampled_from(BAD_LITERALS))
+    elif defect == "order":
+        values["order"] = draw(st.sampled_from(BAD_ORDERS))
+    elif defect == "key":
+        values[draw(st.sampled_from(["f4", "F1", "theta", "a12", "g"]))] = "u"
+    lines = ["%s = %s" % item for item in values.items()]
+    lines += draw(st.lists(st.sampled_from(["", "# a comment", "   "]), max_size=2))
+    if defect == "stray":
+        lines.append(draw(st.text("uvxyz019*^ ()!", min_size=1).filter(str.strip)))
+    lines = draw(st.permutations(lines))
+    if defect != "header":
+        lines.insert(0, "[map]")
+    return "\n".join(lines) + "\n", defect is not None
+
+
+@settings(max_examples=120, deadline=None)
+@given(map_documents())
+def test_map_document_text_never_crashes(document):
+    text, corrupted = document
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "doc.germ")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["classify", path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+    if corrupted:
+        assert code == 1, text

@@ -7,8 +7,8 @@ from germclass.errors import PreconditionError
 from germclass import frames
 from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
                               rank_df0, s3_adapt, sb2_adapt)
-from germclass.jets import det3_at0
-from germclass.vfields import apply_word, is_adapted
+from germclass.jets import Jet2, det3
+from germclass.vfields import FramePair, VectorFieldJet, apply_word, d_du
 from util import germ, random_branch_germ
 
 
@@ -33,7 +33,7 @@ def assert_level_conditions(f, pair, level):
         assert origin_zero(f, "ee", pair)
     if level == "h4":
         assert origin_zero(f, "eeee", pair)
-    assert is_adapted(pair, f)
+    assert origin_zero(f, "e", pair)        # eta(0) spans ker df0
 
 
 # -- linear_normalize --------------------------------------------------------
@@ -123,8 +123,8 @@ def test_sb2_rejects_whitney_umbrella():
     fu0 = f.partial_u().at0()
     fvv0 = f.partial_v().partial_v().at0()
     fuv0 = f.partial_u().partial_v().at0()
-    assert det3_at0(f.partial_u(), f.partial_v().partial_v(),
-                    f.partial_u().partial_v()) == 2
+    assert det3((f.partial_u().at0(), f.partial_v().partial_v().at0(),
+                 f.partial_u().partial_v().at0())) == 2
     assert (fu0, fvv0, fuv0) == ((1, 0, 0), (0, 2, 0), (0, 0, 1))
     with pytest.raises(PreconditionError):
         sb2_adapt(f)
@@ -249,12 +249,84 @@ CONSTRUCTORS = {
 @pytest.mark.parametrize("branch", sorted(CONSTRUCTORS))
 def test_constructor_vanishing_conditions_random(branch):
     constructor, level = CONSTRUCTORS[branch]
-    rng = Random(("frames", branch).__hash__() & 0xFFFF)
+    rng = Random("frames|" + branch)
     for _ in range(25):
         f = random_branch_germ(rng, branch)
         g, _ = linear_normalize(f)
         build = constructor(g)
         assert_level_conditions(g, build.pair, level)
+
+
+# -- closed-form correction columns against finite differences --------------
+
+def _s3_trial(f, alpha, beta, p, q, r):
+    """The SB-2 pair with the three S-3 slots set to p, q, r."""
+    n = f.order
+    xi = VectorFieldJet(Jet2(n, {(0, 0): 1, (0, 1): -alpha, (1, 1): p}),
+                        Jet2(n, {(0, 0): -beta, (1, 0): q}))
+    eta = VectorFieldJet(Jet2(n, {(1, 0): -alpha, (2, 0): r}), Jet2.const(1, n))
+    return Words(f, FramePair(xi, eta))
+
+
+def _h4_trial(f, alpha, s, t, w):
+    """The H-2 pair with the three H-4 slots set to s, t, w."""
+    n = f.order
+    eta = VectorFieldJet(Jet2(n, {(0, 1): -alpha, (0, 2): s, (0, 3): t}),
+                         Jet2(n, {(0, 0): 1, (0, 1): w}))
+    return Words(f, FramePair(d_du(n), eta))
+
+
+def _assert_s3_columns(g):
+    sb = sb2_adapt(g)
+    alpha, beta = sb.params["alpha"], sb.params["beta"]
+
+    def defect(words):
+        return [c for word in ("xxe", "xex", "exx") for c in words.at0(word)]
+
+    base = defect(sb.words)
+    xif0, eta2f0 = sb.words.at0("x"), sb.words.at0("ee")
+    zero = (0, 0, 0)
+    closed = [zero + xif0 + xif0, eta2f0 + eta2f0 + eta2f0,
+              tuple(2 * c for c in xif0) + zero + zero]
+    columns = []
+    for unit, column in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), closed):
+        shifted = defect(_s3_trial(g, alpha, beta, *unit))
+        columns.append([a - b for a, b in zip(shifted, base)])
+        assert columns[-1] == list(column), unit
+    params = s3_adapt(g).params
+    assert frames.solve(columns, [-b for b in base]) == [
+        params["corr_xi_uv"], params["corr_xi_u"], params["corr_eta_uu"]]
+
+
+def _assert_h4_slopes(g):
+    h2 = h2_adapt(g)
+    alpha = h2.params["alpha"]
+    basis = [h2.words.at0(word) for word in ("x", "xe", "eee")]
+
+    def components(s, t, w):
+        return frames.solve(basis, _h4_trial(g, alpha, s, t, w).at0("eeee"))
+
+    delta1 = frames.solve(basis, h2.words.at0("eeee"))[2]
+    assert components(0, 0, 1)[2] - delta1 == 6
+    w = -delta1 / 6
+    c0 = components(0, 0, w)[1]
+    assert components(1, 0, w)[1] - c0 == 8
+    s = -c0 / 8
+    c0 = components(s, 0, w)[0]
+    assert components(s, 1, w)[0] - c0 == 6
+    t = -c0 / 6
+    params = h4_adapt(g).params
+    assert (params["corr_eta_vv"], params["corr_eta_vvv"], params["corr_d_v"]) == (s, t, w)
+
+
+@pytest.mark.parametrize("branch", ["S", "S2", "H", "H2"])
+def test_closed_form_corrections_match_finite_differences(branch):
+    """S-3 columns and H-4 slopes equal the unit-trial differences they replace."""
+    rng = Random("closed-form|" + branch)
+    check = _assert_s3_columns if branch.startswith("S") else _assert_h4_slopes
+    for _ in range(25):
+        g, _ = linear_normalize(random_branch_germ(rng, branch))
+        check(g)
 
 
 # -- Words -------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2,
-                            compose_map, cross_at0, det3_at0, from_divided_coeffs,
+                            compose_map, cross3, det3, from_divided_coeffs,
                             inv_series, invsqrt_series, post_compose, to_divided_coeff)
 from util import jet, random_jet
 
@@ -114,12 +114,12 @@ def test_det3_at0_diagonal():
     f = MapJet(Jet2.const(1, 6), Jet2.zero(6), Jet2.zero(6))
     g = MapJet(Jet2.zero(6), Jet2.const(2, 6), Jet2.zero(6))
     h = MapJet(Jet2.zero(6), Jet2.zero(6), Jet2.const(6, 6))
-    assert det3_at0(f, g, h) == 12
+    assert det3((f.at0(), g.at0(), h.at0())) == 12
 
 
 def test_cross_at0_parallel():
     f = MapJet(Jet2.const(1, 6), Jet2.zero(6), Jet2.zero(6))
-    assert cross_at0(f, f) == (0, 0, 0)
+    assert cross3(f.at0(), f.at0()) == (0, 0, 0)
 
 
 def test_det3_at0_s2_columns():
@@ -132,7 +132,7 @@ def test_det3_at0_s2_columns():
     xif = apply_word([xi], f)
     word = apply_word([xi, xi, xi, eta], f)
     eta2f = apply_word([eta, eta], f)
-    assert det3_at0(xif, word, eta2f) == -12
+    assert det3((xif.at0(), word.at0(), eta2f.at0())) == -12
 
 
 def test_germ_constructor_requires_origin():
