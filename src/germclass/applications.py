@@ -51,7 +51,7 @@ from fractions import Fraction
 from .classify import Classification, Verdict
 from .errors import PreconditionError
 from .jets import (Jet2, MapJet, PolyMap2, compose2, det3,
-                   from_divided_coeffs, invsqrt_series)
+                   from_divided_coeffs, invsqrt_series, to_divided_coeff)
 from .scalars import EXACT
 
 Vec3 = tuple
@@ -61,15 +61,6 @@ def _univariate(jet: Jet2, name: str) -> Jet2:
     if any(i for (i, _) in jet.coeffs):
         raise PreconditionError("%s must be a jet in v only" % name)
     return jet
-
-
-def deriv0(jet: Jet2, k: int):
-    """k-th derivative at 0 of a univariate jet in v."""
-    c = jet.coeff(0, k)
-    f = 1
-    for m in range(2, k + 1):
-        f *= m
-    return c * f
 
 
 def integrate_v(jet: Jet2, cap: int) -> Jet2:
@@ -158,17 +149,17 @@ def ruled_h_polynomial(g1p, g1pp, g1ppp, g3pp, g3ppp, g3pppp, c3v, c3p):
 
 def ruled_classify_formulas(d: RuledData):
     """Evaluate the ruled-surface conditions in order; first match wins."""
-    g1 = deriv0(d.gamma1, 0)
-    g1p = deriv0(d.gamma1, 1)
-    g1pp = deriv0(d.gamma1, 2)
-    g1ppp = deriv0(d.gamma1, 3)
-    g3p = deriv0(d.gamma3, 1)
-    g3pp = deriv0(d.gamma3, 2)
-    g3ppp = deriv0(d.gamma3, 3)
-    g3pppp = deriv0(d.gamma3, 4)
-    c3v = deriv0(d.c3, 0)
-    c3p = deriv0(d.c3, 1)
-    c3pp = deriv0(d.c3, 2)
+    g1 = to_divided_coeff(d.gamma1, 0, 0)
+    g1p = to_divided_coeff(d.gamma1, 0, 1)
+    g1pp = to_divided_coeff(d.gamma1, 0, 2)
+    g1ppp = to_divided_coeff(d.gamma1, 0, 3)
+    g3p = to_divided_coeff(d.gamma3, 0, 1)
+    g3pp = to_divided_coeff(d.gamma3, 0, 2)
+    g3ppp = to_divided_coeff(d.gamma3, 0, 3)
+    g3pppp = to_divided_coeff(d.gamma3, 0, 4)
+    c3v = to_divided_coeff(d.c3, 0, 0)
+    c3p = to_divided_coeff(d.c3, 0, 1)
+    c3pp = to_divided_coeff(d.c3, 0, 2)
     # Second Hessian entry of phi, divided by gamma1(0): vanishes exactly on
     # the B branch (equivalent to the B condition c3 = gamma3''/(2 gamma1)).
     hess2 = -2 * c3v * g1 + g3pp

@@ -12,10 +12,10 @@ A '/' may only appear inside a rational literal; "u/2" is a syntax error.
 
 Documents are line-oriented `key = value` files under a `[kind]` header,
 kind one of map, ruled, center, folded, sb-normal, h-normal.  Blank lines
-and '#' comments are ignored.  Angles for folded documents are either an
-exact rational point on the unit circle (theta_cos/theta_sin) or a float
-(theta), kept as given here and read as an exact point on the unit circle
-by `applications._theta_pair`.
+and '#' comments are ignored, and each key may be given once.  Angles for
+folded documents are either an exact rational point on the unit circle
+(theta_cos/theta_sin) or a float (theta), kept as given here and read as
+an exact point on the unit circle by `applications._theta_pair`.
 """
 
 from __future__ import annotations
@@ -234,6 +234,7 @@ def parse_doc(text: str) -> MapSpecDoc:
     """Parse and validate a classification document."""
     doc = None
     theta_cos = theta_sin = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -253,6 +254,9 @@ def parse_doc(text: str) -> MapSpecDoc:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ParseError("line %d: duplicate key %r" % (lineno, key))
+        seen.add(key)
         if key == "order":
             try:
                 order = int(value)

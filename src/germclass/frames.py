@@ -16,18 +16,16 @@ exact: each constructor solves a small linear system for the defect of f
 at the origin and writes the correction directly into the field
 coefficients.  Every such system goes through `solve`, one exact
 Gauss-Jordan elimination; the guards each constructor checks first make
-its solution unique.  S-3 solves its three corrections jointly (the
-level-3 conditions are affine in them); H-4 solves its three one slot at
-a time in one triangular pass, because eta^4 f(0) is not jointly affine
-in its slots.  The solved parameters are returned alongside the pair so a
-classification certificate can expose them.
+its solution unique.  The solved parameters are returned alongside the
+pair so a classification certificate can expose them.
 
-The S-3 columns and the H-4 slopes are closed forms in words the parent
-table already holds, found by counting letters.  A correction slot is a
-monomial in a field coefficient, and it surfaces at 0 only where the
-letters to its left differentiate it away through their constant parts,
-xi(0) = du - beta dv and eta(0) = dv; whatever letters are left then act
-on f.  `s3_adapt` and `h4_adapt` give the count for each slot.
+The S-3 and H-4 corrections are closed forms in alpha, beta and the basis
+expansion (alpha1, beta1, delta1) of one parent word, each found from one
+Lie bracket.  On the SB-2 pair [xi, eta] = alpha^2 v du, so xex f(0) and
+exx f(0) both equal xxe f(0) + alpha^2 beta xi f(0); on the H-2 pair
+[xi, eta] = 0, so eta^4 f(0) of the corrected eta expands into the
+parent's words with constant coefficients.  `s3_adapt` and `h4_adapt`
+give the derivations.
 
 Derivative words are read through `Words`, a per-pair table that
 evaluates each word once per order.  Each constructor returns the table of
@@ -193,24 +191,21 @@ def sb2_adapt(f: MapJet) -> FrameBuild:
 def s3_adapt(f: MapJet) -> FrameBuild:
     """S-3 pair, built from scratch over the normalized coordinates.
 
-    Stage one is the SB-2 pair and its defect (alpha, beta).  Stage two
+    Stage one is the SB-2 pair and its defect (alpha, beta), and the
+    expansion xi^2 eta f(0) = alpha1 xi f(0) + beta1 eta^2 f(0).  Stage two
     writes corrections into three fixed coefficient slots -- p, a uv term in
     xi's du-coefficient; q, a u term in its dv-coefficient; r, a u^2 term
-    in eta's du-coefficient -- and solves the three exactly against the
-    level-3 conditions xxe f = xex f = exx f = 0 at 0, then verifies them.
-    The conditions are affine in the corrections: each correction
-    coefficient surfaces at the origin through exactly one
-    coefficient-derivative extraction, which together with at least one
-    derivative left for f exhausts the three letters of every word.
+    in eta's du-coefficient -- so that xxe f = xex f = exx f = 0 at 0, then
+    verifies the three words.  Over (xxe, xex, exx) at 0 the slots add
+    p (0, xi f, xi f), q (eta^2 f, eta^2 f, eta^2 f) and r (2 xi f, 0, 0).
 
-    So each slot's column over (xxe, xex, exx) at 0 is read off the SB-2
-    table.  Only xi(0) has a du part, and f_v(0) = 0 makes du f(0) = xi f(0):
-      p: u needs an outer xi and v an outer eta, with du f left; only the
-         innermost x of xex and exx has both: (0, xi f, xi f).
-      q: u needs an outer xi; the dv of the slot and the letter left over
-         read eta^2 f, once in each word: (eta^2 f, eta^2 f, eta^2 f).
-      r: u^2 needs two outer xi, d_u^2 u^2 = 2, du f left; only the e of
-         xxe has them: (2 xi f, 0, 0).
+    xex f(0) and exx f(0) follow from xxe f(0) by one bracket.  On the SB-2
+    pair [xi, eta] = alpha^2 v du and xi(v) = -beta, so
+      xex f - xxe f = -xi([xi, eta] f) = -alpha^2 (xi(v) f_u + v xi f_u),
+    which is alpha^2 beta f_u(0) = alpha^2 beta xi f(0) at 0 (f_v(0) = 0
+    makes du f(0) = xi f(0)), and exx f - xex f = -[xi, eta] xi f vanishes
+    at v = 0.  Matching the xi f and eta^2 f components then gives
+      p = -(alpha1 + alpha^2 beta),  q = -beta1,  r = -alpha1 / 2.
     """
     sb = sb2_adapt(f)
     alpha, beta = sb.params["alpha"], sb.params["beta"]
@@ -225,12 +220,7 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     except PreconditionError:
         raise PreconditionError("germ is not S-type: xi^2 eta f(0) outside the span")
 
-    # the columns of p, q, r over (xxe, xex, exx) at 0, in closed form
-    zero = (0, 0, 0)
-    two_xif0 = tuple(2 * c for c in xif0)
-    columns = [zero + xif0 + xif0, eta2f0 + eta2f0 + eta2f0, two_xif0 + zero + zero]
-    base = [c for word in ("xxe", "xex", "exx") for c in sbw.at0(word)]
-    p, q, r = solve(columns, [-b for b in base])
+    p, q, r = -(alpha1 + alpha * alpha * beta), -beta1, -alpha1 / 2
     n = f.order
     a1 = Jet2(n, {(0, 0): 1, (0, 1): -alpha, (1, 1): p})
     b1 = Jet2(n, {(0, 0): -beta, (1, 0): q})
@@ -285,29 +275,20 @@ def h2_adapt(f: MapJet) -> FrameBuild:
 def h4_adapt(f: MapJet) -> FrameBuild:
     """H-4 pair: the H-2 eta corrected (a cubic in v) so eta^4 f(0) = 0 too.
 
-    Needs f of H-type so that {xi f, xi eta f, eta^3 f}(0) is a basis.  The
-    corrections live in three fixed slots (v^2 and v^3 terms of eta's
-    du-coefficient, a v term of its dv-coefficient) and are solved in one
-    triangular pass, in the order the basis expansion of eta^4 f(0)
-    dictates: the dv-slot w from the eta^3 f component, then the v^2 slot s
-    from the xi eta f component, then the v^3 slot t from the xi f
-    component.  Each step is affine in its own unknown, and each slot's
-    cross terms only feed components that a later step still controls, so
-    the one pass leaves eta^4 f(0) = 0; the result is still verified.  The
-    slots are not jointly affine (eta^4 f(0) has an s*w term), so they
-    cannot be solved by one `solve` call.
+    Needs f of H-type so that {xi f, xi eta f, eta^3 f}(0) is a basis; the
+    H-2 eta^4 f(0) expands on it as alpha1 xi f + beta1 xi eta f + delta1
+    eta^3 f.  The corrections live in three fixed slots of the H-4 eta:
+    s v^2 and t v^3 in its du-coefficient, w v in its dv-coefficient.
 
-    Each slot's slope in its own component is a constant.  In eta^4 the
-    slot's monomial must be differentiated away by the eta(0) = dv of the
-    letters to its left:
-      w (v, in the dv-coefficient): one of the k outer letters takes v, the
-         rest read eta^3 f; k = 1, 2, 3 gives 1+2+3 = 6 in eta^3 f.
-      s (v^2, in the du-coefficient): two outer letters take v^2 (factor
-         2) and du is left: with three outer letters 3*2 = 6 times
-         d_v d_u f, with two, 2 times du eta f; 6+2 = 8 in xi eta f.
-      t (v^3): all three outer letters take it, du f left; 3! = 6 in xi f.
-    The cross terms (alpha w, w^2, s w) are read from a trial, not derived,
-    so s and t each read the components of one trial pair.
+    On the H-2 pair [xi, eta] = 0, xi(v) = 0 and eta(v) = 1.  With
+    sigma = s + alpha w the H-4 eta is (1 + w v) eta + (sigma v^2 + t v^3) xi,
+    and its fourth power at 0 expands over the H-2 words as
+      eta^4 f + 6w eta^3 f + 8sigma xi eta f + 6(t + w sigma) xi f
+              + 7w^2 eta^2 f + w^3 eta f.
+    The last two terms vanish on H-2 (eta^2 f(0) = 0, eta f(0) = f_v(0) = 0),
+    so eta^4 f(0) = 0 on the basis gives
+      w = -delta1 / 6,  sigma = -beta1 / 8,  s = sigma - alpha w,
+      t = -alpha1 / 6 - w sigma.
     """
     h2 = h2_adapt(f)
     alpha = h2.params["alpha"]
@@ -317,23 +298,14 @@ def h4_adapt(f: MapJet) -> FrameBuild:
         raise PreconditionError("germ is not H-type: det(xi f, xi eta f, eta^3 f)(0) = 0")
     alpha1, beta1, delta1 = solve(basis, h2w.at0("eeee"))
 
-    n = f.order
-    xi = d_du(n)
-
-    def trial(s, t, w):
-        c1 = Jet2(n, {(0, 1): -alpha, (0, 2): s, (0, 3): t})
-        d1 = Jet2(n, {(0, 0): 1, (0, 1): w})
-        return Words(f, FramePair(xi, VectorFieldJet(c1, d1)))
-
-    def components(words):
-        return solve(basis, words.at0("eeee"))
-
-    # each slot over its constant slope in its own component
     w = -delta1 / 6
-    s = -components(trial(0, 0, w))[1] / 8
-    t = -components(trial(s, 0, w))[0] / 6
-    words = trial(s, t, w)
-    if not EXACT.is_zero_vec(components(words)):
+    sigma = -beta1 / 8
+    s, t = sigma - alpha * w, -alpha1 / 6 - w * sigma
+    n = f.order
+    c1 = Jet2(n, {(0, 1): -alpha, (0, 2): s, (0, 3): t})
+    d1 = Jet2(n, {(0, 0): 1, (0, 1): w})
+    words = Words(f, FramePair(d_du(n), VectorFieldJet(c1, d1)))
+    if not EXACT.is_zero_vec(words.at0("eeee")):
         raise PreconditionError("H-4 correction failed verification")
     if not EXACT.is_zero_vec(words.at0("ee")):
         raise PreconditionError("H-4 correction broke the H-2 level")

@@ -40,9 +40,6 @@ class FuzzConfig:
         if self.degree > self.order:
             raise PreconditionError("diffeo degree must not exceed the jet order")
 
-    def rng(self) -> Random:
-        return Random(self.seed)
-
 
 def random_rational(rng: Random, bound: int, nonzero=False) -> Fraction:
     while True:
@@ -65,10 +62,9 @@ def _monomials3(degree: int):
     return out
 
 
-def random_source_diffeo(cfg: FuzzConfig, rng: Random | None = None,
+def random_source_diffeo(cfg: FuzzConfig, rng: Random,
                          degree: int | None = None) -> PolyMap2:
     """A random polynomial source change with invertible linear part."""
-    rng = rng or cfg.rng()
     degree = cfg.degree if degree is None else degree
     monos = _monomials2(degree)
     while True:
@@ -86,10 +82,9 @@ def random_source_diffeo(cfg: FuzzConfig, rng: Random | None = None,
         return PolyMap2(Jet2(cfg.order, tables[0]), Jet2(cfg.order, tables[1]))
 
 
-def random_target_diffeo(cfg: FuzzConfig, rng: Random | None = None,
+def random_target_diffeo(cfg: FuzzConfig, rng: Random,
                          degree: int | None = None) -> PolyMap3:
     """A random polynomial target change with invertible linear part."""
-    rng = rng or cfg.rng()
     degree = cfg.degree if degree is None else degree
     monos = _monomials3(degree)
     while True:

@@ -16,18 +16,15 @@ from fractions import Fraction
 from .applications import (MongeCoeffs, RuledData, center_classify_formulas,
                            center_map, folded_classify_formulas, folded_map,
                            ruled_classify_formulas, ruled_map)
-from .classify import classify, normal_forms, second_derivatives_phi
-from .frames import linear_normalize, sb2_adapt
+from .classify import classify, normal_forms
 from .jets import Jet2
 from .scalars import fmt_scalar
 
 
 def _hessian_of(name: str):
-    f = normal_forms()[name]
-    g, _ = linear_normalize(f)
-    pair = sb2_adapt(g).pair
-    a, m1, m2, c = second_derivatives_phi(g, pair)
-    return a, m1, m2, c
+    """(xi^2 phi, eta^2 phi)(0) of a normal form, as its certificate records them."""
+    invariants = classify(normal_forms()[name])[1].invariants
+    return invariants["xi2phi"], invariants["eta2phi"]
 
 
 def _uni(table, order=6):
@@ -45,7 +42,7 @@ def generate() -> str:
     lines.append("")
     rows = []
     for name in ("S1+", "S1-"):
-        a, _, _, c = _hessian_of(name)
+        a, c = _hessian_of(name)
         rows.append((name, a, c, a * c))
     for name, a, c, det in rows:
         lines.append("* `%s` normal form: xi^2 phi(0) = %s, eta^2 phi(0) = %s, "

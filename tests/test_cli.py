@@ -78,12 +78,13 @@ MALFORMED = [
     ("folded", FOLDED_HEAD + "theta = nan\n"),
     ("folded", FOLDED_HEAD + "mode = float\ntheta = 0.5\n"),
     ("folded", FOLDED_HEAD + "theta = 1e20\n"),
+    ("classify", "[map]\nf1 = u\nf2 = v^2\nf3 = u*v\nf3 = v^3\n"),
 ]
 
 
 @pytest.mark.parametrize("cmd, text", MALFORMED, ids=["5000-digits", "theta-abc",
                                                      "theta-inf", "theta-nan", "mode-key",
-                                                     "theta-1e20"])
+                                                     "theta-1e20", "duplicate-key"])
 def test_malformed_document_exit_1(tmp_path, capsys, cmd, text):
     path = write(tmp_path, "malformed.germ", text)
     code, out, err = run(capsys, cmd, path, "--json")
@@ -225,7 +226,8 @@ def map_documents(draw):
         values[key] = "%s + (%s)" % (lead, poly) if lead else poly
     if draw(st.booleans()):
         values["order"] = str(draw(st.integers(2, 8)))
-    defect = draw(st.sampled_from([None, "stray", "key", "literal", "order", "header"]))
+    defect = draw(st.sampled_from([None, "stray", "key", "literal", "order", "header",
+                                   "duplicate"]))
     if defect == "literal":
         values[draw(st.sampled_from(["f1", "f2", "f3"]))] = draw(st.sampled_from(BAD_LITERALS))
     elif defect == "order":
@@ -233,6 +235,9 @@ def map_documents(draw):
     elif defect == "key":
         values[draw(st.sampled_from(["f4", "F1", "theta", "a12", "g"]))] = "u"
     lines = ["%s = %s" % item for item in values.items()]
+    if defect == "duplicate":
+        key = draw(st.sampled_from(sorted(values)))
+        lines.append("%s = %s" % (key, values[key]))
     lines += draw(st.lists(st.sampled_from(["", "# a comment", "   "]), max_size=2))
     if defect == "stray":
         lines.append(draw(st.text("uvxyz019*^ ()!", min_size=1).filter(str.strip)))

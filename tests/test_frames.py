@@ -8,7 +8,7 @@ from germclass import frames
 from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
                               rank_df0, s3_adapt, sb2_adapt)
 from germclass.jets import Jet2, det3
-from germclass.vfields import FramePair, VectorFieldJet, apply_word, d_du
+from germclass.vfields import FramePair, VectorFieldJet, apply_word, bracket, d_du
 from util import germ, random_branch_germ
 
 
@@ -285,6 +285,14 @@ def _assert_s3_columns(g):
 
     base = defect(sb.words)
     xif0, eta2f0 = sb.words.at0("x"), sb.words.at0("ee")
+    # the bracket facts the closed form rests on: [xi, eta] = alpha^2 v du, so
+    # xex f(0) = xxe f(0) + alpha^2 beta xi f(0) and exx f(0) = xex f(0)
+    n = g.order - 1
+    assert bracket(sb.pair.xi, sb.pair.eta) == VectorFieldJet(
+        Jet2(n, {(0, 1): alpha * alpha}), Jet2.zero(n))
+    xxe, xex, exx = base[0:3], base[3:6], base[6:9]
+    assert [b - a for a, b in zip(xxe, xex)] == [alpha * alpha * beta * c for c in xif0]
+    assert exx == xex
     zero = (0, 0, 0)
     closed = [zero + xif0 + xif0, eta2f0 + eta2f0 + eta2f0,
               tuple(2 * c for c in xif0) + zero + zero]
@@ -302,6 +310,8 @@ def _assert_h4_slopes(g):
     h2 = h2_adapt(g)
     alpha = h2.params["alpha"]
     basis = [h2.words.at0(word) for word in ("x", "xe", "eee")]
+    n = g.order - 1
+    assert bracket(h2.pair.xi, h2.pair.eta) == VectorFieldJet(Jet2.zero(n), Jet2.zero(n))
 
     def components(s, t, w):
         return frames.solve(basis, _h4_trial(g, alpha, s, t, w).at0("eeee"))
