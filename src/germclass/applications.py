@@ -58,13 +58,13 @@ Vec3 = tuple
 
 
 def _univariate(jet: Jet2, name: str) -> Jet2:
-    if any(i for (i, _) in jet.coeffs):
+    if any(i for (i, _), _ in jet.items()):
         raise PreconditionError("%s must be a jet in v only" % name)
     return jet
 
 
 def integrate_v(jet: Jet2, cap: int) -> Jet2:
-    out = {(0, j + 1): c / (j + 1) for (_, j), c in jet.coeffs.items()}
+    out = {(0, j + 1): c / (j + 1) for (_, j), c in jet.items()}
     return Jet2(min(cap, jet.order + 1), out)
 
 

@@ -96,7 +96,7 @@ class Certificate:
             obj["normalization"] = [[fmt_scalar(x) for x in row] for row in self.normalization]
         if self.normalized is not None:
             obj["normalized_germ"] = {
-                "f%d" % (k + 1): {"%d,%d" % ij: fmt_scalar(c) for ij, c in comp.coeffs.items()}
+                "f%d" % (k + 1): {"%d,%d" % ij: fmt_scalar(c) for ij, c in comp.items()}
                 for k, comp in enumerate(self.normalized)
             }
         return obj

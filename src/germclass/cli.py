@@ -16,6 +16,8 @@ fuzz/verify failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 
@@ -221,12 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its stdout is written only if it ends without an error."""
     args = build_parser().parse_args(argv)
+    out = io.StringIO()
     try:
-        return args.fn(args)
+        with contextlib.redirect_stdout(out):
+            code = args.fn(args)
     except (GermError, OSError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 1
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

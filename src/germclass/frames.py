@@ -67,10 +67,8 @@ class Words:
         self.pair = pair
         self._jets = {}
 
-    def jet(self, word: str, order: int | None = None) -> MapJet:
-        """w f to at least `order`; by default the full order f.order - len(word)."""
-        if order is None:
-            order = self.f.order - len(word)
+    def jet(self, word: str, order: int) -> MapJet:
+        """w f to at least `order`."""
         if not word:
             return self.f.truncate(order) if order < self.f.order else self.f
         out = self._jets.get(word)

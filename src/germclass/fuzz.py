@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 from .errors import PreconditionError
@@ -37,68 +38,54 @@ class FuzzConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise PreconditionError("trials must be >= 1")
+        if self.bound < 1:
+            raise PreconditionError("bound must be >= 1")
+        if self.degree < 1:
+            raise PreconditionError("diffeo degree must be >= 1")
         if self.degree > self.order:
             raise PreconditionError("diffeo degree must not exceed the jet order")
 
 
-def random_rational(rng: Random, bound: int, nonzero=False) -> Fraction:
+def random_rational(rng: Random, bound: int) -> Fraction:
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def _monomials(nvars: int, degree: int):
+    """Exponent tuples of total degree 1..degree, by degree, then lexicographically."""
+    return [key for d in range(1, degree + 1)
+            for key in product(range(d + 1), repeat=nvars) if sum(key) == d]
+
+
+def _random_change(cfg: FuzzConfig, rng: Random, degree, nvars: int, density: float, build):
+    """build(tables) on nvars random coefficient tables, redrawn while it raises.
+
+    Each monomial of degree <= `degree` gets a coefficient with probability
+    `density`; the constructors raise on a singular linear part.
+    """
+    degree = cfg.degree if degree is None else degree
+    if degree < 1:
+        raise PreconditionError("diffeo degree must be >= 1")
+    monos = _monomials(nvars, degree)
     while True:
-        num = rng.randint(-bound, bound)
-        if nonzero and num == 0:
+        tables = [{key: random_rational(rng, cfg.bound) for key in monos
+                   if rng.random() < density} for _ in range(nvars)]
+        try:
+            return build(tables)
+        except PreconditionError:
             continue
-        return Fraction(num, rng.randint(1, bound))
-
-
-def _monomials2(degree: int):
-    return [(i, j) for d in range(1, degree + 1) for i in range(d + 1) for j in [d - i]]
-
-
-def _monomials3(degree: int):
-    out = []
-    for d in range(1, degree + 1):
-        for i in range(d + 1):
-            for j in range(d - i + 1):
-                out.append((i, j, d - i - j))
-    return out
 
 
 def random_source_diffeo(cfg: FuzzConfig, rng: Random,
                          degree: int | None = None) -> PolyMap2:
     """A random polynomial source change with invertible linear part."""
-    degree = cfg.degree if degree is None else degree
-    monos = _monomials2(degree)
-    while True:
-        tables = []
-        for _ in range(2):
-            table = {}
-            for key in monos:
-                if rng.random() < 0.7:
-                    table[key] = random_rational(rng, cfg.bound)
-            tables.append(table)
-        det = (tables[0].get((1, 0), 0) * tables[1].get((0, 1), 0)
-               - tables[0].get((0, 1), 0) * tables[1].get((1, 0), 0))
-        if det == 0:
-            continue
-        return PolyMap2(Jet2(cfg.order, tables[0]), Jet2(cfg.order, tables[1]))
+    return _random_change(cfg, rng, degree, 2, 0.7, lambda t: PolyMap2(
+        Jet2(cfg.order, t[0]), Jet2(cfg.order, t[1])))
 
 
 def random_target_diffeo(cfg: FuzzConfig, rng: Random,
                          degree: int | None = None) -> PolyMap3:
     """A random polynomial target change with invertible linear part."""
-    degree = cfg.degree if degree is None else degree
-    monos = _monomials3(degree)
-    while True:
-        comps = []
-        for _ in range(3):
-            table = {}
-            for key in monos:
-                if rng.random() < 0.5:
-                    table[key] = random_rational(rng, cfg.bound)
-            comps.append(table)
-        try:
-            return PolyMap3(comps, cfg.order)
-        except PreconditionError:
-            continue
+    return _random_change(cfg, rng, degree, 3, 0.5, lambda t: PolyMap3(t, cfg.order))
 
 
 def act(f: MapJet, phi_s: PolyMap2, phi_t: PolyMap3) -> MapJet:

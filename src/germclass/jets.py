@@ -1,13 +1,14 @@
 """Truncated bivariate jet arithmetic.
 
 A `Jet2` is a polynomial in u, v kept only up to a total degree `order`:
-a dict of plain monomial coefficients keyed by (i, j) for u^i v^j.  The
-order is part of the value.  Arithmetic results only claim the smaller
-operand order, and each formal derivative consumes one order, because a
-jet of order N carries no information about degree-(N+1) terms.  Reading
-the constant term of a jet whose order has dropped below zero raises
-rather than silently returning 0 -- that silent zero is the main
-correctness hazard in criteria built from high-order derivatives.
+a private dict of plain monomial coefficients keyed by (i, j) for u^i v^j,
+read only through `coeff`, `at0` and `items()`.  The order is part of the
+value.  Arithmetic results only claim the smaller operand order, and each
+formal derivative consumes one order, because a jet of order N carries no
+information about degree-(N+1) terms.  Reading the constant term of a
+jet whose order has dropped below zero raises rather than silently
+returning 0 -- that silent zero is the main correctness hazard in
+criteria built from high-order derivatives.
 
 Coefficients are stored in the plain monomial convention (coefficient of
 u^i v^j, not divided by i! j!).  Tables given in the divided convention
@@ -15,7 +16,9 @@ enter through `from_divided_coeffs`.
 
 `MapJet` is a triple of jets sharing one order (a map germ into 3-space,
 or a derivative of one); `PolyMap2` / `PolyMap3` are polynomial coordinate
-changes with invertible linear part, used only through composition.
+changes with invertible linear part, used only through composition.  Source
+changes (`compose2`, `compose_map`) and target changes (`post_compose`)
+share one substitution loop, `_substitute`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ _ZERO = Fraction(0)
 
 
 class Jet2:
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_coeffs")
 
     def __init__(self, order: int, coeffs=None):
         self.order = order
@@ -42,7 +45,7 @@ class Jet2:
                 value = as_exact(value)
                 if value != 0:
                     clean[(i, j)] = value
-        self.coeffs = clean
+        self._coeffs = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -68,17 +71,21 @@ class Jet2:
         if i + j > self.order:
             raise OrderExhaustedError(
                 "coefficient (%d,%d) beyond truncation order %d" % (i, j, self.order))
-        return self.coeffs.get((i, j), _ZERO)
+        return self._coeffs.get((i, j), _ZERO)
 
     def at0(self) -> Scalar:
         """Constant term.  Errors if the order has been consumed below 0."""
         if self.order < 0:
             raise OrderExhaustedError("constant term of an order-exhausted jet")
-        return self.coeffs.get((0, 0), _ZERO)
+        return self._coeffs.get((0, 0), _ZERO)
+
+    def items(self):
+        """The stored ((i, j), coefficient) pairs; every coefficient is nonzero."""
+        return self._coeffs.items()
 
     def degree(self) -> int:
         """Largest total degree with a stored coefficient (-1 for the zero jet)."""
-        return max((i + j for (i, j) in self.coeffs), default=-1)
+        return max((i + j for (i, j) in self._coeffs), default=-1)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -94,8 +101,8 @@ class Jet2:
         if other is None:
             return NotImplemented
         order = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
+        out = dict(self._coeffs)
+        for key, value in other._coeffs.items():
             got = out.get(key)
             out[key] = value if got is None else got + value
         return Jet2(order, out)
@@ -103,7 +110,7 @@ class Jet2:
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(self.order, {k: -v for k, v in self.coeffs.items()})
+        return Jet2(self.order, {k: -v for k, v in self._coeffs.items()})
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -119,16 +126,16 @@ class Jet2:
             other = as_exact(other)
             if other == 0:
                 return Jet2.zero(self.order)
-            return Jet2(self.order, {k: v * other for k, v in self.coeffs.items()})
+            return Jet2(self.order, {k: v * other for k, v in self._coeffs.items()})
         if not isinstance(other, Jet2):
             return NotImplemented
         order = min(self.order, other.order)
         out = {}
-        for (i1, j1), c1 in self.coeffs.items():
+        for (i1, j1), c1 in self._coeffs.items():
             room = order - i1 - j1
             if room < 0:
                 continue
-            for (i2, j2), c2 in other.coeffs.items():
+            for (i2, j2), c2 in other._coeffs.items():
                 if i2 + j2 > room:
                     continue
                 key = (i1 + i2, j1 + j2)
@@ -155,25 +162,25 @@ class Jet2:
     def __eq__(self, other):
         if not isinstance(other, Jet2):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self.order, frozenset(self.coeffs.items())))
+        return hash((self.order, frozenset(self._coeffs.items())))
 
     # -- calculus ----------------------------------------------------------
 
     def partial_u(self) -> "Jet2":
-        out = {(i - 1, j): i * c for (i, j), c in self.coeffs.items() if i > 0}
+        out = {(i - 1, j): i * c for (i, j), c in self._coeffs.items() if i > 0}
         return Jet2(self.order - 1, out)
 
     def partial_v(self) -> "Jet2":
-        out = {(i, j - 1): j * c for (i, j), c in self.coeffs.items() if j > 0}
+        out = {(i, j - 1): j * c for (i, j), c in self._coeffs.items() if j > 0}
         return Jet2(self.order - 1, out)
 
     def truncate(self, order: int) -> "Jet2":
         if order >= self.order:
             return self
-        return Jet2(order, self.coeffs)
+        return Jet2(order, self._coeffs)
 
     def __repr__(self):
         return "Jet2(order=%d, %s)" % (self.order, poly_str(self))
@@ -181,11 +188,11 @@ class Jet2:
 
 def poly_str(jet: Jet2) -> str:
     """Canonical polynomial string, parseable by the document grammar."""
-    if not jet.coeffs:
+    if not jet._coeffs:
         return "0"
     parts = []
-    for (i, j) in sorted(jet.coeffs, key=lambda ij: (ij[0] + ij[1], ij[0])):
-        c = jet.coeffs[(i, j)]
+    for (i, j) in sorted(jet._coeffs, key=lambda ij: (ij[0] + ij[1], ij[0])):
+        c = jet._coeffs[(i, j)]
         mono = []
         if i:
             mono.append("u" if i == 1 else "u^%d" % i)
@@ -342,84 +349,56 @@ class PolyMap3:
         return cls(({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}), order)
 
 
-def _power_table(base: Jet2, n: int, one: Jet2):
-    powers = [one]
-    for _ in range(n):
-        powers.append(powers[-1] * base)
-    return powers
+def _substitute(tables, values, order: int):
+    """Evaluate polynomials at jets: each table {(e_1, .., e_n): c} at values[0..n-1].
 
-
-def compose_many(jets, p: PolyMap2):
-    """Substitute (u,v) -> (p1,p2) into several jets, sharing power tables."""
-    order = min(min(a.order for a in jets), p.order)
+    One power table per variable, sized by its largest exponent.  Terms are
+    grouped by all exponents but the last; each group sums its last-variable
+    powers, then multiplies in each common factor pows[k][e] (skipped when
+    e = 0), innermost variable first.
+    """
+    terms = [[(key, c) for key, c in table.items() if sum(key) <= order] for table in tables]
     one = Jet2.const(1, order)
-    p1 = p.p1.truncate(order)
-    p2 = p.p2.truncate(order)
-    max_i = max((i for a in jets for (i, _) in a.coeffs), default=0)
-    max_j = max((j for a in jets for (_, j) in a.coeffs), default=0)
-    p2_pows = _power_table(p2, min(max_j, order), one)
-    p1_pows = _power_table(p1, min(max_i, order), one)
-    results = []
-    for a in jets:
-        total = Jet2.zero(order)
+    pows = []
+    for k, value in enumerate(values):
+        value = value.truncate(order)
+        top = max((key[k] for group in terms for key, _ in group), default=0)
+        powers = [one]
+        for _ in range(top):
+            powers.append(powers[-1] * value)
+        pows.append(powers)
+    last = len(values) - 1
+    out = []
+    for group in terms:
         rows = {}
-        for (i, j), c in a.coeffs.items():
-            if i + j > order:
-                continue
-            rows.setdefault(i, []).append((j, c))
-        for i, entries in rows.items():
+        for key, c in group:
+            rows.setdefault(key[:-1], []).append((key[-1], c))
+        total = Jet2.zero(order)
+        for head, entries in rows.items():
             inner = Jet2.zero(order)
-            for j, c in entries:
-                inner = inner + p2_pows[j] * c
-            total = total + p1_pows[i] * inner
-        results.append(total)
-    return results
+            for e, c in entries:
+                inner = inner + pows[last][e] * c
+            for k in reversed(range(last)):
+                if head[k]:
+                    inner = pows[k][head[k]] * inner
+            total = total + inner
+        out.append(total)
+    return out
 
 
 def compose2(a: Jet2, p: PolyMap2) -> Jet2:
-    return compose_many([a], p)[0]
+    """Substitute (u, v) -> (p1, p2) into a."""
+    return _substitute([a._coeffs], (p.p1, p.p2), min(a.order, p.order))[0]
 
 
 def compose_map(f: MapJet, p: PolyMap2) -> MapJet:
-    return MapJet(*compose_many(list(f), p))
+    """Substitute (u, v) -> (p1, p2) into each component of f."""
+    return MapJet(*_substitute([c._coeffs for c in f], (p.p1, p.p2), min(f.order, p.order)))
 
 
 def post_compose(phi: PolyMap3, f: MapJet) -> MapJet:
     """Evaluate each component polynomial of phi at (f1, f2, f3)."""
-    order = min(f.order, phi.order)
-    one = Jet2.const(1, order)
-    f1, f2, f3 = (c.truncate(order) for c in f)
-    deg = max((sum(k) for t in phi.comps for k in t), default=0)
-    pows1 = _power_table(f1, min(deg, order), one)
-    pows2 = _power_table(f2, min(deg, order), one)
-    pows3 = _power_table(f3, min(deg, order), one)
-    out = []
-    for table in phi.comps:
-        total = Jet2.zero(order)
-        for (i, j, k), c in table.items():
-            if i + j + k > order:
-                continue
-            mono = pows1[i]
-            if j:
-                mono = mono * pows2[j]
-            if k:
-                mono = mono * pows3[k]
-            total = total + mono * c
-        out.append(total)
-    return MapJet(*out)
-
-
-def inv_series(a: Jet2) -> Jet2:
-    """Multiplicative inverse of a jet with constant term 1."""
-    if a.at0() != 1:
-        raise PreconditionError("inv_series needs constant term 1")
-    e = a - 1
-    result = Jet2.const(1, a.order)
-    term = result
-    for _ in range(a.order):
-        term = -(term * e)
-        result = result + term
-    return result
+    return MapJet(*_substitute(phi.comps, tuple(f), min(f.order, phi.order)))
 
 
 def invsqrt_series(a: Jet2) -> Jet2:

@@ -22,8 +22,10 @@ classifier and by explicit reduction: the S1/S2 branch conditions only
 involve a21, a03, a31, which are stable under the reparametrization
 v -> v(1 + 2 b(v)/v^2)^(1/2) that removes b, so they hold for any b.
 The B2 discriminant involves a13 and a05, which that reparametrization
-shifts (for example a04 b03 feeds into a05); the condition above is
-therefore only applied literally, and only trusted, on the b == 0 slice.
+shifts.  On the B branch (a03 = 0) its inverse v = w - (b03/6) w^2 + O(w^3)
+turns a13 into a13 - a12 b03 and a05 into a05 - (10/3) a04 b03 (b04 and
+b05 reach degree 5 only through a03), and the B2 condition is read off
+those shifted coefficients.
 
 The takers accept divided coefficients directly; no attempt is made to
 normalize an arbitrary germ into these shapes (the generic classifier
@@ -102,7 +104,10 @@ def skbk_classify(c: SBNormalCoeffs) -> Classification:
             return Classification(Verdict.S2)
         return Classification(Verdict.MORE_DEGENERATE, "a21=0, a03!=0 but a31=0")
     if a03 == 0 and a21 != 0:
-        disc = 3 * c.a_(0, 5) * a21 - 5 * c.a_(1, 3) ** 2
+        b03 = c.b.get(3, 0)
+        a13 = c.a_(1, 3) - c.a_(1, 2) * b03
+        a05 = c.a_(0, 5) - Fraction(10, 3) * c.a_(0, 4) * b03
+        disc = 3 * a05 * a21 - 5 * a13 ** 2
         if disc > 0:
             return Classification(Verdict.B2_PLUS)
         if disc < 0:

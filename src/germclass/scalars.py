@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import PreconditionError
+
 Scalar = Fraction
 
 
@@ -45,5 +47,12 @@ EXACT = ZeroCtx()
 
 
 def fmt_scalar(x: Scalar) -> str:
-    """Print a scalar exactly, as `p/q` (or an integer)."""
-    return str(x)
+    """Print a scalar exactly, as `p/q` (or an integer).
+
+    Python refuses to print an integer longer than its digit limit; such
+    a value is reported as an input error rather than a traceback.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        raise PreconditionError("exact value has too many digits to print")

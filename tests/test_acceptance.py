@@ -224,7 +224,7 @@ def test_criterion_6_oracle_agreement():
     for _ in range(300):
         c = random_sb_coeffs(rng, rng.choice(["SB", "S1", "S", "S2", "B", "B2"]))
         if c.a_(0, 3) == 0 and c.b:
-            c = SBNormalCoeffs(c.a, {})   # B branch trusted on its b == 0 slice
+            c = SBNormalCoeffs(c.a, {})   # the literal B2 discriminant below needs b == 0
         mine = skbk_classify(c)
         assert mine.verdict == classify(c.to_map_jet())[0].verdict
         if mine.verdict is Verdict.S2:

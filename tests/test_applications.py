@@ -274,7 +274,7 @@ def _read_off_sb_coeffs(f3):
     """Divided coefficients of f3 with pure-u monomials dropped (they are
     removable by a target change z -> z - p(x), which cannot alter the class)."""
     table = {}
-    for (i, j) in f3.coeffs:
+    for (i, j), _ in f3.items():
         if 3 <= i + j <= 5 and j > 0:
             table[(i, j)] = to_divided_coeff(f3, i, j)
     return SBNormalCoeffs(table)

@@ -1,15 +1,19 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germclass.cli import main
+from germclass.classify import normal_forms
+from germclass.jets import poly_str
 
 S2_DOC = "[map]\nf1 = u\nf2 = v^2\nf3 = v*(u^3+v^2)\n"
 
@@ -79,19 +83,23 @@ MALFORMED = [
     ("folded", FOLDED_HEAD + "mode = float\ntheta = 0.5\n"),
     ("folded", FOLDED_HEAD + "theta = 1e20\n"),
     ("classify", "[map]\nf1 = u\nf2 = v^2\nf3 = u*v\nf3 = v^3\n"),
+    ("center", "[center]\na02 = %s\na20 = 2\na03 = 1\na21 = 1\n" % ("7" * 4000)),
+    ("folded", FOLDED_HEAD + "a31 = 1\ntheta = -5.449065861911619e-282\n"),
 ]
 
 
 @pytest.mark.parametrize("cmd, text", MALFORMED, ids=["5000-digits", "theta-abc",
                                                      "theta-inf", "theta-nan", "mode-key",
-                                                     "theta-1e20", "duplicate-key"])
+                                                     "theta-1e20", "duplicate-key",
+                                                     "4000-digit-product", "theta-tiny"])
 def test_malformed_document_exit_1(tmp_path, capsys, cmd, text):
     path = write(tmp_path, "malformed.germ", text)
-    code, out, err = run(capsys, cmd, path, "--json")
-    assert code == 1
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    for fmt in (("--json",), ()):
+        code, out, err = run(capsys, cmd, path, *fmt)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_kind_mismatch_exit_1(tmp_path, capsys):
@@ -198,6 +206,63 @@ def test_fuzz_deterministic_output(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("option, value", [("--bound", "0"), ("--bound", "-1"),
+                                           ("--degree", "0"), ("--degree", "-1")])
+def test_fuzz_rejects_out_of_range_option(capsys, option, value):
+    code, out, err = run(capsys, "fuzz", "--trials", "1", option, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+# -- recorded output digest ----------------------------------------------------
+
+RECORDED_DIGEST = "f8e77088c89f0ac67bc2b55f95ec283a05a6acd0"
+
+
+def _digest_runs():
+    """(name, command, text, extra args): every document the digest covers."""
+    runs = []
+    for name, f in normal_forms().items():
+        text = "[map]\n" + "".join("f%d = %s\n" % (k + 1, poly_str(c))
+                                    for k, c in enumerate(f))
+        runs.append(("model-" + name, "classify", text, ()))
+    runs += [
+        ("more-degenerate", "classify", "[map]\nf1 = u\nf2 = v^2\nf3 = u^4*v+v^3\n", ()),
+        ("malformed", "classify", "[map]\nf1 = u**2\nf2 = v^2\nf3 = u*v\n", ()),
+        ("verify", "classify", S2_DOC, ("--verify",)),
+        ("ruled", "ruled", "[ruled]\ngamma1 = 1\ngamma3 = v^3\nc3 = 1\n", ()),
+        ("center", "center", "[center]\na02 = 1\na20 = 2\na03 = 1\na21 = 1\n", ()),
+        ("sb-normal", "oracle", "[sb-normal]\na21 = 2\na05 = 120\n", ()),
+        ("h-normal", "oracle", "[h-normal]\nb03 = 6\na05 = 120\n", ()),
+        ("folded-exact", "folded", FOLDED_HEAD + "a12 = 1\ntheta_cos = 3/5\ntheta_sin = 4/5\n",
+         ()),
+        ("folded-float", "folded", FOLDED_HEAD + "theta = %r\n" % math.atan2(4, 3), ()),
+    ]
+    return runs
+
+
+def test_cli_output_matches_recorded_digest(tmp_path, capsys):
+    """The bytes of every command's output, text and JSON, across commits."""
+    digest = hashlib.sha1()
+
+    def record(argv, shown):
+        code, out, err = run(capsys, *argv)
+        assert str(tmp_path) not in out + err
+        digest.update(repr((shown, code, out, err)).encode("utf-8"))
+
+    for name, command, text, extra in _digest_runs():
+        path = write(tmp_path, name + ".germ", text)
+        for fmt in ((), ("--json",)):
+            argv = (command, path) + extra + fmt
+            record(argv, (command, name + ".germ") + extra + fmt)
+    for fmt in ((), ("--json",)):
+        argv = ("fuzz", "--trials", "2", "--seed", "3") + fmt
+        record(argv, argv)
+    assert digest.hexdigest() == RECORDED_DIGEST
+
+
 # -- property test over [map] document text -----------------------------------
 
 @st.composite
@@ -259,6 +324,166 @@ def test_map_document_text_never_crashes(document):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["classify", path])
     assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+    if corrupted:
+        assert code == 1, text
+
+
+# -- property test over the other document kinds ---------------------------------
+
+def _rational(draw):
+    num, den = draw(st.integers(-5, 5)), draw(st.integers(1, 3))
+    return str(num) if den == 1 else "%d/%d" % (num, den)
+
+
+def _coefficients(draw, group, lo, hi, keep=lambda i, j: True, lead=()):
+    """Coefficient keys g_ij with lo <= i + j <= hi: each lead index with
+    probability 1/2 (the ones the verdicts read), then a few more."""
+    indices = [(i, j) for i in range(hi + 1) for j in range(hi + 1 - i)
+               if lo <= i + j and keep(i, j)]
+    chosen = {ij for ij in lead if draw(st.booleans())}
+    chosen.update(draw(st.lists(st.sampled_from(indices), unique=True, max_size=3)))
+    chosen = sorted(chosen)
+    return {"%s%d%d" % (group, i, j): _rational(draw) for i, j in chosen}
+
+
+def _v_polynomial(draw, constant):
+    low = 0 if constant else 1
+    terms = draw(st.lists(st.tuples(st.sampled_from("+-"), st.integers(1, 5),
+                                    st.integers(low, 5)), min_size=1, max_size=3))
+    return "".join(" %s %d" % (sign, c) if j == 0 else " %s %d*v^%d" % (sign, c, j)
+                   for sign, c, j in terms).lstrip(" +")
+
+
+def _ruled_values(draw):
+    return {"gamma1": _v_polynomial(draw, True), "gamma3": _v_polynomial(draw, False),
+            "c3": _v_polynomial(draw, True)}
+
+
+def _monge_values(draw, umbilic):
+    values = _coefficients(draw, "a", 2, 6, keep=lambda i, j: (i, j) != (1, 1),
+                           lead=[(0, 3), (2, 1), (1, 2), (3, 1), (1, 3), (0, 5)])
+    a02 = draw(st.integers(1, 4))
+    values["a02"] = str(a02)
+    values["a20"] = str(a02 if umbilic else a02 + draw(st.integers(1, 3)))
+    return values
+
+
+EXACT_ANGLES = [("1", "0"), ("3/5", "4/5"), ("-4/5", "3/5"), ("0", "1"), ("5/13", "-12/13"),
+                ("-1", "0")]
+
+
+def _folded_values(draw, float_angle):
+    cos, sin = draw(st.sampled_from(EXACT_ANGLES))
+    values = _monge_values(draw, umbilic=float_angle or sin != "0" or draw(st.booleans()))
+    if not float_angle:
+        values.update(theta_cos=cos, theta_sin=sin)
+    elif draw(st.booleans()):
+        values["theta"] = repr(math.atan2(Fraction(sin), Fraction(cos)))
+    else:
+        values["theta"] = repr(draw(st.floats(-1e6, 1e6)))
+    return values
+
+
+def _sb_values(draw):
+    values = _coefficients(draw, "a", 3, 5, keep=lambda i, j: j > 0,
+                           lead=[(2, 1), (0, 3), (3, 1), (1, 3), (0, 5)])
+    values.update(_coefficients(draw, "b", 3, 5, keep=lambda i, j: i == 0))
+    return values
+
+
+def _h_values(draw):
+    values = _coefficients(draw, "a", 3, 5, lead=[(0, 5), (0, 4), (1, 3)])
+    values.update(_coefficients(draw, "b", 3, 5, lead=[(0, 3), (0, 4), (1, 2)]))
+    return values
+
+
+BAD_RATIONALS = ["abc", "1/0", "", "1//2", "u", "--1", "1/-2", "nan", "1/2/3"]
+ANGLE_KEYS = ("theta", "theta_cos", "theta_sin")
+FOLDED_DEFECTS = [{"a11": "1"}, {"a07": "1"}, {"a01": "1"}, {"b03": "1"},
+                  {"theta_cos": "3/5"}, {"theta_sin": "4/5"},
+                  {"theta_cos": "1/2", "theta_sin": "1/2"},
+                  {"theta": "0.5", "theta_cos": "1", "theta_sin": "0"},
+                  {"theta": "inf"}, {"theta": "nan"}, {"theta": "1e20"}, {"theta": "abc"},
+                  {"a20": "1", "a02": "2", "theta_cos": "3/5", "theta_sin": "4/5"},
+                  {"a20": "1", "a02": "2", "theta": "0.5"}]
+
+MONGE_KEYS = ["a02", "a20", "a03", "a21"]
+
+# kind: (header, command, values, literal keys, bad literals, unknown keys, domain defects)
+DOCUMENT_KINDS = {
+    "ruled": ("ruled", "ruled", _ruled_values, ["gamma1", "gamma3", "c3"], BAD_LITERALS,
+              ["f1", "a12", "theta", "gamma2", "c1"],
+              [{"gamma3": "1 + v^2"}, {"c3": "u"}, {"gamma1": "1 + u*v"}]),
+    "center": ("center", "center", lambda draw: _monge_values(draw, umbilic=False),
+               MONGE_KEYS, BAD_RATIONALS, ["f1", "gamma1", "theta", "c12", "a1", "a123", "A02"],
+               [{"a02": "0"}, {"a02": "1", "a20": "1"}, {"a11": "1"}, {"a07": "1"},
+                {"a01": "1"}, {"b03": "1"}]),
+    "folded-exact": ("folded", "folded", lambda draw: _folded_values(draw, False),
+                     MONGE_KEYS, BAD_RATIONALS, ["f1", "gamma1", "c12", "a1", "a123", "angle"],
+                     FOLDED_DEFECTS),
+    "folded-float": ("folded", "folded", lambda draw: _folded_values(draw, True),
+                     MONGE_KEYS, BAD_RATIONALS, ["f1", "gamma1", "c12", "a1", "a123", "angle"],
+                     FOLDED_DEFECTS),
+    "sb-normal": ("sb-normal", "oracle", _sb_values, ["a21", "a03", "a31", "b03"],
+                  BAD_RATIONALS, ["f1", "gamma1", "theta", "c12", "a1", "a123"],
+                  [{"a30": "1"}, {"a02": "1"}, {"a06": "1"}, {"b02": "1"}, {"b06": "1"},
+                   {"b12": "1"}]),
+    "h-normal": ("h-normal", "oracle", _h_values, ["a05", "b03", "b12"], BAD_RATIONALS,
+                 ["f1", "gamma1", "theta", "c12", "a1", "a123"],
+                 [{"a02": "1"}, {"b06": "1"}, {"a60": "1"}, {"b11": "1"}]),
+}
+
+
+@st.composite
+def kind_documents(draw, kind):
+    """(text, corrupted): a valid document of one kind, or one with a single defect."""
+    header, _, make, literal_keys, bad_literals, unknown_keys, domain = DOCUMENT_KINDS[kind]
+    values = make(draw)
+    if draw(st.booleans()):
+        values["order"] = str(draw(st.integers(5, 8)))
+    defect = draw(st.sampled_from([None, "stray", "key", "literal", "order", "header",
+                                   "duplicate", "domain"])) if draw(st.booleans()) else None
+    if defect == "literal":
+        values[draw(st.sampled_from(literal_keys))] = draw(st.sampled_from(bad_literals))
+    elif defect == "order":
+        values["order"] = draw(st.sampled_from(BAD_ORDERS))
+    elif defect == "key":
+        values[draw(st.sampled_from(unknown_keys))] = "1"
+    elif defect == "domain":
+        change = draw(st.sampled_from(domain))
+        if any(key in change for key in ANGLE_KEYS):
+            for key in ANGLE_KEYS:
+                values.pop(key, None)
+        values.update(change)
+    lines = ["%s = %s" % item for item in values.items()]
+    if defect == "duplicate":
+        key = draw(st.sampled_from(sorted(values)))
+        lines.append("%s = %s" % (key, values[key]))
+    lines += draw(st.lists(st.sampled_from(["", "# a comment", "   "]), max_size=2))
+    if defect == "stray":
+        lines.append(draw(st.text("uvxyz019*^ ()!", min_size=1).filter(str.strip)))
+    lines = draw(st.permutations(lines))
+    if defect != "header":
+        lines.insert(0, "[%s]" % header)
+    return "\n".join(lines) + "\n", defect is not None
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENT_KINDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_document_text_never_crashes(kind, data):
+    text, corrupted = data.draw(kind_documents(kind))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "doc.germ")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([DOCUMENT_KINDS[kind][1], path])
+    assert code in (0, 1, 2), text
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert any(line.startswith("error:") for line in err.getvalue().splitlines())

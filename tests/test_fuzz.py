@@ -45,6 +45,19 @@ def test_degree_one_draw_is_linear():
     assert p.p1.degree() <= 1 and p.p2.degree() <= 1
 
 
+@pytest.mark.parametrize("sampler", [random_source_diffeo, random_target_diffeo])
+@pytest.mark.parametrize("degree", [0, -1])
+def test_sampler_rejects_degree_below_one(sampler, degree):
+    with pytest.raises(PreconditionError):
+        sampler(FuzzConfig(), Random(1), degree)
+
+
+@pytest.mark.parametrize("field", ["bound", "degree"])
+def test_config_rejects_values_below_one(field):
+    with pytest.raises(PreconditionError):
+        FuzzConfig(**{field: 0})
+
+
 def test_act_identity():
     from germclass.jets import PolyMap2
 

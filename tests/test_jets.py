@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2,
                             compose_map, cross3, det3, from_divided_coeffs,
-                            inv_series, invsqrt_series, post_compose, to_divided_coeff)
+                            invsqrt_series, post_compose, to_divided_coeff)
 from util import jet, random_jet
 
 
@@ -75,11 +75,6 @@ def test_polymap_rejects_singular_linear_part():
         PolyMap2(Jet2.variable("u", 6), Jet2.variable("u", 6))
 
 
-def test_inv_series_geometric():
-    one_minus_v = jet({(0, 0): 1, (0, 1): -1})
-    assert inv_series(one_minus_v) * one_minus_v == Jet2.const(1, 6)
-
-
 def test_invsqrt_series_binomial():
     a = jet({(0, 0): 1, (1, 0): 1})
     r = invsqrt_series(a)
@@ -91,11 +86,6 @@ def test_invsqrt_series_binomial():
 
 def test_invsqrt_of_one():
     assert invsqrt_series(Jet2.const(1, 6)) == Jet2.const(1, 6)
-
-
-def test_inv_series_requires_unit_constant():
-    with pytest.raises(PreconditionError):
-        inv_series(jet({(0, 0): 2}))
 
 
 def test_from_divided():
@@ -174,8 +164,8 @@ def test_ring_laws(a, b, c):
 @settings(max_examples=60, deadline=None)
 @given(jets(), jets())
 def test_truncation_consistency_mul(a, b):
-    wide_a = Jet2(8, a.coeffs)
-    wide_b = Jet2(8, b.coeffs)
+    wide_a = Jet2(8, dict(a.items()))
+    wide_b = Jet2(8, dict(b.items()))
     assert (wide_a * wide_b).truncate(4) == a * b
 
 
@@ -184,17 +174,16 @@ def test_truncation_consistency_all_ops():
     for _ in range(40):
         a6 = random_jet(rng, order=6)
         b6 = random_jet(rng, order=6)
-        a8 = Jet2(8, a6.coeffs)
-        b8 = Jet2(8, b6.coeffs)
+        a8 = Jet2(8, dict(a6.items()))
+        b8 = Jet2(8, dict(b6.items()))
         assert (a8 + b8).truncate(6) == a6 + b6
         assert (a8 * b8).truncate(6) == a6 * b6
         assert a8.partial_u().truncate(5) == a6.partial_u()
         assert a8.partial_v().truncate(5) == a6.partial_v()
         sq = a8 * a8
-        positive_part = Jet2(8, {k: v for k, v in sq.coeffs.items() if sum(k) > 0})
+        positive_part = Jet2(8, {k: v for k, v in sq.items() if sum(k) > 0})
         unit8 = Jet2.const(1, 8) + positive_part
         unit6 = unit8.truncate(6)
-        assert inv_series(unit8).truncate(6) == inv_series(unit6)
         assert invsqrt_series(unit8).truncate(6) == invsqrt_series(unit6)
 
 

@@ -7,7 +7,7 @@ from germclass.classify import Verdict, classify
 from germclass.errors import PreconditionError
 from germclass.oracle import (HNormalCoeffs, SBNormalCoeffs, h2_check,
                               h2_discriminant, skbk_classify)
-from util import random_h_coeffs, random_sb_coeffs
+from util import random_h_coeffs, random_sb_coeffs, rational
 
 
 def test_b2_plus_example():
@@ -88,17 +88,28 @@ def test_sb_oracle_agreement_on_valid_domain():
     rng = Random(53)
     for _ in range(40):
         c = random_sb_coeffs(rng, "SB")
-        if c.a_(0, 3) == 0 and c.b:
-            # B branch only trusted on the b == 0 slice
-            c = SBNormalCoeffs(c.a, {})
         assert skbk_classify(c).verdict == classify(c.to_map_jet())[0].verdict
+
+
+def test_b_branch_oracle_agreement_off_slice():
+    rng = Random("b-branch-off-slice")
+    b2_seen = 0
+    for _ in range(60):
+        c = random_sb_coeffs(rng, "B")
+        c = SBNormalCoeffs(c.a, {**c.b, 3: rational(rng, nonzero=True)})
+        mine = skbk_classify(c).verdict
+        assert mine == classify(c.to_map_jet())[0].verdict
+        b2_seen += mine in (Verdict.B2_PLUS, Verdict.B2_MINUS)
+    assert b2_seen >= 40
 
 
 def test_b2_coefficient_condition_fails_off_slice():
     # with b != 0 the reparametrization killing b shifts a13/a05: this germ has
-    # naive discriminant 0 yet is a genuine B2-
+    # naive discriminant 0 yet is a genuine B2-, which the shifted a05 = -10/3
+    # gives: 3 a05 a21 - 5 a13^2 = -10
     c = SBNormalCoeffs({(0, 4): 1, (2, 1): 1}, {3: 1})
-    assert skbk_classify(c).verdict is Verdict.MORE_DEGENERATE
+    assert 3 * c.a_(0, 5) * c.a_(2, 1) - 5 * c.a_(1, 3) ** 2 == 0
+    assert skbk_classify(c).verdict is Verdict.B2_MINUS
     cls, cert = classify(c.to_map_jet())
     assert cls.verdict is Verdict.B2_MINUS
     assert cert.invariants["b2_value"] == -10
