@@ -34,7 +34,8 @@ computed.  Every criterion reads its words at the origin only, and a word
 read at 0 reads f only to degree len(word), so the table computes each
 word at the lowest order its reader needs (phi's second derivatives in
 `classify` likewise read f only to degree 4).  The vectors f_u, f_v, f_vv,
-f_uv at 0 are read straight from f's coefficients.
+f_uv at 0 are read straight from f's coefficients; `rank_df0` reads f_u and
+f_v as integers, each component scaled by its own denominator.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def partials0(f: MapJet):
 
 
 def rank_df0(f: MapJet) -> int:
-    fu0 = _coeffs(f, 1, 0)
-    fv0 = _coeffs(f, 0, 1)
+    """Rank of df(0), decided on the integer rows of `MapJet.scaled_coeffs`."""
+    fu0, fv0 = f.scaled_coeffs((1, 0), (0, 1))
     if not EXACT.is_zero_vec(cross3(fu0, fv0)):
         return 2
     if EXACT.is_zero_vec(fu0) and EXACT.is_zero_vec(fv0):

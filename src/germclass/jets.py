@@ -1,7 +1,6 @@
 """Truncated bivariate jet arithmetic.
 
-A `Jet2` is a polynomial in u, v kept only up to a total degree `order`:
-a private dict of plain monomial coefficients keyed by (i, j) for u^i v^j,
+A `Jet2` is a polynomial in u, v kept only up to a total degree `order`,
 read only through `coeff`, `at0` and `items()`.  The order is part of the
 value.  Arithmetic results only claim the smaller operand order, and each
 formal derivative consumes one order, because a jet of order N carries no
@@ -14,6 +13,25 @@ Coefficients are stored in the plain monomial convention (coefficient of
 u^i v^j, not divided by i! j!).  Tables given in the divided convention
 enter through `from_divided_coeffs`.
 
+Representation.  A jet holds integer numerators over one shared
+denominator, as FLINT's fmpq_poly does: a private dict `_num` of ints
+keyed by (i, j) for u^i v^j, and a private int `_den`, so the coefficient
+of u^i v^j is _num[(i, j)] / _den.  The form is canonical: `_den > 0`, no
+numerator is zero, gcd(_den, *numerators) == 1, and the zero jet has
+`_den == 1`.  Equal jets therefore have equal (order, _den, _num), which
+is what `==` and `hash` compare.  Arithmetic works on the integers and
+reduces each result once, in `_jet`; every scalar read out (`coeff`,
+`at0`, `items()`) is a `Fraction`.  Nothing outside this module reads
+`_num` or `_den`; `MapJet.scaled_coeffs` gives the integer vectors a rank
+test needs.
+
+The insertion order of the coefficients is part of the output contract:
+`items()` yields it, a certificate lists its normalized germ in it and the
+CLI prints that JSON unsorted.  So every operation inserts keys in a fixed
+order -- the left operand's keys, then the right operand's new keys; the
+convolution order for a product -- and drops zeros at fixed points: after
+each sum and after each finished product.
+
 `MapJet` is a triple of jets sharing one order (a map germ into 3-space,
 or a derivative of one); `PolyMap2` / `PolyMap3` are polynomial coordinate
 changes with invertible linear part, used only through composition.  Source
@@ -24,7 +42,7 @@ share one substitution loop, `_substitute`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm, prod
 
 from .errors import OrderExhaustedError, PreconditionError
 from .scalars import EXACT, Scalar, as_exact, fmt_scalar
@@ -32,20 +50,74 @@ from .scalars import EXACT, Scalar, as_exact, fmt_scalar
 _ZERO = Fraction(0)
 
 
+def _integers(table):
+    """A table {key: rational} as (numerators, lcm of the denominators), zeros dropped."""
+    values = {key: as_exact(value) for key, value in table.items()}
+    den = lcm(*(value.denominator for value in values.values()))
+    return {key: value.numerator * (den // value.denominator)
+            for key, value in values.items() if value}, den
+
+
+def _nonzero(num):
+    return {key: n for key, n in num.items() if n} if 0 in num.values() else num
+
+
+def _add(a, b):
+    """Sum of two numerator dicts over one denominator: a's keys, then b's new ones."""
+    out = dict(a)
+    for key, n in b.items():
+        got = out.get(key)
+        out[key] = n if got is None else got + n
+    return _nonzero(out)
+
+
+def _scale(a, s):
+    return a if s == 1 else {key: n * s for key, n in a.items()}
+
+
+def _convolve(a, b, order):
+    """Product of two numerator dicts keyed (i, j), truncated at total degree `order`."""
+    out = {}
+    b = b.items()
+    for (i1, j1), c1 in a.items():
+        room = order - i1 - j1
+        if room < 0:
+            continue
+        for (i2, j2), c2 in b:
+            if i2 + j2 > room:
+                continue
+            key = (i1 + i2, j1 + j2)
+            got = out.get(key)
+            out[key] = c1 * c2 if got is None else got + c1 * c2
+    return _nonzero(out)
+
+
+def _jet(order: int, num, den: int) -> "Jet2":
+    """The trusted constructor of arithmetic results: keys within `order`, den > 0.
+
+    Drops zero numerators and reduces once by the gcd; it skips the
+    coercion and order filter of `Jet2.__init__`.
+    """
+    num = _nonzero(num)
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {key: n // g for key, n in num.items()}
+        den //= g
+    jet = object.__new__(Jet2)
+    jet.order = order
+    jet._num = num
+    jet._den = den
+    return jet
+
+
 class Jet2:
-    __slots__ = ("order", "_coeffs")
+    __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, coeffs=None):
         self.order = order
-        clean = {}
-        if coeffs:
-            for (i, j), value in coeffs.items():
-                if i + j > order:
-                    continue
-                value = as_exact(value)
-                if value != 0:
-                    clean[(i, j)] = value
-        self._coeffs = clean
+        self._num, self._den = _integers(
+            {(i, j): value for (i, j), value in coeffs.items() if i + j <= order}
+            if coeffs else {})
 
     # -- constructors ------------------------------------------------------
 
@@ -71,21 +143,24 @@ class Jet2:
         if i + j > self.order:
             raise OrderExhaustedError(
                 "coefficient (%d,%d) beyond truncation order %d" % (i, j, self.order))
-        return self._coeffs.get((i, j), _ZERO)
+        n = self._num.get((i, j))
+        return _ZERO if n is None else Fraction(n, self._den)
 
     def at0(self) -> Scalar:
         """Constant term.  Errors if the order has been consumed below 0."""
         if self.order < 0:
             raise OrderExhaustedError("constant term of an order-exhausted jet")
-        return self._coeffs.get((0, 0), _ZERO)
+        n = self._num.get((0, 0))
+        return _ZERO if n is None else Fraction(n, self._den)
 
     def items(self):
-        """The stored ((i, j), coefficient) pairs; every coefficient is nonzero."""
-        return self._coeffs.items()
+        """The stored ((i, j), coefficient) pairs, in insertion order; none is zero."""
+        den = self._den
+        return [(key, Fraction(n, den)) for key, n in self._num.items()]
 
     def degree(self) -> int:
         """Largest total degree with a stored coefficient (-1 for the zero jet)."""
-        return max((i + j for (i, j) in self._coeffs), default=-1)
+        return max((i + j for (i, j) in self._num), default=-1)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -96,53 +171,46 @@ class Jet2:
             return Jet2.const(other, self.order)
         return None
 
+    def _over_lcm(self, other):
+        """Both numerator dicts at the smaller order, over their common denominator."""
+        order = min(self.order, other.order)
+        a, b = self.truncate(order), other.truncate(order)
+        den = lcm(a._den, b._den)
+        return order, _scale(a._num, den // a._den), _scale(b._num, den // b._den), den
+
     def __add__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        order = min(self.order, other.order)
-        out = dict(self._coeffs)
-        for key, value in other._coeffs.items():
-            got = out.get(key)
-            out[key] = value if got is None else got + value
-        return Jet2(order, out)
+        order, a, b, den = self._over_lcm(other)
+        return _jet(order, _add(a, b), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(self.order, {k: -v for k, v in self._coeffs.items()})
+        return _jet(self.order, {key: -n for key, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        order, a, b, den = self._over_lcm(other)
+        return _jet(order, _add(a, {key: -n for key, n in b.items()}), den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float)):
-            other = as_exact(other)
-            if other == 0:
-                return Jet2.zero(self.order)
-            return Jet2(self.order, {k: v * other for k, v in self._coeffs.items()})
-        if not isinstance(other, Jet2):
+        if isinstance(other, Jet2):
+            order = min(self.order, other.order)
+            return _jet(order, _convolve(self._num, other._num, order), self._den * other._den)
+        if not isinstance(other, (int, Fraction, float)):
             return NotImplemented
-        order = min(self.order, other.order)
-        out = {}
-        for (i1, j1), c1 in self._coeffs.items():
-            room = order - i1 - j1
-            if room < 0:
-                continue
-            for (i2, j2), c2 in other._coeffs.items():
-                if i2 + j2 > room:
-                    continue
-                key = (i1 + i2, j1 + j2)
-                got = out.get(key)
-                prod = c1 * c2
-                out[key] = prod if got is None else got + prod
-        return Jet2(order, out)
+        other = as_exact(other)
+        if other == 0:
+            return Jet2.zero(self.order)
+        return _jet(self.order, _scale(self._num, other.numerator),
+                    self._den * other.denominator)
 
     __rmul__ = __mul__
 
@@ -162,25 +230,27 @@ class Jet2:
     def __eq__(self, other):
         if not isinstance(other, Jet2):
             return NotImplemented
-        return self.order == other.order and self._coeffs == other._coeffs
+        return (self.order == other.order and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.order, frozenset(self._coeffs.items())))
+        return hash((self.order, self._den, frozenset(self._num.items())))
 
     # -- calculus ----------------------------------------------------------
 
     def partial_u(self) -> "Jet2":
-        out = {(i - 1, j): i * c for (i, j), c in self._coeffs.items() if i > 0}
-        return Jet2(self.order - 1, out)
+        return _jet(self.order - 1,
+                    {(i - 1, j): i * n for (i, j), n in self._num.items() if i > 0}, self._den)
 
     def partial_v(self) -> "Jet2":
-        out = {(i, j - 1): j * c for (i, j), c in self._coeffs.items() if j > 0}
-        return Jet2(self.order - 1, out)
+        return _jet(self.order - 1,
+                    {(i, j - 1): j * n for (i, j), n in self._num.items() if j > 0}, self._den)
 
     def truncate(self, order: int) -> "Jet2":
         if order >= self.order:
             return self
-        return Jet2(order, self._coeffs)
+        return _jet(order, {(i, j): n for (i, j), n in self._num.items() if i + j <= order},
+                    self._den)
 
     def __repr__(self):
         return "Jet2(order=%d, %s)" % (self.order, poly_str(self))
@@ -188,11 +258,11 @@ class Jet2:
 
 def poly_str(jet: Jet2) -> str:
     """Canonical polynomial string, parseable by the document grammar."""
-    if not jet._coeffs:
+    terms = sorted(jet.items(), key=lambda term: (sum(term[0]), term[0][0]))
+    if not terms:
         return "0"
     parts = []
-    for (i, j) in sorted(jet._coeffs, key=lambda ij: (ij[0] + ij[1], ij[0])):
-        c = jet._coeffs[(i, j)]
+    for (i, j), c in terms:
         mono = []
         if i:
             mono.append("u" if i == 1 else "u^%d" % i)
@@ -258,6 +328,19 @@ class MapJet:
 
     def at0(self):
         return tuple(c.at0() for c in self.components)
+
+    def scaled_coeffs(self, *keys):
+        """For each key (i, j), the u^i v^j coefficients of the components as ints.
+
+        Component k is scaled by its own denominator, the same factor for
+        every key; that scales row k of the matrix the vectors form by a
+        positive number, which leaves its rank unchanged.
+        """
+        for i, j in keys:
+            if i + j > self.order:
+                raise OrderExhaustedError(
+                    "coefficient (%d,%d) beyond truncation order %d" % (i, j, self.order))
+        return tuple(tuple(c._num.get(key, 0) for c in self.components) for key in keys)
 
     def truncate(self, order: int) -> "MapJet":
         return MapJet(*(c.truncate(order) for c in self.components))
@@ -352,53 +435,64 @@ class PolyMap3:
 def _substitute(tables, values, order: int):
     """Evaluate polynomials at jets: each table {(e_1, .., e_n): c} at values[0..n-1].
 
-    One power table per variable, sized by its largest exponent.  Terms are
-    grouped by all exponents but the last; each group sums its last-variable
-    powers, then multiplies in each common factor pows[k][e] (skipped when
-    e = 0), innermost variable first.
+    A table is given as (numerators, D): its coefficients are the integer
+    numerators over one denominator D.  Value k is N_k / d_k (its numerator
+    dict over its denominator), and its power table, sized by its largest
+    exponent top_k, holds N_k^e d_k^(top_k - e); so every term has the
+    denominator D * prod_k d_k^top_k and each output is reduced once.
+    Terms are grouped by all exponents but the last; each group sums its
+    last-variable powers, then multiplies in each common factor pows[k][e]
+    (for e = 0 a scaling by d_k^top_k), innermost variable first.  Zeros are
+    dropped after each sum and each finished product.
     """
-    terms = [[(key, c) for key, c in table.items() if sum(key) <= order] for table in tables]
-    one = Jet2.const(1, order)
+    terms = [([(key, c) for key, c in num.items() if sum(key) <= order], den)
+             for num, den in tables]
     pows = []
+    scales = []
     for k, value in enumerate(values):
         value = value.truncate(order)
-        top = max((key[k] for group in terms for key, _ in group), default=0)
-        powers = [one]
+        top = max((key[k] for group, _ in terms for key, _ in group), default=0)
+        powers = [{(0, 0): 1}]
         for _ in range(top):
-            powers.append(powers[-1] * value)
-        pows.append(powers)
+            powers.append(_convolve(powers[-1], value._num, order))
+        d = value._den
+        pows.append([_scale(p, d ** (top - e)) for e, p in enumerate(powers)])
+        scales.append(d ** top)
+    common = prod(scales)
     last = len(values) - 1
     out = []
-    for group in terms:
+    for group, den in terms:
         rows = {}
         for key, c in group:
             rows.setdefault(key[:-1], []).append((key[-1], c))
-        total = Jet2.zero(order)
+        total = {}
         for head, entries in rows.items():
-            inner = Jet2.zero(order)
+            inner = {}
             for e, c in entries:
-                inner = inner + pows[last][e] * c
+                inner = _add(inner, _scale(pows[last][e], c))
             for k in reversed(range(last)):
-                if head[k]:
-                    inner = pows[k][head[k]] * inner
-            total = total + inner
-        out.append(total)
+                e = head[k]
+                inner = _convolve(pows[k][e], inner, order) if e else _scale(inner, scales[k])
+            total = _add(total, inner)
+        out.append(_jet(order, total, den * common))
     return out
 
 
 def compose2(a: Jet2, p: PolyMap2) -> Jet2:
     """Substitute (u, v) -> (p1, p2) into a."""
-    return _substitute([a._coeffs], (p.p1, p.p2), min(a.order, p.order))[0]
+    return _substitute([(a._num, a._den)], (p.p1, p.p2), min(a.order, p.order))[0]
 
 
 def compose_map(f: MapJet, p: PolyMap2) -> MapJet:
     """Substitute (u, v) -> (p1, p2) into each component of f."""
-    return MapJet(*_substitute([c._coeffs for c in f], (p.p1, p.p2), min(f.order, p.order)))
+    return MapJet(*_substitute([(c._num, c._den) for c in f], (p.p1, p.p2),
+                               min(f.order, p.order)))
 
 
 def post_compose(phi: PolyMap3, f: MapJet) -> MapJet:
     """Evaluate each component polynomial of phi at (f1, f2, f3)."""
-    return MapJet(*_substitute(phi.comps, tuple(f), min(f.order, phi.order)))
+    return MapJet(*_substitute([_integers(t) for t in phi.comps], tuple(f),
+                               min(f.order, phi.order)))
 
 
 def invsqrt_series(a: Jet2) -> Jet2:

@@ -1,11 +1,13 @@
 """Scalar coefficients: exact rationals throughout.
 
 Every criterion in this package is ultimately a zero test (or sign test) of
-some determinant, so every scalar is a `fractions.Fraction` and zero tests
-are literal.  The one irrational input the package accepts, a folding angle
-given as a float, is read as an exact rational point on the unit circle
-(`applications._theta_pair`) before any jet is built, so no float reaches
-the arithmetic.
+some determinant, so all arithmetic is exact and zero tests are literal.
+A jet holds integer numerators over one shared denominator (`jets.Jet2`);
+every scalar read out of a jet, and every scalar in a certificate, is a
+`fractions.Fraction`.  The one irrational input the package accepts, a
+folding angle given as a float, is read as an exact rational point on the
+unit circle (`applications._theta_pair`) before any jet is built, so no
+float reaches the arithmetic.
 """
 
 from __future__ import annotations

@@ -6,6 +6,12 @@ removed, so any change to a verdict, an invariant, a frame parameter, the
 normalization or the normalized germ of an exact input shows up here.  A
 change that alters certificates on purpose records the new digest and says
 why.
+
+Sorted keys cannot see the order in which a certificate lists the
+coefficients of its normalized germ, and that order reaches the CLI, which
+prints JSON without sorting.  KEY_ORDER_DIGEST hashes the same certificates
+in their own key order; it was recorded on the Fraction-dict jet kernel,
+before jets moved to integer numerators over one denominator.
 """
 
 import hashlib
@@ -19,6 +25,7 @@ from germclass.applications import MongeCoeffs, folded_invariants, folded_map
 from germclass.classify import classify, normal_forms
 
 DIGEST = "9b96820e095e53bb6588be7b75140070a7376283"
+KEY_ORDER_DIGEST = "82d4a2f2207904e567a04955c232c24ac2ec8662"
 
 BRANCHES = ("S1", "S", "S2", "B", "B2", "SB", "HP2", "H", "H2", "WU")
 
@@ -58,11 +65,19 @@ def corpus():
     return germs
 
 
-def test_certificates_match_recorded_digest():
+def _digest(sort_keys):
     germs = corpus()
     assert len(germs) == 7 + 28 + 40 + 8
     digest = hashlib.sha1()
     for f in germs:
         cls, cert = classify(f)
-        digest.update(json.dumps(cert.to_json_obj(cls), sort_keys=True).encode())
-    assert digest.hexdigest() == DIGEST
+        digest.update(json.dumps(cert.to_json_obj(cls), sort_keys=sort_keys).encode())
+    return digest.hexdigest()
+
+
+def test_certificates_match_recorded_digest():
+    assert _digest(sort_keys=True) == DIGEST
+
+
+def test_certificate_key_order_matches_recorded_digest():
+    assert _digest(sort_keys=False) == KEY_ORDER_DIGEST

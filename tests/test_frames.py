@@ -7,7 +7,7 @@ from germclass.errors import PreconditionError
 from germclass import frames
 from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
                               rank_df0, s3_adapt, sb2_adapt)
-from germclass.jets import Jet2, det3
+from germclass.jets import Jet2, MapJet, cross3, det3
 from germclass.vfields import FramePair, VectorFieldJet, apply_word, bracket, d_du
 from util import germ, random_branch_germ
 
@@ -66,6 +66,47 @@ def test_normalize_rejects_rank0_and_rank2():
         linear_normalize(germ("u", "v", "0"))
     assert rank_df0(germ("u^2", "v^2", "u*v")) == 0
     assert rank_df0(germ("u", "v", "0")) == 2
+
+
+def _fraction_rank(f):
+    """rank df(0) from the Fraction cross product, as rank_df0 decided it before."""
+    fu0 = tuple(c.coeff(1, 0) for c in f)
+    fv0 = tuple(c.coeff(0, 1) for c in f)
+    if any(cross3(fu0, fv0)):
+        return 2
+    return 1 if any(fu0) or any(fv0) else 0
+
+
+def _linear_part(rng, kind):
+    """(f_u(0), f_v(0)) of rank 0, 2, or 1 (f_v = t f_u, t not an integer; or f_u = 0)."""
+    zero = [F(0)] * 3
+    fu = [F(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(3)]
+    if kind == "rank0":
+        return zero, zero
+    if kind == "rank2":
+        return fu, [F(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(3)]
+    if kind == "fu=0":
+        return zero, fu
+    t = F(rng.choice((-1, 1)) * rng.randint(1, 20), rng.choice((2, 3, 5, 7)))
+    return fu, [t * c for c in fu]
+
+
+def test_rank_df0_matches_fraction_cross_product():
+    """Integer rows scaled by each component's own denominator keep the rank."""
+    rng = Random("frames|rank")
+    seen = []
+    for n in range(240):
+        fu, fv = _linear_part(rng, ("rank0", "rank2", "fv=t*fu", "fu=0")[n % 4])
+        comps = []
+        for k, den in enumerate(rng.sample((2, 3, 5, 7, 11, 13), 3)):
+            table = {(i, j): F(rng.randint(-9, 9), den * rng.randint(1, 4))
+                     for i in range(5) for j in range(5 - i) if i + j >= 2 and rng.random() < 0.4}
+            table[(1, 0)], table[(0, 1)] = fu[k], fv[k]
+            comps.append(Jet2(6, table))
+        f = MapJet.germ(*comps)
+        seen.append(_fraction_rank(f))
+        assert rank_df0(f) == seen[-1]
+    assert seen.count(0) >= 60 and seen.count(1) >= 100 and seen.count(2) >= 50
 
 
 # -- solve -------------------------------------------------------------------

@@ -229,3 +229,169 @@ def test_compose_map_matches_componentwise():
     g = compose_map(f, p)
     for k in range(3):
         assert g[k] == compose2(f[k], p)
+
+
+# -- the Fraction-dict kernel the integer kernel replaced ----------------------
+# A jet is (order, {(i, j): Fraction}); each loop is the old Jet2 method, with
+# the old constructor's order filter and zero drop in `ref_jet`.
+
+def ref_jet(order, table):
+    return order, {k: c for k, c in table.items() if sum(k) <= order and c != 0}
+
+
+def ref_add(a, b):
+    out = dict(a[1])
+    for key, c in b[1].items():
+        got = out.get(key)
+        out[key] = c if got is None else got + c
+    return ref_jet(min(a[0], b[0]), out)
+
+
+def ref_neg(a):
+    return a[0], {k: -c for k, c in a[1].items()}
+
+
+def ref_scale(a, s):
+    return ref_jet(a[0], {k: c * s for k, c in a[1].items()} if s else {})
+
+
+def ref_mul(a, b):
+    order, out = min(a[0], b[0]), {}
+    for (i1, j1), c1 in a[1].items():
+        for (i2, j2), c2 in b[1].items():
+            if i1 + j1 + i2 + j2 <= order:
+                key = (i1 + i2, j1 + j2)
+                out[key] = c1 * c2 if key not in out else out[key] + c1 * c2
+    return ref_jet(order, out)
+
+
+def ref_partial(a, axis):
+    shift = ((1, 0), (0, 1))[axis]
+    return ref_jet(a[0] - 1, {(i - shift[0], j - shift[1]): (i, j)[axis] * c
+                              for (i, j), c in a[1].items() if (i, j)[axis] > 0})
+
+
+def ref_truncate(a, order):
+    return a if order >= a[0] else ref_jet(order, a[1])
+
+
+def ref_substitute(tables, values, order):
+    terms = [[(k, c) for k, c in t.items() if sum(k) <= order] for t in tables]
+    pows = []
+    for k, value in enumerate(values):
+        top = max((key[k] for group in terms for key, _ in group), default=0)
+        pows.append([(order, {(0, 0): Fraction(1)})])
+        for _ in range(top):
+            pows[-1].append(ref_mul(pows[-1][-1], ref_truncate(value, order)))
+    out = []
+    for group in terms:
+        rows = {}
+        for key, c in group:
+            rows.setdefault(key[:-1], []).append((key[-1], c))
+        total = (order, {})
+        for head, entries in rows.items():
+            inner = (order, {})
+            for e, c in entries:
+                inner = ref_add(inner, ref_scale(pows[-1][e], c))
+            for k in reversed(range(len(values) - 1)):
+                if head[k]:
+                    inner = ref_mul(pows[k][head[k]], inner)
+            total = ref_add(total, inner)
+        out.append(total)
+    return out
+
+
+def ref(x):
+    return x.order, dict(x.items())
+
+
+def assert_matches_reference(x, want):
+    """Same order, same coefficients in the same insertion order, same reads."""
+    order, table = want
+    assert x.order == order
+    assert list(x.items()) == list(table.items())
+    assert x.degree() == max((sum(k) for k in table), default=-1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            assert x.coeff(i, j) == table.get((i, j), 0)
+    if order >= 0:
+        assert x.at0() == table.get((0, 0), 0)
+
+
+mixed = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def mixed_jets(draw, order=None):
+    order = draw(st.integers(min_value=2, max_value=5)) if order is None else order
+    keys = st.tuples(st.integers(0, order), st.integers(0, order)).filter(
+        lambda k: sum(k) <= order)
+    return Jet2(order, draw(st.dictionaries(keys, mixed, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_jets(), mixed_jets(), mixed, st.integers(min_value=-1, max_value=5))
+def test_kernel_matches_fraction_reference(a, b, s, k):
+    ra, rb = ref(a), ref(b)
+    assert_matches_reference(a + b, ref_add(ra, rb))
+    assert_matches_reference(a - b, ref_add(ra, ref_neg(rb)))
+    assert_matches_reference(a * b, ref_mul(ra, rb))
+    assert_matches_reference(a * s, ref_scale(ra, s))
+    assert_matches_reference(-a, ref_neg(ra))
+    assert_matches_reference(a.partial_u(), ref_partial(ra, 0))
+    assert_matches_reference(a.partial_v(), ref_partial(ra, 1))
+    assert_matches_reference(a.truncate(k), ref_truncate(ra, k))
+    # forced cancellations
+    assert_matches_reference(a + (-a), ref_add(ra, ref_neg(ra)))
+    assert_matches_reference((a * 3) * Fraction(1, 3), ref_scale(ref_scale(ra, 3), Fraction(1, 3)))
+    assert_matches_reference(a - a.truncate(k), ref_add(ra, ref_neg(ref_truncate(ra, k))))
+    assert_matches_reference(a * b - b * a, ref_add(ref_mul(ra, rb), ref_neg(ref_mul(rb, ra))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_jets(), mixed_jets(), mixed_jets(), mixed, st.integers(min_value=0, max_value=5))
+def test_equal_polynomials_compare_and_hash_equal(a, b, c, s, k):
+    routes = [((a + b) * c, a * c + b * c),
+              ((a * 3) * Fraction(1, 3), a),
+              (a + b - b, a.truncate(min(a.order, b.order))),
+              (a - a, Jet2.zero(a.order)),
+              ((a * s) * b, a * (b * s)),
+              ((a - a.truncate(k)).truncate(k), Jet2.zero(min(a.order, k)))]
+    for x, y in routes:
+        assert x == y
+        assert hash(x) == hash(y)
+
+
+def _mixed_polymap2(rng, order):
+    while True:
+        p1, p2 = (Jet2(order, {(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 12))
+                               for i in range(4) for j in range(4 - i)
+                               if 0 < i + j and rng.random() < 0.5}) for _ in range(2))
+        if p1.coeff(1, 0) * p2.coeff(0, 1) != p1.coeff(0, 1) * p2.coeff(1, 0):
+            return PolyMap2(p1, p2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 16), st.integers(min_value=3, max_value=6))
+def test_substitution_matches_fraction_reference(seed, order):
+    rng = Random(seed)
+    f = MapJet(*(random_jet(rng, order=order) * Fraction(1, rng.randint(1, 12))
+                 for _ in range(3)))
+    p = _mixed_polymap2(rng, rng.randint(order - 1, order + 1))
+    sub_order = min(f.order, p.order)
+    want = ref_substitute([dict(c.items()) for c in f], (ref(p.p1), ref(p.p2)), sub_order)
+    for got, w in zip(compose_map(f, p), want):
+        assert_matches_reference(got, w)
+    assert_matches_reference(compose2(f[0], p), want[0])
+    identity = PolyMap2.identity(order)
+    for got, w in zip(compose_map(f, identity),
+                      ref_substitute([dict(c.items()) for c in f],
+                                     (ref(identity.p1), ref(identity.p2)), order)):
+        assert_matches_reference(got, w)
+    phi = PolyMap3([{(1, 0, 0): 1, (0, 0, 2): Fraction(1, 7)},
+                    {(0, 1, 0): Fraction(2, 3), (1, 1, 0): Fraction(-5, 4)},
+                    {(0, 0, 1): Fraction(3, 5), (2, 0, 1): 1, (1, 0, 0): Fraction(1, 9)}],
+                   order)
+    want = ref_substitute(phi.comps, tuple(ref(c) for c in f), f.order)
+    for got, w in zip(post_compose(phi, f), want):
+        assert_matches_reference(got, w)
