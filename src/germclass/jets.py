@@ -32,6 +32,13 @@ order -- the left operand's keys, then the right operand's new keys; the
 convolution order for a product -- and drops zeros at fixed points: after
 each sum and after each finished product.
 
+`directional(a, b, c)` is a * c_u + b * c_v in one pass over the
+numerators, reduced once: the kernel of every vector-field application.
+Its key order is fixed too (c's terms in order, each against a's terms,
+then b's), but it is not the order a * c.partial_u() + b * c.partial_v()
+would give.  That is safe because its results, the derivative words, are
+only read at 0 and never printed.
+
 `MapJet` is a triple of jets sharing one order (a map germ into 3-space,
 or a derivative of one); `PolyMap2` / `PolyMap3` are polynomial coordinate
 changes with invertible linear part, used only through composition.  Source
@@ -254,6 +261,36 @@ class Jet2:
 
     def __repr__(self):
         return "Jet2(order=%d, %s)" % (self.order, poly_str(self))
+
+
+def directional(a: Jet2, b: Jet2, c: Jet2) -> Jet2:
+    """a * dc/du + b * dc/dv, at order min(a.order, b.order, c.order - 1).
+
+    One pass over the numerators: a term n u^i v^j of c meets each term of
+    a with weight i n b._den and each term of b with weight j n a._den,
+    products past the output order are skipped, and the one sum, over
+    a._den b._den c._den, is reduced once.
+    """
+    order = min(a.order, b.order, c.order - 1)
+    a_terms, b_terms = a._num.items(), b._num.items()
+    out = {}
+    for (i, j), n in c._num.items():
+        room = order + 1 - i - j
+        if i:
+            m = i * n * b._den
+            for (k, l), x in a_terms:
+                if k + l <= room:
+                    key = (i - 1 + k, j + l)
+                    got = out.get(key)
+                    out[key] = m * x if got is None else got + m * x
+        if j:
+            m = j * n * a._den
+            for (k, l), x in b_terms:
+                if k + l <= room:
+                    key = (i + k, j - 1 + l)
+                    got = out.get(key)
+                    out[key] = m * x if got is None else got + m * x
+    return _jet(order, out, a._den * b._den * c._den)
 
 
 def poly_str(jet: Jet2) -> str:

@@ -2,6 +2,9 @@
 
 A field zeta = a(u,v) d/du + b(u,v) d/dv acts on a map-jet F as
 zeta F = a * F_u + b * F_v, dropping one truncation order per application.
+Each component is computed by `jets.directional` in one pass over the
+integer numerators and reduced once; no partial jet, product or sum is
+built on the way.
 Words of fields are applied right to left: apply_word([z3, z2, z1], F)
 means z3(z2(z1 F)), matching the usual reading of z3 z2 z1 F.  All the
 recognition criteria are asymmetric in their words, so this convention is
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OrderExhaustedError, PreconditionError
-from .jets import Jet2, MapJet
+from .jets import Jet2, MapJet, directional
 from .scalars import EXACT
 
 
@@ -43,17 +46,19 @@ def apply_to_jet(zeta: VectorFieldJet, g: Jet2, label=None) -> Jet2:
     if g.order < 1:
         raise OrderExhaustedError(
             "derivative %sexhausts the truncation order" % (("%s " % label) if label else ""))
-    return zeta.a * g.partial_u() + zeta.b * g.partial_v()
+    return directional(zeta.a, zeta.b, g)
 
 
 def apply(zeta: VectorFieldJet, f: MapJet, label=None) -> MapJet:
-    """zeta f = a f_u + b f_v, componentwise; order drops by one."""
+    """zeta f = a f_u + b f_v, componentwise; order drops by one.
+
+    Each component is one `jets.directional` pass: one loop over its
+    numerators, one reduction.
+    """
     if f.order < 1:
         raise OrderExhaustedError(
             "derivative %sexhausts the truncation order" % (("%s " % label) if label else ""))
-    fu = f.partial_u()
-    fv = f.partial_v()
-    return MapJet(*(zeta.a * cu + zeta.b * cv for cu, cv in zip(fu, fv)))
+    return MapJet(*(directional(zeta.a, zeta.b, c) for c in f))
 
 
 def apply_word(word, f: MapJet, label=None) -> MapJet:

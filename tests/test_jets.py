@@ -1,13 +1,15 @@
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import germclass
 from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2,
-                            compose_map, cross3, det3, from_divided_coeffs,
+                            compose_map, cross3, det3, directional, from_divided_coeffs,
                             invsqrt_series, post_compose, to_divided_coeff)
 from util import jet, random_jet
 
@@ -362,6 +364,28 @@ def test_equal_polynomials_compare_and_hash_equal(a, b, c, s, k):
         assert hash(x) == hash(y)
 
 
+@st.composite
+def directional_operands(draw):
+    """(a, b, c) with a.order and b.order below, at or above c.order - 1."""
+    c = draw(mixed_jets())
+    a, b = (draw(mixed_jets(order=max(0, c.order - 1 + draw(st.integers(-1, 1)))))
+            for _ in range(2))
+    return a, b, c
+
+
+@settings(max_examples=100, deadline=None)
+@given(directional_operands())
+def test_directional_matches_products(operands):
+    a, b, c = operands
+    assert directional(a, b, c) == a * c.partial_u() + b * c.partial_v()
+    for x, y, z in ((Jet2.zero(a.order), b, c), (a, Jet2.zero(b.order), c),
+                    (a, b, Jet2.const(Fraction(4, 9), 1))):
+        assert directional(x, y, z) == x * z.partial_u() + y * z.partial_v()
+    cancelled = directional(c.partial_v(), -c.partial_u(), c)
+    assert cancelled == Jet2.zero(c.order - 1)
+    assert cancelled._den == 1
+
+
 def _mixed_polymap2(rng, order):
     while True:
         p1, p2 = (Jet2(order, {(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 12))
@@ -395,3 +419,13 @@ def test_substitution_matches_fraction_reference(seed, order):
     want = ref_substitute(phi.comps, tuple(ref(c) for c in f), f.order)
     for got, w in zip(post_compose(phi, f), want):
         assert_matches_reference(got, w)
+
+
+def test_only_jets_reads_the_integer_representation():
+    """`_num` and `_den` are private to `jets`; other modules use the public reads."""
+    package = Path(germclass.__file__).parent
+    offenders = [(path.name, n) for path in sorted(package.glob("*.py")) if path.name != "jets.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if "._num" in line or "._den" in line]
+    assert len(list(package.glob("*.py"))) > 10
+    assert offenders == []

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -6,7 +7,7 @@ from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass.jets import Jet2, MapJet
 from germclass.vfields import (FramePair, VectorFieldJet, apply, apply_to_jet, apply_word,
                                bracket, d_du, d_dv)
-from util import germ, jet, random_jet
+from util import germ, jet, random_jet, rational
 
 
 def field(a_table, b_table, order=6):
@@ -139,3 +140,59 @@ def test_commutator_equals_bracket_action():
         for k in range(3):
             diff = lhs[k] - rhs[k]
             assert diff == br[k].truncate(diff.order)
+
+
+# -- the products-and-sums route that `jets.directional` replaced --------------
+
+def old_apply_to_jet(zeta, g):
+    return zeta.a * g.partial_u() + zeta.b * g.partial_v()
+
+
+def old_apply(zeta, f):
+    return MapJet(*(zeta.a * cu + zeta.b * cv for cu, cv in zip(f.partial_u(), f.partial_v())))
+
+
+def old_apply_word(word, f):
+    for zeta in reversed(list(word)):
+        f = old_apply(zeta, f)
+    return f
+
+
+def old_bracket(z1, z2):
+    return VectorFieldJet(old_apply_to_jet(z1, z2.a) - old_apply_to_jet(z2, z1.a),
+                          old_apply_to_jet(z1, z2.b) - old_apply_to_jet(z2, z1.b))
+
+
+def scaled_jet(rng, order, max_degree=4):
+    return random_jet(rng, order, max_degree) * Fraction(1, rng.randint(1, 12))
+
+
+def nonconstant_field(rng):
+    a, b = (scaled_jet(rng, rng.randint(4, 7), max_degree=3)
+            + jet({(rng.randint(0, 1), 1): rational(rng, nonzero=True)}, 7) for _ in range(2))
+    return VectorFieldJet(a, b)
+
+
+def test_apply_matches_products_and_sums():
+    rng = Random(43)
+    for _ in range(150):
+        z1, z2 = nonconstant_field(rng), nonconstant_field(rng)
+        order = rng.randint(3, 6)
+        f = MapJet(*(scaled_jet(rng, order) for _ in range(3)))
+        assert apply(z1, f) == old_apply(z1, f)
+        assert apply_to_jet(z2, f[1]) == old_apply_to_jet(z2, f[1])
+        word = [(z1, z2)[rng.randint(0, 1)] for _ in range(rng.randint(1, min(order, 4)))]
+        assert apply_word(word, f) == old_apply_word(word, f)
+        assert bracket(z1, z2) == old_bracket(z1, z2)
+
+
+def test_order_exhaustion_label_text():
+    f = germ("u", "v^2", "u*v", order=0)
+    zeta = VectorFieldJet(jet({(0, 0): 1, (1, 1): 2}), jet({(0, 1): 3}))
+    for call, label in ((lambda: apply(zeta, f, "xi f"), "xi f "),
+                        (lambda: apply_to_jet(zeta, f[2], "xi phi"), "xi phi "),
+                        (lambda: apply_word([zeta], f, "eta f"), "eta f "),
+                        (lambda: apply(zeta, f), "")):
+        with pytest.raises(OrderExhaustedError) as err:
+            call()
+        assert str(err.value) == "derivative %sexhausts the truncation order" % label
