@@ -23,17 +23,23 @@ on (u, v^2, v(-u^2+v^2)), so A*C < 0 wires to S1+ and A*C > 0 to S1-.
 Every branch decision and every determinant is recorded in a Certificate
 together with the frame parameters and the normalizing linear map, so a
 verdict can be re-derived mechanically from the stored normalized germ.
+
+The vectors at 0 arrive as integer vectors over one positive diagonal
+scaling (`frames.partials0`, `Words.scaled`), so every cross test and
+determinant is computed on integers; a recorded determinant is the integer
+one over the read's scale, built as one `Fraction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 
 from .errors import GermError, OrderExhaustedError, PreconditionError
-from .frames import (b3_adapt, h2_adapt, h4_adapt, linear_normalize,
-                     partials0, rank_df0, s3_adapt, sb2_adapt)
-from .jets import Jet2, MapJet, cross3, det3, det3_jet
+from .frames import (b3_adapt, df0_rank, h2_adapt, h4_adapt, linear_normalize,
+                     partials0, s3_adapt, sb2_adapt)
+from .jets import Jet2, MapJet, cross3, det3, det3_jet, scaled_coeffs
 from .scalars import EXACT, Scalar, fmt_scalar
 from .vfields import FramePair, apply, apply_to_jet
 
@@ -128,15 +134,23 @@ def second_derivatives_phi(f: MapJet, pair: FramePair):
             apply_to_jet(pair.eta, eta_p, "eta^2 phi").at0())
 
 
+def _det(words, *names):
+    """det(w1 f, w2 f, w3 f)(0) on the integer vectors of one read, and its scale."""
+    vectors, scale = words.scaled(*names)
+    return det3(vectors), scale
+
+
 def classify(f: MapJet):
     """Classify a map-germ; returns (Classification, Certificate)."""
     if f.order < 5:
         raise OrderExhaustedError("classification needs a jet of order >= 5")
-    if not EXACT.is_zero_vec(f.at0()):
+    # f(0) and (f_u, f_v)(0) in one integer read
+    (f0, fu0, fv0), _ = scaled_coeffs((f, (0, 0)), (f, (1, 0)), (f, (0, 1)))
+    if not EXACT.is_zero_vec(f0):
         raise PreconditionError("classify expects a germ sending the origin to the origin")
     cert = Certificate(order=f.order)
 
-    rank = rank_df0(f)
+    rank = df0_rank(fu0, fv0)
     cert.note("rank_df0", str(rank))
     if rank == 2:
         return Classification(Verdict.REGULAR), cert
@@ -147,16 +161,15 @@ def classify(f: MapJet):
     cert.normalization = L.linear_matrix()
     cert.normalized = g
 
-    gu0, gvv0, guv0 = partials0(g)
-    sb_cross = cross3(gu0, gvv0)
-    sb_type = not EXACT.is_zero_vec(sb_cross)
+    partials, scale = partials0(g)
+    gu0, gvv0, guv0 = partials
+    sb_type = not EXACT.is_zero_vec(cross3(gu0, gvv0))
     cert.note("sb_type", str(sb_type))
 
     if sb_type:
-        return _classify_sb(g, cert, gu0, gvv0, guv0)
+        return _classify_sb(g, cert, partials, scale)
 
-    hp_cross = cross3(gu0, guv0)
-    hp_type = not EXACT.is_zero_vec(hp_cross)
+    hp_type = not EXACT.is_zero_vec(cross3(gu0, guv0))
     cert.note("hp_type", str(hp_type))
     if hp_type:
         return _classify_hp(g, cert)
@@ -165,9 +178,9 @@ def classify(f: MapJet):
             cert)
 
 
-def _classify_sb(g, cert, gu0, gvv0, guv0):
-    whitney_det = det3((gu0, gvv0, guv0))
-    cert.record("whitney_det", whitney_det)
+def _classify_sb(g, cert, partials, scale):
+    whitney_det = det3(partials)
+    cert.record("whitney_det", Fraction(whitney_det, scale))
     if not EXACT.is_zero(whitney_det):
         return Classification(Verdict.WHITNEY_UMBRELLA), cert
 
@@ -179,7 +192,7 @@ def _classify_sb(g, cert, gu0, gvv0, guv0):
     cert.record("hess_mixed_xi_eta", m1)
     cert.record("hess_mixed_eta_xi", m2)
     cert.record("eta2phi", C)
-    if m1 != 0 or m2 != 0:
+    if not (EXACT.is_zero(m1) and EXACT.is_zero(m2)):
         raise GermError("mixed phi Hessian entries must vanish on an SB-2 pair")
 
     sA = EXACT.sign(A)
@@ -192,9 +205,8 @@ def _classify_sb(g, cert, gu0, gvv0, guv0):
     if not sA and sC:
         s3 = s3_adapt(g)
         cert.frame.update(s3.params)
-        words = s3.words
-        s2_det = det3((words.at0("x"), words.at0("xxxe"), words.at0("ee")))
-        cert.record("s2_det", s2_det)
+        s2_det, scale = _det(s3.words, "x", "xxxe", "ee")
+        cert.record("s2_det", Fraction(s2_det, scale))
         if not EXACT.is_zero(s2_det):
             return Classification(Verdict.S2), cert
         return (Classification(Verdict.MORE_DEGENERATE,
@@ -204,15 +216,14 @@ def _classify_sb(g, cert, gu0, gvv0, guv0):
     if sA and not sC:
         b3 = b3_adapt(g)
         cert.frame.update(b3.params)
-        words = b3.words
+        (xif0, eta2f0, *criterion), scale = b3.words.scaled("x", "ee", "eeex", "exx", "eeeee")
         # det(xi f, eta^2 f, w f)(0) for the three criterion words w
-        d1, d2, d3 = (det3((words.at0("x"), words.at0("ee"), words.at0(w)))
-                      for w in ("eeex", "exx", "eeeee"))
-        cert.record("b2_det_eta3xi", d1)
-        cert.record("b2_det_etaxi2", d2)
-        cert.record("b2_det_eta5", d3)
+        d1, d2, d3 = (det3((xif0, eta2f0, w)) for w in criterion)
+        cert.record("b2_det_eta3xi", Fraction(d1, scale))
+        cert.record("b2_det_etaxi2", Fraction(d2, scale))
+        cert.record("b2_det_eta5", Fraction(d3, scale))
         V = -5 * d1 * d1 + 3 * d2 * d3
-        cert.record("b2_value", V)
+        cert.record("b2_value", Fraction(V, scale * scale))
         sV = EXACT.sign(V)
         if sV > 0:
             return Classification(Verdict.B2_PLUS), cert
@@ -230,17 +241,15 @@ def _classify_sb(g, cert, gu0, gvv0, guv0):
 def _classify_hp(g, cert):
     h2 = h2_adapt(g)
     cert.frame.update(h2.params)
-    words = h2.words
-    h_type_det = det3((words.at0("x"), words.at0("xe"), words.at0("eee")))
-    cert.record("h_type_det", h_type_det)
+    h_type_det, scale = _det(h2.words, "x", "xe", "eee")
+    cert.record("h_type_det", Fraction(h_type_det, scale))
     if EXACT.is_zero(h_type_det):
         return Classification(Verdict.MORE_DEGENERATE, "P-type or worse"), cert
 
     h4 = h4_adapt(g)
     cert.frame.update(h4.params)
-    words = h4.words
-    h2_det = det3((words.at0("x"), words.at0("eeeee"), words.at0("eee")))
-    cert.record("h2_det", h2_det)
+    h2_det, scale = _det(h4.words, "x", "eeeee", "eee")
+    cert.record("h2_det", Fraction(h2_det, scale))
     if not EXACT.is_zero(h2_det):
         return Classification(Verdict.H2), cert
     return (Classification(Verdict.MORE_DEGENERATE,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -186,7 +187,9 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="germclass",
         description="Classify corank-1 surface map-germ singularities up to codimension two.")

@@ -15,9 +15,9 @@ explicit perturbation of (d/du, d/dv).  The coefficient formulas below are
 exact: each constructor solves a small linear system for the defect of f
 at the origin and writes the correction directly into the field
 coefficients.  Every such system goes through `solve`, one exact
-Gauss-Jordan elimination; the guards each constructor checks first make
-its solution unique.  The solved parameters are returned alongside the
-pair so a classification certificate can expose them.
+fraction-free Gauss-Jordan elimination; the guards each constructor checks
+first make its solution unique.  The solved parameters are returned
+alongside the pair so a classification certificate can expose them.
 
 The S-3 and H-4 corrections are closed forms in alpha, beta and the basis
 expansion (alpha1, beta1, delta1) of one parent word, each found from one
@@ -34,8 +34,14 @@ computed.  Every criterion reads its words at the origin only, and a word
 read at 0 reads f only to degree len(word), so the table computes each
 word at the lowest order its reader needs (phi's second derivatives in
 `classify` likewise read f only to degree 4).  The vectors f_u, f_v, f_vv,
-f_uv at 0 are read straight from f's coefficients; `rank_df0` reads f_u and
-f_v as integers, each component scaled by its own denominator.
+f_uv at 0 are read straight from f's coefficients.
+
+Everything at 0 is integer arithmetic.  `Words.scaled` and `partials0`
+read the vectors one test needs together, through `jets.scaled_coeffs`,
+as integer vectors over one positive diagonal scaling; the guards, the
+rank test, the solves and the verifications run on those integers, whose
+zero tests and solutions are the exact ones.  Only the solved parameters
+become `Fraction`s, one per unknown, in `solve`.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .jets import Jet2, MapJet, PolyMap2, compose_map, cross3, det3
+from .jets import Jet2, MapJet, PolyMap2, compose_map, cross3, det3, scaled_coeffs
 from .scalars import EXACT
 from .vfields import FramePair, VectorFieldJet, apply, d_du
 
@@ -82,6 +88,13 @@ class Words:
     def at0(self, word: str):
         return self.jet(word, 0).at0()
 
+    def scaled(self, *words):
+        """The words at 0 as integer vectors over one scaling, and its scale.
+
+        Read together through `jets.scaled_coeffs`, in the given order.
+        """
+        return scaled_coeffs(*((self.jet(word, 0), (0, 0)) for word in words))
+
 
 @dataclass(frozen=True)
 class FrameBuild:
@@ -91,11 +104,16 @@ class FrameBuild:
 
 
 def solve(columns, rhs):
-    """Solve sum_j x_j columns[j] = rhs exactly by Gauss-Jordan elimination.
+    """Solve sum_j x_j columns[j] = rhs exactly by fraction-free Gauss-Jordan.
 
-    The system may be overdetermined: a leftover row that does not vanish
-    raises PreconditionError.  A column without a pivot gets 0, so a caller
-    that needs the unique solution checks the columns' independence first.
+    Entries are ints (or Fractions).  Eliminating with pivot p replaces
+    each other row r by p r - r[col] (pivot row): it scales rows by nonzero
+    factors, so the pivots, the zero tests and the solution are those of
+    division-based elimination, and nothing is divided until each unknown
+    is read off its row as one `Fraction`.  The system may be
+    overdetermined: a leftover row that does not vanish raises
+    PreconditionError.  A column without a pivot gets 0, so a caller that
+    needs the unique solution checks the columns' independence first.
     """
     m, n = len(rhs), len(columns)
     rows = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
@@ -107,42 +125,49 @@ def solve(columns, rhs):
         if pivot_row is None:
             continue
         rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
-        pivot = rows[row][col]
-        rows[row] = [value / pivot for value in rows[row]]
+        pivot = rows[row]
+        p = pivot[col]
         for k in range(m):
             if k != row:
                 factor = rows[k][col]
                 if factor:
-                    rows[k] = [a - factor * b for a, b in zip(rows[k], rows[row])]
+                    rows[k] = [p * a - factor * b for a, b in zip(rows[k], pivot)]
         pivots.append(col)
         row += 1
     for k in range(row, m):
         if not EXACT.is_zero(rows[k][n]):
             raise PreconditionError("linear system is inconsistent")
     for idx, col in enumerate(pivots):
-        x[col] = rows[idx][n]
+        x[col] = Fraction(rows[idx][n], rows[idx][col])
     return x
 
 
-def _coeffs(f: MapJet, i: int, j: int):
-    """The u^i v^j coefficient of each component of f."""
-    return tuple(c.coeff(i, j) for c in f)
-
-
 def partials0(f: MapJet):
-    """(f_u, f_vv, f_uv)(0): the vectors the SB and HP guards read."""
-    return (_coeffs(f, 1, 0), tuple(2 * c for c in _coeffs(f, 0, 2)),
-            _coeffs(f, 1, 1))
+    """(f_u, f_vv, f_uv)(0), the vectors the SB and HP guards read, and their scale.
+
+    One `jets.scaled_coeffs` read: integer vectors over one scaling.
+    """
+    (fu, fv2, fuv), scale = scaled_coeffs((f, (1, 0)), (f, (0, 2)), (f, (1, 1)))
+    return (fu, tuple(2 * c for c in fv2), fuv), scale
 
 
-def rank_df0(f: MapJet) -> int:
-    """Rank of df(0), decided on the integer rows of `MapJet.scaled_coeffs`."""
-    fu0, fv0 = f.scaled_coeffs((1, 0), (0, 1))
+def _df0(f: MapJet):
+    """(f_u, f_v)(0) as integer vectors over one scaling."""
+    return scaled_coeffs((f, (1, 0)), (f, (0, 1)))[0]
+
+
+def df0_rank(fu0, fv0) -> int:
+    """Rank of df(0) from (f_u, f_v)(0), exact or over one positive scaling."""
     if not EXACT.is_zero_vec(cross3(fu0, fv0)):
         return 2
     if EXACT.is_zero_vec(fu0) and EXACT.is_zero_vec(fv0):
         return 0
     return 1
+
+
+def rank_df0(f: MapJet) -> int:
+    """Rank of df(0), decided on integer vectors."""
+    return df0_rank(*_df0(f))
 
 
 def linear_normalize(f: MapJet):
@@ -151,11 +176,10 @@ def linear_normalize(f: MapJet):
     Returns (f o L, L).  Requires rank df0 = 1; rank 0 and rank 2 germs are
     rejected (they are classified before any frame is built).
     """
-    rank = rank_df0(f)
+    fu0, fv0 = _df0(f)
+    rank = df0_rank(fu0, fv0)
     if rank != 1:
         raise PreconditionError("linear_normalize needs rank df0 = 1, got %d" % rank)
-    fu0 = _coeffs(f, 1, 0)
-    fv0 = _coeffs(f, 0, 1)
     if EXACT.is_zero_vec(fv0):
         L = PolyMap2.identity(f.order)
     elif EXACT.is_zero_vec(fu0):
@@ -169,7 +193,7 @@ def linear_normalize(f: MapJet):
 
 def _sb_defect(f: MapJet):
     """alpha, beta with f_uv(0) = alpha f_u(0) + beta f_vv(0), after SB guards."""
-    fu0, fvv0, fuv0 = partials0(f)
+    (fu0, fvv0, fuv0), _ = partials0(f)
     if EXACT.is_zero_vec(cross3(fu0, fvv0)):
         raise PreconditionError("germ is not SB-type: f_u(0) x f_vv(0) = 0")
     if not EXACT.is_zero(det3((fu0, fvv0, fuv0))):
@@ -208,14 +232,12 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     """
     sb = sb2_adapt(f)
     alpha, beta = sb.params["alpha"], sb.params["beta"]
-    sbw = sb.words
-    xif0 = sbw.at0("x")
-    eta2f0 = sbw.at0("ee")
+    (xif0, eta2f0, eta3f0, xxef0), _ = sb.words.scaled("x", "ee", "eee", "xxe")
     # S-type guard: eta^2 phi(0) = det(xi f, eta^2 f, eta^3 f)(0) must survive.
-    if EXACT.is_zero(det3((xif0, eta2f0, sbw.at0("eee")))):
+    if EXACT.is_zero(det3((xif0, eta2f0, eta3f0))):
         raise PreconditionError("germ is not S-type: eta^2 phi vanishes at 0")
     try:
-        alpha1, beta1 = solve([xif0, eta2f0], sbw.at0("xxe"))
+        alpha1, beta1 = solve([xif0, eta2f0], xxef0)
     except PreconditionError:
         raise PreconditionError("germ is not S-type: xi^2 eta f(0) outside the span")
 
@@ -225,7 +247,7 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     b1 = Jet2(n, {(0, 0): -beta, (1, 0): q})
     c1 = Jet2(n, {(1, 0): -alpha, (2, 0): r})
     words = Words(f, FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, Jet2.const(1, n))))
-    if not all(EXACT.is_zero_vec(words.at0(word)) for word in ("xxe", "xex", "exx")):
+    if not all(map(EXACT.is_zero_vec, words.scaled("xxe", "xex", "exx")[0])):
         raise PreconditionError("S-3 correction failed verification")
     return FrameBuild(words.pair, {"alpha": alpha, "beta": beta,
                                    "alpha1": alpha1, "beta1": beta1,
@@ -237,14 +259,12 @@ def b3_adapt(f: MapJet) -> FrameBuild:
     """B-3 pair: the SB-2 pair corrected so that eta^3 f(0) = 0."""
     sb = sb2_adapt(f)
     alpha, beta = sb.params["alpha"], sb.params["beta"]
-    sbw = sb.words
-    xif0 = sbw.at0("x")
-    eta2f0 = sbw.at0("ee")
+    (xif0, eta2f0, xxef0, eta3f0), _ = sb.words.scaled("x", "ee", "xxe", "eee")
     # B-type guard: xi^2 phi(0), equivalently det(xi f, xi^2 eta f, eta^2 f)(0).
-    if EXACT.is_zero(det3((xif0, sbw.at0("xxe"), eta2f0))):
+    if EXACT.is_zero(det3((xif0, xxef0, eta2f0))):
         raise PreconditionError("germ is not B-type: xi^2 phi vanishes at 0")
     try:
-        alpha1, beta1 = solve([xif0, eta2f0], sbw.at0("eee"))
+        alpha1, beta1 = solve([xif0, eta2f0], eta3f0)
     except PreconditionError:
         raise PreconditionError("germ is not B-type: eta^3 f(0) outside the span")
     n = f.order
@@ -259,7 +279,7 @@ def b3_adapt(f: MapJet) -> FrameBuild:
 
 def h2_adapt(f: MapJet) -> FrameBuild:
     """H-2 pair: xi = du, eta = -alpha v du + dv, where f_vv(0) = alpha f_u(0)."""
-    fu0, fvv0, fuv0 = partials0(f)
+    (fu0, fvv0, fuv0), _ = partials0(f)
     if not EXACT.is_zero_vec(cross3(fu0, fvv0)):
         raise PreconditionError("germ is not HP-type: f_u(0) x f_vv(0) != 0")
     if EXACT.is_zero_vec(cross3(fu0, fuv0)):
@@ -291,11 +311,10 @@ def h4_adapt(f: MapJet) -> FrameBuild:
     """
     h2 = h2_adapt(f)
     alpha = h2.params["alpha"]
-    h2w = h2.words
-    basis = [h2w.at0(word) for word in ("x", "xe", "eee")]
+    (*basis, eta4f0), _ = h2.words.scaled("x", "xe", "eee", "eeee")
     if EXACT.is_zero(det3(basis)):
         raise PreconditionError("germ is not H-type: det(xi f, xi eta f, eta^3 f)(0) = 0")
-    alpha1, beta1, delta1 = solve(basis, h2w.at0("eeee"))
+    alpha1, beta1, delta1 = solve(basis, eta4f0)
 
     w = -delta1 / 6
     sigma = -beta1 / 8
@@ -304,9 +323,10 @@ def h4_adapt(f: MapJet) -> FrameBuild:
     c1 = Jet2(n, {(0, 1): -alpha, (0, 2): s, (0, 3): t})
     d1 = Jet2(n, {(0, 0): 1, (0, 1): w})
     words = Words(f, FramePair(d_du(n), VectorFieldJet(c1, d1)))
-    if not EXACT.is_zero_vec(words.at0("eeee")):
+    eta4f0, eta2f0 = words.scaled("eeee", "ee")[0]
+    if not EXACT.is_zero_vec(eta4f0):
         raise PreconditionError("H-4 correction failed verification")
-    if not EXACT.is_zero_vec(words.at0("ee")):
+    if not EXACT.is_zero_vec(eta2f0):
         raise PreconditionError("H-4 correction broke the H-2 level")
     return FrameBuild(words.pair,
                       {"alpha": alpha, "alpha1": alpha1, "beta1": beta1,

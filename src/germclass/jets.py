@@ -22,8 +22,17 @@ numerator is zero, gcd(_den, *numerators) == 1, and the zero jet has
 is what `==` and `hash` compare.  Arithmetic works on the integers and
 reduces each result once, in `_jet`; every scalar read out (`coeff`,
 `at0`, `items()`) is a `Fraction`.  Nothing outside this module reads
-`_num` or `_den`; `MapJet.scaled_coeffs` gives the integer vectors a rank
-test needs.
+`_num` or `_den`.
+
+Integer reads at the origin.  `scaled_coeffs` reads coefficients of
+several jet vectors (MapJets, or the two coefficients of a vector field)
+as integer vectors: component k of every vector in one read is scaled by
+one positive D_k, and the read returns the product of the D_k too.  That
+positive diagonal scaling leaves each zero test, each cross-product zero
+test and each linear solution unchanged, and a determinant of the exact
+vectors is the integer determinant over the product.  So the frame guards,
+solves and criteria at 0 run on integers (in Bareiss's fraction-free
+manner), and build one `Fraction` only for a value they record.
 
 The insertion order of the coefficients is part of the output contract:
 `items()` yields it, a certificate lists its normalized germ in it and the
@@ -293,6 +302,40 @@ def directional(a: Jet2, b: Jet2, c: Jet2) -> Jet2:
     return _jet(order, out, a._den * b._den * c._den)
 
 
+def scaled_coeffs(*reads):
+    """Coefficients of jet vectors as integer vectors over one diagonal scaling.
+
+    A read is (vector, (i, j)): a sequence of n jets -- a MapJet, or a
+    field's (a, b) -- read at their u^i v^j coefficients.  Returns
+    (vectors, scale): component k of every vector is the exact coefficient
+    times D_k, the lcm of the component-k denominators of the read, and
+    scale = D_1 ... D_n.  Every zero test, cross-product zero test and
+    `frames.solve` solution on the vectors is the exact one, and an n x n
+    determinant of the exact vectors is det(vectors) / scale.
+    """
+    nums, dens = [], []
+    for vector, key in reads:
+        i, j = key
+        ns, ds = [], []
+        for c in vector:
+            if i + j > c.order:
+                raise OrderExhaustedError(
+                    "coefficient (%d,%d) beyond truncation order %d" % (i, j, c.order))
+            ns.append(c._num.get(key, 0))
+            ds.append(c._den)
+        nums.append(ns)
+        dens.append(ds)
+    common = dens[0]
+    # when every read has the same denominators (one vector, say), D_k is its own
+    if dens.count(common) < len(dens):
+        common = list(map(lcm, *dens))
+        for ns, ds in zip(nums, dens):
+            for k, d in enumerate(ds):
+                if d != common[k]:
+                    ns[k] *= common[k] // d
+    return tuple(map(tuple, nums)), prod(common)
+
+
 def poly_str(jet: Jet2) -> str:
     """Canonical polynomial string, parseable by the document grammar."""
     terms = sorted(jet.items(), key=lambda term: (sum(term[0]), term[0][0]))
@@ -365,19 +408,6 @@ class MapJet:
 
     def at0(self):
         return tuple(c.at0() for c in self.components)
-
-    def scaled_coeffs(self, *keys):
-        """For each key (i, j), the u^i v^j coefficients of the components as ints.
-
-        Component k is scaled by its own denominator, the same factor for
-        every key; that scales row k of the matrix the vectors form by a
-        positive number, which leaves its rank unchanged.
-        """
-        for i, j in keys:
-            if i + j > self.order:
-                raise OrderExhaustedError(
-                    "coefficient (%d,%d) beyond truncation order %d" % (i, j, self.order))
-        return tuple(tuple(c._num.get(key, 0) for c in self.components) for key in keys)
 
     def truncate(self, order: int) -> "MapJet":
         return MapJet(*(c.truncate(order) for c in self.components))

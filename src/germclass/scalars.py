@@ -4,7 +4,10 @@ Every criterion in this package is ultimately a zero test (or sign test) of
 some determinant, so all arithmetic is exact and zero tests are literal.
 A jet holds integer numerators over one shared denominator (`jets.Jet2`);
 every scalar read out of a jet, and every scalar in a certificate, is a
-`fractions.Fraction`.  The one irrational input the package accepts, a
+`fractions.Fraction`.  The vectors at the origin that the frame guards,
+solves and criteria use are read as integers over a positive scaling
+(`jets.scaled_coeffs`), so `ZeroCtx` tests ints as often as Fractions;
+either way the test is exact.  The one irrational input the package accepts, a
 folding angle given as a float, is read as an exact rational point on the
 unit circle (`applications._theta_pair`) before any jet is built, so no
 float reaches the arithmetic.

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OrderExhaustedError, PreconditionError
-from .jets import Jet2, MapJet, directional
+from .jets import Jet2, MapJet, directional, scaled_coeffs
 from .scalars import EXACT
 
 
@@ -82,15 +82,15 @@ class FramePair:
 
     eta is the member expected to span ker df0; frame constructors validate
     that, the type only checks pointwise independence (which also rules out
-    a field vanishing at 0).
+    a field vanishing at 0), on the integer values at 0 of `jets.scaled_coeffs`.
     """
 
     xi: VectorFieldJet
     eta: VectorFieldJet
 
     def __post_init__(self):
-        a1, b1 = self.xi.at0()
-        a2, b2 = self.eta.at0()
+        ((a1, b1), (a2, b2)), _ = scaled_coeffs(((self.xi.a, self.xi.b), (0, 0)),
+                                                ((self.eta.a, self.eta.b), (0, 0)))
         if EXACT.is_zero(a1 * b2 - b1 * a2):
             raise PreconditionError("frame pair is linearly dependent at the origin")
 

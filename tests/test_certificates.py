@@ -12,6 +12,14 @@ coefficients of its normalized germ, and that order reaches the CLI, which
 prints JSON without sorting.  KEY_ORDER_DIGEST hashes the same certificates
 in their own key order; it was recorded on the Fraction-dict jet kernel,
 before jets moved to integer numerators over one denominator.
+
+SCRAMBLED_DIGEST and SCRAMBLED_KEY_ORDER_DIGEST hash, the same two ways,
+the certificates of a dense scrambled corpus: every model germ acted on
+by `fuzz` diffeomorphisms of degree 1 to 3 with rationals up to 9/9,
+seeded by a fixed string.  Their denominators are far larger than the
+first corpus's, so these two digests watch the exact arithmetic on the
+words at 0 where common denominators grow.  They were recorded while the
+words at 0 were still read and solved as `Fraction`s.
 """
 
 import hashlib
@@ -23,9 +31,14 @@ from util import random_branch_germ, rational, scramble
 
 from germclass.applications import MongeCoeffs, folded_invariants, folded_map
 from germclass.classify import classify, normal_forms
+from germclass.docparse import parse_poly
+from germclass.fuzz import FuzzConfig, act, random_source_diffeo, random_target_diffeo
+from germclass.jets import MapJet
 
 DIGEST = "9b96820e095e53bb6588be7b75140070a7376283"
 KEY_ORDER_DIGEST = "82d4a2f2207904e567a04955c232c24ac2ec8662"
+SCRAMBLED_DIGEST = "08e0f88678a6b39da79311fd8fae4d592b09d53b"
+SCRAMBLED_KEY_ORDER_DIGEST = "ee42b78033d8889563564324c4fa3bf4f2b953e3"
 
 BRANCHES = ("S1", "S", "S2", "B", "B2", "SB", "HP2", "H", "H2", "WU")
 
@@ -65,14 +78,49 @@ def corpus():
     return germs
 
 
+# the degenerate and non-corank-1 models next to `normal_forms`
+MORE_MODELS = {
+    "S-degenerate": ("u", "v^2", "v*(u^4+v^2)"),
+    "B-degenerate": ("u", "v^2", "u^2*v"),
+    "H-degenerate": ("u", "u*v", "v^3"),
+    "P-type": ("u", "u*v", "v^4+u^2*v"),
+    "Regular": ("u", "v", "u*v"),
+    "Corank2": ("u^2", "v^2", "u*v"),
+}
+SCRAMBLES_PER_MODEL = 20
+
+
+def scrambled_corpus():
+    """Each model germ under SCRAMBLES_PER_MODEL seeded A-actions of degree 1, 2, 3, ..."""
+    models = normal_forms()
+    models.update((name, MapJet.germ(*(parse_poly(p, 6) for p in polys)))
+                  for name, polys in MORE_MODELS.items())
+    cfg = FuzzConfig(seed=0, bound=9, degree=3, order=6)
+    germs = []
+    for name in sorted(models):
+        for k in range(SCRAMBLES_PER_MODEL):
+            rng = Random("certificates|%s|%d" % (name, k))
+            degree = 1 + k % 3
+            germs.append(act(models[name], random_source_diffeo(cfg, rng, degree),
+                             random_target_diffeo(cfg, rng, degree)))
+    return germs
+
+
+def _certificates(germs):
+    return [cert.to_json_obj(cls) for cls, cert in map(classify, germs)]
+
+
+def _sha1(certificates, sort_keys):
+    digest = hashlib.sha1()
+    for obj in certificates:
+        digest.update(json.dumps(obj, sort_keys=sort_keys).encode())
+    return digest.hexdigest()
+
+
 def _digest(sort_keys):
     germs = corpus()
     assert len(germs) == 7 + 28 + 40 + 8
-    digest = hashlib.sha1()
-    for f in germs:
-        cls, cert = classify(f)
-        digest.update(json.dumps(cert.to_json_obj(cls), sort_keys=sort_keys).encode())
-    return digest.hexdigest()
+    return _sha1(_certificates(germs), sort_keys)
 
 
 def test_certificates_match_recorded_digest():
@@ -81,3 +129,11 @@ def test_certificates_match_recorded_digest():
 
 def test_certificate_key_order_matches_recorded_digest():
     assert _digest(sort_keys=False) == KEY_ORDER_DIGEST
+
+
+def test_scrambled_certificates_match_recorded_digests():
+    germs = scrambled_corpus()
+    assert len(germs) == 13 * SCRAMBLES_PER_MODEL
+    certificates = _certificates(germs)
+    assert _sha1(certificates, sort_keys=True) == SCRAMBLED_DIGEST
+    assert _sha1(certificates, sort_keys=False) == SCRAMBLED_KEY_ORDER_DIGEST

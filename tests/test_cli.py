@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germclass.cli import main
+from germclass.cli import build_parser, main
 from germclass.classify import normal_forms
 from germclass.jets import poly_str
 
@@ -214,6 +214,33 @@ def test_fuzz_rejects_out_of_range_option(capsys, option, value):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_one_process_runs_many_commands(tmp_path, capsys):
+    """The parser is built once per process; no call's flags or state reach the next."""
+    s2 = write(tmp_path, "s2.germ", S2_DOC)
+    sb = write(tmp_path, "sb.germ", "[sb-normal]\na21 = 2\na05 = 120\n")
+    code, out, _ = run(capsys, "classify", s2, "--json", "--verify")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "S2"
+    code, text, err = run(capsys, "classify", s2)
+    assert (code, err) == (0, "")
+    assert text.startswith("verdict: S2\nmode: exact\n")
+    assert "verify:" not in text and "{" not in text
+    code, out, _ = run(capsys, "oracle", sb)
+    assert code == 0
+    assert out.startswith("formula verdict: B2+\n")
+    assert out.endswith("agreement: yes\n")
+    with pytest.raises(SystemExit) as usage_error:
+        main(["classify", s2, "--no-such-flag"])
+    assert usage_error.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as usage_error:
+        main(["fuzz", "--trials", "many"])
+    assert usage_error.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "classify", s2) == (0, text, "")
+    assert build_parser() is build_parser()
 
 
 # -- recorded output digest ----------------------------------------------------

@@ -2,12 +2,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germclass.errors import PreconditionError
 from germclass import frames
 from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
                               rank_df0, s3_adapt, sb2_adapt)
-from germclass.jets import Jet2, MapJet, cross3, det3
+from germclass.jets import Jet2, MapJet, cross3, det3, scaled_coeffs
 from germclass.vfields import FramePair, VectorFieldJet, apply_word, bracket, d_du
 from util import germ, random_branch_germ
 
@@ -138,6 +140,108 @@ def test_solve(case):
     x = frames.solve(columns, rhs)
     assert x == expected
     assert all(type(value) is Fraction for value in x)
+
+
+def fraction_solve(columns, rhs):
+    """Gauss-Jordan elimination with division on Fractions: `frames.solve` before it
+    became fraction-free, kept as the reference."""
+    m, n = len(rhs), len(columns)
+    rows = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
+    x = [F(0)] * n
+    row = 0
+    pivots = []
+    for col in range(n):
+        pivot_row = next((k for k in range(row, m) if rows[k][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
+        pivot = rows[row][col]
+        rows[row] = [value / pivot for value in rows[row]]
+        for k in range(m):
+            if k != row:
+                factor = rows[k][col]
+                if factor:
+                    rows[k] = [a - factor * b for a, b in zip(rows[k], rows[row])]
+        pivots.append(col)
+        row += 1
+    for k in range(row, m):
+        if rows[k][n] != 0:
+            raise PreconditionError("linear system is inconsistent")
+    for idx, col in enumerate(pivots):
+        x[col] = rows[idx][n]
+    return x
+
+
+def _random_system(rng, n):
+    """3 x n columns and a right-hand side over denominators up to 12.
+
+    Kinds: unrelated entries; rhs in the span; a column dependent on the
+    others (or zero) with rhs in the span; a dependent column with an
+    unrelated rhs, which is inconsistent unless it happens to lie in the span.
+    """
+    def entry():
+        return F(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.7 else F(0)
+
+    kind = rng.choice(("random", "consistent", "dependent", "inconsistent"))
+    columns = [[entry() for _ in range(3)] for _ in range(n)]
+    if kind in ("dependent", "inconsistent"):
+        weights = [entry() for _ in range(n - 1)]
+        columns[rng.randrange(n)] = [sum((w * c[i] for w, c in zip(weights, columns)), F(0))
+                                     for i in range(3)]
+    if kind in ("consistent", "dependent"):
+        x = [entry() for _ in range(n)]
+        rhs = [sum((xj * c[i] for xj, c in zip(x, columns)), F(0)) for i in range(3)]
+    else:
+        rhs = [entry() for _ in range(3)]
+    return columns, rhs
+
+
+def _outcome(columns, rhs, solver):
+    try:
+        return solver(columns, rhs)
+    except PreconditionError:
+        return "inconsistent"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1, max_value=3))
+def test_solve_matches_fraction_reference(seed, n):
+    """Integer rows (one `scaled_coeffs` read) and Fraction rows solve as division does."""
+    columns, rhs = _random_system(Random(seed), n)
+    want = _outcome(columns, rhs, fraction_solve)
+    vectors = [MapJet(*(Jet2.const(c, 0) for c in vector)) for vector in columns + [rhs]]
+    *int_columns, int_rhs = scaled_coeffs(*((v, (0, 0)) for v in vectors))[0]
+    for system in ((int_columns, int_rhs), (columns, rhs)):
+        got = _outcome(*system, frames.solve)
+        assert got == want
+        if want != "inconsistent":
+            assert all(type(value) is Fraction for value in got)
+
+
+def _rank(columns):
+    n = len(columns)
+    if n == 1:
+        return int(any(columns[0]))
+    if n == 2:
+        return 2 if any(cross3(*columns)) else int(any(columns[0]) or any(columns[1]))
+    if det3(columns):
+        return 3
+    return max(_rank([a, b]) for a, b in ((columns[0], columns[1]), (columns[0], columns[2]),
+                                          (columns[1], columns[2])))
+
+
+def test_solve_reference_cases_cover_every_outcome():
+    """The random systems above reach unique, non-unique and inconsistent outcomes."""
+    outcomes = set()
+    for seed in range(300):
+        for n in (1, 2, 3):
+            columns, rhs = _random_system(Random(seed), n)
+            got = _outcome(columns, rhs, fraction_solve)
+            rank = _rank(columns)
+            outcomes.add((n, "inconsistent" if got == "inconsistent"
+                          else "unique" if rank == n else "free"))
+    assert outcomes == {(n, kind) for n in (1, 2, 3)
+                        for kind in ("inconsistent", "unique", "free")}
 
 
 # -- sb2_adapt ---------------------------------------------------------------

@@ -10,7 +10,7 @@ import germclass
 from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2,
                             compose_map, cross3, det3, directional, from_divided_coeffs,
-                            invsqrt_series, post_compose, to_divided_coeff)
+                            invsqrt_series, post_compose, scaled_coeffs, to_divided_coeff)
 from util import jet, random_jet
 
 
@@ -419,6 +419,101 @@ def test_substitution_matches_fraction_reference(seed, order):
     want = ref_substitute(phi.comps, tuple(ref(c) for c in f), f.order)
     for got, w in zip(post_compose(phi, f), want):
         assert_matches_reference(got, w)
+
+
+# -- integer reads at the origin -----------------------------------------------
+
+def _mixed_jet(rng, order):
+    """A jet of the given order with a few coefficients over denominators up to 12."""
+    return Jet2(order, {(i, j): Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+                        for i in range(order + 1) for j in range(order + 1 - i)
+                        if rng.random() < 0.4})
+
+
+def coefficient_reads(seed, n=None, dim=None):
+    """Reads (vector, (i, j)) of `dim`-vectors of jets with mixed orders and denominators.
+
+    A 3-vector is a MapJet (one order) or a bare tuple of jets (mixed
+    orders, as a field's (a, b) may have); the key lies within the order
+    of every component, and is (0, 0) half of the time.
+    """
+    rng = Random(seed)
+    n = rng.randint(1, 5) if n is None else n
+    dim = rng.choice((2, 3)) if dim is None else dim
+    reads = []
+    for _ in range(n):
+        vector = tuple(_mixed_jet(rng, rng.randint(0, 5)) for _ in range(dim))
+        if dim == 3 and rng.random() < 0.5:
+            vector = MapJet(*vector)
+        order = min(c.order for c in vector)
+        i = j = 0
+        if rng.random() < 0.5:
+            i = rng.randint(0, order)
+            j = rng.randint(0, order - i)
+        reads.append((vector, (i, j)))
+    return reads
+
+
+def _exact(reads):
+    """The Fraction values each read stands for: `MapJet.at0()` at (0, 0), else `coeff`."""
+    return [vector.at0() if isinstance(vector, MapJet) and key == (0, 0)
+            else tuple(c.coeff(*key) for c in vector) for vector, key in reads]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_scaled_coeffs_match_fraction_reads(seed):
+    """Component k of every vector is the exact value times one D_k > 0; scale is their product."""
+    reads = coefficient_reads(seed)
+    vectors, scale = scaled_coeffs(*reads)
+    exact = _exact(reads)
+    assert len(vectors) == len(exact)
+    assert all(type(x) is int for vector in vectors for x in vector)
+    product = 1
+    for k in range(len(exact[0])):
+        factors = {Fraction(vector[k]) / value[k] for vector, value in zip(vectors, exact)
+                   if value[k]}
+        assert all(vector[k] == 0 for vector, value in zip(vectors, exact) if not value[k])
+        assert len(factors) <= 1
+        if factors:
+            (factor,) = factors
+            assert factor > 0 and factor.denominator == 1
+            product *= factor
+    assert scale > 0 and scale % product == 0
+    if all(any(value[k] for value in exact) for k in range(len(exact[0]))):
+        assert scale == product
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from((2, 3)))
+def test_scaled_determinant_is_exact_determinant_over_scale(seed, dim):
+    reads = coefficient_reads(seed, n=dim, dim=dim)
+    vectors, scale = scaled_coeffs(*reads)
+    exact = _exact(reads)
+    if len(reads) == 3:
+        assert Fraction(det3(vectors), scale) == det3(exact)
+        for x, y in ((0, 1), (1, 2), (0, 2)):
+            assert [c == 0 for c in cross3(vectors[x], vectors[y])] == [
+                c == 0 for c in cross3(exact[x], exact[y])]
+    else:
+        (a1, b1), (a2, b2) = vectors
+        (x1, y1), (x2, y2) = exact
+        assert Fraction(a1 * b2 - b1 * a2, scale) == x1 * y2 - y1 * x2
+
+
+def test_scaled_coeffs_share_each_component_denominator():
+    f = MapJet(jet({(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 3)}), jet({(0, 0): 1}),
+               jet({(1, 0): Fraction(5, 4)}))
+    g = MapJet(jet({(0, 0): Fraction(1, 5)}), jet({(0, 0): Fraction(2, 7)}),
+               jet({(0, 0): Fraction(-1, 6)}))
+    # D = (lcm(6, 5), lcm(1, 7), lcm(4, 6)) = (30, 7, 12)
+    assert scaled_coeffs((f, (0, 0)), (g, (0, 0)), (f, (1, 0))) == (
+        ((15, 7, 0), (6, 2, -2), (10, 0, 15)), 30 * 7 * 12)
+    assert scaled_coeffs((f, (1, 0)), (f, (0, 0))) == (((2, 0, 5), (3, 1, 0)), 6 * 1 * 4)
+    with pytest.raises(OrderExhaustedError, match=r"coefficient \(2,1\) beyond truncation order 2"):
+        scaled_coeffs((f, (0, 0)), (f.truncate(2), (2, 1)))
+    with pytest.raises(OrderExhaustedError):
+        scaled_coeffs(((Jet2.const(1, 3), Jet2.const(1, 0).partial_u()), (0, 0)))
 
 
 def test_only_jets_reads_the_integer_representation():
