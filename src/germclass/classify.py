@@ -7,8 +7,10 @@ better adapted frames:
 
   SB:  Whitney umbrella by det(f_u, f_vv, f_uv)(0) != 0; otherwise the
        Hessian of phi = det(xi f, eta f, eta^2 f) on an SB-2 pair is
-       diagonal, and its entries A = xi^2 phi(0), C = eta^2 phi(0) split
-       S1 (both nonzero), the S branch (A = 0) and the B branch (C = 0).
+       diagonal, and its entries A = xi^2 phi(0) = det(xi f, xi^2 eta f,
+       eta^2 f)(0) and C = eta^2 phi(0) = det(xi f, eta^2 f, eta^3 f)(0)
+       split S1 (both nonzero), the S branch (A = 0) and the B branch
+       (C = 0).
   S:   S2 iff det(xi f, xi^3 eta f, eta^2 f)(0) != 0 on an S-3 pair.
   B:   B2 iff V = -5 det(xi f, eta^2 f, eta^3 xi f)(0)^2
              + 3 det(xi f, eta^2 f, eta xi^2 f)(0) det(xi f, eta^2 f, eta^5 f)(0)
@@ -20,6 +22,9 @@ Sign convention for S1 (pinned by the generated sign-convention report):
 the diagonal Hessian product A*C is -48 on (u, v^2, v(u^2+v^2)) and +48
 on (u, v^2, v(-u^2+v^2)), so A*C < 0 wires to S1+ and A*C > 0 to S1-.
 
+Every criterion, the phi Hessian included, is a determinant of vectors at
+0: partials of f, or derivative words read from the table of the frame
+they belong to (`_classify_sb` derives the Hessian entries as words).
 Every branch decision and every determinant is recorded in a Certificate
 together with the frame parameters and the normalizing linear map, so a
 verdict can be re-derived mechanically from the stored normalized germ.
@@ -119,11 +124,13 @@ def phi(f: MapJet, pair: FramePair) -> Jet2:
 
 
 def second_derivatives_phi(f: MapJet, pair: FramePair):
-    """(xi^2 phi, xi eta phi, eta xi phi, eta^2 phi) at 0.
+    """(xi^2 phi, xi eta phi, eta xi phi, eta^2 phi) at 0, from the jet phi.
 
     Applied as vector fields to the jet phi -- the fields have non-constant
     coefficients, so these are not second partials of phi's coefficients.
-    They read phi only to order 2, hence f only to degree 4.
+    They read phi only to order 2, hence f only to degree 4.  This is the
+    definition; `classify` reads the same entries from the SB-2 words (see
+    `_classify_sb`), and the tests compare the two.
     """
     p = phi(f.truncate(4), pair)
     xi_p = apply_to_jet(pair.xi, p, "xi phi")
@@ -179,6 +186,21 @@ def classify(f: MapJet):
 
 
 def _classify_sb(g, cert, partials, scale):
+    """The SB branch: Whitney umbrella, then the phi Hessian on an SB-2 pair.
+
+    The Hessian of phi = det(xi f, eta f, eta^2 f) at 0 is read from the
+    SB-2 pair's words, in one read.  On any pair with eta f(0) = 0 the
+    Leibniz rule over phi's columns gives, at 0 (words as in `Words`, so
+    "xxe" is xi^2 eta f):
+      xi^2 phi   = det(x, xxe, ee) + 2 det(xx, xe, ee) + 2 det(x, xe, xee)
+      xi eta phi = det(ex, xe, ee) + det(x, xe, eee)
+      eta xi phi = xi eta phi + det(x, exe - xee, ee)
+      eta^2 phi  = det(x, ee, eee)
+    The SB-2 pair has xe f(0) = ex f(0) = 0, and exe f - xee f =
+    -[xi, eta] eta f with [xi, eta] = alpha^2 v du, which vanishes at 0.  So
+    the mixed entries are 0, and A = xi^2 phi(0) = det(x, xxe, ee),
+    C = eta^2 phi(0) = det(x, ee, eee).
+    """
     whitney_det = det3(partials)
     cert.record("whitney_det", Fraction(whitney_det, scale))
     if not EXACT.is_zero(whitney_det):
@@ -186,14 +208,16 @@ def _classify_sb(g, cert, partials, scale):
 
     build = sb2_adapt(g)
     cert.frame.update(build.params)
-    pair = build.pair
-    A, m1, m2, C = second_derivatives_phi(g, pair)
-    cert.record("xi2phi", A)
-    cert.record("hess_mixed_xi_eta", m1)
-    cert.record("hess_mixed_eta_xi", m2)
-    cert.record("eta2phi", C)
-    if not (EXACT.is_zero(m1) and EXACT.is_zero(m2)):
+    (xif0, xetaf0, etaxif0, xxetaf0, eta2f0, eta3f0), scale = build.words.scaled(
+        "x", "xe", "ex", "xxe", "ee", "eee")
+    if not (EXACT.is_zero_vec(xetaf0) and EXACT.is_zero_vec(etaxif0)):
         raise GermError("mixed phi Hessian entries must vanish on an SB-2 pair")
+    A = det3((xif0, xxetaf0, eta2f0))
+    C = det3((xif0, eta2f0, eta3f0))
+    cert.record("xi2phi", Fraction(A, scale))
+    cert.record("hess_mixed_xi_eta", Fraction(0))
+    cert.record("hess_mixed_eta_xi", Fraction(0))
+    cert.record("eta2phi", Fraction(C, scale))
 
     sA = EXACT.sign(A)
     sC = EXACT.sign(C)

@@ -32,9 +32,12 @@ evaluates each word once per order.  Each constructor returns the table of
 its pair, so the criteria in `classify` reuse what the frame solve already
 computed.  Every criterion reads its words at the origin only, and a word
 read at 0 reads f only to degree len(word), so the table computes each
-word at the lowest order its reader needs (phi's second derivatives in
-`classify` likewise read f only to degree 4).  The vectors f_u, f_v, f_vv,
-f_uv at 0 are read straight from f's coefficients.
+word at the lowest order its reader needs; the words of one read are
+evaluated longest first, so a shared suffix is computed once.  The phi
+Hessian that splits the SB branch is read the same way: on the SB-2 pair
+its entries are the determinants A = det(xi f, xi^2 eta f, eta^2 f)(0)
+and C = det(xi f, eta^2 f, eta^3 f)(0), which read f to degree 3.  The
+vectors f_u, f_v, f_vv, f_uv at 0 are read straight from f's coefficients.
 
 Everything at 0 is integer arithmetic.  `Words.scaled` and `partials0`
 read the vectors one test needs together, through `jets.scaled_coeffs`,
@@ -91,8 +94,12 @@ class Words:
     def scaled(self, *words):
         """The words at 0 as integer vectors over one scaling, and its scale.
 
-        Read together through `jets.scaled_coeffs`, in the given order.
+        The words are evaluated longest first, so a suffix they share is
+        computed once, at the highest order any of them needs, and then
+        read together through `jets.scaled_coeffs`, in the given order.
         """
+        for word in sorted(words, key=len, reverse=True):
+            self.jet(word, 0)
         return scaled_coeffs(*((self.jet(word, 0), (0, 0)) for word in words))
 
 
@@ -233,7 +240,7 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     sb = sb2_adapt(f)
     alpha, beta = sb.params["alpha"], sb.params["beta"]
     (xif0, eta2f0, eta3f0, xxef0), _ = sb.words.scaled("x", "ee", "eee", "xxe")
-    # S-type guard: eta^2 phi(0) = det(xi f, eta^2 f, eta^3 f)(0) must survive.
+    # S-type guard: C = eta^2 phi(0) = det(xi f, eta^2 f, eta^3 f)(0) must survive.
     if EXACT.is_zero(det3((xif0, eta2f0, eta3f0))):
         raise PreconditionError("germ is not S-type: eta^2 phi vanishes at 0")
     try:
@@ -260,7 +267,7 @@ def b3_adapt(f: MapJet) -> FrameBuild:
     sb = sb2_adapt(f)
     alpha, beta = sb.params["alpha"], sb.params["beta"]
     (xif0, eta2f0, xxef0, eta3f0), _ = sb.words.scaled("x", "ee", "xxe", "eee")
-    # B-type guard: xi^2 phi(0), equivalently det(xi f, xi^2 eta f, eta^2 f)(0).
+    # B-type guard: A = xi^2 phi(0) = det(xi f, xi^2 eta f, eta^2 f)(0) must survive.
     if EXACT.is_zero(det3((xif0, xxef0, eta2f0))):
         raise PreconditionError("germ is not B-type: xi^2 phi vanishes at 0")
     try:

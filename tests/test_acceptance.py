@@ -58,17 +58,19 @@ def test_criterion_2_a_equivalence_invariance():
 def test_criterion_3_frame_invariant_suite():
     rng = Random(33)
 
-    # (a) SB-2 mixed Hessian entries vanish; (b) eta^2 phi(0) equals
+    # (a) SB-2 mixed Hessian entries vanish; (b) xi^2 phi(0) equals
+    # det(xi f, xi^2 eta f, eta^2 f)(0) and eta^2 phi(0) equals
     # det(xi f, eta^2 f, eta^3 f)(0); (c) three-way nonvanishing equivalence.
     for _ in range(200):
         g, _ = linear_normalize(random_branch_germ(rng, "SB"))
         pair = sb2_adapt(g).pair
-        _, m1, m2, c = second_derivatives_phi(g, pair)
+        a, m1, m2, c = second_derivatives_phi(g, pair)
         assert m1 == 0 and m2 == 0
         xi, eta = pair.xi, pair.eta
         xif0 = apply(xi, g).at0()
         eta2f0 = apply_word([eta, eta], g).at0()
         eta3f0 = apply_word([eta] * 3, g).at0()
+        assert a == det3((xif0, apply_word([xi, xi, eta], g).at0(), eta2f0))
         assert c == det3((xif0, eta2f0, eta3f0))
         three = [det3((xif0, apply_word(w, g).at0(), eta2f0))
                  for w in ([xi, xi, eta], [xi, eta, xi], [eta, xi, xi])]

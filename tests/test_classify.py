@@ -6,10 +6,11 @@ import pytest
 
 from germclass.classify import (NORMAL_FORM_VERDICTS, Verdict, classify,
                                 normal_forms, phi, second_derivatives_phi)
-from germclass.errors import OrderExhaustedError, PreconditionError
+from germclass import frames
+from germclass.errors import GermError, OrderExhaustedError, PreconditionError
 from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
                               s3_adapt, sb2_adapt)
-from germclass.jets import PolyMap2, det3
+from germclass.jets import Jet2, PolyMap2, det3
 from germclass.vfields import apply, apply_word
 from util import germ, random_branch_germ, rational, scramble
 
@@ -108,17 +109,74 @@ def test_mixed_hessian_vanishes_on_random_sb_germs():
 
 
 def test_eta2phi_identity():
-    # eta^2 phi(0) = det(xi f, eta^2 f, eta^3 f)(0) on SB-2 pairs
+    # on SB-2 pairs xi^2 phi(0) = det(xi f, xi^2 eta f, eta^2 f)(0) and
+    # eta^2 phi(0) = det(xi f, eta^2 f, eta^3 f)(0)
     rng = Random(11)
     for _ in range(30):
         f = random_branch_germ(rng, "SB")
         g, _ = linear_normalize(f)
         pair = sb2_adapt(g).pair
-        _, _, _, c = second_derivatives_phi(g, pair)
+        a, _, _, c = second_derivatives_phi(g, pair)
         xif = apply(pair.xi, g)
+        xxef = apply_word([pair.xi, pair.xi, pair.eta], g)
         eta2f = apply_word([pair.eta, pair.eta], g)
         eta3f = apply_word([pair.eta] * 3, g)
+        assert a == det3((xif.at0(), xxef.at0(), eta2f.at0()))
         assert c == det3((xif.at0(), eta2f.at0(), eta3f.at0()))
+
+
+HESSIAN = ("xi2phi", "hess_mixed_xi_eta", "hess_mixed_eta_xi", "eta2phi")
+
+
+def test_recorded_phi_hessian_matches_jet_expansion():
+    rng = Random("phi-hessian")
+    germs = [f for name, f in normal_forms().items() if name not in ("S0", "H2")]
+    germs += [random_branch_germ(rng, branch) for branch in ("SB", "S", "B") for _ in range(15)]
+    for f in germs:
+        _, cert = classify(f)
+        g = cert.normalized
+        expected = second_derivatives_phi(g, sb2_adapt(g).pair)
+        assert tuple(cert.invariants[name] for name in HESSIAN) == expected
+        names = [name for name, _ in cert.trace]
+        start = names.index("xi2phi")
+        assert tuple(names[start:start + 4]) == HESSIAN
+
+
+def test_tampered_sb2_pair_fails_the_mixed_hessian_check(monkeypatch):
+    sb_defect = frames._sb_defect
+
+    def tampered(f):
+        alpha, beta = sb_defect(f)
+        return alpha, beta + 1
+
+    monkeypatch.setattr(frames, "_sb_defect", tampered)
+    rng = Random("tampered-beta")
+    germs = [normal_forms()[name] for name in ("S1+", "S2", "B2-")]
+    germs += [random_branch_germ(rng, "SB") for _ in range(5)]
+    for f in germs:
+        with pytest.raises(GermError, match="mixed phi Hessian"):
+            classify(f)
+
+
+def test_classify_multiplies_no_jets(monkeypatch):
+    """Every criterion is read from vectors at 0: no jet product on the classify path."""
+    rng = Random("no-jet-products")
+    models = normal_forms()
+    names = sorted(models)
+    germs = list(models.values())
+    germs += [scramble(models[names[k % len(names)]], rng) for k in range(20)]
+    products = []
+    mul = Jet2.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet2, "__mul__", counted)
+    monkeypatch.setattr(Jet2, "__rmul__", counted)
+    for f in germs:
+        classify(f)
+    assert not products
 
 
 def test_three_way_nonvanishing_equivalence():

@@ -516,3 +516,14 @@ def test_words_applies_once_per_distinct_word(monkeypatch):
     assert len(calls) == 7                  # e, xe, xxe one order higher, then exxe
     words.at0("ee")
     assert len(calls) == 8                  # e is cached at order 3
+
+    # one read evaluates its words longest first: each shared suffix once,
+    # at the highest order the read needs, and the vectors in the given order
+    for read, count in ((("x", "ee", "eee", "xxe"), 6),             # 8 word by word
+                        (("x", "xe", "ex", "xxe", "ee", "eee"), 7)):  # 10 word by word
+        words = Words(f, sb2_adapt(f).pair)
+        calls.clear()
+        vectors = words.scaled(*read)
+        assert len(calls) == count, read
+        reference = Words(f, words.pair)
+        assert vectors == scaled_coeffs(*((reference.jet(w, 0), (0, 0)) for w in read))
