@@ -50,6 +50,10 @@ def _tokenize(src: str):
     return tokens
 
 
+# Python's default limit on the digits of an int read from or printed as text
+_MAX_DIGITS = 4300
+
+
 def _int(tok: str, pos: int) -> int:
     """A digit token as an int; literals past Python's digit limit are a ParseError."""
     try:
@@ -123,8 +127,15 @@ class _PolyParser:
             exponent = _int(tok, pos)
             if exponent * base.degree() > self.order:
                 self.truncated = True
-            if exponent > self.order and base.at0() == 0:
+            c = base.at0()
+            if exponent > self.order and c == 0:
                 return Jet2.zero(self.order)
+            # the constant term of the power is c^exponent; past the digit
+            # limit it could be neither computed in memory nor printed
+            size = max(abs(c.numerator), c.denominator)
+            if size > 1 and exponent * math.log10(size) > _MAX_DIGITS:
+                raise ParseError("power to %d has a constant term of more than %d digits"
+                                 % (exponent, _MAX_DIGITS), pos)
             base = base ** exponent
         return base
 

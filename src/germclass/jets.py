@@ -52,7 +52,13 @@ only read at 0 and never printed.
 or a derivative of one); `PolyMap2` / `PolyMap3` are polynomial coordinate
 changes with invertible linear part, used only through composition.  Source
 changes (`compose2`, `compose_map`) and target changes (`post_compose`)
-share one substitution loop, `_substitute`.
+share one substitution loop, `_substitute`.  It makes one pass per output:
+each value's power table holds the raw numerator powers, every term carries
+one integer factor that puts it over the output's one denominator, a term
+group's sum of last-variable powers is accumulated in place, and the
+outermost product is accumulated straight into the output.  It keeps the
+key order and the zero drops of adding and multiplying jets one step at a
+time, so its outputs are those of that stepwise form, bit for bit.
 """
 
 from __future__ import annotations
@@ -500,33 +506,39 @@ class PolyMap3:
 
 
 def _substitute(tables, values, order: int):
-    """Evaluate polynomials at jets: each table {(e_1, .., e_n): c} at values[0..n-1].
+    """Evaluate polynomials at jets: each table {(e_1, .., e_n): c} at values[0..n-1], n >= 2.
 
     A table is given as (numerators, D): its coefficients are the integer
     numerators over one denominator D.  Value k is N_k / d_k (its numerator
-    dict over its denominator), and its power table, sized by its largest
-    exponent top_k, holds N_k^e d_k^(top_k - e); so every term has the
-    denominator D * prod_k d_k^top_k and each output is reduced once.
-    Terms are grouped by all exponents but the last; each group sums its
-    last-variable powers, then multiplies in each common factor pows[k][e]
-    (for e = 0 a scaling by d_k^top_k), innermost variable first.  Zeros are
-    dropped after each sum and each finished product.
+    dict over its denominator); its power table holds the raw N_k^e up to
+    its largest exponent top_k.  Every term is put over the one denominator
+    D * prod_k d_k^top_k by the integer factor c * prod_k d_k^(top_k - e_k),
+    so each output is reduced once.
+
+    One pass per output.  Terms are grouped by their head, all exponents
+    but the last.  A head sums its terms' last-variable powers in place,
+    each scaled by its factor, and deletes a key the moment it sums to 0;
+    then it multiplies in the middle powers pows[k][e_k] (k = n-2 .. 1,
+    skipped when e_k = 0), and accumulates the outermost product by
+    pows[0][e_0] straight into the output, whose zeros are dropped once per
+    head.  The keys, their insertion order and the zero drops are those of
+    summing scaled powers, multiplying and adding, one head at a time.
     """
     terms = [([(key, c) for key, c in num.items() if sum(key) <= order], den)
              for num, den in tables]
     pows = []
-    scales = []
+    lifts = []
     for k, value in enumerate(values):
         value = value.truncate(order)
         top = max((key[k] for group, _ in terms for key, _ in group), default=0)
         powers = [{(0, 0): 1}]
         for _ in range(top):
             powers.append(_convolve(powers[-1], value._num, order))
-        d = value._den
-        pows.append([_scale(p, d ** (top - e)) for e, p in enumerate(powers)])
-        scales.append(d ** top)
-    common = prod(scales)
+        pows.append(powers)
+        lifts.append([value._den ** (top - e) for e in range(top + 1)])
+    common = prod(lift[0] for lift in lifts)
     last = len(values) - 1
+    last_pows, last_lifts = pows[last], lifts[last]
     out = []
     for group, den in terms:
         rows = {}
@@ -534,13 +546,34 @@ def _substitute(tables, values, order: int):
             rows.setdefault(key[:-1], []).append((key[-1], c))
         total = {}
         for head, entries in rows.items():
+            lift = prod(lifts[k][e] for k, e in enumerate(head))
             inner = {}
             for e, c in entries:
-                inner = _add(inner, _scale(pows[last][e], c))
-            for k in reversed(range(last)):
-                e = head[k]
-                inner = _convolve(pows[k][e], inner, order) if e else _scale(inner, scales[k])
-            total = _add(total, inner)
+                m = c * lift * last_lifts[e]
+                for key, n in last_pows[e].items():
+                    got = inner.get(key)
+                    if got is None:
+                        inner[key] = m * n
+                    else:
+                        got += m * n
+                        if got:
+                            inner[key] = got
+                        else:
+                            del inner[key]
+            for k in range(last - 1, 0, -1):
+                if head[k]:
+                    inner = _convolve(pows[k][head[k]], inner, order)
+            inner = inner.items()
+            for (i1, j1), c1 in pows[0][head[0]].items():
+                room = order - i1 - j1
+                if room < 0:
+                    continue
+                for (i2, j2), c2 in inner:
+                    if i2 + j2 <= room:
+                        key = (i1 + i2, j1 + j2)
+                        got = total.get(key)
+                        total[key] = c1 * c2 if got is None else got + c1 * c2
+            total = _nonzero(total)
         out.append(_jet(order, total, den * common))
     return out
 

@@ -85,13 +85,15 @@ MALFORMED = [
     ("classify", "[map]\nf1 = u\nf2 = v^2\nf3 = u*v\nf3 = v^3\n"),
     ("center", "[center]\na02 = %s\na20 = 2\na03 = 1\na21 = 1\n" % ("7" * 4000)),
     ("folded", FOLDED_HEAD + "a31 = 1\ntheta = -5.449065861911619e-282\n"),
+    ("classify", "[map]\nf1 = u*(1/2+v)^99999999999\nf2 = v^2\nf3 = u*v\n"),
 ]
 
 
 @pytest.mark.parametrize("cmd, text", MALFORMED, ids=["5000-digits", "theta-abc",
                                                      "theta-inf", "theta-nan", "mode-key",
                                                      "theta-1e20", "duplicate-key",
-                                                     "4000-digit-product", "theta-tiny"])
+                                                     "4000-digit-product", "theta-tiny",
+                                                     "huge-power"])
 def test_malformed_document_exit_1(tmp_path, capsys, cmd, text):
     path = write(tmp_path, "malformed.germ", text)
     for fmt in (("--json",), ()):

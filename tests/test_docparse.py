@@ -61,6 +61,26 @@ def test_overflow_flag():
     assert parse_poly_ex("2^10", 6) == (Jet2.const(1024, 6), False)
 
 
+@pytest.mark.parametrize("c, e", [(1, 20), (2, 100), (Fraction(1, 2), 3000), (-2, 14284)])
+def test_power_of_constant_plus_v_is_binomial(c, e):
+    """(c+v)^e within the digit limit still parses to sum_k C(e, k) c^(e-k) v^k."""
+    want = jet({(0, k): math.comb(e, k) * Fraction(c) ** (e - k) for k in range(7)})
+    assert parse_poly("(%s+v)^%d" % (c, e)) == want
+
+
+@pytest.mark.parametrize("src, position", [("u*(1/2+v)^99999999999", 10), ("(2+v)^14285", 6),
+                                           ("(-1/3*u+5/4+v)^6900", 15),
+                                           ("((1/2+v)^1000)^1000", 15)])
+def test_power_past_the_digit_limit_rejected(src, position):
+    """A power whose constant term passes 4300 digits is a ParseError at its exponent."""
+    with pytest.raises(ParseError, match="more than 4300 digits") as err:
+        parse_poly(src)
+    assert err.value.position == position
+    # a constant term of 0 or +-1 has no digits to grow
+    for base in ("(1+v)", "(-1+u)", "(u+v)"):
+        parse_poly("%s^99999999999" % base, 2)
+
+
 def test_whitespace_insignificant():
     assert parse_poly(" v * ( u ^ 3 + v ^ 2 ) ") == parse_poly("v*(u^3+v^2)")
 

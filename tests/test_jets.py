@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import germclass
 from germclass.errors import OrderExhaustedError, PreconditionError
+from germclass.fuzz import FuzzConfig, random_target_diffeo
 from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2,
                             compose_map, cross3, det3, directional, from_divided_coeffs,
                             invsqrt_series, post_compose, scaled_coeffs, to_divided_coeff)
@@ -412,13 +413,62 @@ def test_substitution_matches_fraction_reference(seed, order):
                       ref_substitute([dict(c.items()) for c in f],
                                      (ref(identity.p1), ref(identity.p2)), order)):
         assert_matches_reference(got, w)
-    phi = PolyMap3([{(1, 0, 0): 1, (0, 0, 2): Fraction(1, 7)},
-                    {(0, 1, 0): Fraction(2, 3), (1, 1, 0): Fraction(-5, 4)},
-                    {(0, 0, 1): Fraction(3, 5), (2, 0, 1): 1, (1, 0, 0): Fraction(1, 9)}],
-                   order)
-    want = ref_substitute(phi.comps, tuple(ref(c) for c in f), f.order)
-    for got, w in zip(post_compose(phi, f), want):
+    fixed = PolyMap3([{(1, 0, 0): 1, (0, 0, 2): Fraction(1, 7)},
+                      {(0, 1, 0): Fraction(2, 3), (1, 1, 0): Fraction(-5, 4)},
+                      {(0, 0, 1): Fraction(3, 5), (2, 0, 1): 1, (1, 0, 0): Fraction(1, 9)}],
+                     order)
+    # a degree 1..3 target change at the criterion-2 density puts the middle
+    # products (heads with a y exponent) under the reference too
+    drawn = random_target_diffeo(FuzzConfig(bound=9, degree=3, order=order), rng,
+                                 rng.randint(1, 3))
+    for phi in (fixed, drawn):
+        want = ref_substitute(phi.comps, tuple(ref(c) for c in f), f.order)
+        for got, w in zip(post_compose(phi, f), want):
+            assert_matches_reference(got, w)
+
+
+# -- key order: deterministic cases of the substitution loop --------------------
+
+@pytest.mark.parametrize("shape", ["identity", "swap", "shear"])
+def test_compose_map_key_order_on_each_normalizing_shape(shape):
+    """compose_map with each L of `frames.linear_normalize` keeps the reference's key order."""
+    rng = Random("normalize|" + shape)
+    f = MapJet(*(random_jet(rng, max_degree=6, density=0.6) * Fraction(1, rng.randint(2, 12))
+                 for _ in range(3)))
+    L = {"identity": PolyMap2.identity(6), "swap": PolyMap2.swap(6),
+         "shear": PolyMap2.linear(((1, Fraction(5, 9)), (0, -1)), 6)}[shape]
+    want = ref_substitute([dict(c.items()) for c in f], (ref(L.p1), ref(L.p2)), 6)
+    for got, w in zip(compose_map(f, L), want):
         assert_matches_reference(got, w)
+
+
+def test_key_cancelled_after_one_head_moves_to_the_end_when_recreated():
+    # (u, v) -> (u + v, v) on v^2 - uv + u^2, heads u^0, u^1, u^2 in that order:
+    # u^1 cancels the v^2 of u^0 and u^2 creates it again
+    a = Jet2(6, {(0, 2): 1, (1, 1): -1, (2, 0): 1})
+    p = PolyMap2(Jet2(6, {(1, 0): 1, (0, 1): 1}), Jet2.variable("v", 6))
+    got = compose2(a, p)
+    assert list(got.items()) == [((1, 1), 1), ((2, 0), 1), ((0, 2), 1)]
+    assert_matches_reference(got, ref_substitute([dict(a.items())], (ref(p.p1), ref(p.p2)), 6)[0])
+    # three variables: z, then -y cancels v, then x creates it again
+    phi = PolyMap3([{(0, 0, 1): 1, (0, 1, 0): -1, (1, 0, 0): 1}, {(1, 0, 0): 1}, {(0, 1, 0): 1}],
+                   6)
+    f = MapJet(Jet2.variable("v", 6), Jet2.variable("v", 6), Jet2(6, {(0, 1): 1, (2, 0): 1}))
+    got = post_compose(phi, f)
+    assert list(got[0].items()) == [((2, 0), 1), ((0, 1), 1)]
+    for x, w in zip(got, ref_substitute(phi.comps, tuple(ref(c) for c in f), 6)):
+        assert_matches_reference(x, w)
+
+
+def test_last_variable_powers_cancel_inside_one_head():
+    # one head, u^1: v - v^2/2 cancels the v^3 of p2 - p2^2/2, and + p2^3 creates it again
+    v = Jet2(6, {(0, 1): 1, (0, 2): 1, (0, 3): 1})
+    p = PolyMap2(Jet2(6, {(1, 0): 1, (0, 1): 1}), v)
+    a = Jet2(6, {(1, 1): 1, (1, 2): Fraction(-1, 2), (1, 3): 1})
+    got = compose2(a, p)
+    keys = [key for key, _ in got.items()]
+    assert keys.index((1, 3)) > keys.index((1, 5))
+    assert_matches_reference(got, ref_substitute([dict(a.items())], (ref(p.p1), ref(p.p2)), 6)[0])
 
 
 # -- integer reads at the origin -----------------------------------------------
