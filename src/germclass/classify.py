@@ -93,7 +93,8 @@ class Certificate:
         self.invariants[name] = value
         self.note(name, value)
 
-    def to_json_obj(self, classification: Classification) -> dict:
+    def summary(self, classification: Classification) -> dict:
+        """The formatted values the CLI shows in text and in JSON."""
         obj = {
             "verdict": classification.verdict.value,
             "reason": classification.reason,
@@ -105,6 +106,11 @@ class Certificate:
         }
         if self.normalization is not None:
             obj["normalization"] = [[fmt_scalar(x) for x in row] for row in self.normalization]
+        return obj
+
+    def to_json_obj(self, classification: Classification) -> dict:
+        """The summary and the normalized germ, formatted only here."""
+        obj = self.summary(classification)
         if self.normalized is not None:
             obj["normalized_germ"] = {
                 "f%d" % (k + 1): {"%d,%d" % ij: fmt_scalar(c) for ij, c in comp.items()}

@@ -1,12 +1,14 @@
 """Command-line frontend emitting machine-readable classification certificates.
 
-Commands take a document file (see `docparse`) and print a certificate:
-the verdict, the branch trace, every evaluated invariant, the frame
-parameters and the normalizing linear map.  `--json` emits the same data
-as one JSON object with stable key names; every scalar is exact and
-prints as `p/q`, so output is bit-stable for golden tests.  Parser
-warnings (such as a degree overflow truncated to the document's order)
-are printed as `warning:` lines, or listed under `warnings` in JSON.
+Commands take a document file (see `docparse`) and compute their output:
+the certificate's verdict, the branch trace, every evaluated invariant,
+the frame parameters and the normalizing linear map, as text lines, or
+under `--json` as one JSON object with stable key names that also lists
+the normalized germ.  Every scalar is exact and prints as `p/q`, so output
+is bit-stable for golden tests.  Parser warnings (such as a degree
+overflow truncated to the document's order) are `warning:` lines, or
+listed under `warnings` in JSON.  `main` prints a command's output once,
+after the command returns; a command that fails prints nothing to stdout.
 
 Exit codes: 0 definite classification, 2 MoreDegenerate, 1 input error,
 3 formula/classifier disagreement (ruled, center, folded, oracle) or a
@@ -16,9 +18,7 @@ fuzz/verify failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
-import io
 import json
 import sys
 
@@ -29,32 +29,27 @@ from .classify import classify, normal_forms
 from .docparse import parse_doc
 from .errors import GermError
 from .fuzz import FuzzConfig, run_invariance
+from .oracle import h2_check, skbk_classify
 from .scalars import fmt_scalar
 
 
-def _print_cert(classification, cert, warnings=()):
-    print("verdict: %s" % classification.verdict.value)
-    if classification.reason:
-        print("reason: %s" % classification.reason)
-    print("mode: exact")
-    print("order: %d" % cert.order)
-    for message in warnings:
-        print("warning: %s" % message)
-    print("trace:")
-    for name, value in cert.trace:
-        print("  %s = %s" % (name, value))
-    if cert.invariants:
-        print("invariants:")
-        for name, value in cert.invariants.items():
-            print("  %s = %s" % (name, fmt_scalar(value)))
-    if cert.frame:
-        print("frame:")
-        for name, value in cert.frame.items():
-            print("  %s = %s" % (name, fmt_scalar(value)))
-    if cert.normalization is not None:
-        rows = ["[%s]" % ", ".join(fmt_scalar(x) for x in row)
-                for row in cert.normalization]
-        print("normalization: [%s]" % ", ".join(rows))
+def _cert_lines(summary, warnings):
+    """The text lines of a certificate summary (`Certificate.summary`)."""
+    lines = ["verdict: %s" % summary["verdict"]]
+    if summary["reason"]:
+        lines.append("reason: %s" % summary["reason"])
+    lines += ["mode: %s" % summary["mode"], "order: %d" % summary["order"]]
+    lines += ["warning: %s" % message for message in warnings]
+    lines.append("trace:")
+    lines += ["  %s = %s" % (name, value) for name, value in summary["trace"]]
+    for section in ("invariants", "frame"):
+        if summary[section]:
+            lines.append(section + ":")
+            lines += ["  %s = %s" % item for item in summary[section].items()]
+    if "normalization" in summary:
+        rows = ["[%s]" % ", ".join(row) for row in summary["normalization"]]
+        lines.append("normalization: [%s]" % ", ".join(rows))
+    return lines
 
 
 def _exit_code(classification) -> int:
@@ -66,11 +61,7 @@ def _verify(classification, cert) -> bool:
     if cert.normalized is None:
         return True
     redone, recert = classify(cert.normalized)
-    if redone.verdict != classification.verdict:
-        return False
-    if set(recert.invariants) != set(cert.invariants):
-        return False
-    return all(recert.invariants[k] == v for k, v in cert.invariants.items())
+    return redone.verdict == classification.verdict and recert.invariants == cert.invariants
 
 
 def _doc(args, *kinds):
@@ -82,109 +73,103 @@ def _doc(args, *kinds):
     return doc
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     doc = _doc(args, "map")
-    f = doc.to_map_jet()
-    classification, cert = classify(f)
+    classification, cert = classify(doc.to_map_jet())
     if args.json:
-        obj = cert.to_json_obj(classification)
-        obj["warnings"] = doc.warnings
-        print(json.dumps(obj, indent=2))
+        output = dict(cert.to_json_obj(classification), warnings=doc.warnings)
     else:
-        _print_cert(classification, cert, doc.warnings)
+        output = _cert_lines(cert.summary(classification), doc.warnings)
     if args.verify and not _verify(classification, cert):
         print("verify: FAILED", file=sys.stderr)
-        return 3
+        return 3, output
     if args.verify and not args.json:
-        print("verify: ok")
-    return _exit_code(classification)
+        output.append("verify: ok")
+    return _exit_code(classification), output
 
 
 def _dual(args, kind, formula_result, generic_input, warnings):
     formula_cls, formula_inv = formula_result
     generic_cls, cert = classify(generic_input)
     agree = formula_cls.verdict == generic_cls.verdict
+    code = _exit_code(generic_cls) if agree else 3
+    invariants = {k: fmt_scalar(v) for k, v in formula_inv.items()}
     if args.json:
-        obj = {
+        return code, {
             "kind": kind,
             "formula": {
                 "verdict": formula_cls.verdict.value,
                 "reason": formula_cls.reason,
-                "invariants": {k: fmt_scalar(v) for k, v in formula_inv.items()},
+                "invariants": invariants,
             },
             "generic": cert.to_json_obj(generic_cls),
             "agree": agree,
             "warnings": warnings,
         }
-        print(json.dumps(obj, indent=2))
-    else:
-        print("formula verdict: %s" % formula_cls)
-        for name, value in formula_inv.items():
-            print("  %s = %s" % (name, fmt_scalar(value)))
-        print("generic verdict: %s" % generic_cls)
-        _print_cert(generic_cls, cert, warnings)
-        print("agreement: %s" % ("yes" if agree else "NO"))
-    if not agree:
-        return 3
-    return _exit_code(generic_cls)
+    return code, (["formula verdict: %s" % formula_cls]
+                  + ["  %s = %s" % item for item in invariants.items()]
+                  + ["generic verdict: %s" % generic_cls]
+                  + _cert_lines(cert.summary(generic_cls), warnings)
+                  + ["agreement: %s" % ("yes" if agree else "NO")])
 
 
-def cmd_ruled(args) -> int:
+def cmd_ruled(args):
     doc = _doc(args, "ruled")
     data = doc.to_ruled_data()
     return _dual(args, "ruled", ruled_classify_formulas(data), ruled_map(data),
                  doc.warnings)
 
 
-def cmd_center(args) -> int:
+def cmd_center(args):
     doc = _doc(args, "center")
     monge = doc.to_monge()
     return _dual(args, "center", center_classify_formulas(monge),
                  center_map(monge, doc.order), doc.warnings)
 
 
-def cmd_folded(args) -> int:
+def cmd_folded(args):
     doc = _doc(args, "folded")
     monge = doc.to_monge()
     return _dual(args, "folded", folded_classify_formulas(monge, doc.theta),
                  folded_map(monge, doc.theta, doc.order), doc.warnings)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args):
     doc = _doc(args, "sb-normal", "h-normal")
     if doc.kind == "sb-normal":
-        from .oracle import skbk_classify
         coeffs = doc.to_sb_coeffs()
         formula = skbk_classify(coeffs)
     else:
-        from .oracle import h2_check
         coeffs = doc.to_h_coeffs()
         formula = h2_check(coeffs)
     return _dual(args, doc.kind, (formula, {}), coeffs.to_map_jet(doc.order),
                  doc.warnings)
 
 
-def cmd_fuzz(args) -> int:
+def cmd_fuzz(args):
     cfg = FuzzConfig(seed=args.seed, trials=args.trials,
                      bound=args.bound, degree=args.degree)
     results = run_invariance(cfg, normal_forms())
     total_ok = sum(r["ok"] for r in results.values())
     total = sum(r["trials"] for r in results.values())
+    code = 0 if total_ok == total else 3
     if args.json:
-        print(json.dumps({"results": results, "ok": total_ok, "trials": total},
-                         indent=2))
-    else:
-        for name, r in results.items():
-            print("%s %s: %d/%d invariant" % (name, r["base"], r["ok"], r["trials"]))
-            for k, got in r["failures"]:
-                print("  trial %d -> %s" % (k, got))
-        print("total: %d/%d invariant" % (total_ok, total))
-    return 0 if total_ok == total else 3
+        return code, {"results": results, "ok": total_ok, "trials": total}
+    lines = []
+    for name, r in results.items():
+        lines.append("%s %s: %d/%d invariant" % (name, r["base"], r["ok"], r["trials"]))
+        lines += ["  trial %d -> %s" % (k, got) for k, got in r["failures"]]
+    lines.append("total: %d/%d invariant" % (total_ok, total))
+    return code, lines
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as error:
+        raise GermError("%s is not UTF-8 text: byte %#x at offset %d"
+                        % (path, error.object[error.start], error.start))
 
 
 @functools.cache
@@ -226,16 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; its stdout is written only if it ends without an error."""
+    """Run one command, then print its output once; an input error prints only an `error:` line."""
     args = build_parser().parse_args(argv)
-    out = io.StringIO()
     try:
-        with contextlib.redirect_stdout(out):
-            code = args.fn(args)
+        code, output = args.fn(args)
     except (GermError, OSError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 1
-    sys.stdout.write(out.getvalue())
+    print(json.dumps(output, indent=2) if args.json else "\n".join(output))
     return code
 
 

@@ -9,6 +9,8 @@ Polynomial grammar (whitespace insignificant, no implicit multiplication):
     rational := integer ('/' positive-integer)?
 
 A '/' may only appear inside a rational literal; "u/2" is a syntax error.
+Parentheses nest at most 100 deep, and a power or product with a
+coefficient past Python's 4300-digit limit is an error at its '^' or '*'.
 
 Documents are line-oriented `key = value` files under a `[kind]` header,
 kind one of map, ruled, center, folded, sb-normal, h-normal.  Blank lines
@@ -52,6 +54,11 @@ def _tokenize(src: str):
 
 # Python's default limit on the digits of an int read from or printed as text
 _MAX_DIGITS = 4300
+_DIGIT_BOUND = 10 ** _MAX_DIGITS
+
+# Each level of parentheses costs four parser frames (expr, term, factor,
+# base), so this bound keeps a nested expression far from the recursion limit
+_MAX_NESTING = 100
 
 
 def _int(tok: str, pos: int) -> int:
@@ -68,6 +75,7 @@ class _PolyParser:
         self.order = order
         self.tokens = _tokenize(src)
         self.k = 0
+        self.depth = 0
         self.truncated = False
 
     def peek(self):
@@ -106,12 +114,19 @@ class _PolyParser:
         total = self.factor()
         while True:
             if self.peek() == "*":
-                self.advance()
+                _, pos = self.advance()
+                monomial = self.peek() in ("u", "v")
                 rhs = self.factor()
                 # deg(ab) = deg a + deg b; the zero jet's degree is -1, so it never flags
                 if total.degree() + rhs.degree() > self.order:
                     self.truncated = True
                 total = total * rhs
+                # factors within the digit limit can multiply past it; a factor u^e
+                # or v^e moves coefficients without changing them
+                if not monomial and any(max(abs(c.numerator), c.denominator) >= _DIGIT_BOUND
+                                        for _, c in total.items()):
+                    raise ParseError("product has a coefficient of more than %d digits"
+                                     % _MAX_DIGITS, pos)
             elif self.peek() == "/":
                 raise ParseError("division token outside a rational literal", self.pos())
             else:
@@ -158,10 +173,14 @@ class _PolyParser:
         if tok in ("u", "v"):
             return Jet2.variable(tok, self.order)
         if tok == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError("parentheses nested more than %d deep" % _MAX_NESTING, pos)
             inner = self.expr()
             closing, cpos = self.advance()
             if closing != ")":
                 raise ParseError("expected ')'", cpos)
+            self.depth -= 1
             return inner
         raise ParseError("unexpected token %r" % tok, pos)
 

@@ -25,8 +25,12 @@ def run(capsys, *argv):
 
 
 def write(tmp_path, name, text):
+    """Write text as UTF-8, or bytes as they are."""
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -86,6 +90,8 @@ MALFORMED = [
     ("center", "[center]\na02 = %s\na20 = 2\na03 = 1\na21 = 1\n" % ("7" * 4000)),
     ("folded", FOLDED_HEAD + "a31 = 1\ntheta = -5.449065861911619e-282\n"),
     ("classify", "[map]\nf1 = u*(1/2+v)^99999999999\nf2 = v^2\nf3 = u*v\n"),
+    ("classify", "[map]\nf1 = %su%s\nf2 = v^2\nf3 = u*v\n" % ("(" * 300, ")" * 300)),
+    ("classify", b"[map]\nf1 = u\nf2 = v^2\nf3 = u*v # \xff\n"),
 ]
 
 
@@ -93,7 +99,8 @@ MALFORMED = [
                                                      "theta-inf", "theta-nan", "mode-key",
                                                      "theta-1e20", "duplicate-key",
                                                      "4000-digit-product", "theta-tiny",
-                                                     "huge-power"])
+                                                     "huge-power", "300-deep-parentheses",
+                                                     "not-utf-8"])
 def test_malformed_document_exit_1(tmp_path, capsys, cmd, text):
     path = write(tmp_path, "malformed.germ", text)
     for fmt in (("--json",), ()):
@@ -102,6 +109,19 @@ def test_malformed_document_exit_1(tmp_path, capsys, cmd, text):
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_text_never_formats_the_normalized_germ(tmp_path, capsys):
+    """Text shows the certificate summary only; JSON adds the normalized germ,
+    whose u^6 coefficient here is past the print limit."""
+    path = write(tmp_path, "wide.germ",
+                 "[map]\nf1 = u + %d*v\nf2 = v^2\nf3 = u*v + u^6\n" % 10 ** 720)
+    code, out, err = run(capsys, "classify", path)
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict: WhitneyUmbrella\n")
+    code, out, err = run(capsys, "classify", path, "--json")
+    assert (code, out) == (1, "")
+    assert err == "error: exact value has too many digits to print\n"
 
 
 def test_kind_mismatch_exit_1(tmp_path, capsys):

@@ -81,6 +81,28 @@ def test_power_past_the_digit_limit_rejected(src, position):
         parse_poly("%s^99999999999" % base, 2)
 
 
+@pytest.mark.parametrize("src, position", [("u*v*(1/2+v)^14000*(1/2+v)^14000", 17),
+                                           ("(2+v)^8000*3^8000", 10),
+                                           ("(1/2+v)^3000*u*(1/3+v)^3000*v*(1/5+v)^3000", 29)])
+def test_product_past_the_digit_limit_rejected(src, position):
+    """A product with a coefficient past 4300 digits is a ParseError at its '*',
+    whichever coefficient passes the limit: the first and last products have a
+    constant term of 0."""
+    with pytest.raises(ParseError, match="more than 4300 digits") as err:
+        parse_poly(src)
+    assert err.value.position == position
+    # within the limit a product still parses
+    assert parse_poly("(1/2+v)^7000*(1/2+v)^7000") == parse_poly("(1/2+v)^14000")
+
+
+def test_nesting_past_the_bound_rejected():
+    """Parentheses deeper than the bound are a ParseError at the first one past it."""
+    assert parse_poly("(" * 100 + "u+v" + ")" * 100) == parse_poly("u+v")
+    with pytest.raises(ParseError, match="nested more than 100 deep") as err:
+        parse_poly("u*" + "(" * 300 + "u" + ")" * 300)
+    assert err.value.position == 102
+
+
 def test_whitespace_insignificant():
     assert parse_poly(" v * ( u ^ 3 + v ^ 2 ) ") == parse_poly("v*(u^3+v^2)")
 
