@@ -244,7 +244,7 @@ def _classify_sb(g, cert, partials, scale):
                 cert)
 
     if sA and not sC:
-        b3 = b3_adapt(g)
+        b3 = b3_adapt(build)
         cert.frame.update(b3.params)
         (xif0, eta2f0, *criterion), scale = b3.words.scaled("x", "ee", "eeex", "exx", "eeeee")
         # det(xi f, eta^2 f, w f)(0) for the three criterion words w
@@ -276,7 +276,7 @@ def _classify_hp(g, cert):
     if EXACT.is_zero(h_type_det):
         return Classification(Verdict.MORE_DEGENERATE, "P-type or worse"), cert
 
-    h4 = h4_adapt(g)
+    h4 = h4_adapt(h2)
     cert.frame.update(h4.params)
     h2_det, scale = _det(h4.words, "x", "eeeee", "eee")
     cert.record("h2_det", Fraction(h2_det, scale))

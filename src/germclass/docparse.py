@@ -14,7 +14,9 @@ coefficient past Python's 4300-digit limit is an error at its '^' or '*'.
 
 Documents are line-oriented `key = value` files under a `[kind]` header,
 kind one of map, ruled, center, folded, sb-normal, h-normal.  Blank lines
-and '#' comments are ignored, and each key may be given once.  Angles for
+and '#' comments are ignored, a line that opens with '[' is a whole header
+or an error, and each key may be given once.  A polynomial error names its
+key, with the position in that key's value.  Angles for
 folded documents are either an exact rational point on the unit circle
 (theta_cos/theta_sin) or a float (theta), kept as given here and read as
 an exact point on the unit circle by `applications._theta_pair`.
@@ -223,10 +225,17 @@ class MapSpecDoc:
     # -- builders --------------------------------------------------------
 
     def jet(self, key: str) -> Jet2:
-        """The jet of one component, parsed once (its warning is recorded then)."""
+        """The jet of one component, parsed once (its warning is recorded then).
+
+        A syntax error names the key; its position stays in the key's source.
+        """
         jet = self.jets.get(key)
         if jet is None:
-            jet, truncated = parse_poly_ex(self.exprs[key], self.order)
+            try:
+                jet, truncated = parse_poly_ex(self.exprs[key], self.order)
+            except ParseError as err:
+                err.args = ("key %s: %s" % (key, err),)
+                raise
             if truncated:
                 self.warnings.append("%s: degree overflow truncated to order %d"
                                      % (key, self.order))
@@ -269,7 +278,10 @@ def parse_doc(text: str) -> MapSpecDoc:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise ParseError("line %d: malformed [kind] header %r: a header line "
+                                 "holds only [kind]" % (lineno, line))
             kind = line[1:-1].strip()
             if kind not in KINDS:
                 raise ParseError("line %d: unknown kind %r" % (lineno, kind))
@@ -327,7 +339,7 @@ def _validate_doc(doc: MapSpecDoc, theta_cos, theta_sin) -> None:
     for key in needed.get(doc.kind, ()):
         if key not in doc.exprs:
             raise ParseError("kind %r: missing component %r" % (doc.kind, key))
-        doc.jet(key)  # parsed once, here: syntax errors carry the key's source position
+        doc.jet(key)  # parsed once, here: a syntax error names the key and its position
     if doc.kind in ("center", "folded", "sb-normal", "h-normal") and not doc.coeffs:
         raise ParseError("kind %r: no coefficients given" % doc.kind)
     if doc.kind == "folded":

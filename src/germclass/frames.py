@@ -30,14 +30,19 @@ give the derivations.
 Derivative words are read through `Words`, a per-pair table that
 evaluates each word once per order.  Each constructor returns the table of
 its pair, so the criteria in `classify` reuse what the frame solve already
-computed.  Every criterion reads its words at the origin only, and a word
-read at 0 reads f only to degree len(word), so the table computes each
-word at the lowest order its reader needs; the words of one read are
-evaluated longest first, so a shared suffix is computed once.  The phi
-Hessian that splits the SB branch is read the same way: on the SB-2 pair
-its entries are the determinants A = det(xi f, xi^2 eta f, eta^2 f)(0)
-and C = det(xi f, eta^2 f, eta^3 f)(0), which read f to degree 3.  The
-vectors f_u, f_v, f_vv, f_uv at 0 are read straight from f's coefficients.
+computed.  The deeper levels B-3 and H-4 extend their parent's build:
+`b3_adapt(sb)` and `h4_adapt(h2)` take the SB-2 or H-2 build and read the
+germ, alpha, beta and their guard and solve words from it, so a word that
+`classify` has already read on the parent pair costs nothing again.  S-3
+still builds its own SB-2 pair (see `s3_adapt`).  Every criterion reads
+its words at the origin only, and a word read at 0 reads f only to degree
+len(word), so the table computes each word at the lowest order its reader
+needs; the words of one read are evaluated longest first, so a shared
+suffix is computed once.  The phi Hessian that splits the SB branch is
+read the same way: on the SB-2 pair its entries are the determinants
+A = det(xi f, xi^2 eta f, eta^2 f)(0) and C = det(xi f, eta^2 f,
+eta^3 f)(0), which read f to degree 3.  The vectors f_u, f_v, f_vv, f_uv
+at 0 are read straight from f's coefficients.
 
 Everything at 0 is integer arithmetic.  `Words.scaled` and `partials0`
 read the vectors one test needs together, through `jets.scaled_coeffs`,
@@ -221,6 +226,12 @@ def sb2_adapt(f: MapJet) -> FrameBuild:
 def s3_adapt(f: MapJet) -> FrameBuild:
     """S-3 pair, built from scratch over the normalized coordinates.
 
+    Unlike `b3_adapt`, this takes the germ and builds its own SB-2 pair,
+    so an S2 classify builds that pair twice.  The benchmark harness pins
+    that count (two `sb2_adapt` calls per S2 classify, in
+    `perfbench/tests`); taking the parent build here moves with that pin
+    (ROADMAP item 1).
+
     Stage one is the SB-2 pair and its defect (alpha, beta), and the
     expansion xi^2 eta f(0) = alpha1 xi f(0) + beta1 eta^2 f(0).  Stage two
     writes corrections into three fixed coefficient slots -- p, a uv term in
@@ -262,9 +273,16 @@ def s3_adapt(f: MapJet) -> FrameBuild:
                       words)
 
 
-def b3_adapt(f: MapJet) -> FrameBuild:
-    """B-3 pair: the SB-2 pair corrected so that eta^3 f(0) = 0."""
-    sb = sb2_adapt(f)
+def b3_adapt(sb: FrameBuild) -> FrameBuild:
+    """B-3 pair: the SB-2 pair of `sb` corrected so that eta^3 f(0) = 0.
+
+    Extends the parent build: the germ is `sb.words.f`, alpha and beta are
+    `sb.params`, and the guard and solve words are read from `sb.words`,
+    where `classify` has already read them at 0 for the phi Hessian.  The
+    B-type guard and the span check still run, so a germ that is not
+    B-type raises PreconditionError.  On its own: `b3_adapt(sb2_adapt(f))`.
+    """
+    f = sb.words.f
     alpha, beta = sb.params["alpha"], sb.params["beta"]
     (xif0, eta2f0, xxef0, eta3f0), _ = sb.words.scaled("x", "ee", "xxe", "eee")
     # B-type guard: A = xi^2 phi(0) = det(xi f, xi^2 eta f, eta^2 f)(0) must survive.
@@ -298,8 +316,13 @@ def h2_adapt(f: MapJet) -> FrameBuild:
     return FrameBuild(pair, {"alpha": alpha}, Words(f, pair))
 
 
-def h4_adapt(f: MapJet) -> FrameBuild:
-    """H-4 pair: the H-2 eta corrected (a cubic in v) so eta^4 f(0) = 0 too.
+def h4_adapt(h2: FrameBuild) -> FrameBuild:
+    """H-4 pair: the H-2 eta of `h2` corrected (a cubic in v) so eta^4 f(0) = 0 too.
+
+    Extends the parent build: the germ is `h2.words.f`, alpha is
+    `h2.params`, and the guard and solve words are read from `h2.words`,
+    where `classify` has already read xi f and xi eta f at 0.  On its own:
+    `h4_adapt(h2_adapt(f))`.
 
     Needs f of H-type so that {xi f, xi eta f, eta^3 f}(0) is a basis; the
     H-2 eta^4 f(0) expands on it as alpha1 xi f + beta1 xi eta f + delta1
@@ -316,7 +339,7 @@ def h4_adapt(f: MapJet) -> FrameBuild:
       w = -delta1 / 6,  sigma = -beta1 / 8,  s = sigma - alpha w,
       t = -alpha1 / 6 - w sigma.
     """
-    h2 = h2_adapt(f)
+    f = h2.words.f
     alpha = h2.params["alpha"]
     (*basis, eta4f0), _ = h2.words.scaled("x", "xe", "eee", "eeee")
     if EXACT.is_zero(det3(basis)):

@@ -80,7 +80,7 @@ def test_criterion_3_frame_invariant_suite():
     # (d) exact word freedom in both B2 determinant slots.
     for _ in range(200):
         g, _ = linear_normalize(random_branch_germ(rng, "B"))
-        pair = b3_adapt(g).pair
+        pair = b3_adapt(sb2_adapt(g)).pair
         xi, eta = pair.xi, pair.eta
         xif0 = apply(xi, g).at0()
         eta2f0 = apply_word([eta, eta], g).at0()
@@ -96,9 +96,9 @@ def test_criterion_3_frame_invariant_suite():
     suites = [
         ("SB", sb2_adapt, ("xe", "ex")),
         ("S", s3_adapt, ("xe", "ex", "xxe", "xex", "exx")),
-        ("B", b3_adapt, ("xe", "ex", "eee")),
+        ("B", lambda g: b3_adapt(sb2_adapt(g)), ("xe", "ex", "eee")),
         ("HP2", h2_adapt, ("ee",)),
-        ("H", h4_adapt, ("ee", "eeee")),
+        ("H", lambda g: h4_adapt(h2_adapt(g)), ("ee", "eeee")),
     ]
     for branch, constructor, patterns in suites:
         for _ in range(200):
@@ -157,7 +157,7 @@ def test_criterion_4_pushforward_identities():
 
     while counts["T-6"] < 100:
         g, _ = linear_normalize(random_branch_germ(rng, "B"))
-        pair = b3_adapt(g).pair
+        pair = b3_adapt(sb2_adapt(g)).pair
         spots = [[pair.xi if k == j else pair.eta for k in range(4)] for j in range(4)]
         assert check_target_pushforward(g, phi(), rng.choice(spots))
         counts["T-6"] += 1

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import time
 from random import Random
@@ -179,6 +180,43 @@ def test_classify_multiplies_no_jets(monkeypatch):
     assert not products
 
 
+# (SB-2 builds, H-2 builds, frames.apply calls) per classify of each model germ
+PARENT_BUILDS = {
+    "S0": (0, 0, 0),
+    "S1+": (1, 0, 7),
+    "S1-": (1, 0, 7),
+    # s3_adapt still builds its own SB-2 pair: perfbench/tests/test_perfbench.py::
+    # test_tracer_wraps_every_binding_site pins two sb2_adapt calls per S2 classify
+    "S2": (2, 0, 26),
+    "B2+": (1, 0, 18),
+    "B2-": (1, 0, 18),
+    "H2": (0, 1, 19),
+}
+
+
+def test_b3_and_h4_extend_the_parent_build(monkeypatch):
+    """A B2 or H2 classify builds its SB-2 or H-2 pair once; B-3 and H-4 extend it."""
+    calls = dict.fromkeys(["sb2_adapt", "h2_adapt", "apply"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    # the package re-exports the function `classify` under the submodule's name
+    classify_module = importlib.import_module("germclass.classify")
+    for name in ("sb2_adapt", "h2_adapt"):
+        wrapped = counted(name, getattr(frames, name))
+        monkeypatch.setattr(frames, name, wrapped)
+        monkeypatch.setattr(classify_module, name, wrapped)
+    monkeypatch.setattr(frames, "apply", counted("apply", frames.apply))
+    for name, f in normal_forms().items():
+        calls.update(dict.fromkeys(calls, 0))
+        classify(f)
+        assert (calls["sb2_adapt"], calls["h2_adapt"], calls["apply"]) == PARENT_BUILDS[name], name
+
+
 def test_three_way_nonvanishing_equivalence():
     rng = Random(13)
     for _ in range(30):
@@ -199,7 +237,7 @@ def test_b_criterion_word_freedom():
     for _ in range(25):
         f = random_branch_germ(rng, "B")
         g, _ = linear_normalize(f)
-        pair = b3_adapt(g).pair
+        pair = b3_adapt(sb2_adapt(g)).pair
         xi, eta = pair.xi, pair.eta
         xif0 = apply(xi, g).at0()
         eta2f0 = apply_word([eta, eta], g).at0()
@@ -263,6 +301,8 @@ def test_classify_other_orders():
 # -- truncation is exact ------------------------------------------------------
 
 WORDS_TO_5 = ["".join(w) for n in range(1, 6) for w in itertools.product("xe", repeat=n)]
+CONSTRUCTORS = {"sb2": sb2_adapt, "s3": s3_adapt, "b3": lambda g: b3_adapt(sb2_adapt(g)),
+                "h2": h2_adapt, "h4": lambda g: h4_adapt(h2_adapt(g))}
 
 
 @pytest.mark.parametrize("branch", ["S1", "S", "S2", "B", "B2", "SB", "HP2", "H", "H2", "WU"])
@@ -277,7 +317,7 @@ def test_truncation_is_exact(branch):
             assert cert.invariants == results[0][1].invariants
             assert cert.frame == results[0][1].frame
         g, _ = linear_normalize(f)
-        for constructor in (sb2_adapt, s3_adapt, b3_adapt, h2_adapt, h4_adapt):
+        for level, constructor in CONSTRUCTORS.items():
             try:
                 pair = constructor(g).pair
             except PreconditionError:
@@ -286,4 +326,4 @@ def test_truncation_is_exact(branch):
             fields = {"x": pair.xi, "e": pair.eta}
             for word in WORDS_TO_5:
                 full = apply_word([fields[letter] for letter in word], g)
-                assert words.at0(word) == full.at0(), (constructor.__name__, word)
+                assert words.at0(word) == full.at0(), (level, word)

@@ -267,7 +267,7 @@ def test_one_process_runs_many_commands(tmp_path, capsys):
 
 # -- recorded output digest ----------------------------------------------------
 
-RECORDED_DIGEST = "f8e77088c89f0ac67bc2b55f95ec283a05a6acd0"
+RECORDED_DIGEST = "b3cab56dce176bf73f9cf18c4b657cd39906ebd6"
 
 
 def _digest_runs():

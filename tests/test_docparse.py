@@ -103,6 +103,20 @@ def test_nesting_past_the_bound_rejected():
     assert err.value.position == 102
 
 
+@pytest.mark.parametrize("src, message, position", [
+    ("u**v", "unexpected token '*'", 2),
+    ("u*" + "(" * 101 + "u" + ")" * 101, "parentheses nested more than 100 deep", 102),
+    ("(2+v)^14285", "power to 14285 has a constant term of more than 4300 digits", 6),
+    ("u*" + "7" * 5000, "integer literal of 5000 digits is too long", 2),
+], ids=["syntax", "nesting", "power-digits", "literal-digits"])
+def test_document_syntax_error_names_its_key(src, message, position):
+    """A polynomial error in a document says which key it is in, and where in it."""
+    with pytest.raises(ParseError) as err:
+        parse_doc("[map]\nf1 = u\nf2 = v^2\nf3 = %s\n" % src)
+    assert str(err.value) == "key f3: %s at position %d" % (message, position)
+    assert err.value.position == position
+
+
 def test_whitespace_insignificant():
     assert parse_poly(" v * ( u ^ 3 + v ^ 2 ) ") == parse_poly("v*(u^3+v^2)")
 
@@ -194,6 +208,16 @@ def test_missing_component_reported():
     with pytest.raises(ParseError) as err:
         parse_doc("[map]\nf1 = u\nf2 = v^2\n")
     assert "f3" in str(err.value)
+
+
+@pytest.mark.parametrize("text, lineno", [("[map] # note\n", 1), ("[map\n", 1),
+                                           ("# models\n[ map ] f1 = u\n", 2),
+                                           ("[map]\n[center] # again\n", 2)],
+                         ids=["comment", "unclosed", "trailing-key", "second-header"])
+def test_partial_header_line_is_a_malformed_header(text, lineno):
+    """A line that opens with '[' but is not a whole [kind] header says so."""
+    with pytest.raises(ParseError, match=r"^line %d: malformed \[kind\] header" % lineno):
+        parse_doc(text + "f1 = u\nf2 = v^2\nf3 = u*v\n")
 
 
 def test_unknown_kind_rejected():

@@ -304,14 +304,14 @@ def test_s3_rejects_fully_degenerate():
 
 def test_b3_trivial_on_normal_form():
     f = germ("u", "v^2", "u^2*v+v^5")
-    build = b3_adapt(f)
+    build = b3_adapt(sb2_adapt(f))
     assert build.params == {"alpha": 0, "beta": 0, "alpha1": 0, "beta1": 0}
     assert_level_conditions(f, build.pair, "b3")
 
 
 def test_b3_solves_third_order_defect():
     f = germ("u", "v^2+v^3", "u^2*v+v^5")
-    build = b3_adapt(f)
+    build = b3_adapt(sb2_adapt(f))
     assert build.params["alpha1"] == 0
     assert build.params["beta1"] == 3
     assert_level_conditions(f, build.pair, "b3")
@@ -319,10 +319,10 @@ def test_b3_solves_third_order_defect():
 
 def test_b3_rejects_s_type():
     with pytest.raises(PreconditionError):
-        b3_adapt(germ("u", "v^2", "v*(u^3+v^2)"))
+        b3_adapt(sb2_adapt(germ("u", "v^2", "v*(u^3+v^2)")))
     # an S1 germ is not B-type either (eta^2 phi(0) != 0)
     with pytest.raises(PreconditionError):
-        b3_adapt(germ("u", "v^2", "u^2*v+v^3+v^5"))
+        b3_adapt(sb2_adapt(germ("u", "v^2", "u^2*v+v^3+v^5")))
 
 
 # -- h2_adapt ----------------------------------------------------------------
@@ -350,7 +350,7 @@ def test_h2_rejects_sb_type():
 
 def test_h4_trivial_on_normal_form():
     f = germ("u", "u*v+v^5", "v^3")
-    build = h4_adapt(f)
+    build = h4_adapt(h2_adapt(f))
     for key in ("alpha", "alpha1", "beta1", "delta1", "corr_eta_vv", "corr_eta_vvv", "corr_d_v"):
         assert build.params[key] == 0
     assert_level_conditions(f, build.pair, "h4")
@@ -358,7 +358,7 @@ def test_h4_trivial_on_normal_form():
 
 def test_h4_solves_fourth_order_defect():
     f = germ("u", "u*v+v^4", "v^3")
-    build = h4_adapt(f)
+    build = h4_adapt(h2_adapt(f))
     assert build.params["beta1"] == 24
     assert build.params["alpha1"] == 0
     assert build.params["delta1"] == 0
@@ -368,7 +368,7 @@ def test_h4_solves_fourth_order_defect():
 def test_h4_pins_all_parameters_with_nonzero_alpha():
     # alpha != 0 and all three basis components of eta^4 f(0) nonzero
     f = germ("u+2*v^2+v^4", "u*v+u*v^2+v^4", "v^3+v^4")
-    build = h4_adapt(f)
+    build = h4_adapt(h2_adapt(f))
     assert build.params == {"alpha": 4, "alpha1": 24, "beta1": 24, "delta1": 4,
                             "corr_eta_vv": Fraction(-1, 3), "corr_eta_vvv": -6,
                             "corr_d_v": Fraction(-2, 3)}
@@ -377,7 +377,7 @@ def test_h4_pins_all_parameters_with_nonzero_alpha():
 
 def test_h4_rejects_non_h_type():
     with pytest.raises(PreconditionError):
-        h4_adapt(germ("u", "u*v", "v^4"))
+        h4_adapt(h2_adapt(germ("u", "u*v", "v^4")))
 
 
 # -- randomized vanishing conditions per branch ------------------------------
@@ -385,9 +385,9 @@ def test_h4_rejects_non_h_type():
 CONSTRUCTORS = {
     "SB": (sb2_adapt, "sb2"),
     "S": (s3_adapt, "s3"),
-    "B": (b3_adapt, "b3"),
+    "B": (lambda g: b3_adapt(sb2_adapt(g)), "b3"),
     "HP2": (h2_adapt, "h2"),
-    "H": (h4_adapt, "h4"),
+    "H": (lambda g: h4_adapt(h2_adapt(g)), "h4"),
 }
 
 
@@ -470,7 +470,7 @@ def _assert_h4_slopes(g):
     c0 = components(s, 0, w)[0]
     assert components(s, 1, w)[0] - c0 == 6
     t = -c0 / 6
-    params = h4_adapt(g).params
+    params = h4_adapt(h2).params
     assert (params["corr_eta_vv"], params["corr_eta_vvv"], params["corr_d_v"]) == (s, t, w)
 
 

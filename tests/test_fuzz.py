@@ -181,7 +181,7 @@ def test_t4_t5_t6_t7_on_adapted_pairs():
 
         b = random_branch_germ(rng, "B")
         gb, _ = linear_normalize(b)
-        pair = b3_adapt(gb).pair
+        pair = b3_adapt(sb2_adapt(gb)).pair
         xi, eta = pair.xi, pair.eta
         for word in ([xi, eta, eta, eta], [eta, eta, eta, xi]):
             assert check_target_pushforward(gb, _random_phi(rng), word)
