@@ -319,7 +319,8 @@ def _theta_pair(theta):
     ((1 - q^2)/(1 + q^2), 2q/(1 + q^2)), negated for odd k.  So the float
     nearest to the angle of a rational point with small denominators, such
     as atan2(4, 3) for (3/5, 4/5), gives that point back exactly.  A float
-    that is not finite, or is 2^33 or more in magnitude, is rejected.
+    that is not finite, is 2^33 or more in magnitude, or is nonzero and
+    below 2^-64 in magnitude, is rejected.
     """
     if isinstance(theta, tuple):
         c, s = Fraction(theta[0]), Fraction(theta[1])
@@ -331,6 +332,10 @@ def _theta_pair(theta):
     if not abs(theta) < 2 ** 33:
         raise PreconditionError("fold angle must be finite and below 2^33 in"
                                 " magnitude, got %r" % theta)
+    # below 2^-64 the convergent's denominators outgrow a printable certificate
+    if theta and abs(theta) < 2 ** -64:
+        raise PreconditionError("a nonzero fold angle must be at least 2^-64 in magnitude,"
+                                " got %r; give an exact point as theta_cos, theta_sin" % theta)
     k = round(theta / math.pi)
     t = math.tan((theta - k * math.pi) / 2)
     q = _convergent_within(Fraction(t), Fraction(4 * (math.ulp(theta) + math.ulp(t))))

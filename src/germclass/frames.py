@@ -1,13 +1,16 @@
 """Constructors for the hierarchy of adapted vector-field pairs.
 
 Every recognition criterion is a determinant of derivative words taken
-with respect to a pair (xi, eta) that kills specific words at the origin:
+with respect to a pair (xi, eta) that kills specific words at the origin.
+A word read at 0 reads f only to degree len(word), so each level reads f
+to one fixed degree, the length of the longest word read on its pair:
 
-  sb2:  xi eta f = eta xi f = 0
-  s3:   additionally xi^2 eta f = xi eta xi f = eta xi^2 f = 0
-  b3:   additionally eta^3 f = 0
-  h2:   eta^2 f = 0
-  h4:   additionally eta^4 f = 0
+  level  degree  words killed at 0
+  sb2    3       xi eta f = eta xi f = 0
+  s3     4       additionally xi^2 eta f = xi eta xi f = eta xi^2 f = 0
+  b3     5       additionally eta^3 f = 0
+  h2     4       eta^2 f = 0
+  h4     5       additionally eta^4 f = 0
 
 All constructors assume the germ has been put through `linear_normalize`
 first, so that f_v(0) = 0 and f_u(0) != 0 and the pair can be built as an
@@ -27,22 +30,18 @@ exx f(0) both equal xxe f(0) + alpha^2 beta xi f(0); on the H-2 pair
 parent's words with constant coefficients.  `s3_adapt` and `h4_adapt`
 give the derivations.
 
-Derivative words are read through `Words`, a per-pair table that
-evaluates each word once per order.  Each constructor returns the table of
-its pair, so the criteria in `classify` reuse what the frame solve already
-computed.  The deeper levels B-3 and H-4 extend their parent's build:
-`b3_adapt(sb)` and `h4_adapt(h2)` take the SB-2 or H-2 build and read the
-germ, alpha, beta and their guard and solve words from it, so a word that
-`classify` has already read on the parent pair costs nothing again.  S-3
-still builds its own SB-2 pair (see `s3_adapt`).  Every criterion reads
-its words at the origin only, and a word read at 0 reads f only to degree
-len(word), so the table computes each word at the lowest order its reader
-needs; the words of one read are evaluated longest first, so a shared
-suffix is computed once.  The phi Hessian that splits the SB branch is
-read the same way: on the SB-2 pair its entries are the determinants
-A = det(xi f, xi^2 eta f, eta^2 f)(0) and C = det(xi f, eta^2 f,
-eta^3 f)(0), which read f to degree 3.  The vectors f_u, f_v, f_vv, f_uv
-at 0 are read straight from f's coefficients.
+Derivative words are read through `Words`, a per-pair table built to its
+level's degree, which evaluates each word once.  Each constructor returns
+the table of its pair, so the criteria in `classify` reuse what the frame
+solve already computed.  The deeper levels B-3 and H-4 extend their
+parent's build: `b3_adapt(sb)` and `h4_adapt(h2)` take the SB-2 or H-2
+build and read the germ, alpha, beta and their guard and solve words from
+it, so a word that `classify` has already read on the parent pair costs
+nothing again.  S-3 still builds its own SB-2 pair (see `s3_adapt`).  The
+phi Hessian that splits the SB branch is read the same way: on the SB-2
+pair its entries are the determinants A = det(xi f, xi^2 eta f, eta^2 f)(0)
+and C = det(xi f, eta^2 f, eta^3 f)(0), which read f to degree 3.  The
+vectors f_u, f_v, f_vv, f_uv at 0 are read straight from f's coefficients.
 
 Everything at 0 is integer arithmetic.  `Words.scaled` and `partials0`
 read the vectors one test needs together, through `jets.scaled_coeffs`,
@@ -64,48 +63,38 @@ from .vfields import FramePair, VectorFieldJet, apply, d_du
 
 
 class Words:
-    """The derivative words of f on one pair, each evaluated once per order.
+    """The derivative words of f on one pair, each evaluated once.
 
     A word is a string over the letters x (xi) and e (eta), read as the
     operator product: "xxe" is xi(xi(eta f)).  The empty word is f itself.
 
-    A word read at 0 reads f only to degree len(word), so `at0(w)` asks
-    for w f at order 0: each suffix s of w is computed at order
-    len(w) - len(s), from f truncated to order len(w).  The table keeps
-    each word with the order it was computed at.  A read at or below that
-    order costs nothing; a read that needs more recomputes the word, one
-    `apply` on its suffix at one order higher.
+    The table reads f to one degree, fixed when it is built (the level
+    table of this module): it truncates f to `degree` once and computes
+    each word w once, at order degree - len(w), by one `apply` on its
+    cached suffix.  So every word up to that length reads exactly at 0,
+    and a longer word exhausts the order (`OrderExhaustedError`).  `f` is
+    the germ as given, which the deeper levels extend.
     """
 
-    def __init__(self, f: MapJet, pair: FramePair):
+    def __init__(self, f: MapJet, pair: FramePair, degree: int):
         self.f = f
         self.pair = pair
-        self._jets = {}
+        self._jets = {"": f.truncate(degree)}
 
-    def jet(self, word: str, order: int) -> MapJet:
-        """w f to at least `order`."""
-        if not word:
-            return self.f.truncate(order) if order < self.f.order else self.f
+    def jet(self, word: str) -> MapJet:
+        """w f at order degree - len(w)."""
         out = self._jets.get(word)
-        if out is None or out.order < order:
+        if out is None:
             field = self.pair.xi if word[0] == "x" else self.pair.eta
-            out = apply(field, self.jet(word[1:], order + 1), word + " f")
-            self._jets[word] = out
+            out = self._jets[word] = apply(field, self.jet(word[1:]), word + " f")
         return out
 
     def at0(self, word: str):
-        return self.jet(word, 0).at0()
+        return self.jet(word).at0()
 
     def scaled(self, *words):
-        """The words at 0 as integer vectors over one scaling, and its scale.
-
-        The words are evaluated longest first, so a suffix they share is
-        computed once, at the highest order any of them needs, and then
-        read together through `jets.scaled_coeffs`, in the given order.
-        """
-        for word in sorted(words, key=len, reverse=True):
-            self.jet(word, 0)
-        return scaled_coeffs(*((self.jet(word, 0), (0, 0)) for word in words))
+        """The words at 0 as integer vectors over one scaling, and its scale."""
+        return scaled_coeffs(*((self.jet(word), (0, 0)) for word in words))
 
 
 @dataclass(frozen=True)
@@ -220,7 +209,7 @@ def sb2_adapt(f: MapJet) -> FrameBuild:
     xi = VectorFieldJet(Jet2(n, {(0, 0): 1, (0, 1): -alpha}), Jet2.const(-beta, n))
     eta = VectorFieldJet(Jet2(n, {(1, 0): -alpha}), Jet2.const(1, n))
     pair = FramePair(xi, eta)
-    return FrameBuild(pair, {"alpha": alpha, "beta": beta}, Words(f, pair))
+    return FrameBuild(pair, {"alpha": alpha, "beta": beta}, Words(f, pair, 3))
 
 
 def s3_adapt(f: MapJet) -> FrameBuild:
@@ -264,7 +253,7 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     a1 = Jet2(n, {(0, 0): 1, (0, 1): -alpha, (1, 1): p})
     b1 = Jet2(n, {(0, 0): -beta, (1, 0): q})
     c1 = Jet2(n, {(1, 0): -alpha, (2, 0): r})
-    words = Words(f, FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, Jet2.const(1, n))))
+    words = Words(f, FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, Jet2.const(1, n))), 4)
     if not all(map(EXACT.is_zero_vec, words.scaled("xxe", "xex", "exx")[0])):
         raise PreconditionError("S-3 correction failed verification")
     return FrameBuild(words.pair, {"alpha": alpha, "beta": beta,
@@ -299,7 +288,7 @@ def b3_adapt(sb: FrameBuild) -> FrameBuild:
     d1 = Jet2(n, {(0, 0): 1, (0, 1): -beta1 / 3})
     pair = FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, d1))
     return FrameBuild(pair, {"alpha": alpha, "beta": beta,
-                             "alpha1": alpha1, "beta1": beta1}, Words(f, pair))
+                             "alpha1": alpha1, "beta1": beta1}, Words(f, pair, 5))
 
 
 def h2_adapt(f: MapJet) -> FrameBuild:
@@ -313,7 +302,7 @@ def h2_adapt(f: MapJet) -> FrameBuild:
     n = f.order
     eta = VectorFieldJet(Jet2(n, {(0, 1): -alpha}), Jet2.const(1, n))
     pair = FramePair(d_du(n), eta)
-    return FrameBuild(pair, {"alpha": alpha}, Words(f, pair))
+    return FrameBuild(pair, {"alpha": alpha}, Words(f, pair, 4))
 
 
 def h4_adapt(h2: FrameBuild) -> FrameBuild:
@@ -352,7 +341,7 @@ def h4_adapt(h2: FrameBuild) -> FrameBuild:
     n = f.order
     c1 = Jet2(n, {(0, 1): -alpha, (0, 2): s, (0, 3): t})
     d1 = Jet2(n, {(0, 0): 1, (0, 1): w})
-    words = Words(f, FramePair(d_du(n), VectorFieldJet(c1, d1)))
+    words = Words(f, FramePair(d_du(n), VectorFieldJet(c1, d1)), 5)
     eta4f0, eta2f0 = words.scaled("eeee", "ee")[0]
     if not EXACT.is_zero_vec(eta4f0):
         raise PreconditionError("H-4 correction failed verification")

@@ -385,6 +385,19 @@ def test_float_angle_is_read_below_two_to_the_33_only():
             _theta_pair(t)
 
 
+def test_float_angle_is_read_from_two_to_the_minus_64_only():
+    smallest = 2.0 ** -64
+    for t in (smallest, -smallest):
+        c, s = _theta_pair(t)
+        assert c * c + s * s == 1
+        assert abs(s - Fraction(math.sin(t))) <= 8 * Fraction(math.ulp(t))
+    largest = math.nextafter(smallest, 0)
+    for t in (largest, -largest, 2e-300, 5e-324):
+        with pytest.raises(PreconditionError, match=r"2\^-64.*theta_cos, theta_sin"):
+            _theta_pair(t)
+    assert _theta_pair(0.0) == _theta_pair(-0.0) == (1, 0)
+
+
 def test_float_angle_is_recorded_by_formula_route():
     m = MongeCoeffs({(0, 2): 1, (2, 0): 1, (0, 3): 1, (2, 1): 2})
     _, inv = folded_classify_formulas(m, math.atan2(12, -5))

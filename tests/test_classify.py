@@ -187,10 +187,10 @@ PARENT_BUILDS = {
     "S1-": (1, 0, 7),
     # s3_adapt still builds its own SB-2 pair: perfbench/tests/test_perfbench.py::
     # test_tracer_wraps_every_binding_site pins two sb2_adapt calls per S2 classify
-    "S2": (2, 0, 26),
+    "S2": (2, 0, 23),
     "B2+": (1, 0, 18),
     "B2-": (1, 0, 18),
-    "H2": (0, 1, 19),
+    "H2": (0, 1, 12),
 }
 
 
@@ -215,6 +215,35 @@ def test_b3_and_h4_extend_the_parent_build(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         classify(f)
         assert (calls["sb2_adapt"], calls["h2_adapt"], calls["apply"]) == PARENT_BUILDS[name], name
+
+
+def test_classify_applies_each_word_once(monkeypatch):
+    """The `apply` calls of a classify are the words cached in the tables it built."""
+    tables = []
+    applies = []
+
+    class Recorded(Words):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    def counted(*args):
+        applies.append(args[-1])
+        return apply(*args)
+
+    monkeypatch.setattr(frames, "Words", Recorded)
+    monkeypatch.setattr(frames, "apply", counted)
+    rng = Random("applies-once")
+    germs = list(normal_forms().items())
+    germs += [(branch, random_branch_germ(rng, branch))
+              for branch in ("S1", "S", "S2", "B", "B2", "SB", "HP2", "H", "H2", "WU")
+              for _ in range(3)]
+    for name, f in germs:
+        tables.clear()
+        applies.clear()
+        classify(f)
+        # every table caches f itself as the empty word, at no `apply`
+        assert len(applies) == sum(len(t._jets) - 1 for t in tables), name
 
 
 def test_three_way_nonvanishing_equivalence():
@@ -322,7 +351,7 @@ def test_truncation_is_exact(branch):
                 pair = constructor(g).pair
             except PreconditionError:
                 continue
-            words = Words(g, pair)
+            words = Words(g, pair, 5)
             fields = {"x": pair.xi, "e": pair.eta}
             for word in WORDS_TO_5:
                 full = apply_word([fields[letter] for letter in word], g)

@@ -111,6 +111,24 @@ def test_malformed_document_exit_1(tmp_path, capsys, cmd, text):
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+TINY_ANGLE_HEAD = ("[folded]\norder = 10\na02 = 1\na20 = 1\na03 = 2\na21 = 5/7\na12 = 3\n"
+                   "a30 = 1\na04 = 1\na13 = 2\na05 = 1\na31 = 4/9\na22 = 7\n")
+
+
+def test_folded_float_angle_is_at_least_two_to_the_minus_64(tmp_path, capsys):
+    """Below the bound the exact point would outgrow a printable certificate."""
+    smallest = 2.0 ** -64
+    path = write(tmp_path, "tiny.germ", TINY_ANGLE_HEAD + "theta = %r\n" % smallest)
+    code, out, err = run(capsys, "folded", path, "--json")
+    assert (code, err) == (0, "") and json.loads(out)["agree"]
+    for theta in (math.nextafter(smallest, 0), 2e-300):
+        path = write(tmp_path, "tiny.germ", TINY_ANGLE_HEAD + "theta = %r\n" % theta)
+        code, out, err = run(capsys, "folded", path, "--json")
+        assert (code, out) == (1, "")
+        assert err == ("error: a nonzero fold angle must be at least 2^-64 in magnitude, got"
+                       " %r; give an exact point as theta_cos, theta_sin\n" % theta)
+
+
 def test_text_never_formats_the_normalized_germ(tmp_path, capsys):
     """Text shows the certificate summary only; JSON adds the normalized germ,
     whose u^6 coefficient here is past the print limit."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germclass.errors import PreconditionError
+from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass import frames
 from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
                               rank_df0, s3_adapt, sb2_adapt)
@@ -410,7 +410,7 @@ def _s3_trial(f, alpha, beta, p, q, r):
     xi = VectorFieldJet(Jet2(n, {(0, 0): 1, (0, 1): -alpha, (1, 1): p}),
                         Jet2(n, {(0, 0): -beta, (1, 0): q}))
     eta = VectorFieldJet(Jet2(n, {(1, 0): -alpha, (2, 0): r}), Jet2.const(1, n))
-    return Words(f, FramePair(xi, eta))
+    return Words(f, FramePair(xi, eta), 3)
 
 
 def _h4_trial(f, alpha, s, t, w):
@@ -418,7 +418,7 @@ def _h4_trial(f, alpha, s, t, w):
     n = f.order
     eta = VectorFieldJet(Jet2(n, {(0, 1): -alpha, (0, 2): s, (0, 3): t}),
                          Jet2(n, {(0, 0): 1, (0, 1): w}))
-    return Words(f, FramePair(d_du(n), eta))
+    return Words(f, FramePair(d_du(n), eta), 4)
 
 
 def _assert_s3_columns(g):
@@ -489,41 +489,41 @@ def test_closed_form_corrections_match_finite_differences(branch):
 def test_words_reads_operator_product():
     f = germ("u+v^2", "u*v+v^3", "v^3+u^2*v")
     pair = sb2_adapt(germ("u", "v^2", "u^2*v+v^3")).pair
-    words = Words(f, pair)
+    words = Words(f, pair, f.order)
     xi, eta = pair.xi, pair.eta
-    assert words.jet("xxe", f.order - 3) == apply_word([xi, xi, eta], f)
-    assert words.jet("", f.order) is f
+    assert words.jet("xxe") == apply_word([xi, xi, eta], f)
+    assert words.jet("") == f
 
 
 def test_words_applies_once_per_distinct_word(monkeypatch):
+    """Each word costs one `apply`, once, at order degree - len(word)."""
     calls = []
     apply = frames.apply
 
-    def counted(zeta, g, *args):
-        calls.append(zeta)
-        return apply(zeta, g, *args)
+    def counted(zeta, g, label):
+        out = apply(zeta, g, label)
+        calls.append((label, out.order))
+        return out
 
     monkeypatch.setattr(frames, "apply", counted)
     f = germ("u", "v^2", "v*(u^3+v^2)")
-    words = Words(f, sb2_adapt(f).pair)
+    pair = sb2_adapt(f).pair
+    words = Words(f, pair, 4)
     calls.clear()
     words.at0("xxe")
-    assert len(calls) == 3                  # e at order 2, xe at 1, xxe at 0
-    for word in ("xe", "e", "xxe"):
+    assert calls == [("e f", 3), ("xe f", 2), ("xxe f", 1)]
+    for word in ("xe", "e", "xxe", "exxe", "ee", "exxe"):
         words.at0(word)
-    assert len(calls) == 3                  # each is cached at or above order 0
-    words.at0("exxe")
-    assert len(calls) == 7                  # e, xe, xxe one order higher, then exxe
-    words.at0("ee")
-    assert len(calls) == 8                  # e is cached at order 3
+    assert calls[3:] == [("exxe f", 0), ("ee f", 2)]
+    with pytest.raises(OrderExhaustedError):
+        words.at0("eeeee")
 
-    # one read evaluates its words longest first: each shared suffix once,
-    # at the highest order the read needs, and the vectors in the given order
-    for read, count in ((("x", "ee", "eee", "xxe"), 6),             # 8 word by word
-                        (("x", "xe", "ex", "xxe", "ee", "eee"), 7)):  # 10 word by word
-        words = Words(f, sb2_adapt(f).pair)
-        calls.clear()
-        vectors = words.scaled(*read)
-        assert len(calls) == count, read
-        reference = Words(f, words.pair)
-        assert vectors == scaled_coeffs(*((reference.jet(w, 0), (0, 0)) for w in read))
+    # one read: each word once, and the vectors in the given order
+    read = ("x", "xe", "ex", "xxe", "ee", "eee")
+    words = Words(f, pair, 3)
+    calls.clear()
+    vectors = words.scaled(*read)
+    assert sorted(calls) == sorted((w + " f", 3 - len(w)) for w in read + ("e",))
+    fields = {"x": pair.xi, "e": pair.eta}
+    full = [apply_word([fields[letter] for letter in w], f) for w in read]
+    assert vectors == scaled_coeffs(*((w.truncate(0), (0, 0)) for w in full))

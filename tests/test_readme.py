@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = README.parent / "src" / "germclass"
 
 
 def python_block(heading):
@@ -24,3 +25,11 @@ def test_library_quick_start_prints_what_its_comments_say():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_layout_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    layout = text.split("\n## Layout\n", 1)[1].split("```", 2)[1]
+    named = set(re.findall(r"^  (\w+\.py) ", layout, re.M))
+    modules = {path.name for path in PACKAGE.glob("*.py")} - {"__init__.py"}
+    assert named == modules
