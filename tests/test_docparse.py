@@ -249,3 +249,32 @@ def test_overflow_warning_recorded():
     doc = parse_doc("[map]\norder = 4\nf1 = u\nf2 = v^2\nf3 = u^2*v+v^5\n")
     doc.to_map_jet()
     assert doc.warnings == ["f3: degree overflow truncated to order 4"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[map]\nf1 = u\nf2 = v^2\n", "kind 'map': missing component 'f3'"),
+    ("[ruled]\ngamma1 = 1\nc3 = 1\n", "kind 'ruled': missing component 'gamma3'"),
+    ("[center]\norder = 5\n", "kind 'center': no coefficients given"),
+    ("[folded]\ntheta = 0.5\n", "kind 'folded': no coefficients given"),
+    ("[sb-normal]\n", "kind 'sb-normal': no coefficients given"),
+    ("[h-normal]\n# none\n", "kind 'h-normal': no coefficients given"),
+    ("[center]\na02 = 1\nb03 = 1\n", "kind 'center': b-coefficients are not accepted"),
+    ("[folded]\nb03 = 1\na02 = 1\n", "kind 'folded': b-coefficients are not accepted"),
+    ("[sb-normal]\na21 = 2\nb12 = 1\n", "sb-normal: b-coefficients must be b0j (got b12)"),
+    ("[center]\na02 = 1\ntheta = 0.5\n", "line 3: unknown key 'theta' for kind 'center'"),
+    ("[folded]\na02 = 1\ntheta_cos = 3/5\n",
+     "folded: theta_cos and theta_sin must be given together"),
+    ("[folded]\na02 = 1\ntheta = 0.5\ntheta_cos = 1\ntheta_sin = 0\n",
+     "folded: give either theta or a (cos, sin) pair"),
+    ("[folded]\na02 = 1\ntheta_cos = 1/2\ntheta_sin = 1/2\n",
+     "folded: theta_cos^2 + theta_sin^2 must equal 1 exactly"),
+    ("[map]\norder = five\nf1 = u\nf2 = v^2\nf3 = u*v\n", "key order: not an integer: 'five'"),
+    ("[map]\norder = 11\nf1 = u\nf2 = v^2\nf3 = u*v\n", "key order: must be within 2..10, got 11"),
+], ids=["map-missing", "ruled-missing", "center-empty", "folded-empty", "sb-empty", "h-empty",
+        "center-b", "folded-b", "sb-b12", "theta-in-center", "unpaired-cos",
+        "theta-and-pair", "off-circle", "order-not-integer", "order-range"])
+def test_document_rule_messages(text, message):
+    """Each document rule fails with its own exact message."""
+    with pytest.raises(ParseError) as err:
+        parse_doc(text)
+    assert str(err.value) == message
