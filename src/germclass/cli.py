@@ -166,7 +166,9 @@ def cmd_fuzz(args):
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            # some editors write a byte-order mark first; dropping it after
+            # decoding (not by utf-8-sig) keeps a bad byte's offset in the file
+            return handle.read().removeprefix("\ufeff")
     except UnicodeDecodeError as error:
         raise GermError("%s is not UTF-8 text: byte %#x at offset %d"
                         % (path, error.object[error.start], error.start))

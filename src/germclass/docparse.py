@@ -15,11 +15,21 @@ coefficient past Python's 4300-digit limit is an error at its '^' or '*'.
 Documents are line-oriented `key = value` files under a `[kind]` header,
 kind one of map, ruled, center, folded, sb-normal, h-normal.  Blank lines
 and '#' comments are ignored, a line that opens with '[' is a whole header
-or an error, and each key may be given once.  A polynomial error names its
-key, with the position in that key's value.  Angles for
-folded documents are either an exact rational point on the unit circle
-(theta_cos/theta_sin) or a float (theta), kept as given here and read as
-an exact point on the unit circle by `applications._theta_pair`.
+or an error, and each key may be given once.  Each value is parsed once,
+by its key:
+
+- a polynomial key (f1, f2, f3 for map; gamma1, gamma3, c3 for ruled)
+  follows the grammar above at the document's order;
+- a coefficient key (aij; b0j for sb-normal, bij for h-normal),
+  theta_cos and theta_sin hold one signed rational,
+  `['+'|'-'] rational`, so `0.5` and `1e3` are errors;
+- theta is a finite float.
+
+A value's error names its key, with the position in that key's value.
+Angles for folded documents are either an exact rational point on the
+unit circle (theta_cos/theta_sin) or a float (theta), kept as given here
+and read as an exact point on the unit circle by
+`applications._theta_pair`.
 """
 
 from __future__ import annotations
@@ -93,11 +103,22 @@ class _PolyParser:
 
     def parse(self) -> Jet2:
         jet = self.expr()
-        if self.peek() is not None:
-            if self.peek() == "/":
-                raise ParseError("division token outside a rational literal", self.pos())
-            raise ParseError("unexpected token %r" % self.peek(), self.pos())
+        self.end()
         return jet
+
+    def value(self) -> Fraction:
+        """The whole source as one signed rational: ['+'|'-'] rational."""
+        negate = self.peek() == "-"
+        if self.peek() in ("+", "-"):
+            self.advance()
+        value = self.rational(*self.advance())
+        self.end()
+        return -value if negate else value
+
+    def end(self) -> None:
+        # term() has already rejected a '/' after a polynomial's factor
+        if self.peek() is not None:
+            raise ParseError("unexpected token %r" % self.peek(), self.pos())
 
     def expr(self) -> Jet2:
         negate = False
@@ -158,20 +179,6 @@ class _PolyParser:
 
     def base(self) -> Jet2:
         tok, pos = self.advance()
-        if tok is None:
-            raise ParseError("unexpected end of input", pos)
-        if tok.isdigit():
-            value = Fraction(_int(tok, pos))
-            if self.peek() == "/":
-                self.advance()
-                den_tok, den_pos = self.advance()
-                if den_tok is None or not den_tok.isdigit():
-                    raise ParseError("denominator must be a positive integer", den_pos)
-                den = _int(den_tok, den_pos)
-                if den == 0:
-                    raise ParseError("zero denominator", den_pos)
-                value /= den
-            return Jet2.const(value, self.order)
         if tok in ("u", "v"):
             return Jet2.variable(tok, self.order)
         if tok == "(":
@@ -184,7 +191,25 @@ class _PolyParser:
                 raise ParseError("expected ')'", cpos)
             self.depth -= 1
             return inner
-        raise ParseError("unexpected token %r" % tok, pos)
+        return Jet2.const(self.rational(tok, pos), self.order)
+
+    def rational(self, tok, pos) -> Fraction:
+        """The rule rational, whose first token tok (at pos) has been read."""
+        if tok is None:
+            raise ParseError("unexpected end of input", pos)
+        if not tok.isdigit():
+            raise ParseError("unexpected token %r" % tok, pos)
+        value = Fraction(_int(tok, pos))
+        if self.peek() == "/":
+            self.advance()
+            den_tok, den_pos = self.advance()
+            if den_tok is None or not den_tok.isdigit():
+                raise ParseError("denominator must be a positive integer", den_pos)
+            den = _int(den_tok, den_pos)
+            if den == 0:
+                raise ParseError("zero denominator", den_pos)
+            value /= den
+        return value
 
 
 def parse_poly(src: str, order: int = 6) -> Jet2:
@@ -199,80 +224,63 @@ def parse_poly_ex(src: str, order: int = 6):
     return jet, parser.truncated
 
 
-KINDS = ("map", "ruled", "center", "folded", "sb-normal", "h-normal")
-
-_KEYS = {
-    "map": {"f1", "f2", "f3"},
-    "ruled": {"gamma1", "gamma3", "c3"},
-    "center": set(),
-    "folded": {"theta", "theta_cos", "theta_sin"},
-    "sb-normal": set(),
-    "h-normal": set(),
+# kind: (polynomial keys, each required; coefficient letters)
+_KINDS = {
+    "map": (("f1", "f2", "f3"), ""),
+    "ruled": (("gamma1", "gamma3", "c3"), ""),
+    "center": ((), "a"),
+    "folded": ((), "a"),
+    "sb-normal": ((), "ab"),
+    "h-normal": ((), "ab"),
 }
-_COEFF_KEY = re.compile(r"^([ab])(\d)(\d)$")
+_COEFF_KEY = re.compile(r"([ab])(\d)(\d)")
 
 
 @dataclass
 class MapSpecDoc:
     kind: str
     order: int = 6
-    exprs: dict = field(default_factory=dict)        # key -> raw source string
-    coeffs: dict = field(default_factory=dict)       # ('a', i, j) -> Fraction
+    jets: dict = field(default_factory=dict)     # polynomial key -> Jet2
+    coeffs: dict = field(default_factory=dict)   # letter -> {(i, j): Fraction}
     theta: tuple | float | None = None
     warnings: list = field(default_factory=list)
-    jets: dict = field(default_factory=dict, repr=False, compare=False)  # key -> parsed Jet2
 
     # -- builders --------------------------------------------------------
 
-    def jet(self, key: str) -> Jet2:
-        """The jet of one component, parsed once (its warning is recorded then).
-
-        A syntax error names the key; its position stays in the key's source.
-        """
-        jet = self.jets.get(key)
-        if jet is None:
-            try:
-                jet, truncated = parse_poly_ex(self.exprs[key], self.order)
-            except ParseError as err:
-                err.args = ("key %s: %s" % (key, err),)
-                raise
-            if truncated:
-                self.warnings.append("%s: degree overflow truncated to order %d"
-                                     % (key, self.order))
-            self.jets[key] = jet
-        return jet
-
     def to_map_jet(self) -> MapJet:
-        return MapJet.germ(self.jet("f1"), self.jet("f2"), self.jet("f3"))
+        return MapJet.germ(self.jets["f1"], self.jets["f2"], self.jets["f3"])
 
     def to_ruled_data(self) -> RuledData:
-        return RuledData(self.jet("gamma1"), self.jet("gamma3"), self.jet("c3"))
+        return RuledData(self.jets["gamma1"], self.jets["gamma3"], self.jets["c3"])
 
     def to_monge(self) -> MongeCoeffs:
-        return MongeCoeffs({(i, j): c for (g, i, j), c in self.coeffs.items() if g == "a"})
+        return MongeCoeffs(self.coeffs["a"])
 
     def to_sb_coeffs(self) -> SBNormalCoeffs:
-        a = {(i, j): c for (g, i, j), c in self.coeffs.items() if g == "a"}
-        b = {j: c for (g, i, j), c in self.coeffs.items() if g == "b" and i == 0}
-        return SBNormalCoeffs(a, b)
+        return SBNormalCoeffs(self.coeffs["a"], {j: c for (_, j), c in self.coeffs["b"].items()})
 
     def to_h_coeffs(self) -> HNormalCoeffs:
-        a = {(i, j): c for (g, i, j), c in self.coeffs.items() if g == "a"}
-        b = {(i, j): c for (g, i, j), c in self.coeffs.items() if g == "b"}
-        return HNormalCoeffs(a, b)
+        return HNormalCoeffs(self.coeffs["a"], self.coeffs["b"])
 
 
-def _parse_rational(text: str, key: str) -> Fraction:
+def _keyed(key: str, read, *args):
+    """read(*args), prefixing a ParseError with its key; its position stays in the key's value."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError("key %s: invalid rational %r" % (key, text))
+        return read(*args)
+    except ParseError as err:
+        err.args = ("key %s: %s" % (key, err),)
+        raise
+
+
+def _rational(src: str) -> Fraction:
+    """A coefficient, theta_cos or theta_sin value: ['+'|'-'] rational."""
+    return _PolyParser(src, 0).value()
 
 
 def parse_doc(text: str) -> MapSpecDoc:
     """Parse and validate a classification document."""
     doc = None
-    theta_cos = theta_sin = None
+    sources, pair = {}, {}
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -283,11 +291,12 @@ def parse_doc(text: str) -> MapSpecDoc:
                 raise ParseError("line %d: malformed [kind] header %r: a header line "
                                  "holds only [kind]" % (lineno, line))
             kind = line[1:-1].strip()
-            if kind not in KINDS:
+            if kind not in _KINDS:
                 raise ParseError("line %d: unknown kind %r" % (lineno, kind))
             if doc is not None:
                 raise ParseError("line %d: duplicate [kind] header" % lineno)
-            doc = MapSpecDoc(kind)
+            poly_keys, letters = _KINDS[kind]
+            doc = MapSpecDoc(kind, coeffs={g: {} for g in letters})
             continue
         if doc is None:
             raise ParseError("line %d: content before the [kind] header" % lineno)
@@ -299,6 +308,7 @@ def parse_doc(text: str) -> MapSpecDoc:
         if key in seen:
             raise ParseError("line %d: duplicate key %r" % (lineno, key))
         seen.add(key)
+        coeff = _COEFF_KEY.fullmatch(key) if letters else None
         if key == "order":
             try:
                 order = int(value)
@@ -307,68 +317,59 @@ def parse_doc(text: str) -> MapSpecDoc:
             if not 2 <= order <= 10:
                 raise ParseError("key order: must be within 2..10, got %d" % order)
             doc.order = order
-        elif key in _KEYS[doc.kind]:
-            if key == "theta":
-                try:
-                    doc.theta = float(value)
-                except ValueError:
-                    raise ParseError("key theta: not a number: %r" % value)
-                if not math.isfinite(doc.theta):
-                    raise ParseError("key theta: must be finite, got %r" % value)
-            elif key == "theta_cos":
-                theta_cos = _parse_rational(value, key)
-            elif key == "theta_sin":
-                theta_sin = _parse_rational(value, key)
-            else:
-                doc.exprs[key] = value
-        elif _COEFF_KEY.match(key) and doc.kind in ("center", "folded", "sb-normal",
-                                                    "h-normal"):
-            g, i, j = _COEFF_KEY.match(key).groups()
-            doc.coeffs[(g, int(i), int(j))] = _parse_rational(value, key)
+        elif key in poly_keys:
+            sources[key] = value
+        elif coeff:
+            g, i, j = coeff.groups()
+            if g not in letters:
+                raise ParseError("kind %r: b-coefficients are not accepted" % doc.kind)
+            if g == "b" and doc.kind == "sb-normal" and i != "0":
+                raise ParseError("sb-normal: b-coefficients must be b0j (got b%s%s)" % (i, j))
+            doc.coeffs[g][int(i), int(j)] = _keyed(key, _rational, value)
+        elif key == "theta" and doc.kind == "folded":
+            try:
+                doc.theta = float(value)
+            except ValueError:
+                raise ParseError("key theta: not a number: %r" % value)
+            if not math.isfinite(doc.theta):
+                raise ParseError("key theta: must be finite, got %r" % value)
+        elif key in ("theta_cos", "theta_sin") and doc.kind == "folded":
+            pair[key] = _keyed(key, _rational, value)
         else:
             raise ParseError("line %d: unknown key %r for kind %r"
                              % (lineno, key, doc.kind))
     if doc is None:
         raise ParseError("missing [kind] header")
-    _validate_doc(doc, theta_cos, theta_sin)
-    return doc
-
-
-def _validate_doc(doc: MapSpecDoc, theta_cos, theta_sin) -> None:
-    needed = {"map": ("f1", "f2", "f3"), "ruled": ("gamma1", "gamma3", "c3")}
-    for key in needed.get(doc.kind, ()):
-        if key not in doc.exprs:
+    for key in poly_keys:
+        if key not in sources:
             raise ParseError("kind %r: missing component %r" % (doc.kind, key))
-        doc.jet(key)  # parsed once, here: a syntax error names the key and its position
-    if doc.kind in ("center", "folded", "sb-normal", "h-normal") and not doc.coeffs:
+        doc.jets[key], truncated = _keyed(key, parse_poly_ex, sources[key], doc.order)
+        if truncated:
+            doc.warnings.append("%s: degree overflow truncated to order %d" % (key, doc.order))
+    if letters and not any(doc.coeffs.values()):
         raise ParseError("kind %r: no coefficients given" % doc.kind)
     if doc.kind == "folded":
-        if (theta_cos is None) != (theta_sin is None):
+        if len(pair) == 1:
             raise ParseError("folded: theta_cos and theta_sin must be given together")
-        if theta_cos is not None:
+        if pair:
             if doc.theta is not None:
                 raise ParseError("folded: give either theta or a (cos, sin) pair")
-            if theta_cos * theta_cos + theta_sin * theta_sin != 1:
+            doc.theta = (pair["theta_cos"], pair["theta_sin"])
+            if doc.theta[0] ** 2 + doc.theta[1] ** 2 != 1:
                 raise ParseError("folded: theta_cos^2 + theta_sin^2 must equal 1 exactly")
-            doc.theta = (theta_cos, theta_sin)
         elif doc.theta is None:
             doc.theta = (Fraction(1), Fraction(0))
-    if doc.kind in ("h-normal", "sb-normal", "center", "folded"):
-        for (g, i, j) in doc.coeffs:
-            if g == "b" and doc.kind in ("center", "folded"):
-                raise ParseError("kind %r: b-coefficients are not accepted" % doc.kind)
-            if g == "b" and doc.kind == "sb-normal" and i != 0:
-                raise ParseError("sb-normal: b-coefficients must be b0j (got b%d%d)"
-                                 % (i, j))
+    return doc
 
 
 def format_doc(doc: MapSpecDoc) -> str:
     """Canonical text for a document; parse(format(doc)) round-trips."""
     lines = ["[%s]" % doc.kind, "order = %d" % doc.order]
-    for key in sorted(doc.exprs):
-        lines.append("%s = %s" % (key, poly_str(parse_poly(doc.exprs[key], doc.order))))
-    for (g, i, j) in sorted(doc.coeffs):
-        lines.append("%s%d%d = %s" % (g, i, j, doc.coeffs[(g, i, j)]))
+    for key in sorted(doc.jets):
+        lines.append("%s = %s" % (key, poly_str(doc.jets[key])))
+    for g in sorted(doc.coeffs):
+        for (i, j), c in sorted(doc.coeffs[g].items()):
+            lines.append("%s%d%d = %s" % (g, i, j, c))
     if doc.kind == "folded" and doc.theta is not None:
         if isinstance(doc.theta, tuple):
             lines.append("theta_cos = %s" % doc.theta[0])

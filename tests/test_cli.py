@@ -92,6 +92,7 @@ MALFORMED = [
     ("classify", "[map]\nf1 = u*(1/2+v)^99999999999\nf2 = v^2\nf3 = u*v\n"),
     ("classify", "[map]\nf1 = %su%s\nf2 = v^2\nf3 = u*v\n" % ("(" * 300, ")" * 300)),
     ("classify", b"[map]\nf1 = u\nf2 = v^2\nf3 = u*v # \xff\n"),
+    ("center", "[center]\na02 = 1\na20 = 2\na03 = 1e10000000\na21 = 1\n"),
 ]
 
 
@@ -100,7 +101,7 @@ MALFORMED = [
                                                      "theta-1e20", "duplicate-key",
                                                      "4000-digit-product", "theta-tiny",
                                                      "huge-power", "300-deep-parentheses",
-                                                     "not-utf-8"])
+                                                     "not-utf-8", "exponent-coefficient"])
 def test_malformed_document_exit_1(tmp_path, capsys, cmd, text):
     path = write(tmp_path, "malformed.germ", text)
     for fmt in (("--json",), ()):
@@ -109,6 +110,19 @@ def test_malformed_document_exit_1(tmp_path, capsys, cmd, text):
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+README_S2 = "[map]\norder = 6\nf1 = u\nf2 = v^2\nf3 = v*(u^3+v^2)\n"
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    """A document saved with a UTF-8 byte-order mark reads as the same text."""
+    plain = write(tmp_path, "s2.germ", README_S2)
+    marked = write(tmp_path, "s2-bom.germ", b"\xef\xbb\xbf" + README_S2.encode())
+    for fmt in ((), ("--json",)):
+        want = run(capsys, "classify", plain, *fmt)
+        assert want[0] == 0
+        assert run(capsys, "classify", marked, *fmt) == want
 
 
 TINY_ANGLE_HEAD = ("[folded]\norder = 10\na02 = 1\na20 = 1\na03 = 2\na21 = 5/7\na12 = 3\n"
@@ -467,7 +481,7 @@ def _h_values(draw):
     return values
 
 
-BAD_RATIONALS = ["abc", "1/0", "", "1//2", "u", "--1", "1/-2", "nan", "1/2/3"]
+BAD_RATIONALS = ["abc", "1/0", "", "1//2", "u", "--1", "1/-2", "nan", "1/2/3", "1.5", "1e3"]
 ANGLE_KEYS = ("theta", "theta_cos", "theta_sin")
 FOLDED_DEFECTS = [{"a11": "1"}, {"a07": "1"}, {"a01": "1"}, {"b03": "1"},
                   {"theta_cos": "3/5"}, {"theta_sin": "4/5"},

@@ -151,6 +151,7 @@ def test_map_doc_parses_each_component_once(monkeypatch):
     doc = parse_doc(MAP_DOC)
     doc.to_map_jet()
     doc.to_map_jet()
+    format_doc(doc)
     assert sorted(calls) == sorted(["u", "v^2", "v*(u^3+v^2)"])
 
 
@@ -176,6 +177,12 @@ def test_center_doc_coefficients():
     doc = parse_doc("[center]\na02 = 1\na20 = 2\na03 = 1\na21 = 1\n")
     m = doc.to_monge()
     assert m.a_(0, 2) == 1 and m.a_(2, 1) == 1
+
+
+def test_coefficient_reads_as_a_rational_literal():
+    """A coefficient value is one signed rational of the polynomial grammar."""
+    doc = parse_doc("[center]\na02 = 1 / 2\na20 = - 3/4\n")
+    assert doc.coeffs == {"a": {(0, 2): Fraction(1, 2), (2, 0): Fraction(-3, 4)}}
 
 
 def test_folded_doc_exact_angle():
@@ -270,9 +277,12 @@ def test_overflow_warning_recorded():
      "folded: theta_cos^2 + theta_sin^2 must equal 1 exactly"),
     ("[map]\norder = five\nf1 = u\nf2 = v^2\nf3 = u*v\n", "key order: not an integer: 'five'"),
     ("[map]\norder = 11\nf1 = u\nf2 = v^2\nf3 = u*v\n", "key order: must be within 2..10, got 11"),
+    ("[center]\na02 = 1\na21 = 1/0\n", "key a21: zero denominator at position 2"),
+    ("[center]\na02 = 1\na03 = 1e10000000\n", "key a03: unexpected character 'e' at position 1"),
 ], ids=["map-missing", "ruled-missing", "center-empty", "folded-empty", "sb-empty", "h-empty",
         "center-b", "folded-b", "sb-b12", "theta-in-center", "unpaired-cos",
-        "theta-and-pair", "off-circle", "order-not-integer", "order-range"])
+        "theta-and-pair", "off-circle", "order-not-integer", "order-range", "zero-denominator",
+        "exponent-coefficient"])
 def test_document_rule_messages(text, message):
     """Each document rule fails with its own exact message."""
     with pytest.raises(ParseError) as err:

@@ -1,9 +1,12 @@
-"""The README's library example runs as written and prints what it says."""
+"""The README's library and CLI examples run as written and print what they say."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from germclass.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = README.parent / "src" / "germclass"
@@ -33,3 +36,27 @@ def test_layout_names_every_module():
     named = set(re.findall(r"^  (\w+\.py) ", layout, re.M))
     modules = {path.name for path in PACKAGE.glob("*.py")} - {"__init__.py"}
     assert named == modules
+
+
+def test_cli_examples_run_as_written(tmp_path, capsys):
+    """Each `cat > NAME <<'EOF'` document of the CLI section, run by every
+    `germclass` line that names it, exits 0; family commands agree."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documents = re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", section, re.S | re.M)
+    assert len(documents) == 5
+    runs = 0
+    for name, document in documents:
+        (tmp_path / name).write_text(document, encoding="utf-8")
+        for line in re.findall(r"^germclass (.*)$", section, re.M):
+            argv = shlex.split(line, comments=True)
+            if name not in argv:
+                continue
+            argv[argv.index(name)] = str(tmp_path / name)
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert code == 0, line
+            if argv[0] != "classify":
+                assert out.endswith("agreement: yes\n"), line
+            runs += 1
+    assert runs == 7
