@@ -93,24 +93,42 @@ def ruled_frame(c3: Jet2, order: int | None = None):
     a1' = a2, a2' = -a1 + c3 a3, a3' = -c3 a2, solved by coefficient
     recursion; the skew-symmetry of the system leaves the frame orthonormal
     identically in v, which the tests assert termwise.
+
+    The recursion runs on integers.  With c3 = sum_m (C_m / D) v^m over
+    its common denominator D, the vectors S_i[k] = k! D^k a_i[k] satisfy
+
+        S1[k+1] = D S2[k],
+        S2[k+1] = -D S1[k] + sum_m C_m D^m k!/(k-m)! S3[k-m],
+        S3[k+1] = -sum_m C_m D^m k!/(k-m)! S2[k-m],
+
+    from S_i[0] = e_i, and a_i[k] = S_i[k] / (k! D^k) is the one Fraction
+    built per coefficient.
     """
     _univariate(c3, "c3")
     n = c3.order + 1 if order is None else order
-    zero, one = Fraction(0), Fraction(1)
-    c = [c3.coeff(0, m) if m <= c3.order else zero for m in range(n)]
-    a1 = [(one, zero, zero)]
-    a2 = [(zero, one, zero)]
-    a3 = [(zero, zero, one)]
+    c = [c3.coeff(0, m) for m in range(min(n, c3.order + 1))]
+    d = math.lcm(*(x.denominator for x in c))
+    big_c = [x.numerator * (d // x.denominator) for x in c]
+    s1, s2, s3 = [(1, 0, 0)], [(0, 1, 0)], [(0, 0, 1)]
+    scales = [1]
     for k in range(n):
-        conv_a3 = [sum(c[m] * a3[k - m][i] for m in range(k + 1)) for i in range(3)]
-        conv_a2 = [sum(c[m] * a2[k - m][i] for m in range(k + 1)) for i in range(3)]
-        a1.append(tuple(a2[k][i] / (k + 1) for i in range(3)))
-        a2.append(tuple((-a1[k][i] + conv_a3[i]) / (k + 1) for i in range(3)))
-        a3.append(tuple(-conv_a2[i] / (k + 1) for i in range(3)))
+        # weights[m] = C_m D^m k!/(k-m)!
+        weights = []
+        w = 1
+        for m in range(min(k + 1, len(big_c))):
+            weights.append(big_c[m] * w)
+            w *= d * (k - m)
+        conv_s3 = [sum(x * s3[k - m][i] for m, x in enumerate(weights)) for i in range(3)]
+        conv_s2 = [sum(x * s2[k - m][i] for m, x in enumerate(weights)) for i in range(3)]
+        s1.append(tuple(d * x for x in s2[k]))
+        s2.append(tuple(-d * s1[k][i] + conv_s3[i] for i in range(3)))
+        s3.append(tuple(-x for x in conv_s2))
+        scales.append(scales[-1] * (k + 1) * d)
+
     def pack(rows):
-        return tuple(Jet2(n, {(0, k): rows[k][i] for k in range(n + 1)})
+        return tuple(Jet2(n, {(0, k): Fraction(rows[k][i], scales[k]) for k in range(n + 1)})
                      for i in range(3))
-    return pack(a1), pack(a2), pack(a3)
+    return pack(s1), pack(s2), pack(s3)
 
 
 def ruled_map(d: RuledData) -> MapJet:

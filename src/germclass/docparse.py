@@ -41,25 +41,21 @@ from fractions import Fraction
 
 from .applications import MongeCoeffs, RuledData
 from .errors import ParseError
-from .jets import Jet2, MapJet, poly_str
+from .jets import Jet2, MapJet
 from .oracle import HNormalCoeffs, SBNormalCoeffs
 
-_TOKEN = re.compile(r"\s*(\d+|[uv]|\^|\*|\+|-|/|\(|\))")
+# a token, or any other character that is not whitespace
+_TOKEN = re.compile(r"(\d+|[uv^*+/()-])|(\S)")
 
 
 def _tokenize(src: str):
+    """(token, position) pairs in one scan, ending with (None, len(src))."""
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError("unexpected character %r" % stripped[0],
-                             len(src) - len(stripped))
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
+    for m in _TOKEN.finditer(src):
+        tok, bad = m.groups()
+        if bad:
+            raise ParseError("unexpected character %r" % bad, m.start())
+        tokens.append((tok, m.start()))
     tokens.append((None, len(src)))
     return tokens
 
@@ -146,8 +142,7 @@ class _PolyParser:
                 total = total * rhs
                 # factors within the digit limit can multiply past it; a factor u^e
                 # or v^e moves coefficients without changing them
-                if not monomial and any(max(abs(c.numerator), c.denominator) >= _DIGIT_BOUND
-                                        for _, c in total.items()):
+                if not monomial and not total.coeffs_below(_DIGIT_BOUND):
                     raise ParseError("product has a coefficient of more than %d digits"
                                      % _MAX_DIGITS, pos)
             elif self.peek() == "/":
@@ -361,19 +356,3 @@ def parse_doc(text: str) -> MapSpecDoc:
             doc.theta = (Fraction(1), Fraction(0))
     return doc
 
-
-def format_doc(doc: MapSpecDoc) -> str:
-    """Canonical text for a document; parse(format(doc)) round-trips."""
-    lines = ["[%s]" % doc.kind, "order = %d" % doc.order]
-    for key in sorted(doc.jets):
-        lines.append("%s = %s" % (key, poly_str(doc.jets[key])))
-    for g in sorted(doc.coeffs):
-        for (i, j), c in sorted(doc.coeffs[g].items()):
-            lines.append("%s%d%d = %s" % (g, i, j, c))
-    if doc.kind == "folded" and doc.theta is not None:
-        if isinstance(doc.theta, tuple):
-            lines.append("theta_cos = %s" % doc.theta[0])
-            lines.append("theta_sin = %s" % doc.theta[1])
-        else:
-            lines.append("theta = %.17g" % doc.theta)
-    return "\n".join(lines) + "\n"

@@ -24,6 +24,14 @@ reduces each result once, in `_jet`; every scalar read out (`coeff`,
 `at0`, `items()`) is a `Fraction`.  Nothing outside this module reads
 `_num` or `_den`.
 
+Construction.  `Jet2(order, table)` coerces a table of rationals and
+reduces it.  `Jet2.zero`, `Jet2.const` and `Jet2.variable` build their
+canonical form directly, and so does a power of a one-term jet:
+(c u^i v^j)^n = c^n u^(ni) v^(nj) stays in lowest terms because c is in
+them.  `coeffs_below(bound)` is the size test of every coefficient in
+lowest terms; it reduces nothing when the shared numerators and the
+denominator are all below the bound.
+
 Integer reads at the origin.  `scaled_coeffs` reads coefficients of
 several jet vectors (MapJets, or the two coefficients of a vector field)
 as integer vectors: component k of every vector in one read is scaled by
@@ -125,6 +133,11 @@ def _jet(order: int, num, den: int) -> "Jet2":
     if g != 1:
         num = {key: n // g for key, n in num.items()}
         den //= g
+    return _canonical(order, num, den)
+
+
+def _canonical(order: int, num, den: int) -> "Jet2":
+    """A jet from numerators already in canonical form: no zero, reduced, den > 0."""
     jet = object.__new__(Jet2)
     jet.order = order
     jet._num = num
@@ -145,19 +158,24 @@ class Jet2:
 
     @classmethod
     def zero(cls, order: int) -> "Jet2":
-        return cls(order)
+        return _canonical(order, {}, 1)
 
     @classmethod
     def const(cls, value, order: int) -> "Jet2":
-        return cls(order, {(0, 0): value})
+        value = as_exact(value)
+        if order < 0 or not value:
+            return _canonical(order, {}, 1)
+        return _canonical(order, {(0, 0): value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, name: str, order: int) -> "Jet2":
         if name == "u":
-            return cls(order, {(1, 0): 1})
-        if name == "v":
-            return cls(order, {(0, 1): 1})
-        raise ValueError("unknown variable %r" % name)
+            key = (1, 0)
+        elif name == "v":
+            key = (0, 1)
+        else:
+            raise ValueError("unknown variable %r" % name)
+        return _canonical(order, {key: 1} if order >= 1 else {}, 1)
 
     # -- basic queries -----------------------------------------------------
 
@@ -183,6 +201,23 @@ class Jet2:
     def degree(self) -> int:
         """Largest total degree with a stored coefficient (-1 for the zero jet)."""
         return max((i + j for (i, j) in self._num), default=-1)
+
+    def coeffs_below(self, bound: int) -> bool:
+        """Whether every coefficient, in lowest terms, has |numerator| and denominator < bound.
+
+        Reducing a coefficient divides its numerator and the shared
+        denominator by their gcd, so when all of them are below the bound
+        the answer is yes without a gcd.
+        """
+        den = self._den
+        nums = self._num.values()
+        if den < bound and all(-bound < n < bound for n in nums):
+            return True
+        for n in nums:
+            g = gcd(n, den)
+            if abs(n) // g >= bound or den // g >= bound:
+                return False
+        return True
 
     # -- arithmetic --------------------------------------------------------
 
@@ -239,6 +274,12 @@ class Jet2:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("jet powers must be non-negative integers")
+        if len(self._num) == 1:
+            # (c u^i v^j)^n = c^n u^(ni) v^(nj), in lowest terms as c is
+            ((i, j), c), = self._num.items()
+            if n * (i + j) > self.order:
+                return Jet2.zero(self.order)
+            return _canonical(self.order, {(n * i, n * j): c ** n}, self._den ** n)
         result = Jet2.const(1, self.order)
         base = self
         while n:

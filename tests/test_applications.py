@@ -13,7 +13,7 @@ from germclass.classify import Verdict, classify
 from germclass.errors import PreconditionError
 from germclass.jets import Jet2, det3, to_divided_coeff
 from germclass.oracle import SBNormalCoeffs, skbk_classify
-from util import rational, uni
+from util import rational, reference_ruled_frame, uni
 
 
 # -- ruled frame -------------------------------------------------------------
@@ -59,6 +59,21 @@ def test_frame_satisfies_ode():
         assert a1[k].partial_v() == a2[k].truncate(n)
         assert a2[k].partial_v() == (-a1[k] + c3 * a3[k]).truncate(n)
         assert a3[k].partial_v() == (-(c3 * a2[k])).truncate(n)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_frame_matches_fraction_recursion(seed):
+    """The integer recursion gives the Fraction recursion's jets, key order included."""
+    rng = Random(seed)
+    for c3_order in range(11):
+        den = rng.choice([1, 2, 6, 35, 1000])
+        c3 = uni({j: rational(rng, bound=9, den=den) for j in range(c3_order + 1)
+                  if rng.random() < 0.7}, c3_order)
+        for order in (None, 0, 1, c3_order, c3_order + 1):
+            got = [c for a in ruled_frame(c3, order) for c in a]
+            want = [c for a in reference_ruled_frame(c3, order) for c in a]
+            assert got == want
+            assert [list(c.items()) for c in got] == [list(c.items()) for c in want]
 
 
 # -- ruled map ---------------------------------------------------------------

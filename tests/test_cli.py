@@ -570,3 +570,50 @@ def test_document_text_never_crashes(kind, data):
         assert any(line.startswith("error:") for line in err.getvalue().splitlines())
     if corrupted:
         assert code == 1, text
+
+
+# -- each bad value in each kind, deterministically --------------------------------
+
+# kind: (command, a valid document); the value keys are those of DOCUMENT_KINDS
+BASE_DOCUMENTS = {
+    "map": ("classify", "[map]\nf1 = u\nf2 = v^2\nf3 = u*v\n"),
+    "ruled": ("ruled", "[ruled]\ngamma1 = 1 + v\ngamma3 = v^2\nc3 = 1\n"),
+    "center": ("center", "[center]\na02 = 1\na20 = 2\na03 = 1\na21 = 1\n"),
+    "folded-exact": ("folded", "[folded]\na02 = 1\na20 = 1\na03 = 1\na21 = 2\n"
+                               "theta_cos = 3/5\ntheta_sin = 4/5\n"),
+    "folded-float": ("folded", "[folded]\na02 = 1\na20 = 1\na03 = 1\na21 = 2\ntheta = 0.5\n"),
+    "sb-normal": ("oracle", "[sb-normal]\na21 = 2\na03 = 1\na31 = 1\nb03 = 1\n"),
+    "h-normal": ("oracle", "[h-normal]\na05 = 120\nb03 = 6\nb12 = 1\n"),
+}
+VALUE_KEYS = {"map": ["f1", "f2", "f3"], **{kind: spec[3] for kind, spec in DOCUMENT_KINDS.items()}}
+BAD_VALUE_CASES = [(kind, VALUE_KEYS[kind][index % len(VALUE_KEYS[kind])], bad)
+                   for kind in sorted(BASE_DOCUMENTS)
+                   for index, bad in enumerate(BAD_LITERALS if kind == "map"
+                                               else DOCUMENT_KINDS[kind][4])]
+
+
+def _run_document(tmp_path, command, text):
+    path = write(tmp_path, "doc.germ", text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, path])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("kind", sorted(BASE_DOCUMENTS))
+def test_base_documents_are_accepted(tmp_path, kind):
+    command, text = BASE_DOCUMENTS[kind]
+    assert _run_document(tmp_path, command, text) in ((0, ""), (2, ""))
+
+
+@pytest.mark.parametrize("kind, key, bad", BAD_VALUE_CASES)
+def test_each_bad_value_exits_1_with_one_error_line(tmp_path, kind, key, bad):
+    """Every bad literal or rational, put in one value key of a valid document of
+    each kind (the keys taken in turn), exits 1 with exactly one error line."""
+    command, text = BASE_DOCUMENTS[kind]
+    lines = [line for line in text.splitlines() if not line.startswith(key + " =")]
+    code, err = _run_document(tmp_path, command, "\n".join(lines + ["%s = %s" % (key, bad)]) + "\n")
+    assert code == 1, (key, bad)
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err

@@ -1,13 +1,18 @@
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germclass import docparse
-from germclass.docparse import format_doc, parse_doc, parse_poly, parse_poly_ex
+from germclass.docparse import parse_doc, parse_poly, parse_poly_ex
 from germclass.errors import ParseError
 from germclass.jets import Jet2
-from util import jet
+from reference import format_doc
+from util import jet, reference_poly
 
 
 def test_parse_s2_expression():
@@ -95,6 +100,56 @@ def test_product_past_the_digit_limit_rejected(src, position):
     assert parse_poly("(1/2+v)^7000*(1/2+v)^7000") == parse_poly("(1/2+v)^14000")
 
 
+def test_product_digit_guard_reads_each_coefficient_in_lowest_terms():
+    """The shared denominator 3^4000 7^4000 has 5289 digits, but no coefficient
+    in lowest terms has more than 3381, so the product parses."""
+    assert 3 ** 4000 * 7 ** 4000 >= 10 ** 4300
+    src = "((1/3)^4000*u^4 + v)*(1 + (1/7)^4000*v^3)"
+    got = parse_poly(src, 6)
+    assert list(got.items()) == [((4, 0), Fraction(1, 3 ** 4000)), ((0, 1), Fraction(1)),
+                                 ((0, 4), Fraction(1, 7 ** 4000))]
+    assert list(got.items()) == list(reference_poly(src, 6).items())
+
+
+_GAP = st.sampled_from(["", " "])
+# 11 is past every order: a one-term power of a non-constant truncates to 0
+_EXPONENT = st.integers(0, 4) | st.just(11)
+_LITERAL = st.builds(lambda num, den: str(num) if den == 1 else "%d/%d" % (num, den),
+                     st.integers(0, 12), st.integers(1, 6))
+
+
+@st.composite
+def poly_sources(draw, depth=2):
+    """A valid source: a signed sum of products of literals, u, v, powers and
+    parenthesized sums, with optional spaces around the operators."""
+    def factor():
+        choice = draw(st.integers(0, 3 if depth else 2))
+        base = (draw(_LITERAL) if choice == 0 else "uv"[choice - 1] if choice < 3
+                else "(%s)" % draw(poly_sources(depth - 1)))
+        if draw(st.booleans()):
+            base += draw(_GAP) + "^" + draw(_GAP) + str(draw(_EXPONENT))
+        return base
+
+    def term():
+        return (draw(_GAP) + "*" + draw(_GAP)).join(
+            factor() for _ in range(draw(st.integers(1, 3))))
+
+    text = draw(st.sampled_from(["", "+", "-"])) + term()
+    for _ in range(draw(st.integers(0, 3))):
+        text += draw(_GAP) + draw(st.sampled_from("+-")) + draw(_GAP) + term()
+    return text
+
+
+@settings(max_examples=120, deadline=None)
+@given(poly_sources(), st.integers(0, 10))
+def test_parse_matches_naive_reference(src, order):
+    """Parsing into canonical form gives the naive build's coefficients, in its key order."""
+    got = parse_poly(src, order)
+    want = reference_poly(src, order)
+    assert got == want
+    assert list(got.items()) == list(want.items())
+
+
 def test_nesting_past_the_bound_rejected():
     """Parentheses deeper than the bound are a ParseError at the first one past it."""
     assert parse_poly("(" * 100 + "u+v" + ")" * 100) == parse_poly("u+v")
@@ -153,6 +208,25 @@ def test_map_doc_parses_each_component_once(monkeypatch):
     doc.to_map_jet()
     format_doc(doc)
     assert sorted(calls) == sorted(["u", "v^2", "v*(u^3+v^2)"])
+
+
+def test_readme_map_document_builds_no_jet_through_the_constructor(monkeypatch):
+    """Literals, variables, one-term powers and parser arithmetic build canonical
+    jets directly: the README's S2 document never calls Jet2.__init__."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = re.search(r"^cat > s2.germ <<'EOF'\n(.*?)^EOF$", readme, re.S | re.M).group(1)
+    want = jet({(3, 1): 1, (0, 3): 1})
+    calls = []
+    init = Jet2.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Jet2, "__init__", counted)
+    f = parse_doc(text).to_map_jet()
+    assert calls == []
+    assert f[2] == want
 
 
 def test_doc_round_trip():

@@ -138,6 +138,57 @@ def test_float_scalar_rejected_in_exact_mode():
         Jet2(6, {(0, 0): 0.5})
     with pytest.raises(TypeError):
         jet({(1, 0): 1}) * 0.5
+    with pytest.raises(TypeError):
+        Jet2.const(0.5, 6)
+
+
+CONSTANTS = [0, 1, -1, 7, Fraction(0), Fraction(-3, 4), Fraction(10 ** 30, 7)]
+
+
+@pytest.mark.parametrize("order", range(-1, 11))
+def test_constructors_build_the_canonical_form_of_the_table(order):
+    """zero, const and variable equal the general constructor on their table,
+    truncation below a variable's degree and zero values included."""
+    def same(got, want):
+        assert got == want
+        assert hash(got) == hash(want)
+        assert list(got.items()) == list(want.items())
+
+    same(Jet2.zero(order), Jet2(order, {}))
+    for value in CONSTANTS:
+        same(Jet2.const(value, order), Jet2(order, {(0, 0): value}))
+    same(Jet2.variable("u", order), Jet2(order, {(1, 0): 1}))
+    same(Jet2.variable("v", order), Jet2(order, {(0, 1): 1}))
+    with pytest.raises(ValueError):
+        Jet2.variable("w", order)
+
+
+@pytest.mark.parametrize("order", range(0, 9))
+def test_one_term_power_is_repeated_multiplication(order):
+    """(c u^i v^j)^n is c^n u^(ni) v^(nj), or the zero jet past the order."""
+    for c in (1, -2, Fraction(-3, 4), Fraction(5, 6)):
+        for i, j in ((0, 0), (1, 0), (0, 1), (2, 1), (1, 3)):
+            if i + j > order:
+                continue
+            base = Jet2(order, {(i, j): c})
+            product = Jet2(order, {(0, 0): 1})
+            for n in range(12):
+                power = base ** n
+                assert power == product
+                assert list(power.items()) == list(product.items())
+                if n * (i + j) > order:
+                    assert power == Jet2.zero(order)
+                product = product * base
+
+
+def test_coeffs_below_reads_each_coefficient_in_lowest_terms():
+    """The size test is the exact one even when the shared denominator passes the bound."""
+    f = Jet2(3, {(1, 0): Fraction(1, 9), (0, 1): Fraction(1, 11), (0, 0): 2})
+    # numerators 11, 9, 198 over 99
+    assert f.coeffs_below(200) and f.coeffs_below(100) and f.coeffs_below(12)
+    assert not f.coeffs_below(11) and not f.coeffs_below(2)
+    assert Jet2(3, {(0, 0): -12}).coeffs_below(13) and not Jet2(3, {(0, 0): -12}).coeffs_below(12)
+    assert Jet2.zero(3).coeffs_below(2)
 
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)

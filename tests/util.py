@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: builders and branch-specific germ generators."""
 
+import re
 from fractions import Fraction
 from random import Random
 
@@ -90,6 +91,95 @@ def random_h_coeffs(rng: Random, branch: str) -> HNormalCoeffs:
         if branch == "H2" and h2_discriminant(coeffs) == 0:
             continue
         return coeffs
+
+
+def reference_poly(src: str, order: int) -> Jet2:
+    """A valid source of the `docparse` polynomial grammar, evaluated naively.
+
+    Every literal and variable is built by Jet2(order, {...}) and every
+    power by square-and-multiply from Jet2(order, {(0, 0): 1}), with the
+    parser's order of operations, so the key order matches `parse_poly`.
+    """
+    tokens = re.findall(r"\d+|\S", src) + [None]
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def expr():
+        negate = tokens[pos] == "-"
+        if tokens[pos] in ("+", "-"):
+            take()
+        total = term()
+        if negate:
+            total = -total
+        while tokens[pos] in ("+", "-"):
+            op = take()
+            rhs = term()
+            total = total - rhs if op == "-" else total + rhs
+        return total
+
+    def term():
+        total = factor()
+        while tokens[pos] == "*":
+            take()
+            total = total * factor()
+        return total
+
+    def factor():
+        base = atom()
+        if tokens[pos] != "^":
+            return base
+        take()
+        n = int(take())
+        power = Jet2(order, {(0, 0): 1})
+        while n:
+            if n & 1:
+                power = power * base
+            n >>= 1
+            if n:
+                base = base * base
+        return power
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            inner = expr()
+            assert take() == ")"
+            return inner
+        if tok in ("u", "v"):
+            return Jet2(order, {(1, 0) if tok == "u" else (0, 1): 1})
+        value = Fraction(int(tok))
+        if tokens[pos] == "/":
+            take()
+            value /= int(take())
+        return Jet2(order, {(0, 0): value})
+
+    jet = expr()
+    assert tokens[pos] is None
+    return jet
+
+
+def reference_ruled_frame(c3: Jet2, order=None):
+    """`applications.ruled_frame` as a recursion on Fraction coefficients."""
+    n = c3.order + 1 if order is None else order
+    zero, one = Fraction(0), Fraction(1)
+    c = [c3.coeff(0, m) if m <= c3.order else zero for m in range(n)]
+    a1 = [(one, zero, zero)]
+    a2 = [(zero, one, zero)]
+    a3 = [(zero, zero, one)]
+    for k in range(n):
+        conv_a3 = [sum(c[m] * a3[k - m][i] for m in range(k + 1)) for i in range(3)]
+        conv_a2 = [sum(c[m] * a2[k - m][i] for m in range(k + 1)) for i in range(3)]
+        a1.append(tuple(a2[k][i] / (k + 1) for i in range(3)))
+        a2.append(tuple((-a1[k][i] + conv_a3[i]) / (k + 1) for i in range(3)))
+        a3.append(tuple(-conv_a2[i] / (k + 1) for i in range(3)))
+
+    def pack(rows):
+        return tuple(Jet2(n, {(0, k): rows[k][i] for k in range(n + 1)}) for i in range(3))
+    return pack(a1), pack(a2), pack(a3)
 
 
 def random_branch_germ(rng: Random, branch: str, order=6, scrambled=True) -> MapJet:
