@@ -25,10 +25,16 @@ Families:
 
   Folded surfaces.  A Monge-form surface composed with the fold
   (x,y,z) -> (x,y^2,z) conjugated by a rotation of angle theta around
-  the z-axis, reduced to (u, v^2, f3).  The Hessian entries h11, h22 of
-  the fold's phi function and the branch discriminants r_s, r_b are
-  polynomials in (cos theta, sin theta); theta enters only through that
-  pair, an exact rational point on the unit circle.  An angle given as a
+  the z-axis, reduced to (u, v^2, f3) with f3 = a'(u, v) =
+  a(u c + v s, v c - u s), where (c, s) = (cos theta, sin theta) is an
+  exact rational point on the unit circle.  When the uv coefficient
+  a'11 = c s (a20 - a02) of a' vanishes (umbilic input, or theta a
+  multiple of pi/2), this is the theta = 0 fold of a', and the Hessian
+  entries h11, h22 of the fold's phi function and the branch
+  discriminants r_s, r_b are the theta = 0 S/B conditions on the divided
+  coefficients of a': (-a'21, a'03, -a'31, 5 a'13^2 - 3 a'05 a'21).  The
+  formula route rotates the a_ij of degree 3..5 on integers; the map
+  route composes the Monge jet with the rotation.  An angle given as a
   float is read as such a point within a few ulps (see `_theta_pair`),
   and both routes work on that one point.
 
@@ -52,7 +58,7 @@ from .classify import Classification, Verdict
 from .errors import PreconditionError
 from .jets import (Jet2, MapJet, PolyMap2, compose2, det3,
                    from_divided_coeffs, invsqrt_series, to_divided_coeff)
-from .scalars import EXACT
+from .scalars import EXACT, as_exact
 
 Vec3 = tuple
 
@@ -226,7 +232,7 @@ class MongeCoeffs:
         for (i, j), c in self.a.items():
             if not 2 <= i + j <= 6:
                 raise PreconditionError("Monge index (%d,%d) outside degree 2..6" % (i, j))
-            c = Fraction(c)
+            c = as_exact(c)
             if c:
                 clean[(i, j)] = c
         if clean.get((1, 1)):
@@ -379,65 +385,63 @@ def folded_map(m: MongeCoeffs, theta=(1, 0), order: int = 6) -> MapJet:
     return MapJet.germ(u, v * v, f3)
 
 
-def folded_invariants(m: MongeCoeffs, theta=(1, 0)):
-    """(h11, h22, r_s, r_b) at theta.
+def _rotated(m: MongeCoeffs, c: Fraction, s: Fraction, keys):
+    """The divided coefficients a'_pq, (p, q) in keys, of a'(u, v) = a(u c + v s, v c - u s).
 
-    h11, h22 are the diagonal phi-Hessian entries of the folded germ (up
-    to the constant factor 2); r_s is the S2 discriminant when h11 = 0,
-    r_b the B2 discriminant when h22 = 0.  Derived for umbilic input or
-    theta = 0, where the fold's 2-jet has no uv cross term.
+    On integers: with c = C/D, s = S/D and the degree-n coefficients
+    a_ij = N_ij / E, the binomial theorem gives
+
+        a'_pq = sum_ij N_ij binom(n, i) w_ij / (binom(n, p) D^n E),
+
+    where w_ij is the coefficient of u^p v^q in (u C + v S)^i (v C - u S)^j,
+    so each a'_pq is one Fraction.  No jet arithmetic is used: the route
+    stays apart from `folded_map`.
     """
-    c, s = _theta_pair(theta)
-    a = m.a_
-    h11 = (-a(2, 1) * c ** 3 + (2 * a(1, 2) - a(3, 0)) * c ** 2 * s
-           - (a(0, 3) - 2 * a(2, 1)) * c * s ** 2 - a(1, 2) * s ** 3)
-    h22 = (a(0, 3) * c ** 3 + 3 * a(1, 2) * c ** 2 * s
-           + 3 * a(2, 1) * c * s ** 2 + a(3, 0) * s ** 3)
-    r_s = (-a(3, 1) * c ** 4 + (3 * a(2, 2) - a(4, 0)) * c ** 3 * s
-           + 3 * (-a(1, 3) + a(3, 1)) * c ** 2 * s ** 2
-           + (a(0, 4) - 3 * a(2, 2)) * c * s ** 3 + a(1, 3) * s ** 4)
-    r_b = ((5 * a(1, 3) ** 2 - 3 * a(0, 5) * a(2, 1)) * c ** 8
-           + (6 * a(0, 5) * a(1, 2) - 10 * a(0, 4) * a(1, 3) - 15 * a(1, 4) * a(2, 1)
-              + 30 * a(1, 3) * a(2, 2) - 3 * a(0, 5) * a(3, 0)) * c ** 7 * s
-           + (5 * a(0, 4) ** 2 - 3 * a(0, 3) * a(0, 5) - 30 * a(1, 3) ** 2
-              + 30 * a(1, 2) * a(1, 4) + 6 * a(0, 5) * a(2, 1) - 30 * a(0, 4) * a(2, 2)
-              + 45 * a(2, 2) ** 2 - 30 * a(2, 1) * a(2, 3) - 15 * a(1, 4) * a(3, 0)
-              + 30 * a(1, 3) * a(3, 1)) * c ** 6 * s ** 2
-           + (-3 * a(0, 5) * a(1, 2)
-              + 5 * (-3 * a(0, 3) * a(1, 4) + 6 * a(1, 4) * a(2, 1)
-                     - 24 * a(1, 3) * a(2, 2) + 12 * a(1, 2) * a(2, 3)
-                     - 6 * a(2, 3) * a(3, 0) + 6 * a(0, 4) * (a(1, 3) - a(3, 1))
-                     + 18 * a(2, 2) * a(3, 1) - 6 * a(2, 1) * a(3, 2)
-                     + 2 * a(1, 3) * a(4, 0))) * c ** 5 * s ** 3
-           + 5 * (9 * a(1, 3) ** 2 + 6 * a(0, 4) * a(2, 2) - 18 * a(2, 2) ** 2
-                  - 6 * a(0, 3) * a(2, 3) + 12 * a(2, 1) * a(2, 3)
-                  - 20 * a(1, 3) * a(3, 1) + 9 * a(3, 1) ** 2
-                  - 3 * a(1, 2) * (a(1, 4) - 4 * a(3, 2)) - 6 * a(3, 0) * a(3, 2)
-                  - 2 * a(0, 4) * a(4, 0) + 6 * a(2, 2) * a(4, 0)
-                  - 3 * a(2, 1) * a(4, 1)) * c ** 4 * s ** 4
-           + (90 * a(1, 3) * a(2, 2) - 30 * a(1, 2) * a(2, 3) + 10 * a(0, 4) * a(3, 1)
-              - 120 * a(2, 2) * a(3, 1) - 30 * a(0, 3) * a(3, 2) + 60 * a(2, 1) * a(3, 2)
-              - 30 * a(1, 3) * a(4, 0) + 30 * a(3, 1) * a(4, 0) + 30 * a(1, 2) * a(4, 1)
-              - 15 * a(3, 0) * a(4, 1) - 3 * a(2, 1) * a(5, 0)) * c ** 3 * s ** 5
-           + (45 * a(2, 2) ** 2 + 30 * a(1, 3) * a(3, 1) - 30 * a(3, 1) ** 2
-              - 30 * a(1, 2) * a(3, 2) - 30 * a(2, 2) * a(4, 0) + 5 * a(4, 0) ** 2
-              - 15 * a(0, 3) * a(4, 1) + 30 * a(2, 1) * a(4, 1) + 6 * a(1, 2) * a(5, 0)
-              - 3 * a(3, 0) * a(5, 0)) * c ** 2 * s ** 6
-           + (30 * a(2, 2) * a(3, 1) - 10 * a(3, 1) * a(4, 0) - 15 * a(1, 2) * a(4, 1)
-              - 3 * a(0, 3) * a(5, 0) + 6 * a(2, 1) * a(5, 0)) * c * s ** 7
-           + (5 * a(3, 1) ** 2 - 3 * a(1, 2) * a(5, 0)) * s ** 8)
-    return h11, h22, r_s, r_b
+    d = math.lcm(c.denominator, s.denominator)
+    big_c, big_s = c.numerator * (d // c.denominator), s.numerator * (d // s.denominator)
+    for p, q in keys:
+        n = p + q
+        row = [(i, m.a[i, n - i]) for i in range(n + 1) if (i, n - i) in m.a]
+        e = math.lcm(*(x.denominator for _, x in row))
+        total = 0
+        for i, x in row:
+            j = n - i
+            # k factors u C of the first power meet p - k factors -u S of the second
+            w = sum(math.comb(i, k) * math.comb(j, p - k) * (-1) ** (p - k)
+                    * big_c ** (j - p + 2 * k) * big_s ** (i + p - 2 * k)
+                    for k in range(max(0, p - j), min(i, p) + 1))
+            total += x.numerator * (e // x.denominator) * math.comb(n, i) * w
+        yield Fraction(total, math.comb(n, p) * d ** n * e)
+
+
+def folded_invariants(m: MongeCoeffs, theta=(1, 0)):
+    """(h11, h22, r_s, r_b) at theta: the theta = 0 conditions on the rotated a'.
+
+    With a'(u, v) = a(u c + v s, v c - u s) the fold's third component,
+    h11 = -a'21 and h22 = a'03 are the diagonal phi-Hessian entries of the
+    folded germ (up to the constant factor 2); r_s = -a'31 is the S2
+    discriminant when h11 = 0, r_b = 5 a'13^2 - 3 a'05 a'21 the B2
+    discriminant when h22 = 0.  They decide the class when the rotated uv
+    coefficient a'11 = c s (a20 - a02) vanishes.
+    """
+    keys = ((2, 1), (0, 3), (3, 1), (1, 3), (0, 5))
+    a21, a03, a31, a13, a05 = _rotated(m, *_theta_pair(theta), keys)
+    return -a21, a03, -a31, 5 * a13 ** 2 - 3 * a05 * a21
 
 
 def folded_classify_formulas(m: MongeCoeffs, theta=(1, 0)):
-    """Verdict from (h11, h22, r_s, r_b); umbilic input or theta = 0 required.
+    """Verdict from (h11, h22, r_s, r_b); needs a'11 = c s (a20 - a02) = 0.
 
-    The invariants start with the exact point (theta_cos, theta_sin) the
-    angle was read as, so the certificate shows the input of every verdict.
+    a'11 is the uv coefficient of the rotated Monge polynomial, so the
+    route takes umbilic input at any angle and any input at a multiple of
+    pi/2.  The invariants start with the exact point (theta_cos,
+    theta_sin) the angle was read as, so the certificate shows the input
+    of every verdict.
     """
     c, s = _theta_pair(theta)
-    if not EXACT.is_zero(s) and m.a_(2, 0) != m.a_(0, 2):
-        raise PreconditionError("folded formulas need an umbilic point or theta = 0")
+    if not EXACT.is_zero(c * s * (m.a_(2, 0) - m.a_(0, 2))):
+        raise PreconditionError("folded formulas need a'11 = c s (a20 - a02) = 0:"
+                                " an umbilic point or theta a multiple of pi/2")
     h11, h22, r_s, r_b = folded_invariants(m, (c, s))
     inv = {"theta_cos": c, "theta_sin": s, "h11": h11, "h22": h22, "r_s": r_s, "r_b": r_b}
     s11 = EXACT.sign(h11)

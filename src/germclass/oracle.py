@@ -41,6 +41,7 @@ from typing import Dict, Tuple
 from .classify import Classification, Verdict
 from .errors import PreconditionError
 from .jets import Jet2, MapJet, from_divided_coeffs
+from .scalars import as_exact
 
 Coeffs = Dict[Tuple[int, int], Fraction]
 
@@ -51,7 +52,7 @@ def _validated(table, lo, hi, label) -> Coeffs:
         if not (lo <= i + j <= hi):
             raise PreconditionError("%s index (%d,%d) outside degree %d..%d"
                                     % (label, i, j, lo, hi))
-        c = Fraction(c)
+        c = as_exact(c)
         if c:
             out[(i, j)] = c
     return out
@@ -74,7 +75,7 @@ class SBNormalCoeffs:
         for i, c in self.b.items():
             if not 3 <= i <= 5:
                 raise PreconditionError("b_0%d outside degree 3..5" % i)
-            c = Fraction(c)
+            c = as_exact(c)
             if c:
                 b[i] = c
         object.__setattr__(self, "b", b)

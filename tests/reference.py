@@ -1,5 +1,6 @@
 """Reference-only code kept for the tests: it has no caller in the package."""
 
+from germclass.applications import _theta_pair
 from germclass.docparse import MapSpecDoc
 from germclass.jets import poly_str
 
@@ -19,3 +20,52 @@ def format_doc(doc: MapSpecDoc) -> str:
         else:
             lines.append("theta = %.17g" % doc.theta)
     return "\n".join(lines) + "\n"
+
+
+def expanded_folded_invariants(m, theta=(1, 0)):
+    """(h11, h22, r_s, r_b) at theta, expanded as forms in (cos theta, sin theta).
+
+    The body `applications.folded_invariants` had before it read the values
+    off the rotated Monge coefficients; kept unchanged as the exact
+    reference the rotation is compared with.
+    """
+    c, s = _theta_pair(theta)
+    a = m.a_
+    h11 = (-a(2, 1) * c ** 3 + (2 * a(1, 2) - a(3, 0)) * c ** 2 * s
+           - (a(0, 3) - 2 * a(2, 1)) * c * s ** 2 - a(1, 2) * s ** 3)
+    h22 = (a(0, 3) * c ** 3 + 3 * a(1, 2) * c ** 2 * s
+           + 3 * a(2, 1) * c * s ** 2 + a(3, 0) * s ** 3)
+    r_s = (-a(3, 1) * c ** 4 + (3 * a(2, 2) - a(4, 0)) * c ** 3 * s
+           + 3 * (-a(1, 3) + a(3, 1)) * c ** 2 * s ** 2
+           + (a(0, 4) - 3 * a(2, 2)) * c * s ** 3 + a(1, 3) * s ** 4)
+    r_b = ((5 * a(1, 3) ** 2 - 3 * a(0, 5) * a(2, 1)) * c ** 8
+           + (6 * a(0, 5) * a(1, 2) - 10 * a(0, 4) * a(1, 3) - 15 * a(1, 4) * a(2, 1)
+              + 30 * a(1, 3) * a(2, 2) - 3 * a(0, 5) * a(3, 0)) * c ** 7 * s
+           + (5 * a(0, 4) ** 2 - 3 * a(0, 3) * a(0, 5) - 30 * a(1, 3) ** 2
+              + 30 * a(1, 2) * a(1, 4) + 6 * a(0, 5) * a(2, 1) - 30 * a(0, 4) * a(2, 2)
+              + 45 * a(2, 2) ** 2 - 30 * a(2, 1) * a(2, 3) - 15 * a(1, 4) * a(3, 0)
+              + 30 * a(1, 3) * a(3, 1)) * c ** 6 * s ** 2
+           + (-3 * a(0, 5) * a(1, 2)
+              + 5 * (-3 * a(0, 3) * a(1, 4) + 6 * a(1, 4) * a(2, 1)
+                     - 24 * a(1, 3) * a(2, 2) + 12 * a(1, 2) * a(2, 3)
+                     - 6 * a(2, 3) * a(3, 0) + 6 * a(0, 4) * (a(1, 3) - a(3, 1))
+                     + 18 * a(2, 2) * a(3, 1) - 6 * a(2, 1) * a(3, 2)
+                     + 2 * a(1, 3) * a(4, 0))) * c ** 5 * s ** 3
+           + 5 * (9 * a(1, 3) ** 2 + 6 * a(0, 4) * a(2, 2) - 18 * a(2, 2) ** 2
+                  - 6 * a(0, 3) * a(2, 3) + 12 * a(2, 1) * a(2, 3)
+                  - 20 * a(1, 3) * a(3, 1) + 9 * a(3, 1) ** 2
+                  - 3 * a(1, 2) * (a(1, 4) - 4 * a(3, 2)) - 6 * a(3, 0) * a(3, 2)
+                  - 2 * a(0, 4) * a(4, 0) + 6 * a(2, 2) * a(4, 0)
+                  - 3 * a(2, 1) * a(4, 1)) * c ** 4 * s ** 4
+           + (90 * a(1, 3) * a(2, 2) - 30 * a(1, 2) * a(2, 3) + 10 * a(0, 4) * a(3, 1)
+              - 120 * a(2, 2) * a(3, 1) - 30 * a(0, 3) * a(3, 2) + 60 * a(2, 1) * a(3, 2)
+              - 30 * a(1, 3) * a(4, 0) + 30 * a(3, 1) * a(4, 0) + 30 * a(1, 2) * a(4, 1)
+              - 15 * a(3, 0) * a(4, 1) - 3 * a(2, 1) * a(5, 0)) * c ** 3 * s ** 5
+           + (45 * a(2, 2) ** 2 + 30 * a(1, 3) * a(3, 1) - 30 * a(3, 1) ** 2
+              - 30 * a(1, 2) * a(3, 2) - 30 * a(2, 2) * a(4, 0) + 5 * a(4, 0) ** 2
+              - 15 * a(0, 3) * a(4, 1) + 30 * a(2, 1) * a(4, 1) + 6 * a(1, 2) * a(5, 0)
+              - 3 * a(3, 0) * a(5, 0)) * c ** 2 * s ** 6
+           + (30 * a(2, 2) * a(3, 1) - 10 * a(3, 1) * a(4, 0) - 15 * a(1, 2) * a(4, 1)
+              - 3 * a(0, 3) * a(5, 0) + 6 * a(2, 1) * a(5, 0)) * c * s ** 7
+           + (5 * a(3, 1) ** 2 - 3 * a(1, 2) * a(5, 0)) * s ** 8)
+    return h11, h22, r_s, r_b

@@ -1,9 +1,12 @@
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from germclass import frames, jets, vfields
 from germclass.applications import (MongeCoeffs, RuledData, _theta_pair,
                                     center_classify_formulas,
                                     center_map, folded_classify_formulas,
@@ -11,9 +14,13 @@ from germclass.applications import (MongeCoeffs, RuledData, _theta_pair,
                                     ruled_classify_formulas, ruled_frame, ruled_map)
 from germclass.classify import Verdict, classify
 from germclass.errors import PreconditionError
-from germclass.jets import Jet2, det3, to_divided_coeff
-from germclass.oracle import SBNormalCoeffs, skbk_classify
-from util import rational, reference_ruled_frame, uni
+from germclass.jets import (Jet2, PolyMap2, compose2, det3, from_divided_coeffs,
+                            to_divided_coeff)
+from germclass.oracle import (HNormalCoeffs, SBNormalCoeffs, h2_check,
+                              skbk_classify)
+from reference import expanded_folded_invariants
+from util import (random_h_coeffs, random_sb_coeffs, rational, reference_ruled_frame,
+                  uni)
 
 
 # -- ruled frame -------------------------------------------------------------
@@ -281,8 +288,28 @@ def test_folded_b2_condition_at_zero_angle():
 
 def test_folded_formulas_need_umbilic_or_zero_angle():
     m = MongeCoeffs({(0, 2): 1, (2, 0): 2, (0, 3): 1})
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as info:
         folded_classify_formulas(m, (Fraction(3, 5), Fraction(4, 5)))
+    assert str(info.value) == ("folded formulas need a'11 = c s (a20 - a02) = 0:"
+                               " an umbilic point or theta a multiple of pi/2")
+
+
+@pytest.mark.parametrize("point", [(0, 1), (0, -1)])
+def test_folded_formulas_take_non_umbilic_input_at_right_angle(point):
+    # c = 0 makes a'11 = c s (a20 - a02) vanish whatever a20 - a02 is
+    rng = Random("fold-right-angle|%d" % point[1])
+    hits = set()
+    for _ in range(30):
+        a = {(i, j): rational(rng) for i in range(6) for j in range(6)
+             if 3 <= i + j <= 5 and rng.random() < 0.5}
+        a[(0, 2)], a[(2, 0)] = Fraction(1), Fraction(3)
+        # put the germ on the S or B branch: h11 = -a'21 = -a12 s, h22 = a'03 = a30 s
+        a[rng.choice([(1, 2), (3, 0)])] = Fraction(0)
+        m = MongeCoeffs(a)
+        formula, _ = folded_classify_formulas(m, point)
+        assert formula.verdict == classify(folded_map(m, point))[0].verdict, a
+        hits.add(formula.verdict)
+    assert {Verdict.S2, Verdict.B2_PLUS, Verdict.B2_MINUS} <= hits
 
 
 def _read_off_sb_coeffs(f3):
@@ -358,6 +385,94 @@ def test_folded_float_mode_matches_exact():
     assert float_verdict == exact_verdict
     cls, _ = folded_classify_formulas(m, theta)
     assert cls.verdict == exact_verdict
+
+
+def _pulled_back(rotated, point, order=6):
+    """Monge data whose rotated coefficients at point are `rotated`: a = a' o R^-1."""
+    c, s = point
+    inverse = PolyMap2(Jet2(order, {(1, 0): c, (0, 1): -s}),
+                       Jet2(order, {(1, 0): s, (0, 1): c}))
+    a = compose2(from_divided_coeffs(rotated, order), inverse)
+    return MongeCoeffs({(i, j): to_divided_coeff(a, i, j) for (i, j), _ in a.items()})
+
+
+@pytest.mark.parametrize("point, a20", [((Fraction(3, 5), Fraction(4, 5)), 1),
+                                        ((Fraction(0), Fraction(1)), 2)])
+def test_folded_box_of_rotated_zero_sets(point, a20):
+    # every sign pattern of (a'21, a'03, a'31, a'13, a'05), r_s = 0 and r_b = 0 included
+    hits = Counter()
+    for a21, a03, a31, a13, a05 in itertools.product((-1, 0, 1), repeat=5):
+        m = _pulled_back({(2, 0): a20, (0, 2): 1, (2, 1): a21, (0, 3): a03, (3, 1): a31,
+                          (1, 3): a13, (0, 5): a05}, point)
+        assert folded_invariants(m, point) == (-a21, a03, -a31, 5 * a13 ** 2 - 3 * a05 * a21)
+        formula, _ = folded_classify_formulas(m, point)
+        assert formula.verdict == classify(folded_map(m, point))[0].verdict, m
+        hits[formula.verdict] += 1
+    assert hits == {Verdict.S1_PLUS: 54, Verdict.S1_MINUS: 54, Verdict.S2: 36,
+                    Verdict.B2_PLUS: 6, Verdict.B2_MINUS: 42, Verdict.MORE_DEGENERATE: 51}
+
+
+def _folded_corpus(size):
+    """Seeded (Monge data, angle) pairs: degree 2..6, non-umbilic input included."""
+    rng = Random(919)
+    points = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    points += [(Fraction(c, h), Fraction(s, h)) for c, s, h in PYTHAGOREAN]
+    corpus = []
+    for k in range(size):
+        a = {(i, j): rational(rng, bound=9, den=7) for i in range(7) for j in range(7)
+             if 2 <= i + j <= 6 and (i, j) != (1, 1) and rng.random() < 0.6}
+        point = _theta_pair(rng.uniform(-7, 7)) if k % 3 == 0 else rng.choice(points)
+        corpus.append((MongeCoeffs(a), point))
+    return corpus
+
+
+def test_folded_invariants_equal_the_expansion():
+    for m, point in _folded_corpus(600):
+        values = folded_invariants(m, point)
+        assert values == expanded_folded_invariants(m, point), (m, point)
+        assert all(type(v) is Fraction for v in values)
+
+
+def _refuse(*_, **__):
+    raise AssertionError("a formula route reached the generic machinery")
+
+
+def test_formula_routes_use_no_generic_machinery(monkeypatch):
+    rng = Random(923)
+    ruled = [_branch_ruled(rng, branch) for branch in ("WU", "S1", "S2", "B", "H") * 4]
+    centers = [_random_center(rng, branch) for branch in ("S1", "S2", "H") * 6]
+    folds = [(m, point) for m, point in _folded_corpus(60)
+             if point[0] * point[1] == 0 or m.a_(2, 0) == m.a_(0, 2)]
+    folds += [(MongeCoeffs({**m.a, (2, 0): m.a_(0, 2)}), math.atan2(4, 3))
+              for m, _ in _folded_corpus(10)]
+    sb = [random_sb_coeffs(rng, branch) for branch in ("S1", "S2", "B2", "SB") * 4]
+    h = [random_h_coeffs(rng, branch) for branch in ("HP2", "H", "H2") * 4]
+    for module, name in ((jets, "_substitute"), (jets, "_convolve"), (jets, "directional"),
+                         (vfields, "apply"), (frames, "solve")):
+        monkeypatch.setattr(module, name, _refuse)
+    for d in ruled:
+        ruled_classify_formulas(d)
+    for m in centers:
+        center_classify_formulas(m)
+    for m, theta in folds:
+        folded_invariants(m, theta)
+        folded_classify_formulas(m, theta)
+    for c in sb:
+        skbk_classify(c)
+    for c in h:
+        h2_check(c)
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: MongeCoeffs({(0, 3): x}),
+    lambda x: SBNormalCoeffs({(2, 1): x}),
+    lambda x: SBNormalCoeffs({}, {3: x}),
+    lambda x: HNormalCoeffs({(0, 5): x}, {}),
+    lambda x: HNormalCoeffs({}, {(0, 3): x}),
+], ids=["monge", "sb-a", "sb-b", "h-a", "h-b"])
+def test_coefficient_tables_reject_floats(make):
+    with pytest.raises(TypeError, match="float coefficient 0.1: coefficients must be exact"):
+        make(0.1)
 
 
 # -- float fold angles --------------------------------------------------------

@@ -458,7 +458,9 @@ EXACT_ANGLES = [("1", "0"), ("3/5", "4/5"), ("-4/5", "3/5"), ("0", "1"), ("5/13"
 
 def _folded_values(draw, float_angle):
     cos, sin = draw(st.sampled_from(EXACT_ANGLES))
-    values = _monge_values(draw, umbilic=float_angle or sin != "0" or draw(st.booleans()))
+    # the formula route needs a'11 = c s (a20 - a02) = 0
+    right_angle = cos == "0" or sin == "0"
+    values = _monge_values(draw, umbilic=float_angle or not right_angle or draw(st.booleans()))
     if not float_angle:
         values.update(theta_cos=cos, theta_sin=sin)
     elif draw(st.booleans()):
