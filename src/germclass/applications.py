@@ -58,7 +58,7 @@ from .classify import Classification, Verdict
 from .errors import PreconditionError
 from .jets import (Jet2, MapJet, PolyMap2, compose2, det3,
                    from_divided_coeffs, invsqrt_series, to_divided_coeff)
-from .scalars import EXACT, as_exact
+from .scalars import EXACT, exact_table
 
 Vec3 = tuple
 
@@ -228,13 +228,7 @@ class MongeCoeffs:
     a: dict
 
     def __post_init__(self):
-        clean = {}
-        for (i, j), c in self.a.items():
-            if not 2 <= i + j <= 6:
-                raise PreconditionError("Monge index (%d,%d) outside degree 2..6" % (i, j))
-            c = as_exact(c)
-            if c:
-                clean[(i, j)] = c
+        clean = exact_table(self.a, 2, 6, "Monge")
         if clean.get((1, 1)):
             raise PreconditionError("Monge form requires a11 = 0 (principal directions)")
         object.__setattr__(self, "a", clean)

@@ -2,15 +2,18 @@
 
 Every recognition criterion is a determinant of derivative words taken
 with respect to a pair (xi, eta) that kills specific words at the origin.
-A word read at 0 reads f only to degree len(word), so each level reads f
-to one fixed degree, the length of the longest word read on its pair:
+A word read at 0 reads f only to degree len(word), so the words a level
+reads at 0 fix all the work it does.  `READS` declares them, one row per
+level; words are written as in `Words` ("xxe" is xi^2 eta f), and the sb2
+row also covers the guards that `s3_adapt` and `b3_adapt` read on the
+SB-2 pair:
 
-  level  degree  words killed at 0
-  sb2    3       xi eta f = eta xi f = 0
-  s3     4       additionally xi^2 eta f = xi eta xi f = eta xi^2 f = 0
-  b3     5       additionally eta^3 f = 0
-  h2     4       eta^2 f = 0
-  h4     5       additionally eta^4 f = 0
+  level  longest read  reads at 0               words killed at 0
+  sb2    3             x xe ex xxe ee eee       xe = ex = 0
+  s3     4             xxe xex exx x xxxe ee    additionally xxe = xex = exx = 0
+  b3     5             x ee eeex exx eeeee      additionally eee = 0
+  h2     4             x xe eee eeee            ee = 0
+  h4     5             eeee ee x eeeee eee      additionally eeee = 0
 
 All constructors assume the germ has been put through `linear_normalize`
 first, so that f_v(0) = 0 and f_u(0) != 0 and the pair can be built as an
@@ -30,17 +33,20 @@ exx f(0) both equal xxe f(0) + alpha^2 beta xi f(0); on the H-2 pair
 parent's words with constant coefficients.  `s3_adapt` and `h4_adapt`
 give the derivations.
 
-Derivative words are read through `Words`, a per-pair table built to its
-level's degree, which evaluates each word once.  Each constructor returns
-the table of its pair, so the criteria in `classify` reuse what the frame
-solve already computed.  The deeper levels B-3 and H-4 extend their
-parent's build: `b3_adapt(sb)` and `h4_adapt(h2)` take the SB-2 or H-2
-build and read the germ, alpha, beta and their guard and solve words from
-it, so a word that `classify` has already read on the parent pair costs
-nothing again.  S-3 still builds its own SB-2 pair (see `s3_adapt`).  The
-phi Hessian that splits the SB branch is read the same way: on the SB-2
-pair its entries are the determinants A = det(xi f, xi^2 eta f, eta^2 f)(0)
-and C = det(xi f, eta^2 f, eta^3 f)(0), which read f to degree 3.  The
+Derivative words are read through `Words`, a per-pair table built for its
+level's reads, which evaluates each word once, at the order its reads
+need (B-3 computes xi f at order 3, for eta^3 xi f; H-4 reads xi f at 0
+only and computes it at order 0).  Each constructor returns the table of
+its pair (`build.words`, which holds the pair), so the criteria in
+`classify` reuse what the frame solve already computed.  The deeper
+levels B-3 and H-4 extend their parent's build: `b3_adapt(sb)` and
+`h4_adapt(h2)` take the SB-2 or H-2 build and read the germ, alpha, beta
+and their guard and solve words from it, so a word that `classify` has
+already read on the parent pair costs nothing again.  S-3 still builds
+its own SB-2 pair (see `s3_adapt`).  The phi Hessian that splits the SB
+branch is read the same way: on the SB-2 pair its entries are the
+determinants A = det(xi f, xi^2 eta f, eta^2 f)(0) and
+C = det(xi f, eta^2 f, eta^3 f)(0), which read f to degree 3.  The
 vectors f_u, f_v, f_vv, f_uv at 0 are read straight from f's coefficients.
 
 Everything at 0 is integer arithmetic.  `Words.scaled` and `partials0`
@@ -62,31 +68,47 @@ from .scalars import EXACT
 from .vfields import FramePair, VectorFieldJet, apply, d_du
 
 
+READS = {
+    "sb2": ("x", "xe", "ex", "xxe", "ee", "eee"),
+    "s3": ("xxe", "xex", "exx", "x", "xxxe", "ee"),
+    "b3": ("x", "ee", "eeex", "exx", "eeeee"),
+    "h2": ("x", "xe", "eee", "eeee"),
+    "h4": ("eeee", "ee", "x", "eeeee", "eee"),
+}
+
+
 class Words:
     """The derivative words of f on one pair, each evaluated once.
 
     A word is a string over the letters x (xi) and e (eta), read as the
     operator product: "xxe" is xi(xi(eta f)).  The empty word is f itself.
 
-    The table reads f to one degree, fixed when it is built (the level
-    table of this module): it truncates f to `degree` once and computes
-    each word w once, at order degree - len(w), by one `apply` on its
-    cached suffix.  So every word up to that length reads exactly at 0,
-    and a longer word exhausts the order (`OrderExhaustedError`).  `f` is
-    the germ as given, which the deeper levels extend.
+    The table is built for the words its level reads at 0 (`READS`, the
+    level table of this module).  It truncates f once, to the longest
+    read, and computes each suffix s of a read once, at the order
+    max(len(r) - len(s)) over the reads r that end in s, by one `apply`
+    on its cached suffix truncated to one order more.  So every read is
+    exact at 0, and no word is computed past what its reads need.  A word
+    that is neither a read nor a suffix of one raises `KeyError`; a read
+    past the order of f raises `OrderExhaustedError`.  `f` is the germ as
+    given, which the deeper levels extend.
     """
 
-    def __init__(self, f: MapJet, pair: FramePair, degree: int):
+    def __init__(self, f: MapJet, pair: FramePair, reads):
         self.f = f
         self.pair = pair
-        self._jets = {"": f.truncate(degree)}
+        # over reads ending in s, len(r) - len(s) grows with len(r): the longest wins
+        self.orders = {r[k:]: k for r in sorted(reads, key=len) for k in range(len(r) + 1)}
+        self._jets = {"": f.truncate(self.orders[""])}
 
     def jet(self, word: str) -> MapJet:
-        """w f at order degree - len(w)."""
+        """w f at order `orders[w]`."""
         out = self._jets.get(word)
         if out is None:
+            order = self.orders[word]
             field = self.pair.xi if word[0] == "x" else self.pair.eta
-            out = self._jets[word] = apply(field, self.jet(word[1:]), word + " f")
+            suffix = self.jet(word[1:]).truncate(order + 1)
+            out = self._jets[word] = apply(field, suffix, word + " f")
         return out
 
     def at0(self, word: str):
@@ -99,7 +121,6 @@ class Words:
 
 @dataclass(frozen=True)
 class FrameBuild:
-    pair: FramePair
     params: dict
     words: Words
 
@@ -208,8 +229,7 @@ def sb2_adapt(f: MapJet) -> FrameBuild:
     n = f.order
     xi = VectorFieldJet(Jet2(n, {(0, 0): 1, (0, 1): -alpha}), Jet2.const(-beta, n))
     eta = VectorFieldJet(Jet2(n, {(1, 0): -alpha}), Jet2.const(1, n))
-    pair = FramePair(xi, eta)
-    return FrameBuild(pair, {"alpha": alpha, "beta": beta}, Words(f, pair, 3))
+    return FrameBuild({"alpha": alpha, "beta": beta}, Words(f, FramePair(xi, eta), READS["sb2"]))
 
 
 def s3_adapt(f: MapJet) -> FrameBuild:
@@ -253,13 +273,12 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     a1 = Jet2(n, {(0, 0): 1, (0, 1): -alpha, (1, 1): p})
     b1 = Jet2(n, {(0, 0): -beta, (1, 0): q})
     c1 = Jet2(n, {(1, 0): -alpha, (2, 0): r})
-    words = Words(f, FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, Jet2.const(1, n))), 4)
+    words = Words(f, FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, Jet2.const(1, n))),
+                  READS["s3"])
     if not all(map(EXACT.is_zero_vec, words.scaled("xxe", "xex", "exx")[0])):
         raise PreconditionError("S-3 correction failed verification")
-    return FrameBuild(words.pair, {"alpha": alpha, "beta": beta,
-                                   "alpha1": alpha1, "beta1": beta1,
-                                   "corr_xi_uv": p, "corr_xi_u": q, "corr_eta_uu": r},
-                      words)
+    return FrameBuild({"alpha": alpha, "beta": beta, "alpha1": alpha1, "beta1": beta1,
+                       "corr_xi_uv": p, "corr_xi_u": q, "corr_eta_uu": r}, words)
 
 
 def b3_adapt(sb: FrameBuild) -> FrameBuild:
@@ -287,8 +306,8 @@ def b3_adapt(sb: FrameBuild) -> FrameBuild:
     c1 = Jet2(n, {(1, 0): -alpha, (0, 2): -alpha1 / 2})
     d1 = Jet2(n, {(0, 0): 1, (0, 1): -beta1 / 3})
     pair = FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, d1))
-    return FrameBuild(pair, {"alpha": alpha, "beta": beta,
-                             "alpha1": alpha1, "beta1": beta1}, Words(f, pair, 5))
+    return FrameBuild({"alpha": alpha, "beta": beta, "alpha1": alpha1, "beta1": beta1},
+                      Words(f, pair, READS["b3"]))
 
 
 def h2_adapt(f: MapJet) -> FrameBuild:
@@ -301,8 +320,7 @@ def h2_adapt(f: MapJet) -> FrameBuild:
     (alpha,) = solve([fu0], fvv0)
     n = f.order
     eta = VectorFieldJet(Jet2(n, {(0, 1): -alpha}), Jet2.const(1, n))
-    pair = FramePair(d_du(n), eta)
-    return FrameBuild(pair, {"alpha": alpha}, Words(f, pair, 4))
+    return FrameBuild({"alpha": alpha}, Words(f, FramePair(d_du(n), eta), READS["h2"]))
 
 
 def h4_adapt(h2: FrameBuild) -> FrameBuild:
@@ -341,13 +359,11 @@ def h4_adapt(h2: FrameBuild) -> FrameBuild:
     n = f.order
     c1 = Jet2(n, {(0, 1): -alpha, (0, 2): s, (0, 3): t})
     d1 = Jet2(n, {(0, 0): 1, (0, 1): w})
-    words = Words(f, FramePair(d_du(n), VectorFieldJet(c1, d1)), 5)
+    words = Words(f, FramePair(d_du(n), VectorFieldJet(c1, d1)), READS["h4"])
     eta4f0, eta2f0 = words.scaled("eeee", "ee")[0]
     if not EXACT.is_zero_vec(eta4f0):
         raise PreconditionError("H-4 correction failed verification")
     if not EXACT.is_zero_vec(eta2f0):
         raise PreconditionError("H-4 correction broke the H-2 level")
-    return FrameBuild(words.pair,
-                      {"alpha": alpha, "alpha1": alpha1, "beta1": beta1,
-                       "delta1": delta1, "corr_eta_vv": s, "corr_eta_vvv": t,
-                       "corr_d_v": w}, words)
+    return FrameBuild({"alpha": alpha, "alpha1": alpha1, "beta1": beta1, "delta1": delta1,
+                       "corr_eta_vv": s, "corr_eta_vvv": t, "corr_d_v": w}, words)

@@ -457,6 +457,8 @@ class MapJet:
         return tuple(c.at0() for c in self.components)
 
     def truncate(self, order: int) -> "MapJet":
+        if order >= self.order:
+            return self
         return MapJet(*(c.truncate(order) for c in self.components))
 
     def __repr__(self):

@@ -41,21 +41,9 @@ from typing import Dict, Tuple
 from .classify import Classification, Verdict
 from .errors import PreconditionError
 from .jets import Jet2, MapJet, from_divided_coeffs
-from .scalars import as_exact
+from .scalars import as_exact, exact_table
 
 Coeffs = Dict[Tuple[int, int], Fraction]
-
-
-def _validated(table, lo, hi, label) -> Coeffs:
-    out = {}
-    for (i, j), c in table.items():
-        if not (lo <= i + j <= hi):
-            raise PreconditionError("%s index (%d,%d) outside degree %d..%d"
-                                    % (label, i, j, lo, hi))
-        c = as_exact(c)
-        if c:
-            out[(i, j)] = c
-    return out
 
 
 @dataclass(frozen=True)
@@ -66,7 +54,7 @@ class SBNormalCoeffs:
     b: Dict[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        a = _validated(self.a, 3, 5, "a")
+        a = exact_table(self.a, 3, 5, "a")
         for (i, j) in a:
             if j == 0:
                 raise PreconditionError("a_%d0 must vanish in the SB normal shape" % i)
@@ -126,8 +114,8 @@ class HNormalCoeffs:
     b: Coeffs
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _validated(self.a, 3, 5, "a"))
-        object.__setattr__(self, "b", _validated(self.b, 3, 5, "b"))
+        object.__setattr__(self, "a", exact_table(self.a, 3, 5, "a"))
+        object.__setattr__(self, "b", exact_table(self.b, 3, 5, "b"))
 
     def a_(self, i, j) -> Fraction:
         return self.a.get((i, j), Fraction(0))

@@ -31,6 +31,22 @@ def as_exact(value) -> Fraction:
     return Fraction(value)
 
 
+def exact_table(table, lo, hi, label) -> dict:
+    """The nonzero entries of a coefficient table keyed (i, j), each made exact.
+
+    Rejects a key outside degree lo..hi, and a float value (`as_exact`).
+    """
+    out = {}
+    for (i, j), c in table.items():
+        if not lo <= i + j <= hi:
+            raise PreconditionError("%s index (%d,%d) outside degree %d..%d"
+                                    % (label, i, j, lo, hi))
+        c = as_exact(c)
+        if c:
+            out[(i, j)] = c
+    return out
+
+
 class ZeroCtx:
     """Zero and sign tests of exact scalars; the one place they are made."""
 

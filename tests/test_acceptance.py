@@ -63,7 +63,7 @@ def test_criterion_3_frame_invariant_suite():
     # det(xi f, eta^2 f, eta^3 f)(0); (c) three-way nonvanishing equivalence.
     for _ in range(200):
         g, _ = linear_normalize(random_branch_germ(rng, "SB"))
-        pair = sb2_adapt(g).pair
+        pair = sb2_adapt(g).words.pair
         a, m1, m2, c = second_derivatives_phi(g, pair)
         assert m1 == 0 and m2 == 0
         xi, eta = pair.xi, pair.eta
@@ -80,7 +80,7 @@ def test_criterion_3_frame_invariant_suite():
     # (d) exact word freedom in both B2 determinant slots.
     for _ in range(200):
         g, _ = linear_normalize(random_branch_germ(rng, "B"))
-        pair = b3_adapt(sb2_adapt(g)).pair
+        pair = b3_adapt(sb2_adapt(g)).words.pair
         xi, eta = pair.xi, pair.eta
         xif0 = apply(xi, g).at0()
         eta2f0 = apply_word([eta, eta], g).at0()
@@ -103,7 +103,7 @@ def test_criterion_3_frame_invariant_suite():
     for branch, constructor, patterns in suites:
         for _ in range(200):
             g, _ = linear_normalize(random_branch_germ(rng, branch))
-            pair = constructor(g).pair
+            pair = constructor(g).words.pair
             fields = {"x": pair.xi, "e": pair.eta}
             for pattern in patterns:
                 word = [fields[ch] for ch in pattern]
@@ -135,14 +135,14 @@ def test_criterion_4_pushforward_identities():
     other_null = VectorFieldJet(Jet2(6, {(1, 0): 1}), Jet2.const(1, 6))
     while counts["T-3"] < 100:
         g, _ = linear_normalize(random_branch_germ(rng, "HP2"))
-        pair = h2_adapt(g).pair
+        pair = h2_adapt(g).words.pair
         assert check_target_pushforward(g, phi(), [pair.eta, pair.xi, pair.eta])
         assert check_target_pushforward(g, phi(), [pair.eta, other_null, pair.eta])
         counts["T-3"] += 2
 
     while counts["T-4"] < 100:
         g, _ = linear_normalize(random_branch_germ(rng, "SB"))
-        pair = sb2_adapt(g).pair
+        pair = sb2_adapt(g).words.pair
         words = ([pair.xi, pair.xi, pair.eta], [pair.xi, pair.eta, pair.xi],
                  [pair.eta, pair.xi, pair.xi])
         assert check_target_pushforward(g, phi(), list(rng.choice(words)))
@@ -150,21 +150,21 @@ def test_criterion_4_pushforward_identities():
 
     while counts["T-5"] < 100:
         g, _ = linear_normalize(random_branch_germ(rng, "S"))
-        pair = s3_adapt(g).pair
+        pair = s3_adapt(g).words.pair
         spots = [[pair.eta if k == j else pair.xi for k in range(4)] for j in range(4)]
         assert check_target_pushforward(g, phi(), rng.choice(spots))
         counts["T-5"] += 1
 
     while counts["T-6"] < 100:
         g, _ = linear_normalize(random_branch_germ(rng, "B"))
-        pair = b3_adapt(sb2_adapt(g)).pair
+        pair = b3_adapt(sb2_adapt(g)).words.pair
         spots = [[pair.xi if k == j else pair.eta for k in range(4)] for j in range(4)]
         assert check_target_pushforward(g, phi(), rng.choice(spots))
         counts["T-6"] += 1
 
     while counts["T-7"] < 100:
         g, _ = linear_normalize(random_branch_germ(rng, "H"))
-        pair = h2_adapt(g).pair
+        pair = h2_adapt(g).words.pair
         assert check_target_pushforward(g, phi(), [pair.eta] * 5)
         counts["T-7"] += 1
 

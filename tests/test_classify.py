@@ -36,7 +36,7 @@ def test_certificate_anchor_values():
 def test_phi_expansion_s1():
     f = germ("u", "v^2", "u^2*v+v^3")
     g, _ = linear_normalize(f)
-    pair = sb2_adapt(g).pair
+    pair = sb2_adapt(g).words.pair
     p = phi(g, pair)
     assert p.coeff(2, 0) == -2
     assert p.coeff(0, 2) == 6
@@ -51,7 +51,7 @@ def test_phi_second_derivatives_examples():
     }
     for f3, expected in cases.items():
         f = germ("u", "v^2", f3)
-        pair = sb2_adapt(f).pair
+        pair = sb2_adapt(f).words.pair
         assert second_derivatives_phi(f, pair) == expected
 
 
@@ -102,7 +102,7 @@ def test_mixed_hessian_vanishes_on_random_sb_germs():
         f = random_branch_germ(rng, "SB")
         g, _ = linear_normalize(f)
         try:
-            pair = sb2_adapt(g).pair
+            pair = sb2_adapt(g).words.pair
         except Exception:
             continue
         _, m1, m2, _ = second_derivatives_phi(g, pair)
@@ -116,7 +116,7 @@ def test_eta2phi_identity():
     for _ in range(30):
         f = random_branch_germ(rng, "SB")
         g, _ = linear_normalize(f)
-        pair = sb2_adapt(g).pair
+        pair = sb2_adapt(g).words.pair
         a, _, _, c = second_derivatives_phi(g, pair)
         xif = apply(pair.xi, g)
         xxef = apply_word([pair.xi, pair.xi, pair.eta], g)
@@ -136,7 +136,7 @@ def test_recorded_phi_hessian_matches_jet_expansion():
     for f in germs:
         _, cert = classify(f)
         g = cert.normalized
-        expected = second_derivatives_phi(g, sb2_adapt(g).pair)
+        expected = second_derivatives_phi(g, sb2_adapt(g).words.pair)
         assert tuple(cert.invariants[name] for name in HESSIAN) == expected
         names = [name for name, _ in cert.trace]
         start = names.index("xi2phi")
@@ -251,7 +251,7 @@ def test_three_way_nonvanishing_equivalence():
     for _ in range(30):
         f = random_branch_germ(rng, "SB")
         g, _ = linear_normalize(f)
-        pair = sb2_adapt(g).pair
+        pair = sb2_adapt(g).words.pair
         xi, eta = pair.xi, pair.eta
         xif0 = apply(xi, g).at0()
         eta2f0 = apply_word([eta, eta], g).at0()
@@ -266,7 +266,7 @@ def test_b_criterion_word_freedom():
     for _ in range(25):
         f = random_branch_germ(rng, "B")
         g, _ = linear_normalize(f)
-        pair = b3_adapt(sb2_adapt(g)).pair
+        pair = b3_adapt(sb2_adapt(g)).words.pair
         xi, eta = pair.xi, pair.eta
         xif0 = apply(xi, g).at0()
         eta2f0 = apply_word([eta, eta], g).at0()
@@ -330,13 +330,19 @@ def test_classify_other_orders():
 # -- truncation is exact ------------------------------------------------------
 
 WORDS_TO_5 = ["".join(w) for n in range(1, 6) for w in itertools.product("xe", repeat=n)]
+BRANCHES = ["S1", "S", "S2", "B", "B2", "SB", "HP2", "H", "H2", "WU"]
 CONSTRUCTORS = {"sb2": sb2_adapt, "s3": s3_adapt, "b3": lambda g: b3_adapt(sb2_adapt(g)),
                 "h2": h2_adapt, "h4": lambda g: h4_adapt(h2_adapt(g))}
 
 
-@pytest.mark.parametrize("branch", ["S1", "S", "S2", "B", "B2", "SB", "HP2", "H", "H2", "WU"])
+@pytest.mark.parametrize("branch", BRANCHES)
 def test_truncation_is_exact(branch):
-    """The criteria read f only to degree 5, and a word read at 0 only to its length."""
+    """The criteria read f only to degree 5, and a word read at 0 only to its length.
+
+    Each level's production table, built for its declared reads, agrees at 0
+    with full-order `apply_word` on every read, and so does a table of all
+    words up to length 5.
+    """
     rng = Random("truncation|" + branch)
     for _ in range(2):
         f = random_branch_germ(rng, branch, order=8)
@@ -348,11 +354,34 @@ def test_truncation_is_exact(branch):
         g, _ = linear_normalize(f)
         for level, constructor in CONSTRUCTORS.items():
             try:
-                pair = constructor(g).pair
+                build = constructor(g)
             except PreconditionError:
                 continue
-            words = Words(g, pair, 5)
+            pair = build.words.pair
             fields = {"x": pair.xi, "e": pair.eta}
-            for word in WORDS_TO_5:
-                full = apply_word([fields[letter] for letter in word], g)
-                assert words.at0(word) == full.at0(), (level, word)
+            for words, reads in ((build.words, frames.READS[level]),
+                                 (Words(g, pair, WORDS_TO_5), WORDS_TO_5)):
+                for word in reads:
+                    full = apply_word([fields[letter] for letter in word], g)
+                    assert words.at0(word) == full.at0(), (level, word)
+
+
+def test_every_declared_read_is_read(monkeypatch):
+    """No dead declarations: each level's reads are all read on some branch."""
+    read = set()
+
+    class Recorded(Words):
+        def __init__(self, f, pair, reads):
+            super().__init__(f, pair, reads)
+            self.level = next(k for k, v in frames.READS.items() if v is reads)
+
+        def scaled(self, *words):
+            read.update((self.level, w) for w in words)
+            return super().scaled(*words)
+
+    monkeypatch.setattr(frames, "Words", Recorded)
+    rng = Random("declared-reads")
+    for branch in BRANCHES:
+        for _ in range(3):
+            classify(random_branch_germ(rng, branch))
+    assert read == {(level, w) for level, reads in frames.READS.items() for w in reads}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from germclass.classify import normal_forms
 from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass import frames
 from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
@@ -250,7 +251,7 @@ def test_sb2_trivial_when_already_adapted():
     f = germ("u", "v^2", "u^2*v+v^3")
     build = sb2_adapt(f)
     assert build.params == {"alpha": 0, "beta": 0}
-    assert_level_conditions(f, build.pair, "sb2")
+    assert_level_conditions(f, build.words.pair, "sb2")
 
 
 def test_sb2_solves_mixed_defect():
@@ -259,8 +260,8 @@ def test_sb2_solves_mixed_defect():
     assert build.params["alpha"] == 0
     assert build.params["beta"] == 1
     # xi = du - dv, eta = dv
-    assert build.pair.xi.a.at0() == 1 and build.pair.xi.b.at0() == -1
-    assert_level_conditions(f, build.pair, "sb2")
+    assert build.words.pair.xi.a.at0() == 1 and build.words.pair.xi.b.at0() == -1
+    assert_level_conditions(f, build.words.pair, "sb2")
 
 
 def test_sb2_rejects_whitney_umbrella():
@@ -287,7 +288,7 @@ def test_s3_trivial_on_normal_form():
     build = s3_adapt(f)
     for key in ("alpha", "beta", "alpha1", "beta1", "corr_xi_uv", "corr_xi_u", "corr_eta_uu"):
         assert build.params[key] == 0
-    assert_level_conditions(f, build.pair, "s3")
+    assert_level_conditions(f, build.words.pair, "s3")
 
 
 def test_s3_rejects_b_type():
@@ -306,7 +307,7 @@ def test_b3_trivial_on_normal_form():
     f = germ("u", "v^2", "u^2*v+v^5")
     build = b3_adapt(sb2_adapt(f))
     assert build.params == {"alpha": 0, "beta": 0, "alpha1": 0, "beta1": 0}
-    assert_level_conditions(f, build.pair, "b3")
+    assert_level_conditions(f, build.words.pair, "b3")
 
 
 def test_b3_solves_third_order_defect():
@@ -314,7 +315,7 @@ def test_b3_solves_third_order_defect():
     build = b3_adapt(sb2_adapt(f))
     assert build.params["alpha1"] == 0
     assert build.params["beta1"] == 3
-    assert_level_conditions(f, build.pair, "b3")
+    assert_level_conditions(f, build.words.pair, "b3")
 
 
 def test_b3_rejects_s_type():
@@ -331,14 +332,14 @@ def test_h2_trivial_on_normal_form():
     f = germ("u", "u*v+v^5", "v^3")
     build = h2_adapt(f)
     assert build.params == {"alpha": 0}
-    assert_level_conditions(f, build.pair, "h2")
+    assert_level_conditions(f, build.words.pair, "h2")
 
 
 def test_h2_solves_parallel_defect():
     f = germ("u+3/2*v^2", "u*v", "v^3")
     build = h2_adapt(f)
     assert build.params["alpha"] == 3
-    assert_level_conditions(f, build.pair, "h2")
+    assert_level_conditions(f, build.words.pair, "h2")
 
 
 def test_h2_rejects_sb_type():
@@ -353,7 +354,7 @@ def test_h4_trivial_on_normal_form():
     build = h4_adapt(h2_adapt(f))
     for key in ("alpha", "alpha1", "beta1", "delta1", "corr_eta_vv", "corr_eta_vvv", "corr_d_v"):
         assert build.params[key] == 0
-    assert_level_conditions(f, build.pair, "h4")
+    assert_level_conditions(f, build.words.pair, "h4")
 
 
 def test_h4_solves_fourth_order_defect():
@@ -362,7 +363,7 @@ def test_h4_solves_fourth_order_defect():
     assert build.params["beta1"] == 24
     assert build.params["alpha1"] == 0
     assert build.params["delta1"] == 0
-    assert_level_conditions(f, build.pair, "h4")
+    assert_level_conditions(f, build.words.pair, "h4")
 
 
 def test_h4_pins_all_parameters_with_nonzero_alpha():
@@ -372,7 +373,7 @@ def test_h4_pins_all_parameters_with_nonzero_alpha():
     assert build.params == {"alpha": 4, "alpha1": 24, "beta1": 24, "delta1": 4,
                             "corr_eta_vv": Fraction(-1, 3), "corr_eta_vvv": -6,
                             "corr_d_v": Fraction(-2, 3)}
-    assert_level_conditions(f, build.pair, "h4")
+    assert_level_conditions(f, build.words.pair, "h4")
 
 
 def test_h4_rejects_non_h_type():
@@ -399,10 +400,13 @@ def test_constructor_vanishing_conditions_random(branch):
         f = random_branch_germ(rng, branch)
         g, _ = linear_normalize(f)
         build = constructor(g)
-        assert_level_conditions(g, build.pair, level)
+        assert_level_conditions(g, build.words.pair, level)
 
 
 # -- closed-form correction columns against finite differences --------------
+
+S3_DEFECT = ("xxe", "xex", "exx")
+
 
 def _s3_trial(f, alpha, beta, p, q, r):
     """The SB-2 pair with the three S-3 slots set to p, q, r."""
@@ -410,7 +414,7 @@ def _s3_trial(f, alpha, beta, p, q, r):
     xi = VectorFieldJet(Jet2(n, {(0, 0): 1, (0, 1): -alpha, (1, 1): p}),
                         Jet2(n, {(0, 0): -beta, (1, 0): q}))
     eta = VectorFieldJet(Jet2(n, {(1, 0): -alpha, (2, 0): r}), Jet2.const(1, n))
-    return Words(f, FramePair(xi, eta), 3)
+    return Words(f, FramePair(xi, eta), S3_DEFECT)
 
 
 def _h4_trial(f, alpha, s, t, w):
@@ -418,7 +422,7 @@ def _h4_trial(f, alpha, s, t, w):
     n = f.order
     eta = VectorFieldJet(Jet2(n, {(0, 1): -alpha, (0, 2): s, (0, 3): t}),
                          Jet2(n, {(0, 0): 1, (0, 1): w}))
-    return Words(f, FramePair(d_du(n), eta), 4)
+    return Words(f, FramePair(d_du(n), eta), ("eeee",))
 
 
 def _assert_s3_columns(g):
@@ -426,14 +430,14 @@ def _assert_s3_columns(g):
     alpha, beta = sb.params["alpha"], sb.params["beta"]
 
     def defect(words):
-        return [c for word in ("xxe", "xex", "exx") for c in words.at0(word)]
+        return [c for word in S3_DEFECT for c in words.at0(word)]
 
-    base = defect(sb.words)
+    base = defect(Words(g, sb.words.pair, S3_DEFECT))
     xif0, eta2f0 = sb.words.at0("x"), sb.words.at0("ee")
     # the bracket facts the closed form rests on: [xi, eta] = alpha^2 v du, so
     # xex f(0) = xxe f(0) + alpha^2 beta xi f(0) and exx f(0) = xex f(0)
     n = g.order - 1
-    assert bracket(sb.pair.xi, sb.pair.eta) == VectorFieldJet(
+    assert bracket(sb.words.pair.xi, sb.words.pair.eta) == VectorFieldJet(
         Jet2(n, {(0, 1): alpha * alpha}), Jet2.zero(n))
     xxe, xex, exx = base[0:3], base[3:6], base[6:9]
     assert [b - a for a, b in zip(xxe, xex)] == [alpha * alpha * beta * c for c in xif0]
@@ -456,7 +460,8 @@ def _assert_h4_slopes(g):
     alpha = h2.params["alpha"]
     basis = [h2.words.at0(word) for word in ("x", "xe", "eee")]
     n = g.order - 1
-    assert bracket(h2.pair.xi, h2.pair.eta) == VectorFieldJet(Jet2.zero(n), Jet2.zero(n))
+    pair = h2.words.pair
+    assert bracket(pair.xi, pair.eta) == VectorFieldJet(Jet2.zero(n), Jet2.zero(n))
 
     def components(s, t, w):
         return frames.solve(basis, _h4_trial(g, alpha, s, t, w).at0("eeee"))
@@ -488,15 +493,15 @@ def test_closed_form_corrections_match_finite_differences(branch):
 
 def test_words_reads_operator_product():
     f = germ("u+v^2", "u*v+v^3", "v^3+u^2*v")
-    pair = sb2_adapt(germ("u", "v^2", "u^2*v+v^3")).pair
-    words = Words(f, pair, f.order)
+    pair = sb2_adapt(germ("u", "v^2", "u^2*v+v^3")).words.pair
+    words = Words(f, pair, ["x" * (f.order - 1) + "e"])
     xi, eta = pair.xi, pair.eta
     assert words.jet("xxe") == apply_word([xi, xi, eta], f)
     assert words.jet("") == f
 
 
 def test_words_applies_once_per_distinct_word(monkeypatch):
-    """Each word costs one `apply`, once, at order degree - len(word)."""
+    """Each word costs one `apply`, once, at the order its reads need."""
     calls = []
     apply = frames.apply
 
@@ -507,8 +512,8 @@ def test_words_applies_once_per_distinct_word(monkeypatch):
 
     monkeypatch.setattr(frames, "apply", counted)
     f = germ("u", "v^2", "v*(u^3+v^2)")
-    pair = sb2_adapt(f).pair
-    words = Words(f, pair, 4)
+    pair = sb2_adapt(f).words.pair
+    words = Words(f, pair, ("exxe", "xxee"))
     calls.clear()
     words.at0("xxe")
     assert calls == [("e f", 3), ("xe f", 2), ("xxe f", 1)]
@@ -516,14 +521,43 @@ def test_words_applies_once_per_distinct_word(monkeypatch):
         words.at0(word)
     assert calls[3:] == [("exxe f", 0), ("ee f", 2)]
     with pytest.raises(OrderExhaustedError):
-        words.at0("eeeee")
+        Words(f.truncate(3), pair, ("eeee",)).at0("eeee")
 
-    # one read: each word once, and the vectors in the given order
-    read = ("x", "xe", "ex", "xxe", "ee", "eee")
-    words = Words(f, pair, 3)
+    # one read: each word once, at its derived order, and the vectors in the given order
+    read = frames.READS["sb2"]
+    words = Words(f, pair, read)
     calls.clear()
     vectors = words.scaled(*read)
-    assert sorted(calls) == sorted((w + " f", 3 - len(w)) for w in read + ("e",))
+    orders = {"e": 2, "x": 1, "xe": 1, "ex": 0, "xxe": 0, "ee": 1, "eee": 0}
+    assert sorted(calls) == sorted((w + " f", order) for w, order in orders.items())
     fields = {"x": pair.xi, "e": pair.eta}
     full = [apply_word([fields[letter] for letter in w], f) for w in read]
     assert vectors == scaled_coeffs(*((w.truncate(0), (0, 0)) for w in full))
+
+
+def test_undeclared_word_raises_key_error():
+    """A word that is neither a read nor a suffix of one is a code defect, not an input error."""
+    f = germ("u", "v^2", "v*(u^3+v^2)")
+    words = sb2_adapt(f).words
+    assert words.at0("e") == (0, 0, 0)        # a suffix of a read
+    for word in ("xx", "eeeee", "xxxe", "xex"):
+        with pytest.raises(KeyError):
+            words.at0(word)
+
+
+def test_derived_orders():
+    """Each word is computed at max(len(r) - len(w)) over the reads r ending in w."""
+    forms = normal_forms(8)
+    sb = sb2_adapt(forms["S2"])
+    h2 = h2_adapt(forms["H2"])
+    builds = {"sb2": sb, "s3": s3_adapt(forms["S2"]),
+              "b3": b3_adapt(sb2_adapt(forms["B2+"])), "h2": h2, "h4": h4_adapt(h2)}
+    pinned = {("sb2", "x"): 1, ("s3", "x"): 2, ("b3", "x"): 3, ("b3", "exx"): 0,
+              ("b3", "eeex"): 0, ("h2", "x"): 0, ("h2", "xe"): 0, ("h4", "x"): 0}
+    for (level, word), order in pinned.items():
+        assert builds[level].words.orders[word] == order, (level, word)
+    for level, build in builds.items():
+        reads = frames.READS[level]
+        assert build.words.orders[""] == max(map(len, reads)), level
+        for word in reads:
+            assert build.words.jet(word).order == build.words.orders[word], (level, word)

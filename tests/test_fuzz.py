@@ -147,7 +147,7 @@ def test_t3_ends_null():
     for _ in range(10):
         # non-null middle: needs (outer)(inner) f = 0 at 0, e.g. an H-2 eta
         g, _ = linear_normalize(random_branch_germ(rng, "HP2"))
-        pair = h2_adapt(g).pair
+        pair = h2_adapt(g).words.pair
         assert check_target_pushforward(g, _random_phi(rng), [pair.eta, pair.xi, pair.eta])
 
 
@@ -167,28 +167,28 @@ def test_t4_t5_t6_t7_on_adapted_pairs():
     for _ in range(8):
         f = random_branch_germ(rng, "SB")
         g, _ = linear_normalize(f)
-        pair = sb2_adapt(g).pair
+        pair = sb2_adapt(g).words.pair
         xi, eta = pair.xi, pair.eta
         for word in ([xi, xi, eta], [xi, eta, xi], [eta, xi, xi]):
             assert check_target_pushforward(g, _random_phi(rng), word)
 
         s = random_branch_germ(rng, "S")
         gs, _ = linear_normalize(s)
-        pair = s3_adapt(gs).pair
+        pair = s3_adapt(gs).words.pair
         xi, eta = pair.xi, pair.eta
         for word in ([eta, xi, xi, xi], [xi, eta, xi, xi], [xi, xi, xi, eta]):
             assert check_target_pushforward(gs, _random_phi(rng), word)
 
         b = random_branch_germ(rng, "B")
         gb, _ = linear_normalize(b)
-        pair = b3_adapt(sb2_adapt(gb)).pair
+        pair = b3_adapt(sb2_adapt(gb)).words.pair
         xi, eta = pair.xi, pair.eta
         for word in ([xi, eta, eta, eta], [eta, eta, eta, xi]):
             assert check_target_pushforward(gb, _random_phi(rng), word)
 
         h = random_branch_germ(rng, "H")
         gh, _ = linear_normalize(h)
-        pair = h2_adapt(gh).pair
+        pair = h2_adapt(gh).words.pair
         assert check_target_pushforward(gh, _random_phi(rng), [pair.eta] * 5)
 
 
@@ -204,11 +204,11 @@ def test_negative_control_hypotheses_matter():
 
 def test_word_outside_catalogue_rejected():
     f = germ("u", "v^2", "u^2*v+v^3")
-    pair = sb2_adapt(f).pair
+    pair = sb2_adapt(f).words.pair
     with pytest.raises(PreconditionError):
         check_target_pushforward(f, _random_phi(Random(1)), [pair.xi] * 4)
     # eta eta xi on a merely SB-2 pair matches no hypothesis (T-6 needs B-3)
     g = germ("u", "v^2+v^3", "u^2*v+v^3+v^5")
-    p2 = sb2_adapt(g).pair
+    p2 = sb2_adapt(g).words.pair
     with pytest.raises(PreconditionError):
         check_target_pushforward(g, _random_phi(Random(2)), [p2.eta, p2.eta, p2.eta, p2.xi])

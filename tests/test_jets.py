@@ -241,6 +241,18 @@ def test_truncation_consistency_all_ops():
         assert invsqrt_series(unit8).truncate(6) == invsqrt_series(unit6)
 
 
+def test_truncate_returns_self_when_nothing_is_cut():
+    rng = Random(6)
+    a, b, c = (random_jet(rng, order=6) for _ in range(3))
+    f = MapJet(a, b, c)
+    for order in (6, 7, 10):
+        assert a.truncate(order) is a
+        assert f.truncate(order) is f
+    cut = f.truncate(5)
+    assert cut is not f and cut.order == 5
+    assert cut == MapJet(a.truncate(5), b.truncate(5), c.truncate(5))
+
+
 def test_truncation_consistency_compose():
     from germclass.fuzz import FuzzConfig, random_source_diffeo
     from germclass.jets import PolyMap2

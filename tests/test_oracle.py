@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -5,6 +7,7 @@ import pytest
 
 from germclass.classify import Verdict, classify
 from germclass.errors import PreconditionError
+from germclass.jets import PolyMap2, compose_map
 from germclass.oracle import (HNormalCoeffs, SBNormalCoeffs, h2_check,
                               h2_discriminant, skbk_classify)
 from util import random_h_coeffs, random_sb_coeffs, rational
@@ -113,3 +116,40 @@ def test_b2_coefficient_condition_fails_off_slice():
     cls, cert = classify(c.to_map_jet())
     assert cls.verdict is Verdict.B2_MINUS
     assert cert.invariants["b2_value"] == -10
+
+
+# -- exhaustive {-1, 0, 1}^8 boxes -------------------------------------------
+
+# (u, v) -> (u + 2v, -u + v): a normal-shape germ g has g_u(0) = e1, g_v(0) = 0,
+# so f = g o SHEAR has f_v(0) = 2 f_u(0) and `linear_normalize` takes its shear branch
+SHEAR = PolyMap2.linear(((1, 2), (-1, 1)), 6)
+
+
+def _assert_box(coeffs, oracle, hits):
+    """Classify each germ once through SHEAR; verdicts equal the oracle's, hits as given."""
+    seen = Counter()
+    for c in coeffs:
+        expected = oracle(c).verdict
+        cls, cert = classify(compose_map(c.to_map_jet(), SHEAR))
+        assert cls.verdict is expected, c
+        assert cert.normalization == ((1, 2), (0, -1)), c
+        seen[expected] += 1
+    assert seen == hits
+
+
+def test_sb_box_against_oracle():
+    """Every zero pattern of (a21, a03, a31, a13, a12, a05, a04, b03), the SB oracle's reads."""
+    keys = ((2, 1), (0, 3), (3, 1), (1, 3), (1, 2), (0, 5), (0, 4))
+    box = (SBNormalCoeffs(dict(zip(keys, a)), {3: b03})
+           for *a, b03 in itertools.product((-1, 0, 1), repeat=8))
+    _assert_box(box, skbk_classify,
+                {Verdict.S1_PLUS: 1458, Verdict.S1_MINUS: 1458, Verdict.S2: 972,
+                 Verdict.B2_MINUS: 1026, Verdict.B2_PLUS: 342, Verdict.MORE_DEGENERATE: 1305})
+
+
+def test_h_box_against_oracle():
+    """Every zero pattern of (a03, a04, a05, a12, b03, b04, b05, b12), the H oracle's reads."""
+    keys = ((0, 3), (0, 4), (0, 5), (1, 2))
+    box = (HNormalCoeffs(dict(zip(keys, values[:4])), dict(zip(keys, values[4:])))
+           for values in itertools.product((-1, 0, 1), repeat=8))
+    _assert_box(box, h2_check, {Verdict.H2: 3780, Verdict.MORE_DEGENERATE: 2781})
