@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .jets import Jet2, MapJet, PolyMap2, compose_map, cross3, det3, scaled_coeffs
+from .jets import Jet2, MapJet, PolyMap2, compose_linear, cross3, det3, scaled_coeffs
 from .scalars import EXACT
 from .vfields import FramePair, VectorFieldJet, apply, d_du
 
@@ -84,11 +84,11 @@ class Words:
     operator product: "xxe" is xi(xi(eta f)).  The empty word is f itself.
 
     The table is built for the words its level reads at 0 (`READS`, the
-    level table of this module).  It truncates f once, to the longest
-    read, and computes each suffix s of a read once, at the order
-    max(len(r) - len(s)) over the reads r that end in s, by one `apply`
-    on its cached suffix truncated to one order more.  So every read is
-    exact at 0, and no word is computed past what its reads need.  A word
+    level table of this module).  It computes each suffix s of a read
+    once, at the order max(len(r) - len(s)) over the reads r that end in
+    s, by one `apply` on its cached suffix that stops at that order; no
+    truncated copy of f or of a suffix is made.  So every read is exact at
+    0, and no word is computed past what its reads need.  A word
     that is neither a read nor a suffix of one raises `KeyError`; a read
     past the order of f raises `OrderExhaustedError`.  `f` is the germ as
     given, which the deeper levels extend.
@@ -99,16 +99,15 @@ class Words:
         self.pair = pair
         # over reads ending in s, len(r) - len(s) grows with len(r): the longest wins
         self.orders = {r[k:]: k for r in sorted(reads, key=len) for k in range(len(r) + 1)}
-        self._jets = {"": f.truncate(self.orders[""])}
+        self._jets = {"": f}
 
     def jet(self, word: str) -> MapJet:
         """w f at order `orders[w]`."""
         out = self._jets.get(word)
         if out is None:
-            order = self.orders[word]
             field = self.pair.xi if word[0] == "x" else self.pair.eta
-            suffix = self.jet(word[1:]).truncate(order + 1)
-            out = self._jets[word] = apply(field, suffix, word + " f")
+            out = self._jets[word] = apply(field, self.jet(word[1:]), word + " f",
+                                           self.orders[word])
         return out
 
     def at0(self, word: str):
@@ -196,7 +195,10 @@ def linear_normalize(f: MapJet):
     """Precompose with a linear map L so that f_v(0) = 0, f_u(0) != 0.
 
     Returns (f o L, L).  Requires rank df0 = 1; rank 0 and rank 2 germs are
-    rejected (they are classified before any frame is built).
+    rejected (they are classified before any frame is built).  L is the
+    identity, the swap or the shear (u, v) -> (u + t v, -v), and f o L is
+    `jets.compose_linear`'s closed form, bit for bit `compose_map(f, L)`:
+    the classify path makes no general substitution.
     """
     fu0, fv0 = _df0(f)
     rank = df0_rank(fu0, fv0)
@@ -210,7 +212,7 @@ def linear_normalize(f: MapJet):
         # f_v(0) = t f_u(0); kernel direction (t, -1).
         (t,) = solve([fu0], fv0)
         L = PolyMap2.linear(((1, t), (0, -1)), f.order)
-    return compose_map(f, L), L
+    return compose_linear(f, L), L
 
 
 def _sb_defect(f: MapJet):

@@ -49,30 +49,35 @@ order -- the left operand's keys, then the right operand's new keys; the
 convolution order for a product -- and drops zeros at fixed points: after
 each sum and after each finished product.
 
-`directional(a, b, c)` is a * c_u + b * c_v in one pass over the
-numerators, reduced once: the kernel of every vector-field application.
-Its key order is fixed too (c's terms in order, each against a's terms,
-then b's), but it is not the order a * c.partial_u() + b * c.partial_v()
-would give.  That is safe because its results, the derivative words, are
-only read at 0 and never printed.
+`directional(a, b, c, order)` is a * c_u + b * c_v in one pass over the
+numerators, stopped at the output order and reduced once: the kernel of
+every vector-field application.  Its key order is fixed too (c's terms in
+order, each against a's terms, then b's), but it is not the order
+a * c.partial_u() + b * c.partial_v() would give.  That is safe because
+its results, the derivative words, are only read at 0 and never printed.
 
 `MapJet` is a triple of jets sharing one order (a map germ into 3-space,
 or a derivative of one); `PolyMap2` / `PolyMap3` are polynomial coordinate
 changes with invertible linear part, used only through composition.  Source
 changes (`compose2`, `compose_map`) and target changes (`post_compose`)
-share one substitution loop, `_substitute`.  It makes one pass per output:
-each value's power table holds the raw numerator powers, every term carries
-one integer factor that puts it over the output's one denominator, a term
-group's sum of last-variable powers is accumulated in place, and the
-outermost product is accumulated straight into the output.  It keeps the
-key order and the zero drops of adding and multiplying jets one step at a
-time, so its outputs are those of that stepwise form, bit for bit.
+share one substitution loop, `_substitute`, except the three linear shapes
+of `frames.linear_normalize` -- the identity, the swap and the shear
+(u, v) -> (u + t v, -v) -- which `compose_linear` composes by closed forms
+(a regrouping of keys, or the binomial theorem on integers) into
+`_substitute`'s output, key order included.  `_substitute` makes one pass
+per output: each value's power table holds the raw numerator powers, every
+term carries one integer factor that puts it over the output's one
+denominator, a term group's sum of last-variable powers is accumulated in
+place, and the outermost product is accumulated straight into the output.
+It keeps the key order and the zero drops of adding and multiplying jets
+one step at a time, so its outputs are those of that stepwise form, bit
+for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .errors import OrderExhaustedError, PreconditionError
 from .scalars import EXACT, Scalar, as_exact, fmt_scalar
@@ -319,19 +324,23 @@ class Jet2:
         return "Jet2(order=%d, %s)" % (self.order, poly_str(self))
 
 
-def directional(a: Jet2, b: Jet2, c: Jet2) -> Jet2:
-    """a * dc/du + b * dc/dv, at order min(a.order, b.order, c.order - 1).
+def directional(a: Jet2, b: Jet2, c: Jet2, order: int | None = None) -> Jet2:
+    """a * dc/du + b * dc/dv, at order min(a.order, b.order, c.order - 1, order).
 
     One pass over the numerators: a term n u^i v^j of c meets each term of
     a with weight i n b._den and each term of b with weight j n a._den,
     products past the output order are skipped, and the one sum, over
-    a._den b._den c._den, is reduced once.
+    a._den b._den c._den, is reduced once.  A term of c past order + 1
+    is skipped whole, so the result equals that on c.truncate(order + 1).
     """
-    order = min(a.order, b.order, c.order - 1)
+    top = min(a.order, b.order, c.order - 1)
+    order = top if order is None else min(top, order)
     a_terms, b_terms = a._num.items(), b._num.items()
     out = {}
     for (i, j), n in c._num.items():
         room = order + 1 - i - j
+        if room < 0:
+            continue
         if i:
             m = i * n * b._den
             for (k, l), x in a_terms:
@@ -630,6 +639,61 @@ def compose_map(f: MapJet, p: PolyMap2) -> MapJet:
     """Substitute (u, v) -> (p1, p2) into each component of f."""
     return MapJet(*_substitute([(c._num, c._den) for c in f], (p.p1, p.p2),
                                min(f.order, p.order)))
+
+
+def _rows(num):
+    """Numerators grouped by u-exponent, heads in first-appearance order: {i: [(j, n), ..]}."""
+    rows = {}
+    for (i, j), n in num.items():
+        rows.setdefault(i, []).append((j, n))
+    return rows
+
+
+def compose_linear(f: MapJet, p: PolyMap2) -> MapJet:
+    """`compose_map(f, p)` for the three shapes of `frames.linear_normalize`'s L.
+
+    p is the identity, the swap or a shear (u, v) -> (u + t v, -v); any
+    other p raises ValueError.  No substitution is made: the identity and
+    the swap only regroup f's keys by head, as `_substitute` emits them,
+    the swap mapping each (i, j) to (j, i).  With t = T/D the shear is the
+    binomial theorem on integers: a term n u^i v^j adds
+    n (-1)^j C(i, a) T^a D^(top - a) at (i - a, a + j) for a = 0..i, with
+    top the largest u-exponent, in `_substitute`'s order (heads as they
+    appear, then a, then the head's terms) and with its zero drops (once
+    per head); the sum over den D^top is reduced once.  So the output is
+    that of `compose_map`, bit for bit, key order included.
+    """
+    order = min(f.order, p.order)
+    f = f.truncate(order)
+    n1, d1, n2, d2 = p.p1._num, p.p1._den, p.p2._num, p.p2._den
+    if d1 == d2 == 1 and n1 == {(1, 0): 1} and n2 == {(0, 1): 1}:
+        swap = False
+    elif d1 == d2 == 1 and n1 == {(0, 1): 1} and n2 == {(1, 0): 1}:
+        swap = True
+    elif (d2 == 1 and n2 == {(0, 1): -1} and n1.get((1, 0)) == d1
+          and n1.keys() <= {(1, 0), (0, 1)}):
+        return MapJet(*(_shear(c, n1.get((0, 1), 0), d1) for c in f))
+    else:
+        raise ValueError("compose_linear takes the identity, the swap or a shear, not %r" % p)
+    return MapJet(*(_canonical(order, {(j, i) if swap else (i, j): n
+                                       for i, row in _rows(c._num).items() for j, n in row},
+                               c._den) for c in f))
+
+
+def _shear(c: Jet2, T: int, D: int) -> Jet2:
+    """c(u + (T/D) v, -v), in the order and with the zero drops of `_substitute`."""
+    top = max((i for i, _ in c._num), default=0)
+    total = {}
+    for i, row in _rows(c._num).items():
+        for a in range(i + 1 if T else 1):
+            w = comb(i, a) * T ** a * D ** (top - a)
+            for j, n in row:
+                key = (i - a, a + j)
+                m = -w * n if j & 1 else w * n
+                got = total.get(key)
+                total[key] = m if got is None else got + m
+        total = _nonzero(total)
+    return _jet(c.order, total, c._den * D ** top)
 
 
 def post_compose(phi: PolyMap3, f: MapJet) -> MapJet:

@@ -49,16 +49,17 @@ def apply_to_jet(zeta: VectorFieldJet, g: Jet2, label=None) -> Jet2:
     return directional(zeta.a, zeta.b, g)
 
 
-def apply(zeta: VectorFieldJet, f: MapJet, label=None) -> MapJet:
-    """zeta f = a f_u + b f_v, componentwise; order drops by one.
+def apply(zeta: VectorFieldJet, f: MapJet, label=None, order=None) -> MapJet:
+    """zeta f = a f_u + b f_v, componentwise; order drops by one, or to `order`.
 
     Each component is one `jets.directional` pass: one loop over its
-    numerators, one reduction.
+    numerators, one reduction.  With `order` the result is that of
+    `apply(zeta, f.truncate(order + 1))`, with no truncated copy of f made.
     """
     if f.order < 1:
         raise OrderExhaustedError(
             "derivative %sexhausts the truncation order" % (("%s " % label) if label else ""))
-    return MapJet(*(directional(zeta.a, zeta.b, c) for c in f))
+    return MapJet(*(directional(zeta.a, zeta.b, c, order) for c in f))
 
 
 def apply_word(word, f: MapJet, label=None) -> MapJet:

@@ -1,0 +1,98 @@
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+BENCHMARK = ROOT / "BENCHMARK.json"
+SPEC = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+NAMES = [metric["name"] for metric in SPEC["end_to_end"]]
+
+
+def pairs_of(name, parent, change):
+    """Pairs in which every metric reads 1 on both sides, except `name`."""
+    return [{"parent": {**dict.fromkeys(NAMES, 1.0), name: p},
+             "change": {**dict.fromkeys(NAMES, 1.0), name: c}}
+            for p, c in zip(parent, change)]
+
+
+def row(name, parent, change):
+    return next(r for r in bench_pairs.summarize(SPEC, pairs_of(name, parent, change))
+                if r["name"] == name)
+
+
+PARENT = [1.30, 1.32, 1.31, 1.29, 1.33, 1.30, 1.31, 1.32, 1.30, 1.31]
+
+
+def test_a_clear_gain_wins_every_pair():
+    r = row("ops_per_ref", PARENT, [x + 0.3 for x in PARENT])
+    assert (r["wins"], r["pairs"], r["gain"], r["worse"]) == (10, 10, True, False)
+    q1, median, q3 = r["parent"]
+    assert q1 < median == 1.31 < q3
+    assert r["change"][1] == 1.61
+
+
+def test_a_gain_needs_nine_wins_in_ten():
+    change = [x + 0.3 for x in PARENT[:8]] + [x - 0.01 for x in PARENT[8:]]
+    r = row("ops_per_ref", PARENT, change)
+    assert (r["wins"], r["gain"]) == (8, False)
+    change[8] = PARENT[8] + 0.3
+    assert row("ops_per_ref", PARENT, change)["gain"]
+
+
+def test_a_gain_needs_a_median_gap_above_the_parent_iqr():
+    parent = [1.0, 1.2, 1.4, 1.1, 1.3, 1.0, 1.2, 1.4, 1.1, 1.3]
+    r = row("ops_per_ref", parent, [x + 0.01 for x in parent])
+    assert (r["wins"], r["gain"]) == (10, False)
+
+
+def test_ties_count_for_neither_side():
+    r = row("ops_per_ref", PARENT, PARENT)
+    assert (r["wins"], r["gain"], r["worse"]) == (0, False, False)
+
+
+def test_worse_is_judged_against_the_bound_in_the_better_direction():
+    # latency is lower-better with bound 0.25: 1.2x the parent is within it, 1.3x is not
+    parent = [1.0] * 10
+    assert not row("latency_ref.p50", parent, [1.2] * 10)["worse"]
+    r = row("latency_ref.p50", parent, [1.3] * 10)
+    assert (r["worse"], r["wins"], r["gain"]) == (True, 0, False)
+    # a faster change is a win for a lower-better metric
+    assert row("latency_ref.p50", parent, [0.5] * 10)["gain"]
+    # throughput is higher-better with bound 0.15
+    assert row("ops_per_ref", parent, [0.8] * 10)["worse"]
+    assert not row("ops_per_ref", parent, [0.9] * 10)["worse"]
+
+
+def test_the_table_has_one_row_per_metric_and_the_spec_is_only_read():
+    before = BENCHMARK.read_bytes()
+    rows = bench_pairs.summarize(SPEC, pairs_of("ops_per_ref", PARENT, PARENT))
+    table = bench_pairs.format_rows(rows).splitlines()
+    assert len(table) == 2 + len(NAMES)
+    assert all("`%s`" % name in line for name, line in zip(NAMES, table[2:]))
+    assert bench_pairs.BENCHMARK == BENCHMARK
+    assert BENCHMARK.read_bytes() == before
+
+
+def fake_checkout(path, failed):
+    """A checkout whose benchmark prints a fixed result line."""
+    (path / "perfbench").mkdir(parents=True)
+    result = {"correct": True, "attempted": 10, "failed": failed,
+              "metrics": {name: {"value": 1.0, "unit": "x"} for name in NAMES}}
+    (path / "perfbench" / "run.py").write_text(
+        "print('  verdict_digest  abc (over 10 inputs)')\nprint(%r)\n" % json.dumps(result))
+    return path
+
+
+def test_exit_status_follows_failed_operations(tmp_path, capsys):
+    good = fake_checkout(tmp_path / "good", 0)
+    bad = fake_checkout(tmp_path / "bad", 1)
+    args = ["--workload", "scrambled", "--seed", "1", "--pairs", "2"]
+    assert bench_pairs.main(["--parent", str(good), "--change", str(good)] + args) == 0
+    out = capsys.readouterr().out
+    assert "verdict_digest parent abc" in out and "| `ops_per_ref`" in out
+    assert bench_pairs.main(["--parent", str(good), "--change", str(bad)] + args) == 1

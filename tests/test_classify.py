@@ -7,11 +7,11 @@ import pytest
 
 from germclass.classify import (NORMAL_FORM_VERDICTS, Verdict, classify,
                                 normal_forms, phi, second_derivatives_phi)
-from germclass import frames
+from germclass import frames, jets
 from germclass.errors import GermError, OrderExhaustedError, PreconditionError
 from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
                               s3_adapt, sb2_adapt)
-from germclass.jets import Jet2, PolyMap2, det3
+from germclass.jets import Jet2, MapJet, PolyMap2, det3
 from germclass.vfields import apply, apply_word
 from util import germ, random_branch_germ, rational, scramble
 
@@ -385,3 +385,47 @@ def test_every_declared_read_is_read(monkeypatch):
         for _ in range(3):
             classify(random_branch_germ(rng, branch))
     assert read == {(level, w) for level, reads in frames.READS.items() for w in reads}
+
+
+def _refuse(*_, **__):
+    raise AssertionError("the classify path reached the general substitution")
+
+
+def test_classify_makes_no_general_substitution(monkeypatch):
+    """`linear_normalize` composes by closed forms: no `jets._substitute` on the classify path."""
+    rng = Random("no-substitution")
+    germs = list(normal_forms().values())
+    germs += [random_branch_germ(rng, branch) for branch in BRANCHES for _ in range(3)]
+    before = [classify(f) for f in germs]
+    monkeypatch.setattr(jets, "_substitute", _refuse)
+    for f, (cls, cert) in zip(germs, before):
+        got_cls, got_cert = classify(f)
+        assert (got_cls, got_cert) == (cls, cert)
+        assert ([list(c.items()) for c in got_cert.normalized]
+                == [list(c.items()) for c in cert.normalized])
+
+
+def test_words_make_no_truncated_copies(monkeypatch):
+    """Every production level reads its words with no lower-order `MapJet.truncate`."""
+    truncate = MapJet.truncate
+
+    def refused(self, order):
+        assert order >= self.order, "a truncated copy at order %d of %d" % (order, self.order)
+        return truncate(self, order)
+
+    monkeypatch.setattr(MapJet, "truncate", refused)
+    rng = Random("no-truncated-copies")
+    levels = set()
+    for branch in BRANCHES:
+        for _ in range(2):
+            f = random_branch_germ(rng, branch)
+            classify(f)
+            g, _ = linear_normalize(f)
+            for level, constructor in CONSTRUCTORS.items():
+                try:
+                    build = constructor(g)
+                except PreconditionError:
+                    continue
+                build.words.scaled(*frames.READS[level])
+                levels.add(level)
+    assert levels == set(frames.READS)

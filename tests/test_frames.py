@@ -505,8 +505,8 @@ def test_words_applies_once_per_distinct_word(monkeypatch):
     calls = []
     apply = frames.apply
 
-    def counted(zeta, g, label):
-        out = apply(zeta, g, label)
+    def counted(zeta, g, label, order=None):
+        out = apply(zeta, g, label, order)
         calls.append((label, out.order))
         return out
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import germclass
 from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass.fuzz import FuzzConfig, random_target_diffeo
-from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2,
+from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2, compose_linear,
                             compose_map, cross3, det3, directional, from_divided_coeffs,
                             invsqrt_series, post_compose, scaled_coeffs, to_divided_coeff)
 from util import jet, random_jet
@@ -450,6 +450,15 @@ def test_directional_matches_products(operands):
     assert cancelled._den == 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(directional_operands(), st.integers(0, 8))
+def test_directional_at_an_order_equals_it_on_the_truncated_input(operands, order):
+    a, b, c = operands
+    got, want = directional(a, b, c, order), directional(a, b, c.truncate(order + 1))
+    assert got == want and got.order == want.order
+    assert list(got.items()) == list(want.items())
+
+
 def _mixed_polymap2(rng, order):
     while True:
         p1, p2 = (Jet2(order, {(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 12))
@@ -504,6 +513,30 @@ def test_compose_map_key_order_on_each_normalizing_shape(shape):
     for got, w in zip(compose_map(f, L), want):
         assert_matches_reference(got, w)
 
+
+def test_compose_linear_matches_compose_map():
+    """The closed forms give `compose_map`'s jets bit for bit, key order included.
+
+    Coefficients in {-2..2}/{1, 2, 3} on dense jets make the shear's terms
+    cancel, so its zero drops and re-insertions are exercised too.
+    """
+    rng = Random("compose-linear")
+    for _ in range(1000):
+        order = rng.randint(1, 10)
+        f = MapJet(*(Jet2(order, {(i, j): Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                  for i in range(order + 1) for j in range(order + 1 - i)
+                                  if rng.random() < 0.5}) for _ in range(3)))
+        p_order = rng.randint(max(1, order - 1), order + 1)
+        t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        for p in (PolyMap2.identity(p_order), PolyMap2.swap(p_order),
+                  PolyMap2.linear(((1, t), (0, -1)), p_order)):
+            got, want = compose_linear(f, p), compose_map(f, p)
+            assert got == want and got.order == want.order, (f, p)
+            assert [list(c.items()) for c in got] == [list(c.items()) for c in want], (f, p)
+    for p in (PolyMap2.linear(((1, 1), (1, -1)), 6), PolyMap2.linear(((2, 1), (0, -1)), 6),
+              PolyMap2(Jet2(6, {(1, 0): 1, (0, 2): 1}), Jet2(6, {(0, 1): -1}))):
+        with pytest.raises(ValueError):
+            compose_linear(f, p)
 
 def test_key_cancelled_after_one_head_moves_to_the_end_when_recreated():
     # (u, v) -> (u + v, v) on v^2 - uv + u^2, heads u^0, u^1, u^2 in that order:
