@@ -79,6 +79,16 @@ class Classification:
 
 @dataclass
 class Certificate:
+    """Everything a verdict was decided on, as exact values.
+
+    `trace` lists the checks in decision order, each with its value (an
+    int, a bool or a `Fraction`); `invariants` and `frame` map names to
+    `Fraction`s; `normalization` is the matrix of `frames.linear_normalize`'s
+    L and `normalized` the germ f o L.  Nothing is formatted while
+    `classify` runs: `summary` and `to_json_obj` format the values, so a
+    value past Python's digit limit fails only when it is printed.
+    """
+
     order: int
     trace: list = field(default_factory=list)
     invariants: dict = field(default_factory=dict)
@@ -87,7 +97,7 @@ class Certificate:
     normalized: MapJet | None = None
 
     def note(self, name: str, value) -> None:
-        self.trace.append((name, value if isinstance(value, str) else fmt_scalar(value)))
+        self.trace.append((name, value))
 
     def record(self, name: str, value: Scalar) -> None:
         self.invariants[name] = value
@@ -100,7 +110,7 @@ class Certificate:
             "reason": classification.reason,
             "mode": "exact",
             "order": self.order,
-            "trace": [[name, value] for name, value in self.trace],
+            "trace": [[name, fmt_scalar(value)] for name, value in self.trace],
             "invariants": {k: fmt_scalar(v) for k, v in self.invariants.items()},
             "frame": {k: fmt_scalar(v) for k, v in self.frame.items()},
         }
@@ -164,26 +174,25 @@ def classify(f: MapJet):
     cert = Certificate(order=f.order)
 
     rank = df0_rank(fu0, fv0)
-    cert.note("rank_df0", str(rank))
+    cert.note("rank_df0", rank)
     if rank == 2:
         return Classification(Verdict.REGULAR), cert
     if rank == 0:
         return Classification(Verdict.CORANK2), cert
 
-    g, L = linear_normalize(f)
-    cert.normalization = L.linear_matrix()
+    g, cert.normalization = linear_normalize(f)
     cert.normalized = g
 
     partials, scale = partials0(g)
     gu0, gvv0, guv0 = partials
     sb_type = not EXACT.is_zero_vec(cross3(gu0, gvv0))
-    cert.note("sb_type", str(sb_type))
+    cert.note("sb_type", sb_type)
 
     if sb_type:
         return _classify_sb(g, cert, partials, scale)
 
     hp_type = not EXACT.is_zero_vec(cross3(gu0, guv0))
-    cert.note("hp_type", str(hp_type))
+    cert.note("hp_type", hp_type)
     if hp_type:
         return _classify_hp(g, cert)
 

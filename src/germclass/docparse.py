@@ -9,8 +9,12 @@ Polynomial grammar (whitespace insignificant, no implicit multiplication):
     rational := integer ('/' positive-integer)?
 
 A '/' may only appear inside a rational literal; "u/2" is a syntax error.
-Parentheses nest at most 100 deep, and a power or product with a
-coefficient past Python's 4300-digit limit is an error at its '^' or '*'.
+Parentheses nest at most 100 deep, and a product with a coefficient past
+Python's 4300-digit limit is an error at its '*'.  A power is an error at
+its exponent when its constant term passes the limit, or when a
+coefficient of (sign(c) + r)^E does, for the base c + r with constant
+term c: that is the power itself when c is 0 or +-1, and decided before
+the power is computed (`_power_coeffs_below`).
 
 Documents are line-oriented `key = value` files under a `[kind]` header,
 kind one of map, ruled, center, folded, sb-normal, h-normal.  Blank lines
@@ -63,6 +67,8 @@ def _tokenize(src: str):
 # Python's default limit on the digits of an int read from or printed as text
 _MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** _MAX_DIGITS
+# 2^_DIGIT_BITS <= _DIGIT_BOUND: a number of that many bits has at most 4300 digits
+_DIGIT_BITS = _DIGIT_BOUND.bit_length() - 1
 
 # Each level of parentheses costs four parser frames (expr, term, factor,
 # base), so this bound keeps a nested expression far from the recursion limit
@@ -75,6 +81,41 @@ def _int(tok: str, pos: int) -> int:
         return int(tok)
     except ValueError:
         raise ParseError("integer literal of %d digits is too long" % len(tok), pos)
+
+
+def _power_coeffs_below(base: Jet2, c: Fraction, exponent: int) -> bool:
+    """Whether every coefficient of (s + r)^E is below the digit bound, where
+    base = c + r and s is the sign of c.
+
+    When c is 0 or +-1 this is the power base^E itself, exactly: the powers
+    whose exponent the constant-term rule leaves unbounded.  Otherwise that
+    rule has bounded c^E, and (s + r)^E bounds the binomial growth of r, so
+    a coefficient of base^E may pass the limit only by the digits of c^E
+    and C(E, k) together: (-2+v)^14284 has a v coefficient of 4304 digits.
+
+    Decided without the power, in a time that does not grow with E.  With
+    D the common denominator of s + r and S the sum of |a| D over its
+    coefficients a, every coefficient of (s + r)^E in lowest terms has
+    numerator at most S^E and denominator at most D^E; so S, D < 2^b with
+    E b <= 14284 < log2(10^4300) answers yes at once.  Otherwise the power
+    is summed in binomial form, sum over k <= order of C(E, k) s^(E - k) r^k
+    (the terms past the order vanish), whose largest numbers are the
+    C(E, k), of at most order times the digits of E.
+    """
+    s = (c > 0) - (c < 0)
+    rest = [a for key, a in base.items() if key != (0, 0)]
+    den = math.lcm(*(a.denominator for a in rest))
+    total = abs(s) * den + sum(abs(a.numerator) * (den // a.denominator) for a in rest)
+    if exponent * max(total, den).bit_length() <= _DIGIT_BITS:
+        return True
+    order = base.order
+    r = base - c
+    term = Jet2.const(1, order)
+    power = Jet2.zero(order)
+    for k in range(min(exponent, order) + 1):
+        power = power + term * (math.comb(exponent, k) * s ** (exponent - k))
+        term = term * r
+    return power.coeffs_below(_DIGIT_BOUND)
 
 
 class _PolyParser:
@@ -168,6 +209,9 @@ class _PolyParser:
             size = max(abs(c.numerator), c.denominator)
             if size > 1 and exponent * math.log10(size) > _MAX_DIGITS:
                 raise ParseError("power to %d has a constant term of more than %d digits"
+                                 % (exponent, _MAX_DIGITS), pos)
+            if not _power_coeffs_below(base, c, exponent):
+                raise ParseError("power to %d has a coefficient of more than %d digits"
                                  % (exponent, _MAX_DIGITS), pos)
             base = base ** exponent
         return base

@@ -60,15 +60,16 @@ its results, the derivative words, are only read at 0 and never printed.
 or a derivative of one); `PolyMap2` / `PolyMap3` are polynomial coordinate
 changes with invertible linear part, used only through composition.  Source
 changes (`compose2`, `compose_map`) and target changes (`post_compose`)
-share one substitution loop, `_substitute`, except the three linear shapes
-of `frames.linear_normalize` -- the identity, the swap and the shear
-(u, v) -> (u + t v, -v) -- which `compose_linear` composes by closed forms
-(a regrouping of keys, or the binomial theorem on integers) into
-`_substitute`'s output, key order included.  `_substitute` makes one pass
-per output: each value's power table holds the raw numerator powers, every
-term carries one integer factor that puts it over the output's one
-denominator, a term group's sum of last-variable powers is accumulated in
-place, and the outermost product is accumulated straight into the output.
+share one substitution loop, `_substitute`.  The three linear source
+changes of `frames.linear_normalize` -- the identity, the swap and the
+shear (u, v) -> (u + t v, -v) -- take no map at all: `regroup(f, swap)`
+regroups f's keys and `shear(f, t)` is the binomial theorem on integers,
+each into `_substitute`'s output, key order included.  `_substitute`
+makes one pass per output: each value's power table holds the raw
+numerator powers, every term carries one integer factor that puts it over
+the output's one denominator, a term group's sum of last-variable powers
+is accumulated in place, and the outermost product is accumulated
+straight into the output.
 It keeps the key order and the zero drops of adding and multiplying jets
 one step at a time, so its outputs are those of that stepwise form, bit
 for bit.
@@ -500,20 +501,6 @@ class PolyMap2:
         (a, b), (c, d) = self.linear_matrix()
         return a * d - b * c
 
-    @classmethod
-    def identity(cls, order: int) -> "PolyMap2":
-        return cls(Jet2.variable("u", order), Jet2.variable("v", order))
-
-    @classmethod
-    def swap(cls, order: int) -> "PolyMap2":
-        return cls(Jet2.variable("v", order), Jet2.variable("u", order))
-
-    @classmethod
-    def linear(cls, matrix, order: int) -> "PolyMap2":
-        (a, b), (c, d) = matrix
-        return cls(Jet2(order, {(1, 0): a, (0, 1): b}),
-                   Jet2(order, {(1, 0): c, (0, 1): d}))
-
     def __repr__(self):
         return "PolyMap2(%s, %s)" % (poly_str(self.p1), poly_str(self.p2))
 
@@ -649,35 +636,30 @@ def _rows(num):
     return rows
 
 
-def compose_linear(f: MapJet, p: PolyMap2) -> MapJet:
-    """`compose_map(f, p)` for the three shapes of `frames.linear_normalize`'s L.
+def regroup(f: MapJet, swap: bool) -> MapJet:
+    """`compose_map(f, L)` for L the identity, or the swap (u, v) -> (v, u).
 
-    p is the identity, the swap or a shear (u, v) -> (u + t v, -v); any
-    other p raises ValueError.  No substitution is made: the identity and
-    the swap only regroup f's keys by head, as `_substitute` emits them,
-    the swap mapping each (i, j) to (j, i).  With t = T/D the shear is the
-    binomial theorem on integers: a term n u^i v^j adds
-    n (-1)^j C(i, a) T^a D^(top - a) at (i - a, a + j) for a = 0..i, with
-    top the largest u-exponent, in `_substitute`'s order (heads as they
-    appear, then a, then the head's terms) and with its zero drops (once
-    per head); the sum over den D^top is reduced once.  So the output is
-    that of `compose_map`, bit for bit, key order included.
+    No substitution is made: f's keys are only regrouped by head (u-exponent),
+    heads in first-appearance order, as `_substitute` emits them, the swap
+    mapping each (i, j) to (j, i).  The output is `compose_map`'s, bit for
+    bit, key order included.
     """
-    order = min(f.order, p.order)
-    f = f.truncate(order)
-    n1, d1, n2, d2 = p.p1._num, p.p1._den, p.p2._num, p.p2._den
-    if d1 == d2 == 1 and n1 == {(1, 0): 1} and n2 == {(0, 1): 1}:
-        swap = False
-    elif d1 == d2 == 1 and n1 == {(0, 1): 1} and n2 == {(1, 0): 1}:
-        swap = True
-    elif (d2 == 1 and n2 == {(0, 1): -1} and n1.get((1, 0)) == d1
-          and n1.keys() <= {(1, 0), (0, 1)}):
-        return MapJet(*(_shear(c, n1.get((0, 1), 0), d1) for c in f))
-    else:
-        raise ValueError("compose_linear takes the identity, the swap or a shear, not %r" % p)
-    return MapJet(*(_canonical(order, {(j, i) if swap else (i, j): n
-                                       for i, row in _rows(c._num).items() for j, n in row},
+    return MapJet(*(_canonical(c.order, {(j, i) if swap else (i, j): n
+                                         for i, row in _rows(c._num).items() for j, n in row},
                                c._den) for c in f))
+
+
+def shear(f: MapJet, t: Fraction) -> MapJet:
+    """`compose_map(f, L)` for the shear L: (u, v) -> (u + t v, -v).
+
+    With t = T/D in lowest terms this is the binomial theorem on integers:
+    a term n u^i v^j adds n (-1)^j C(i, a) T^a D^(top - a) at (i - a, a + j)
+    for a = 0..i, with top the largest u-exponent, in `_substitute`'s order
+    (heads as they appear, then a, then the head's terms) and with its zero
+    drops (once per head); the sum over den D^top is reduced once.  So the
+    output is that of `compose_map`, bit for bit, key order included.
+    """
+    return MapJet(*(_shear(c, t.numerator, t.denominator) for c in f))
 
 
 def _shear(c: Jet2, T: int, D: int) -> Jet2:

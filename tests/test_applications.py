@@ -448,7 +448,8 @@ def test_formula_routes_use_no_generic_machinery(monkeypatch):
     sb = [random_sb_coeffs(rng, branch) for branch in ("S1", "S2", "B2", "SB") * 4]
     h = [random_h_coeffs(rng, branch) for branch in ("HP2", "H", "H2") * 4]
     for module, name in ((jets, "_substitute"), (jets, "_convolve"), (jets, "directional"),
-                         (jets, "compose_linear"), (vfields, "apply"), (frames, "solve")):
+                         (jets, "regroup"), (jets, "shear"), (vfields, "apply"),
+                         (frames, "solve")):
         monkeypatch.setattr(module, name, _refuse)
     for d in ruled:
         ruled_classify_formulas(d)

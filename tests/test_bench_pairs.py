@@ -79,12 +79,15 @@ def test_the_table_has_one_row_per_metric_and_the_spec_is_only_read():
 
 
 def fake_checkout(path, failed):
-    """A checkout whose benchmark prints a fixed result line."""
+    """A checkout whose benchmark prints a fixed result line, and a digest
+    that names the workload it was run on."""
     (path / "perfbench").mkdir(parents=True)
     result = {"correct": True, "attempted": 10, "failed": failed,
               "metrics": {name: {"value": 1.0, "unit": "x"} for name in NAMES}}
     (path / "perfbench" / "run.py").write_text(
-        "print('  verdict_digest  abc (over 10 inputs)')\nprint(%r)\n" % json.dumps(result))
+        "import sys\n"
+        "print('  verdict_digest  abc-%%s (over 10 inputs)' %% sys.argv[2])\n"
+        "print(%r)\n" % json.dumps(result))
     return path
 
 
@@ -96,3 +99,22 @@ def test_exit_status_follows_failed_operations(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verdict_digest parent abc" in out and "| `ops_per_ref`" in out
     assert bench_pairs.main(["--parent", str(good), "--change", str(bad)] + args) == 1
+
+
+def test_one_table_per_workload(tmp_path, capsys):
+    """Several workloads in one command: each runs its own pairs and prints its own table."""
+    good = fake_checkout(tmp_path / "good", 0)
+    args = ["--parent", str(good), "--change", str(good), "--workload", "scrambled",
+            "documents", "--seed", "1", "--pairs", "2"]
+    assert bench_pairs.main(args) == 0
+    out = capsys.readouterr().out
+    seconds = SPEC["run_seconds"]
+    assert [line for line in out.splitlines() if line.startswith("workload ")] == [
+        "workload %s  seed 1  2 pairs at %g s" % (w, seconds) for w in ("scrambled", "documents")]
+    assert out.count("| metric |") == 2
+    assert sum(line.startswith("pair ") for line in out.splitlines()) == 8
+    for workload in ("scrambled", "documents"):
+        assert "verdict_digest change abc-%s" % workload in out
+    bad = fake_checkout(tmp_path / "bad", 1)
+    args[3] = str(bad)
+    assert bench_pairs.main(args) == 1

@@ -13,7 +13,7 @@ from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normal
                               s3_adapt, sb2_adapt)
 from germclass.jets import Jet2, MapJet, PolyMap2, det3
 from germclass.vfields import apply, apply_word
-from util import germ, random_branch_germ, rational, scramble
+from util import germ, linear_map, random_branch_germ, rational, scramble
 
 
 def test_golden_normal_forms():
@@ -292,7 +292,7 @@ def test_invariance_under_linear_source_maps():
                 if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0:
                     break
             from germclass.jets import compose_map
-            g = compose_map(f, PolyMap2.linear((tuple(m[0]), tuple(m[1])), 6))
+            g = compose_map(f, linear_map((tuple(m[0]), tuple(m[1]))))
             assert classify(g)[0] == base, name
 
 
@@ -429,3 +429,39 @@ def test_words_make_no_truncated_copies(monkeypatch):
                 build.words.scaled(*frames.READS[level])
                 levels.add(level)
     assert levels == set(frames.READS)
+
+
+def _refuse_to_build(*_, **__):
+    raise AssertionError("classify built a map or formatted a value")
+
+
+def test_classify_builds_no_map_and_formats_nothing(monkeypatch):
+    """The normalization is a matrix and the certificate holds exact values:
+    no `PolyMap2` and no `fmt_scalar` on the classify path."""
+    classify_module = importlib.import_module("germclass.classify")
+    scalars = importlib.import_module("germclass.scalars")
+    rng = Random("builds-nothing")
+    germs = list(normal_forms().values()) + [germ("u", "v", "0"), germ("u^2", "v^2", "u*v")]
+    germs += [random_branch_germ(rng, branch) for branch in BRANCHES for _ in range(3)]
+    before = [classify(f) for f in germs]
+    monkeypatch.setattr(PolyMap2, "__init__", _refuse_to_build)
+    monkeypatch.setattr(classify_module, "fmt_scalar", _refuse_to_build)
+    monkeypatch.setattr(scalars, "fmt_scalar", _refuse_to_build)
+    for f, (cls, cert) in zip(germs, before):
+        got_cls, got_cert = classify(f)
+        assert got_cls == cls
+        assert (got_cert.invariants, got_cert.frame, got_cert.normalization) == (
+            cert.invariants, cert.frame, cert.normalization)
+        assert got_cert == cert
+
+
+def test_value_past_the_print_limit_is_classified():
+    """A certificate value past Python's 4300-digit print limit is computed and
+    kept exact; only printing it fails."""
+    n = 10 ** 4400 + 1
+    f = MapJet.germ(Jet2.variable("u", 6), Jet2(6, {(0, 2): 1}), Jet2(6, {(1, 1): n}))
+    cls, cert = classify(f)
+    assert cls.verdict is Verdict.WHITNEY_UMBRELLA
+    assert cert.invariants["whitney_det"] == 2 * n
+    with pytest.raises(PreconditionError, match="too many digits"):
+        cert.summary(cls)

@@ -93,6 +93,7 @@ MALFORMED = [
     ("classify", "[map]\nf1 = %su%s\nf2 = v^2\nf3 = u*v\n" % ("(" * 300, ")" * 300)),
     ("classify", b"[map]\nf1 = u\nf2 = v^2\nf3 = u*v # \xff\n"),
     ("center", "[center]\na02 = 1\na20 = 2\na03 = 1e10000000\na21 = 1\n"),
+    ("classify", "[map]\nf1 = u\nf2 = v^2\nf3 = (1+u*v)^%d - 1\n" % 10 ** 2000),
 ]
 
 
@@ -101,7 +102,8 @@ MALFORMED = [
                                                      "theta-1e20", "duplicate-key",
                                                      "4000-digit-product", "theta-tiny",
                                                      "huge-power", "300-deep-parentheses",
-                                                     "not-utf-8", "exponent-coefficient"])
+                                                     "not-utf-8", "exponent-coefficient",
+                                                     "huge-power-of-a-sum"])
 def test_malformed_document_exit_1(tmp_path, capsys, cmd, text):
     path = write(tmp_path, "malformed.germ", text)
     for fmt in (("--json",), ()):

@@ -73,11 +73,16 @@ def test_power_of_constant_plus_v_is_binomial(c, e):
     assert parse_poly("(%s+v)^%d" % (c, e)) == want
 
 
-@pytest.mark.parametrize("src, position", [("u*(1/2+v)^99999999999", 10), ("(2+v)^14285", 6),
-                                           ("(-1/3*u+5/4+v)^6900", 15),
-                                           ("((1/2+v)^1000)^1000", 15)])
+@pytest.mark.parametrize("src, position", [
+    ("u*(1/2+v)^99999999999", 10), ("(2+v)^14285", 6), ("(-1/3*u+5/4+v)^6900", 15),
+    ("((1/2+v)^1000)^1000", 15),
+    # a constant term of 0 or 1 cannot grow, but the other coefficients do
+    pytest.param("(%s*u)^5" % ("9" * 4000), 4005, id="(4000-nines*u)^5-4005"),
+    pytest.param("(1+u*v)^%d - 1" % 10 ** 2000, 8, id="(1+u*v)^(10^2000)-1-8"),
+    pytest.param("(1+u)^%d" % 10 ** 4299, 6, id="(1+u)^(10^4299)-6"),
+    pytest.param("(1+u+v)^%d" % 10 ** 4299, 8, id="(1+u+v)^(10^4299)-8")])
 def test_power_past_the_digit_limit_rejected(src, position):
-    """A power whose constant term passes 4300 digits is a ParseError at its exponent."""
+    """A power with a coefficient past 4300 digits is a ParseError at its exponent."""
     with pytest.raises(ParseError, match="more than 4300 digits") as err:
         parse_poly(src)
     assert err.value.position == position

@@ -44,14 +44,14 @@ def assert_level_conditions(f, pair, level):
 def test_normalize_swaps_kernel():
     f = germ("v", "u^2", "u^3")
     g, L = linear_normalize(f)
-    assert L.linear_matrix() == ((0, 1), (1, 0))
+    assert L == ((0, 1), (1, 0))
     assert g[0].coeff(1, 0) == 1 and g[1].coeff(0, 2) == 1
 
 
 def test_normalize_identity_when_already_normalized():
     f = germ("u", "v^2", "u*v")
     g, L = linear_normalize(f)
-    assert L.linear_matrix() == ((1, 0), (0, 1))
+    assert L == ((1, 0), (0, 1))
     assert g == f
 
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 import germclass
 from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass.fuzz import FuzzConfig, random_target_diffeo
-from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2, compose_linear,
-                            compose_map, cross3, det3, directional, from_divided_coeffs,
-                            invsqrt_series, post_compose, scaled_coeffs, to_divided_coeff)
-from util import jet, random_jet
+from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2, compose_map, cross3,
+                            det3, directional, from_divided_coeffs, invsqrt_series,
+                            post_compose, regroup, scaled_coeffs, shear, to_divided_coeff)
+from util import jet, linear_map, random_jet
 
 
 def test_add_mul_distribute():
@@ -50,9 +50,9 @@ def test_order_exhaustion_raises():
 
 def test_compose_identity_and_swap():
     a = jet({(2, 1): 5, (0, 2): -1})
-    assert compose2(a, PolyMap2.identity(6)) == a
+    assert compose2(a, linear_map(((1, 0), (0, 1)))) == a
     v2 = jet({(0, 2): 1})
-    assert compose2(v2, PolyMap2.swap(6)) == jet({(2, 0): 1})
+    assert compose2(v2, linear_map(((0, 1), (1, 0)))) == jet({(2, 0): 1})
 
 
 def test_post_compose_shear():
@@ -480,7 +480,7 @@ def test_substitution_matches_fraction_reference(seed, order):
     for got, w in zip(compose_map(f, p), want):
         assert_matches_reference(got, w)
     assert_matches_reference(compose2(f[0], p), want[0])
-    identity = PolyMap2.identity(order)
+    identity = linear_map(((1, 0), (0, 1)), order)
     for got, w in zip(compose_map(f, identity),
                       ref_substitute([dict(c.items()) for c in f],
                                      (ref(identity.p1), ref(identity.p2)), order)):
@@ -507,15 +507,15 @@ def test_compose_map_key_order_on_each_normalizing_shape(shape):
     rng = Random("normalize|" + shape)
     f = MapJet(*(random_jet(rng, max_degree=6, density=0.6) * Fraction(1, rng.randint(2, 12))
                  for _ in range(3)))
-    L = {"identity": PolyMap2.identity(6), "swap": PolyMap2.swap(6),
-         "shear": PolyMap2.linear(((1, Fraction(5, 9)), (0, -1)), 6)}[shape]
+    L = linear_map({"identity": ((1, 0), (0, 1)), "swap": ((0, 1), (1, 0)),
+                    "shear": ((1, Fraction(5, 9)), (0, -1))}[shape])
     want = ref_substitute([dict(c.items()) for c in f], (ref(L.p1), ref(L.p2)), 6)
     for got, w in zip(compose_map(f, L), want):
         assert_matches_reference(got, w)
 
 
-def test_compose_linear_matches_compose_map():
-    """The closed forms give `compose_map`'s jets bit for bit, key order included.
+def test_closed_forms_match_compose_map():
+    """`regroup` and `shear` give `compose_map`'s jets bit for bit, key order included.
 
     Coefficients in {-2..2}/{1, 2, 3} on dense jets make the shear's terms
     cancel, so its zero drops and re-insertions are exercised too.
@@ -528,15 +528,14 @@ def test_compose_linear_matches_compose_map():
                                   if rng.random() < 0.5}) for _ in range(3)))
         p_order = rng.randint(max(1, order - 1), order + 1)
         t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        for p in (PolyMap2.identity(p_order), PolyMap2.swap(p_order),
-                  PolyMap2.linear(((1, t), (0, -1)), p_order)):
-            got, want = compose_linear(f, p), compose_map(f, p)
-            assert got == want and got.order == want.order, (f, p)
-            assert [list(c.items()) for c in got] == [list(c.items()) for c in want], (f, p)
-    for p in (PolyMap2.linear(((1, 1), (1, -1)), 6), PolyMap2.linear(((2, 1), (0, -1)), 6),
-              PolyMap2(Jet2(6, {(1, 0): 1, (0, 2): 1}), Jet2(6, {(0, 1): -1}))):
-        with pytest.raises(ValueError):
-            compose_linear(f, p)
+        # compose_map works at min(f.order, p.order); the closed forms at g's order
+        g = f.truncate(p_order)
+        for got, matrix in ((regroup(g, swap=False), ((1, 0), (0, 1))),
+                            (regroup(g, swap=True), ((0, 1), (1, 0))),
+                            (shear(g, t), ((1, t), (0, -1)))):
+            want = compose_map(f, linear_map(matrix, p_order))
+            assert got == want and got.order == want.order, (f, matrix)
+            assert [list(c.items()) for c in got] == [list(c.items()) for c in want], (f, matrix)
 
 def test_key_cancelled_after_one_head_moves_to_the_end_when_recreated():
     # (u, v) -> (u + v, v) on v^2 - uv + u^2, heads u^0, u^1, u^2 in that order:

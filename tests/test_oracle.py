@@ -7,10 +7,10 @@ import pytest
 
 from germclass.classify import Verdict, classify
 from germclass.errors import PreconditionError
-from germclass.jets import PolyMap2, compose_map
+from germclass.jets import compose_map
 from germclass.oracle import (HNormalCoeffs, SBNormalCoeffs, h2_check,
                               h2_discriminant, skbk_classify)
-from util import random_h_coeffs, random_sb_coeffs, rational
+from util import linear_map, random_h_coeffs, random_sb_coeffs, rational
 
 
 def test_b2_plus_example():
@@ -122,7 +122,7 @@ def test_b2_coefficient_condition_fails_off_slice():
 
 # (u, v) -> (u + 2v, -u + v): a normal-shape germ g has g_u(0) = e1, g_v(0) = 0,
 # so f = g o SHEAR has f_v(0) = 2 f_u(0) and `linear_normalize` takes its shear branch
-SHEAR = PolyMap2.linear(((1, 2), (-1, 1)), 6)
+SHEAR = linear_map(((1, 2), (-1, 1)))
 
 
 def _assert_box(coeffs, oracle, hits):
@@ -153,3 +153,33 @@ def test_h_box_against_oracle():
     box = (HNormalCoeffs(dict(zip(keys, values[:4])), dict(zip(keys, values[4:])))
            for values in itertools.product((-1, 0, 1), repeat=8))
     _assert_box(box, h2_check, {Verdict.H2: 3780, Verdict.MORE_DEGENERATE: 2781})
+
+
+# -- zeros of the B2 discriminant and the H2 quintic off the coordinate axes ----
+
+def test_sb_zeros_of_the_b2_discriminant_off_the_axes():
+    """3 a05' a21 - 5 a13'^2 = 0 with a21, a13' != 0 (a13' = a13 - a12 b03,
+    a05' = a05 - (10/3) a04 b03): a05 = 5 a13'^2 / (3 a21) + (10/3) a04 b03,
+    classified with a05 - 1 and a05 + 1, one germ on each side of the zero."""
+    germs = []
+    for a21, a13, a12, a04, b03 in itertools.product((-2, -1, 1, 2), (-2, -1, 1, 2),
+                                                     (-1, 0, 1), (-1, 0, 1), (-1, 0, 1)):
+        a = {(2, 1): a21, (1, 3): a13, (1, 2): a12, (0, 4): a04}
+        a05 = Fraction(5 * (a13 - a12 * b03) ** 2, 3 * a21) + Fraction(10, 3) * a04 * b03
+        germs += [SBNormalCoeffs({**a, (0, 5): a05 + d}, {3: b03}) for d in (0, -1, 1)]
+    _assert_box(germs, skbk_classify, {Verdict.MORE_DEGENERATE: 432, Verdict.B2_PLUS: 432,
+                                       Verdict.B2_MINUS: 432})
+
+
+def test_h_zeros_of_the_h2_quintic_off_the_axes():
+    """`h2_discriminant` is linear in a05 with coefficient 4 b03^2: its zero is solved
+    for a05 at b03 in {+-1, +-2} and a sample of the other six reads in {-1, 0, 1},
+    and classified with a05 - 1 and a05 + 1."""
+    points = list(itertools.product((-2, -1, 1, 2), *[(-1, 0, 1)] * 6))
+    germs = []
+    for b03, a03, a04, a12, b04, b05, b12 in Random("h2-quintic-off-axes").sample(points, 324):
+        a = {(0, 3): a03, (0, 4): a04, (1, 2): a12}
+        b = {(0, 3): b03, (0, 4): b04, (0, 5): b05, (1, 2): b12}
+        a05 = -h2_discriminant(HNormalCoeffs(a, b)) / (4 * b03 ** 2)
+        germs += [HNormalCoeffs({**a, (0, 5): a05 + d}, b) for d in (0, -1, 1)]
+    _assert_box(germs, h2_check, {Verdict.MORE_DEGENERATE: 324, Verdict.H2: 648})

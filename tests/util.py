@@ -6,7 +6,7 @@ from random import Random
 
 from germclass.docparse import parse_poly
 from germclass.fuzz import FuzzConfig, act, random_source_diffeo, random_target_diffeo
-from germclass.jets import Jet2, MapJet
+from germclass.jets import Jet2, MapJet, PolyMap2
 from germclass.oracle import HNormalCoeffs, SBNormalCoeffs
 
 
@@ -20,6 +20,13 @@ def uni(table, order=6):
 
 def germ(f1, f2, f3, order=6):
     return MapJet.germ(parse_poly(f1, order), parse_poly(f2, order), parse_poly(f3, order))
+
+
+def linear_map(matrix, order=6) -> PolyMap2:
+    """The source change (u, v) -> (a u + b v, c u + d v) of matrix ((a, b), (c, d))."""
+    (a, b), (c, d) = matrix
+    return PolyMap2(Jet2(order, {(1, 0): a, (0, 1): b}),
+                    Jet2(order, {(1, 0): c, (0, 1): d}))
 
 
 def rational(rng: Random, bound=5, den=3, nonzero=False) -> Fraction:

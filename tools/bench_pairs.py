@@ -1,13 +1,16 @@
 """Run the benchmark on two checkouts in alternating pairs and judge the difference.
 
 Usage:
-    python tools/bench_pairs.py --parent DIR --change DIR --workload W --seed S --pairs N
+    python tools/bench_pairs.py --parent DIR --change DIR --workload W [W ...] \
+        --seed S --pairs N
 
-Each pair runs `perfbench/run.py --workload W --seed S --seconds R --trace 0`
-once in each checkout, one process at a time, where R is `run_seconds` of
-this repository's BENCHMARK.json; the parent goes first in the odd pairs
-and the change first in the even ones.  Every run is printed as it ends.
-Then, for each end-to-end metric of BENCHMARK.json, the summary gives each
+For each workload W in turn, each pair runs `perfbench/run.py --workload W
+--seed S --seconds R --trace 0` once in each checkout, one process at a
+time, where R is `run_seconds` of this repository's BENCHMARK.json; the
+parent goes first in the odd pairs and the change first in the even ones.
+Every run is printed as it ends, and each workload's summary after its
+last pair, so one command gives one table per workload.
+For each end-to-end metric of BENCHMARK.json, a summary gives each
 side's quartiles (q1, median, q3), the pairs the change won (ties count
 for neither) and two verdicts:
 
@@ -19,7 +22,8 @@ for neither) and two verdicts:
 
 The verdict digests of the two sides are printed too.  The script reads
 BENCHMARK.json and never writes it; it uses the standard library only.
-It exits 1 when a run fails, reports `correct: false` or has `failed > 0`.
+It exits 1 when a run fails (at once), or when any run reports
+`correct: false` or has `failed > 0`.
 """
 
 from __future__ import annotations
@@ -93,26 +97,17 @@ def format_rows(rows):
     return "\n".join(out)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, type=Path)
-    parser.add_argument("--change", required=True, type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", required=True, type=int)
-    parser.add_argument("--pairs", required=True, type=int)
-    args = parser.parse_args(argv)
-    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
-    seconds = spec["run_seconds"]
-    dirs = {"parent": args.parent, "change": args.change}
+def bench_workload(dirs, workload, seed, n_pairs, seconds):
+    """Run one workload's pairs, printing each run: (pairs, digests, ok), or None if a run fails."""
     pairs, digests, ok = [], {side: set() for side in SIDES}, True
-    for k in range(args.pairs):
+    for k in range(n_pairs):
         pair = {}
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
             try:
-                result, digest = run_once(dirs[side], args.workload, args.seed, seconds)
+                result, digest = run_once(dirs[side], workload, seed, seconds)
             except (RuntimeError, ValueError) as exc:
                 print("pair %d %s: FAILED %s" % (k + 1, side, exc), flush=True)
-                return 1
+                return None
             metrics = {name: m["value"] for name, m in result["metrics"].items()}
             bad = not result["correct"] or result["failed"] > 0
             ok = ok and not bad
@@ -122,16 +117,37 @@ def main(argv=None) -> int:
                 k + 1, side, result["correct"], result["failed"], result["attempted"],
                 " ".join("%s=%.4g" % kv for kv in metrics.items())), flush=True)
         pairs.append(pair)
-    print("workload %s  seed %d  %d pairs at %g s" % (args.workload, args.seed, len(pairs),
-                                                    seconds))
-    for side in SIDES:
-        print("verdict_digest %-6s %s" % (side, " ".join(sorted(map(str, digests[side])))))
-    rows = summarize(spec, pairs)
-    print(format_rows(rows))
-    for row in rows:
-        if row["worse"]:
-            print("worse than its bound: %s" % row["name"])
-    return 0 if ok else 1
+    return pairs, digests, ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--workload", required=True, nargs="+")
+    parser.add_argument("--seed", required=True, type=int)
+    parser.add_argument("--pairs", required=True, type=int)
+    args = parser.parse_args(argv)
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+    dirs = {"parent": args.parent, "change": args.change}
+    all_ok = True
+    for workload in args.workload:
+        done = bench_workload(dirs, workload, args.seed, args.pairs, seconds)
+        if done is None:
+            return 1
+        pairs, digests, ok = done
+        all_ok = all_ok and ok
+        print("workload %s  seed %d  %d pairs at %g s" % (workload, args.seed, len(pairs),
+                                                        seconds))
+        for side in SIDES:
+            print("verdict_digest %-6s %s" % (side, " ".join(sorted(map(str, digests[side])))))
+        rows = summarize(spec, pairs)
+        print(format_rows(rows))
+        for row in rows:
+            if row["worse"]:
+                print("worse than its bound: %s" % row["name"])
+    return 0 if all_ok else 1
 
 
 if __name__ == "__main__":
