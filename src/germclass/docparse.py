@@ -89,25 +89,20 @@ def _power_coeffs_below(base: Jet2, c: Fraction, exponent: int) -> bool:
 
     When c is 0 or +-1 this is the power base^E itself, exactly: the powers
     whose exponent the constant-term rule leaves unbounded.  Otherwise that
-    rule has bounded c^E, and (s + r)^E bounds the binomial growth of r, so
-    a coefficient of base^E may pass the limit only by the digits of c^E
-    and C(E, k) together: (-2+v)^14284 has a v coefficient of 4304 digits.
+    rule has bounded E (c in lowest terms has a part of at least 2, so
+    E <= 14284), and a coefficient of base^E can pass the limit by what the
+    c^(E - k) add to it: (-2+v)^14284 is accepted, and its v coefficient
+    14284 (-2)^14283 has 4304 digits.
 
-    Decided without the power, in a time that does not grow with E.  With
-    D the common denominator of s + r and S the sum of |a| D over its
-    coefficients a, every coefficient of (s + r)^E in lowest terms has
-    numerator at most S^E and denominator at most D^E; so S, D < 2^b with
-    E b <= 14284 < log2(10^4300) answers yes at once.  Otherwise the power
-    is summed in binomial form, sum over k <= order of C(E, k) s^(E - k) r^k
-    (the terms past the order vanish), whose largest numbers are the
-    C(E, k), of at most order times the digits of E.
+    Decided without the power, in a time that does not grow with E: at once
+    when E `base.size_bits()` <= 14284 < log2(10^4300), and otherwise by
+    summing the power in binomial form, sum over k <= order of
+    C(E, k) s^(E - k) r^k (the terms past the order vanish), whose largest
+    numbers are the C(E, k), of at most order times the digits of E.
     """
-    s = (c > 0) - (c < 0)
-    rest = [a for key, a in base.items() if key != (0, 0)]
-    den = math.lcm(*(a.denominator for a in rest))
-    total = abs(s) * den + sum(abs(a.numerator) * (den // a.denominator) for a in rest)
-    if exponent * max(total, den).bit_length() <= _DIGIT_BITS:
+    if exponent * base.size_bits() <= _DIGIT_BITS:
         return True
+    s = (c > 0) - (c < 0)
     order = base.order
     r = base - c
     term = Jet2.const(1, order)

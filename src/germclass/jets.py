@@ -69,10 +69,9 @@ makes one pass per output: each value's power table holds the raw
 numerator powers, every term carries one integer factor that puts it over
 the output's one denominator, a term group's sum of last-variable powers
 is accumulated in place, and the outermost product is accumulated
-straight into the output.
-It keeps the key order and the zero drops of adding and multiplying jets
-one step at a time, so its outputs are those of that stepwise form, bit
-for bit.
+straight into the output.  It keeps the key order and the zero drops of
+adding and multiplying jets one step at a time, so its outputs are those
+of that stepwise form, bit for bit.
 """
 
 from __future__ import annotations
@@ -224,6 +223,15 @@ class Jet2:
             if abs(n) // g >= bound or den // g >= bound:
                 return False
         return True
+
+    def size_bits(self) -> int:
+        """Bit length b of the denominator D plus the sum S of |numerators|.
+
+        A power bounds by it: with the constant term replaced by any s,
+        |s| <= 1, the n-th power has every coefficient's numerator and
+        denominator, in lowest terms, at most (D + S)^n < 2^(n b).
+        """
+        return (self._den + sum(map(abs, self._num.values()))).bit_length()
 
     # -- arithmetic --------------------------------------------------------
 
