@@ -25,8 +25,8 @@ constructor solves a small linear system for the defect of f at the
 origin and writes the correction directly into the field coefficients.
 Every such system goes through `solve`, one exact fraction-free
 Gauss-Jordan elimination; the guards each constructor checks first make
-its solution unique.  The solved parameters are returned
-alongside the pair so a classification certificate can expose them.
+its solution unique.  The solved parameters are returned alongside the
+pair so a classification certificate can expose them.
 
 The S-3 and H-4 corrections are closed forms in alpha, beta and the basis
 expansion (alpha1, beta1, delta1) of one parent word, each found from one
