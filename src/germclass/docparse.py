@@ -11,10 +11,11 @@ Polynomial grammar (whitespace insignificant, no implicit multiplication):
 A '/' may only appear inside a rational literal; "u/2" is a syntax error.
 Parentheses nest at most 100 deep, and a product with a coefficient past
 Python's 4300-digit limit is an error at its '*'.  A power is an error at
-its exponent when its constant term passes the limit, or when a
-coefficient of (sign(c) + r)^E does, for the base c + r with constant
-term c: that is the power itself when c is 0 or +-1, and decided before
-the power is computed (`_power_coeffs_below`).
+its exponent when one of its coefficients passes the limit.  Its
+constant term c^E is bounded first, from the bit length of c alone, so
+that no power too large to hold is computed; the power itself, summed by
+the binomial theorem in a time that grows with the digits of E and not
+with E, then gets the product's check.
 
 Documents are line-oriented `key = value` files under a `[kind]` header,
 kind one of map, ruled, center, folded, sb-normal, h-normal.  Blank lines
@@ -67,7 +68,7 @@ def _tokenize(src: str):
 # Python's default limit on the digits of an int read from or printed as text
 _MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** _MAX_DIGITS
-# 2^_DIGIT_BITS <= _DIGIT_BOUND: a number of that many bits has at most 4300 digits
+# 2^_DIGIT_BITS <= _DIGIT_BOUND < 2^(_DIGIT_BITS + 1)
 _DIGIT_BITS = _DIGIT_BOUND.bit_length() - 1
 
 # Each level of parentheses costs four parser frames (expr, term, factor,
@@ -81,36 +82,6 @@ def _int(tok: str, pos: int) -> int:
         return int(tok)
     except ValueError:
         raise ParseError("integer literal of %d digits is too long" % len(tok), pos)
-
-
-def _power_coeffs_below(base: Jet2, c: Fraction, exponent: int) -> bool:
-    """Whether every coefficient of (s + r)^E is below the digit bound, where
-    base = c + r and s is the sign of c.
-
-    When c is 0 or +-1 this is the power base^E itself, exactly: the powers
-    whose exponent the constant-term rule leaves unbounded.  Otherwise that
-    rule has bounded E (c in lowest terms has a part of at least 2, so
-    E <= 14284), and a coefficient of base^E can pass the limit by what the
-    c^(E - k) add to it: (-2+v)^14284 is accepted, and its v coefficient
-    14284 (-2)^14283 has 4304 digits.
-
-    Decided without the power, in a time that does not grow with E: at once
-    when E `base.size_bits()` <= 14284 < log2(10^4300), and otherwise by
-    summing the power in binomial form, sum over k <= order of
-    C(E, k) s^(E - k) r^k (the terms past the order vanish), whose largest
-    numbers are the C(E, k), of at most order times the digits of E.
-    """
-    if exponent * base.size_bits() <= _DIGIT_BITS:
-        return True
-    s = (c > 0) - (c < 0)
-    order = base.order
-    r = base - c
-    term = Jet2.const(1, order)
-    power = Jet2.zero(order)
-    for k in range(min(exponent, order) + 1):
-        power = power + term * (math.comb(exponent, k) * s ** (exponent - k))
-        term = term * r
-    return power.coeffs_below(_DIGIT_BOUND)
 
 
 class _PolyParser:
@@ -199,16 +170,17 @@ class _PolyParser:
             c = base.at0()
             if exponent > self.order and c == 0:
                 return Jet2.zero(self.order)
-            # the constant term of the power is c^exponent; past the digit
-            # limit it could be neither computed in memory nor printed
-            size = max(abs(c.numerator), c.denominator)
-            if size > 1 and exponent * math.log10(size) > _MAX_DIGITS:
+            # the constant term of the power is c^exponent; a numerator or
+            # denominator of b bits makes it at least 2^(exponent (b - 1)),
+            # and past the digit limit it could be neither held nor printed
+            bits = max(abs(c.numerator), c.denominator).bit_length() - 1
+            if exponent * bits > _DIGIT_BITS:
                 raise ParseError("power to %d has a constant term of more than %d digits"
                                  % (exponent, _MAX_DIGITS), pos)
-            if not _power_coeffs_below(base, c, exponent):
+            base = base ** exponent
+            if not base.coeffs_below(_DIGIT_BOUND):
                 raise ParseError("power to %d has a coefficient of more than %d digits"
                                  % (exponent, _MAX_DIGITS), pos)
-            base = base ** exponent
         return base
 
     def base(self) -> Jet2:

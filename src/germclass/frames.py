@@ -18,7 +18,7 @@ SB-2 pair:
 All constructors assume the germ has been put through `linear_normalize`
 first, so that f_v(0) = 0 and f_u(0) != 0 and the pair can be built as an
 explicit perturbation of (d/du, d/dv).  `linear_normalize` computes f o L
-by the closed form of L's shape (`jets.regroup` or `jets.shear`) and
+by the closed form of L's shape (f itself, `jets.swap` or `jets.shear`) and
 returns L as the 2x2 matrix of `Fraction`s that a certificate records;
 it builds no map.  The coefficient formulas below are exact: each
 constructor solves a small linear system for the defect of f at the
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .jets import Jet2, MapJet, cross3, det3, regroup, scaled_coeffs, shear
+from .jets import Jet2, MapJet, cross3, det3, scaled_coeffs, shear, swap
 from .scalars import EXACT
 from .vfields import FramePair, VectorFieldJet, apply, d_du
 
@@ -201,18 +201,18 @@ def linear_normalize(f: MapJet):
     (u, v) -> (L[0][0] u + L[0][1] v, L[1][0] u + L[1][1] v).  Requires
     rank df0 = 1; rank 0 and rank 2 germs are rejected (they are classified
     before any frame is built).  L is the identity, the swap or the shear
-    (u, v) -> (u + t v, -v), and f o L is that shape's closed form,
-    `jets.regroup` or `jets.shear`, bit for bit `compose_map(f, L)`: the
-    classify path makes no substitution and builds no map.
+    (u, v) -> (u + t v, -v), and f o L is that shape's closed form, f
+    itself, `jets.swap` or `jets.shear`: the classify path makes no
+    substitution and builds no map.
     """
     fu0, fv0 = _df0(f)
     rank = df0_rank(fu0, fv0)
     if rank != 1:
         raise PreconditionError("linear_normalize needs rank df0 = 1, got %d" % rank)
     if EXACT.is_zero_vec(fv0):
-        return regroup(f, swap=False), _matrix(1, 0, 0, 1)
+        return f, _matrix(1, 0, 0, 1)
     if EXACT.is_zero_vec(fu0):
-        return regroup(f, swap=True), _matrix(0, 1, 1, 0)
+        return swap(f), _matrix(0, 1, 1, 0)
     # f_v(0) = t f_u(0); kernel direction (t, -1).
     (t,) = solve([fu0], fv0)
     return shear(f, t), _matrix(1, t, 0, -1)

@@ -42,36 +42,27 @@ vectors is the integer determinant over the product.  So the frame guards,
 solves and criteria at 0 run on integers (in Bareiss's fraction-free
 manner), and build one `Fraction` only for a value they record.
 
-The insertion order of the coefficients is part of the output contract:
-`items()` yields it, a certificate lists its normalized germ in it and the
-CLI prints that JSON unsorted.  So every operation inserts keys in a fixed
-order -- the left operand's keys, then the right operand's new keys; the
-convolution order for a product -- and drops zeros at fixed points: after
-each sum and after each finished product.
+`items()` is the one place that fixes an order: it yields the terms by
+total degree, then by u-exponent, the order `poly_str` prints and a
+certificate lists its normalized germ in.  The insertion order of `_num`
+means nothing, and zero numerators are dropped once, in `_jet`.
 
 `directional(a, b, c, order)` is a * c_u + b * c_v in one pass over the
 numerators, stopped at the output order and reduced once: the kernel of
-every vector-field application.  Its key order is fixed too (c's terms in
-order, each against a's terms, then b's), but it is not the order
-a * c.partial_u() + b * c.partial_v() would give.  That is safe because
-its results, the derivative words, are only read at 0 and never printed.
+every vector-field application.
 
 `MapJet` is a triple of jets sharing one order (a map germ into 3-space,
 or a derivative of one); `PolyMap2` / `PolyMap3` are polynomial coordinate
 changes with invertible linear part, used only through composition.  Source
 changes (`compose2`, `compose_map`) and target changes (`post_compose`)
-share one substitution loop, `_substitute`.  The three linear source
-changes of `frames.linear_normalize` -- the identity, the swap and the
-shear (u, v) -> (u + t v, -v) -- take no map at all: `regroup(f, swap)`
-regroups f's keys and `shear(f, t)` is the binomial theorem on integers,
-each into `_substitute`'s output, key order included.  `_substitute`
-makes one pass per output: each value's power table holds the raw
-numerator powers, every term carries one integer factor that puts it over
-the output's one denominator, a term group's sum of last-variable powers
-is accumulated in place, and the outermost product is accumulated
-straight into the output.  It keeps the key order and the zero drops of
-adding and multiplying jets one step at a time, so its outputs are those
-of that stepwise form, bit for bit.
+share one substitution loop, `_substitute`.  The linear source changes of
+`frames.linear_normalize` other than the identity take no map at all:
+`swap(f)` swaps f's keys and `shear(f, t)`, for (u, v) -> (u + t v, -v), is
+the binomial theorem on integers.  `_substitute` makes one pass per
+output: each value's power table holds the raw numerator powers, every
+term carries one integer factor that puts it over the output's one
+denominator, a term group's sum of last-variable powers is accumulated in
+place, and the outermost product is accumulated straight into the output.
 """
 
 from __future__ import annotations
@@ -93,17 +84,12 @@ def _integers(table):
             for key, value in values.items() if value}, den
 
 
-def _nonzero(num):
-    return {key: n for key, n in num.items() if n} if 0 in num.values() else num
-
-
 def _add(a, b):
-    """Sum of two numerator dicts over one denominator: a's keys, then b's new ones."""
+    """Sum of two numerator dicts over one denominator; zeros are kept."""
     out = dict(a)
     for key, n in b.items():
-        got = out.get(key)
-        out[key] = n if got is None else got + n
-    return _nonzero(out)
+        out[key] = out.get(key, 0) + n
+    return out
 
 
 def _scale(a, s):
@@ -124,7 +110,7 @@ def _convolve(a, b, order):
             key = (i1 + i2, j1 + j2)
             got = out.get(key)
             out[key] = c1 * c2 if got is None else got + c1 * c2
-    return _nonzero(out)
+    return out
 
 
 def _jet(order: int, num, den: int) -> "Jet2":
@@ -133,7 +119,8 @@ def _jet(order: int, num, den: int) -> "Jet2":
     Drops zero numerators and reduces once by the gcd; it skips the
     coercion and order filter of `Jet2.__init__`.
     """
-    num = _nonzero(num)
+    if 0 in num.values():
+        num = {key: n for key, n in num.items() if n}
     g = gcd(den, *num.values())
     if g != 1:
         num = {key: n // g for key, n in num.items()}
@@ -199,9 +186,11 @@ class Jet2:
         return _ZERO if n is None else Fraction(n, self._den)
 
     def items(self):
-        """The stored ((i, j), coefficient) pairs, in insertion order; none is zero."""
+        """The ((i, j), coefficient) pairs with a nonzero coefficient, by total
+        degree and then by u-exponent."""
         den = self._den
-        return [(key, Fraction(n, den)) for key, n in self._num.items()]
+        return [(key, Fraction(self._num[key], den))
+                for key in sorted(self._num, key=lambda key: (key[0] + key[1], key[0]))]
 
     def degree(self) -> int:
         """Largest total degree with a stored coefficient (-1 for the zero jet)."""
@@ -223,15 +212,6 @@ class Jet2:
             if abs(n) // g >= bound or den // g >= bound:
                 return False
         return True
-
-    def size_bits(self) -> int:
-        """Bit length b of the denominator D plus the sum S of |numerators|.
-
-        A power bounds by it: with the constant term replaced by any s,
-        |s| <= 1, the n-th power has every coefficient's numerator and
-        denominator, in lowest terms, at most (D + S)^n < 2^(n b).
-        """
-        return (self._den + sum(map(abs, self._num.values()))).bit_length()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -286,23 +266,36 @@ class Jet2:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """The binomial theorem: sum over k <= min(n, order) of C(n, k) c^(n - k) r^k,
+        for c the constant term and r the rest, so a huge n costs only
+        its binomial coefficients."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("jet powers must be non-negative integers")
+        order = self.order
+        if order < 0:
+            return self
         if len(self._num) == 1:
             # (c u^i v^j)^n = c^n u^(ni) v^(nj), in lowest terms as c is
             ((i, j), c), = self._num.items()
-            if n * (i + j) > self.order:
-                return Jet2.zero(self.order)
-            return _canonical(self.order, {(n * i, n * j): c ** n}, self._den ** n)
-        result = Jet2.const(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+            if n * (i + j) > order:
+                return Jet2.zero(order)
+            return _canonical(order, {(n * i, n * j): c ** n}, self._den ** n)
+        # the constant term is p/q in lowest terms, with den = g q: over the one
+        # denominator q^(n - top) den^top, term k is C(n, k) p^(n - k) g^(top - k) rest^k
+        rest = dict(self._num)
+        head = rest.pop((0, 0), 0)
+        g = gcd(head, self._den)
+        p, q = head // g, self._den // g
+        top = min(n, order)
+        total = {}
+        power = {(0, 0): 1}
+        for k in range(top + 1):
+            w = comb(n, k) * p ** (n - k) * g ** (top - k)
+            for key, m in power.items():
+                total[key] = total.get(key, 0) + w * m
+            if k < top:
+                power = _convolve(power, rest, order)
+        return _jet(order, total, q ** (n - top) * self._den ** top)
 
     def __eq__(self, other):
         if not isinstance(other, Jet2):
@@ -403,7 +396,7 @@ def scaled_coeffs(*reads):
 
 def poly_str(jet: Jet2) -> str:
     """Canonical polynomial string, parseable by the document grammar."""
-    terms = sorted(jet.items(), key=lambda term: (sum(term[0]), term[0][0]))
+    terms = jet.items()
     if not terms:
         return "0"
     parts = []
@@ -564,12 +557,9 @@ def _substitute(tables, values, order: int):
 
     One pass per output.  Terms are grouped by their head, all exponents
     but the last.  A head sums its terms' last-variable powers in place,
-    each scaled by its factor, and deletes a key the moment it sums to 0;
-    then it multiplies in the middle powers pows[k][e_k] (k = n-2 .. 1,
-    skipped when e_k = 0), and accumulates the outermost product by
-    pows[0][e_0] straight into the output, whose zeros are dropped once per
-    head.  The keys, their insertion order and the zero drops are those of
-    summing scaled powers, multiplying and adding, one head at a time.
+    each scaled by its factor; then it multiplies in the middle powers
+    pows[k][e_k] (k = n-2 .. 1, skipped when e_k = 0), and accumulates the
+    outermost product by pows[0][e_0] straight into the output.
     """
     terms = [([(key, c) for key, c in num.items() if sum(key) <= order], den)
              for num, den in tables]
@@ -599,14 +589,7 @@ def _substitute(tables, values, order: int):
                 m = c * lift * last_lifts[e]
                 for key, n in last_pows[e].items():
                     got = inner.get(key)
-                    if got is None:
-                        inner[key] = m * n
-                    else:
-                        got += m * n
-                        if got:
-                            inner[key] = got
-                        else:
-                            del inner[key]
+                    inner[key] = m * n if got is None else got + m * n
             for k in range(last - 1, 0, -1):
                 if head[k]:
                     inner = _convolve(pows[k][head[k]], inner, order)
@@ -620,7 +603,6 @@ def _substitute(tables, values, order: int):
                         key = (i1 + i2, j1 + j2)
                         got = total.get(key)
                         total[key] = c1 * c2 if got is None else got + c1 * c2
-            total = _nonzero(total)
         out.append(_jet(order, total, den * common))
     return out
 
@@ -636,25 +618,10 @@ def compose_map(f: MapJet, p: PolyMap2) -> MapJet:
                                min(f.order, p.order)))
 
 
-def _rows(num):
-    """Numerators grouped by u-exponent, heads in first-appearance order: {i: [(j, n), ..]}."""
-    rows = {}
-    for (i, j), n in num.items():
-        rows.setdefault(i, []).append((j, n))
-    return rows
-
-
-def regroup(f: MapJet, swap: bool) -> MapJet:
-    """`compose_map(f, L)` for L the identity, or the swap (u, v) -> (v, u).
-
-    No substitution is made: f's keys are only regrouped by head (u-exponent),
-    heads in first-appearance order, as `_substitute` emits them, the swap
-    mapping each (i, j) to (j, i).  The output is `compose_map`'s, bit for
-    bit, key order included.
-    """
-    return MapJet(*(_canonical(c.order, {(j, i) if swap else (i, j): n
-                                         for i, row in _rows(c._num).items() for j, n in row},
-                               c._den) for c in f))
+def swap(f: MapJet) -> MapJet:
+    """`compose_map(f, L)` for the swap L: (u, v) -> (v, u), a swap of f's keys."""
+    return MapJet(*(_canonical(c.order, {(j, i): n for (i, j), n in c._num.items()}, c._den)
+                    for c in f))
 
 
 def shear(f: MapJet, t: Fraction) -> MapJet:
@@ -662,27 +629,24 @@ def shear(f: MapJet, t: Fraction) -> MapJet:
 
     With t = T/D in lowest terms this is the binomial theorem on integers:
     a term n u^i v^j adds n (-1)^j C(i, a) T^a D^(top - a) at (i - a, a + j)
-    for a = 0..i, with top the largest u-exponent, in `_substitute`'s order
-    (heads as they appear, then a, then the head's terms) and with its zero
-    drops (once per head); the sum over den D^top is reduced once.  So the
-    output is that of `compose_map`, bit for bit, key order included.
+    for a = 0..i, with top the largest u-exponent, and the sum over den
+    D^top is reduced once.
     """
     return MapJet(*(_shear(c, t.numerator, t.denominator) for c in f))
 
 
 def _shear(c: Jet2, T: int, D: int) -> Jet2:
-    """c(u + (T/D) v, -v), in the order and with the zero drops of `_substitute`."""
+    """c(u + (T/D) v, -v)."""
     top = max((i for i, _ in c._num), default=0)
+    weights = [[comb(i, a) * T ** a * D ** (top - a) for a in range(i + 1 if T else 1)]
+               for i in range(top + 1)]
     total = {}
-    for i, row in _rows(c._num).items():
-        for a in range(i + 1 if T else 1):
-            w = comb(i, a) * T ** a * D ** (top - a)
-            for j, n in row:
-                key = (i - a, a + j)
-                m = -w * n if j & 1 else w * n
-                got = total.get(key)
-                total[key] = m if got is None else got + m
-        total = _nonzero(total)
+    for (i, j), n in c._num.items():
+        if j & 1:
+            n = -n
+        for a, w in enumerate(weights[i]):
+            key = (i - a, a + j)
+            total[key] = total.get(key, 0) + w * n
     return _jet(c.order, total, c._den * D ** top)
 
 

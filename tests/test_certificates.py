@@ -7,19 +7,21 @@ normalization or the normalized germ of an exact input shows up here.  A
 change that alters certificates on purpose records the new digest and says
 why.
 
-Sorted keys cannot see the order in which a certificate lists the
-coefficients of its normalized germ, and that order reaches the CLI, which
-prints JSON without sorting.  KEY_ORDER_DIGEST hashes the same certificates
-in their own key order; it was recorded on the Fraction-dict jet kernel,
-before jets moved to integer numerators over one denominator.
+Sorted keys cannot see the order in which a certificate lists its fields
+and the coefficients of its normalized germ, and that order reaches the
+CLI, which prints JSON without sorting.  KEY_ORDER_DIGEST hashes the same
+certificates in their own key order.  It was recorded again when
+`Jet2.items()` took the canonical order (total degree, then u-exponent)
+in place of the jet's insertion order; DIGEST held across that change.
 
 SCRAMBLED_DIGEST and SCRAMBLED_KEY_ORDER_DIGEST hash, the same two ways,
 the certificates of a dense scrambled corpus: every model germ acted on
 by `fuzz` diffeomorphisms of degree 1 to 3 with rationals up to 9/9,
 seeded by a fixed string.  Their denominators are far larger than the
 first corpus's, so these two digests watch the exact arithmetic on the
-words at 0 where common denominators grow.  They were recorded while the
-words at 0 were still read and solved as `Fraction`s.
+words at 0 where common denominators grow.  SCRAMBLED_DIGEST was recorded
+while the words at 0 were still read and solved as `Fraction`s;
+SCRAMBLED_KEY_ORDER_DIGEST was recorded again with KEY_ORDER_DIGEST.
 """
 
 import hashlib
@@ -36,9 +38,9 @@ from germclass.fuzz import FuzzConfig, act, random_source_diffeo, random_target_
 from germclass.jets import MapJet
 
 DIGEST = "9b96820e095e53bb6588be7b75140070a7376283"
-KEY_ORDER_DIGEST = "82d4a2f2207904e567a04955c232c24ac2ec8662"
+KEY_ORDER_DIGEST = "b38a33d66027ac437d94389d758a4b49603edda2"
 SCRAMBLED_DIGEST = "08e0f88678a6b39da79311fd8fae4d592b09d53b"
-SCRAMBLED_KEY_ORDER_DIGEST = "ee42b78033d8889563564324c4fa3bf4f2b953e3"
+SCRAMBLED_KEY_ORDER_DIGEST = "61aae900a58625497df8196941e50cfd40cf3343"
 
 BRANCHES = ("S1", "S", "S2", "B", "B2", "SB", "HP2", "H", "H2", "WU")
 
@@ -137,3 +139,20 @@ def test_scrambled_certificates_match_recorded_digests():
     certificates = _certificates(germs)
     assert _sha1(certificates, sort_keys=True) == SCRAMBLED_DIGEST
     assert _sha1(certificates, sort_keys=False) == SCRAMBLED_KEY_ORDER_DIGEST
+    _assert_normalized_germ_in_canonical_order(certificates)
+
+
+def _assert_normalized_germ_in_canonical_order(certificates):
+    """Each component of `normalized_germ` lists its "i,j" keys by total degree
+    i + j, then by i: the order `poly_str` prints."""
+    listed = 0
+    for obj in certificates:
+        for table in obj.get("normalized_germ", {}).values():
+            keys = [tuple(map(int, key.split(","))) for key in table]
+            assert keys == sorted(keys, key=lambda key: (key[0] + key[1], key[0]))
+            listed += len(keys) > 1
+    assert listed
+
+
+def test_normalized_germ_lists_coefficients_in_canonical_order():
+    _assert_normalized_germ_in_canonical_order(_certificates(corpus()))

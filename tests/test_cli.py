@@ -94,6 +94,8 @@ MALFORMED = [
     ("classify", b"[map]\nf1 = u\nf2 = v^2\nf3 = u*v # \xff\n"),
     ("center", "[center]\na02 = 1\na20 = 2\na03 = 1e10000000\na21 = 1\n"),
     ("classify", "[map]\nf1 = u\nf2 = v^2\nf3 = (1+u*v)^%d - 1\n" % 10 ** 2000),
+    # the power's v coefficient 14284 (-2)^14283 has 4304 digits, its constant term 4300
+    ("classify", "[map]\nf1 = u\nf2 = v^2\nf3 = u*v + (-2+v)^14284 - 2^14284\n"),
 ]
 
 
@@ -103,7 +105,8 @@ MALFORMED = [
                                                      "4000-digit-product", "theta-tiny",
                                                      "huge-power", "300-deep-parentheses",
                                                      "not-utf-8", "exponent-coefficient",
-                                                     "huge-power-of-a-sum"])
+                                                     "huge-power-of-a-sum",
+                                                     "power-of-minus-two-plus-v"])
 def test_malformed_document_exit_1(tmp_path, capsys, cmd, text):
     path = write(tmp_path, "malformed.germ", text)
     for fmt in (("--json",), ()):
@@ -301,7 +304,7 @@ def test_one_process_runs_many_commands(tmp_path, capsys):
 
 # -- recorded output digest ----------------------------------------------------
 
-RECORDED_DIGEST = "b3cab56dce176bf73f9cf18c4b657cd39906ebd6"
+RECORDED_DIGEST = "7bae1c9b6c1ea995286b3dd1756b5fe1c2db4736"
 
 
 def _digest_runs():

@@ -52,7 +52,7 @@ def test_normalize_identity_when_already_normalized():
     f = germ("u", "v^2", "u*v")
     g, L = linear_normalize(f)
     assert L == ((1, 0), (0, 1))
-    assert g == f
+    assert g is f
 
 
 def test_normalize_parallel_columns():

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from random import Random
 
@@ -11,7 +13,8 @@ from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass.fuzz import FuzzConfig, random_target_diffeo
 from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2, compose_map, cross3,
                             det3, directional, from_divided_coeffs, invsqrt_series,
-                            post_compose, regroup, scaled_coeffs, shear, to_divided_coeff)
+                            poly_str, post_compose, scaled_coeffs, shear, swap,
+                            to_divided_coeff)
 from util import jet, linear_map, random_jet
 
 
@@ -179,6 +182,45 @@ def test_one_term_power_is_repeated_multiplication(order):
                 if n * (i + j) > order:
                     assert power == Jet2.zero(order)
                 product = product * base
+
+
+def test_power_is_repeated_multiplication():
+    """The binomial power equals the product of n copies, for n = 0..15, on jets
+    with a constant term of 0, +-1 or another rational over mixed denominators."""
+    rng = Random("power")
+    for _ in range(400):
+        order = rng.randint(-1, 7)
+        table = {(i, j): Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+                 for i in range(order + 1) for j in range(order + 1 - i) if rng.random() < 0.3}
+        table[(0, 0)] = rng.choice((0, 1, -1, Fraction(-3, 2), Fraction(2, 3), 5))
+        base = Jet2(order, table)
+        product = Jet2(order, {(0, 0): 1})
+        for n in range(16):
+            assert base ** n == product, (base, n)
+            product = product * base
+
+
+def test_huge_power_of_a_sum_makes_at_most_order_plus_one_products(monkeypatch):
+    """(1+u+v)^E at order 10 with E = 10^400: one product per power of u + v, so
+    the cost grows with the digits of E, not with E."""
+    products = []
+
+    def counted(name, inner):
+        def wrapper(*args):
+            products.append(name)
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(Jet2, "__mul__", counted("mul", Jet2.__mul__))
+    monkeypatch.setattr(germclass.jets, "_convolve",
+                        counted("convolve", germclass.jets._convolve))
+    order, e = 10, 10 ** 400
+    base = Jet2(order, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    power = base ** e
+    assert len(products) <= order + 1
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            assert power.coeff(i, j) == comb(e, i + j) * comb(i + j, i)
 
 
 def test_coeffs_below_reads_each_coefficient_in_lowest_terms():
@@ -372,10 +414,10 @@ def ref(x):
 
 
 def assert_matches_reference(x, want):
-    """Same order, same coefficients in the same insertion order, same reads."""
+    """Same order, same coefficients, same reads."""
     order, table = want
     assert x.order == order
-    assert list(x.items()) == list(table.items())
+    assert dict(x.items()) == table
     assert x.degree() == max((sum(k) for k in table), default=-1)
     for i in range(order + 1):
         for j in range(order + 1 - i):
@@ -426,6 +468,34 @@ def test_equal_polynomials_compare_and_hash_equal(a, b, c, s, k):
     for x, y in routes:
         assert x == y
         assert hash(x) == hash(y)
+
+
+def _canonical_keys(keys):
+    return sorted(keys, key=lambda key: (key[0] + key[1], key[0]))
+
+
+def _poly_str_keys(text):
+    """The (i, j) of each term of a `poly_str` text, in the order printed."""
+    keys = []
+    for term in re.split(r" [+-] ", text.lstrip("-")):
+        i = re.search(r"u(?:\^(\d+))?", term)
+        j = re.search(r"v(?:\^(\d+))?", term)
+        keys.append((int(i.group(1) or 1) if i else 0, int(j.group(1) or 1) if j else 0))
+    return keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_jets(), mixed_jets())
+def test_items_come_in_the_canonical_order(a, b):
+    """`items()` lists terms by total degree, then u-exponent, whatever built the
+    jet, and that is the order `poly_str` prints them in."""
+    assert list((a + b).items()) == list((b + a).items())
+    assert list((a * b).items()) == list((b * a).items())
+    for x in (a, b, a + b, a * b, a - b):
+        keys = [key for key, _ in x.items()]
+        assert keys == _canonical_keys(keys)
+        if keys:
+            assert _poly_str_keys(poly_str(x)) == keys
 
 
 @st.composite
@@ -499,11 +569,12 @@ def test_substitution_matches_fraction_reference(seed, order):
             assert_matches_reference(got, w)
 
 
-# -- key order: deterministic cases of the substitution loop --------------------
+# -- deterministic cases of the substitution loop --------------------------------
 
 @pytest.mark.parametrize("shape", ["identity", "swap", "shear"])
 def test_compose_map_key_order_on_each_normalizing_shape(shape):
-    """compose_map with each L of `frames.linear_normalize` keeps the reference's key order."""
+    """compose_map with each L of `frames.linear_normalize` gives the reference's
+    coefficients, which `items()` lists in the canonical order."""
     rng = Random("normalize|" + shape)
     f = MapJet(*(random_jet(rng, max_degree=6, density=0.6) * Fraction(1, rng.randint(2, 12))
                  for _ in range(3)))
@@ -512,13 +583,15 @@ def test_compose_map_key_order_on_each_normalizing_shape(shape):
     want = ref_substitute([dict(c.items()) for c in f], (ref(L.p1), ref(L.p2)), 6)
     for got, w in zip(compose_map(f, L), want):
         assert_matches_reference(got, w)
+        assert [key for key, _ in got.items()] == _canonical_keys(w[1])
 
 
 def test_closed_forms_match_compose_map():
-    """`regroup` and `shear` give `compose_map`'s jets bit for bit, key order included.
+    """f itself, `swap` and `shear` give `compose_map`'s jets for the identity,
+    the swap and the shear.
 
     Coefficients in {-2..2}/{1, 2, 3} on dense jets make the shear's terms
-    cancel, so its zero drops and re-insertions are exercised too.
+    cancel, so its zero drops are exercised too.
     """
     rng = Random("compose-linear")
     for _ in range(1000):
@@ -530,27 +603,25 @@ def test_closed_forms_match_compose_map():
         t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         # compose_map works at min(f.order, p.order); the closed forms at g's order
         g = f.truncate(p_order)
-        for got, matrix in ((regroup(g, swap=False), ((1, 0), (0, 1))),
-                            (regroup(g, swap=True), ((0, 1), (1, 0))),
+        for got, matrix in ((g, ((1, 0), (0, 1))), (swap(g), ((0, 1), (1, 0))),
                             (shear(g, t), ((1, t), (0, -1)))):
             want = compose_map(f, linear_map(matrix, p_order))
             assert got == want and got.order == want.order, (f, matrix)
-            assert [list(c.items()) for c in got] == [list(c.items()) for c in want], (f, matrix)
 
-def test_key_cancelled_after_one_head_moves_to_the_end_when_recreated():
+def test_key_cancelled_after_one_head_is_recreated():
     # (u, v) -> (u + v, v) on v^2 - uv + u^2, heads u^0, u^1, u^2 in that order:
     # u^1 cancels the v^2 of u^0 and u^2 creates it again
     a = Jet2(6, {(0, 2): 1, (1, 1): -1, (2, 0): 1})
     p = PolyMap2(Jet2(6, {(1, 0): 1, (0, 1): 1}), Jet2.variable("v", 6))
     got = compose2(a, p)
-    assert list(got.items()) == [((1, 1), 1), ((2, 0), 1), ((0, 2), 1)]
+    assert dict(got.items()) == {(1, 1): 1, (2, 0): 1, (0, 2): 1}
     assert_matches_reference(got, ref_substitute([dict(a.items())], (ref(p.p1), ref(p.p2)), 6)[0])
     # three variables: z, then -y cancels v, then x creates it again
     phi = PolyMap3([{(0, 0, 1): 1, (0, 1, 0): -1, (1, 0, 0): 1}, {(1, 0, 0): 1}, {(0, 1, 0): 1}],
                    6)
     f = MapJet(Jet2.variable("v", 6), Jet2.variable("v", 6), Jet2(6, {(0, 1): 1, (2, 0): 1}))
     got = post_compose(phi, f)
-    assert list(got[0].items()) == [((2, 0), 1), ((0, 1), 1)]
+    assert dict(got[0].items()) == {(2, 0): 1, (0, 1): 1}
     for x, w in zip(got, ref_substitute(phi.comps, tuple(ref(c) for c in f), 6)):
         assert_matches_reference(x, w)
 
@@ -561,8 +632,7 @@ def test_last_variable_powers_cancel_inside_one_head():
     p = PolyMap2(Jet2(6, {(1, 0): 1, (0, 1): 1}), v)
     a = Jet2(6, {(1, 1): 1, (1, 2): Fraction(-1, 2), (1, 3): 1})
     got = compose2(a, p)
-    keys = [key for key, _ in got.items()]
-    assert keys.index((1, 3)) > keys.index((1, 5))
+    assert got.coeff(1, 3) == 1
     assert_matches_reference(got, ref_substitute([dict(a.items())], (ref(p.p1), ref(p.p2)), 6)[0])
 
 

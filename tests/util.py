@@ -105,7 +105,7 @@ def reference_poly(src: str, order: int) -> Jet2:
 
     Every literal and variable is built by Jet2(order, {...}) and every
     power by square-and-multiply from Jet2(order, {(0, 0): 1}), with the
-    parser's order of operations, so the key order matches `parse_poly`.
+    parser's order of operations.
     """
     tokens = re.findall(r"\d+|\S", src) + [None]
     pos = 0
