@@ -6,7 +6,7 @@ from .errors import GermError, OrderExhaustedError, ParseError, PreconditionErro
 from .jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2, compose_map,
                    det3_jet, from_divided_coeffs, invsqrt_series,
                    post_compose)
-from .vfields import FramePair, VectorFieldJet, apply, apply_word, bracket
+from .vfields import FramePair, VectorFieldJet, apply, apply_word
 
 __all__ = [
     "Certificate", "Classification", "Verdict", "classify", "normal_forms",
@@ -14,5 +14,5 @@ __all__ = [
     "GermError", "OrderExhaustedError", "ParseError", "PreconditionError",
     "Jet2", "MapJet", "PolyMap2", "PolyMap3", "compose2", "compose_map",
     "det3_jet", "from_divided_coeffs", "invsqrt_series", "post_compose",
-    "FramePair", "VectorFieldJet", "apply", "apply_word", "bracket",
+    "FramePair", "VectorFieldJet", "apply", "apply_word",
 ]

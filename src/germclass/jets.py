@@ -47,13 +47,18 @@ total degree, then by u-exponent, the order `poly_str` prints and a
 certificate lists its normalized germ in.  The insertion order of `_num`
 means nothing, and zero numerators are dropped once, in `_jet`.
 
-`directional(a, b, c, order)` is a * c_u + b * c_v in one pass over the
-numerators, stopped at the output order and reduced once: the kernel of
-every vector-field application.
+`directional(a, b, cs, order)` is a * c_u + b * c_v for every jet c of
+the tuple `cs` at one output order: the field's terms, its denominators
+and the order are set up once, then each c takes one pass over its
+numerators, stopped at the output order and reduced once.  At order 0 it
+is a dot product of the field at 0 with c's degree-1 terms.  It is the
+kernel of every vector-field application.
 
 `MapJet` is a triple of jets sharing one order (a map germ into 3-space,
-or a derivative of one); `PolyMap2` / `PolyMap3` are polynomial coordinate
-changes with invertible linear part, used only through composition.  Source
+or a derivative of one; `MapJet.shared` takes three jets that already
+share it, and the kernels build their results with it); `PolyMap2` /
+`PolyMap3` are polynomial coordinate changes with invertible linear part,
+used only through composition.  Source
 changes (`compose2`, `compose_map`) and target changes (`post_compose`)
 share one substitution loop, `_substitute`.  The linear source changes of
 `frames.linear_normalize` other than the identity take no map at all:
@@ -326,38 +331,56 @@ class Jet2:
         return "Jet2(order=%d, %s)" % (self.order, poly_str(self))
 
 
-def directional(a: Jet2, b: Jet2, c: Jet2, order: int | None = None) -> Jet2:
-    """a * dc/du + b * dc/dv, at order min(a.order, b.order, c.order - 1, order).
+def directional(a: Jet2, b: Jet2, cs, order: int | None = None) -> tuple:
+    """a * dc/du + b * dc/dv for each jet c of `cs`, all at the one order
+    min(a.order, b.order, c.order - 1 over cs, order).
 
-    One pass over the numerators: a term n u^i v^j of c meets each term of
-    a with weight i n b._den and each term of b with weight j n a._den,
-    products past the output order are skipped, and the one sum, over
-    a._den b._den c._den, is reduced once.  A term of c past order + 1
-    is skipped whole, so the result equals that on c.truncate(order + 1).
+    The field is set up once: a's terms carry the factor b._den and b's
+    the factor a._den, each with its degree, and terms past the output
+    order are dropped.  Then one pass over each c's numerators: a term
+    n u^i v^j meets the terms of a with weight i n and those of b with
+    weight j n, products past the output order are skipped, and the one
+    sum, over a._den b._den c._den, is reduced once.  A term of c past
+    order + 1 is skipped whole, so each result equals that on
+    c.truncate(order + 1).  At order 0 the result is the dot product
+    a(0) c_u(0) + b(0) c_v(0), read from c's two degree-1 terms.
     """
-    top = min(a.order, b.order, c.order - 1)
+    top = min(a.order, b.order, min(c.order for c in cs) - 1)
     order = top if order is None else min(top, order)
-    a_terms, b_terms = a._num.items(), b._num.items()
-    out = {}
-    for (i, j), n in c._num.items():
-        room = order + 1 - i - j
-        if room < 0:
-            continue
-        if i:
-            m = i * n * b._den
-            for (k, l), x in a_terms:
-                if k + l <= room:
-                    key = (i - 1 + k, j + l)
-                    got = out.get(key)
-                    out[key] = m * x if got is None else got + m * x
-        if j:
-            m = j * n * a._den
-            for (k, l), x in b_terms:
-                if k + l <= room:
-                    key = (i + k, j - 1 + l)
-                    got = out.get(key)
-                    out[key] = m * x if got is None else got + m * x
-    return _jet(order, out, a._den * b._den * c._den)
+    den = a._den * b._den
+    if order == 0:
+        a0, b0 = a._num.get((0, 0), 0) * b._den, b._num.get((0, 0), 0) * a._den
+        out = []
+        for c in cs:
+            n = a0 * c._num.get((1, 0), 0) + b0 * c._num.get((0, 1), 0)
+            g = gcd(n, den * c._den)  # den * c._den when n == 0: the zero jet over 1
+            out.append(_canonical(0, {(0, 0): n // g} if n else {}, den * c._den // g))
+        return tuple(out)
+    a_terms = [(k + l, k, l, x * b._den) for (k, l), x in a._num.items() if k + l <= order]
+    b_terms = [(k + l, k, l, x * a._den) for (k, l), x in b._num.items() if k + l <= order]
+    out = []
+    for c in cs:
+        total = {}
+        for (i, j), n in c._num.items():
+            room = order + 1 - i - j
+            if room < 0:
+                continue
+            if i:
+                m = i * n
+                for d, k, l, x in a_terms:
+                    if d <= room:
+                        key = (i - 1 + k, j + l)
+                        got = total.get(key)
+                        total[key] = m * x if got is None else got + m * x
+            if j:
+                m = j * n
+                for d, k, l, x in b_terms:
+                    if d <= room:
+                        key = (i + k, j - 1 + l)
+                        got = total.get(key)
+                        total[key] = m * x if got is None else got + m * x
+        out.append(_jet(order, total, den * c._den))
+    return tuple(out)
 
 
 def scaled_coeffs(*reads):
@@ -437,6 +460,13 @@ class MapJet:
         self.components = (f1.truncate(order), f2.truncate(order), f3.truncate(order))
 
     @classmethod
+    def shared(cls, components) -> "MapJet":
+        """A MapJet from three jets that already share one order; nothing is truncated."""
+        f = object.__new__(cls)
+        f.components = tuple(components)
+        return f
+
+    @classmethod
     def germ(cls, f1: Jet2, f2: Jet2, f3: Jet2) -> "MapJet":
         f = cls(f1, f2, f3)
         if not EXACT.is_zero_vec(f.at0()):
@@ -459,10 +489,10 @@ class MapJet:
         return self.components == other.components
 
     def partial_u(self) -> "MapJet":
-        return MapJet(*(c.partial_u() for c in self.components))
+        return MapJet.shared(c.partial_u() for c in self.components)
 
     def partial_v(self) -> "MapJet":
-        return MapJet(*(c.partial_v() for c in self.components))
+        return MapJet.shared(c.partial_v() for c in self.components)
 
     def at0(self):
         return tuple(c.at0() for c in self.components)
@@ -470,7 +500,7 @@ class MapJet:
     def truncate(self, order: int) -> "MapJet":
         if order >= self.order:
             return self
-        return MapJet(*(c.truncate(order) for c in self.components))
+        return MapJet.shared(c.truncate(order) for c in self.components)
 
     def __repr__(self):
         return "MapJet(%s)" % ", ".join(poly_str(c) for c in self.components)
@@ -614,14 +644,14 @@ def compose2(a: Jet2, p: PolyMap2) -> Jet2:
 
 def compose_map(f: MapJet, p: PolyMap2) -> MapJet:
     """Substitute (u, v) -> (p1, p2) into each component of f."""
-    return MapJet(*_substitute([(c._num, c._den) for c in f], (p.p1, p.p2),
-                               min(f.order, p.order)))
+    return MapJet.shared(_substitute([(c._num, c._den) for c in f], (p.p1, p.p2),
+                                     min(f.order, p.order)))
 
 
 def swap(f: MapJet) -> MapJet:
     """`compose_map(f, L)` for the swap L: (u, v) -> (v, u), a swap of f's keys."""
-    return MapJet(*(_canonical(c.order, {(j, i): n for (i, j), n in c._num.items()}, c._den)
-                    for c in f))
+    return MapJet.shared(_canonical(c.order, {(j, i): n for (i, j), n in c._num.items()}, c._den)
+                         for c in f)
 
 
 def shear(f: MapJet, t: Fraction) -> MapJet:
@@ -629,31 +659,32 @@ def shear(f: MapJet, t: Fraction) -> MapJet:
 
     With t = T/D in lowest terms this is the binomial theorem on integers:
     a term n u^i v^j adds n (-1)^j C(i, a) T^a D^(top - a) at (i - a, a + j)
-    for a = 0..i, with top the largest u-exponent, and the sum over den
-    D^top is reduced once.
+    for a = 0..i, with top the largest u-exponent over the three
+    components, so one weight table serves them all; each sum, over its
+    den D^top, is reduced once.
     """
-    return MapJet(*(_shear(c, t.numerator, t.denominator) for c in f))
-
-
-def _shear(c: Jet2, T: int, D: int) -> Jet2:
-    """c(u + (T/D) v, -v)."""
-    top = max((i for i, _ in c._num), default=0)
+    T, D = t.numerator, t.denominator
+    top = max((i for c in f for i, _ in c._num), default=0)
     weights = [[comb(i, a) * T ** a * D ** (top - a) for a in range(i + 1 if T else 1)]
                for i in range(top + 1)]
-    total = {}
-    for (i, j), n in c._num.items():
-        if j & 1:
-            n = -n
-        for a, w in enumerate(weights[i]):
-            key = (i - a, a + j)
-            total[key] = total.get(key, 0) + w * n
-    return _jet(c.order, total, c._den * D ** top)
+    lift = D ** top
+    out = []
+    for c in f:
+        total = {}
+        for (i, j), n in c._num.items():
+            if j & 1:
+                n = -n
+            for a, w in enumerate(weights[i]):
+                key = (i - a, a + j)
+                total[key] = total.get(key, 0) + w * n
+        out.append(_jet(c.order, total, c._den * lift))
+    return MapJet.shared(out)
 
 
 def post_compose(phi: PolyMap3, f: MapJet) -> MapJet:
     """Evaluate each component polynomial of phi at (f1, f2, f3)."""
-    return MapJet(*_substitute([_integers(t) for t in phi.comps], tuple(f),
-                               min(f.order, phi.order)))
+    return MapJet.shared(_substitute([_integers(t) for t in phi.comps], tuple(f),
+                                     min(f.order, phi.order)))
 
 
 def invsqrt_series(a: Jet2) -> Jet2:

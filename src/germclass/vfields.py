@@ -2,9 +2,10 @@
 
 A field zeta = a(u,v) d/du + b(u,v) d/dv acts on a map-jet F as
 zeta F = a * F_u + b * F_v, dropping one truncation order per application.
-Each component is computed by `jets.directional` in one pass over the
-integer numerators and reduced once; no partial jet, product or sum is
-built on the way.
+One `jets.directional` call computes all three components: the field is
+set up once, each component takes one pass over its integer numerators
+and is reduced once, and no partial jet, product or sum is built on the
+way.
 Words of fields are applied right to left: apply_word([z3, z2, z1], F)
 means z3(z2(z1 F)), matching the usual reading of z3 z2 z1 F.  All the
 recognition criteria are asymmetric in their words, so this convention is
@@ -37,29 +38,27 @@ def d_du(order: int) -> VectorFieldJet:
     return VectorFieldJet(Jet2.const(1, order), Jet2.zero(order))
 
 
-def d_dv(order: int) -> VectorFieldJet:
-    return VectorFieldJet(Jet2.zero(order), Jet2.const(1, order))
-
-
 def apply_to_jet(zeta: VectorFieldJet, g: Jet2, label=None) -> Jet2:
     """Directional derivative of a scalar jet."""
     if g.order < 1:
         raise OrderExhaustedError(
             "derivative %sexhausts the truncation order" % (("%s " % label) if label else ""))
-    return directional(zeta.a, zeta.b, g)
+    return directional(zeta.a, zeta.b, (g,))[0]
 
 
 def apply(zeta: VectorFieldJet, f: MapJet, label=None, order=None) -> MapJet:
-    """zeta f = a f_u + b f_v, componentwise; order drops by one, or to `order`.
+    """zeta f = a f_u + b f_v; order drops by one, or to `order`.
 
-    Each component is one `jets.directional` pass: one loop over its
-    numerators, one reduction.  With `order` the result is that of
-    `apply(zeta, f.truncate(order + 1))`, with no truncated copy of f made.
+    One `jets.directional` call on the three components: one loop over
+    each component's numerators, one reduction each, and the results share
+    their order, so the MapJet truncates nothing.  With `order` the result
+    is that of `apply(zeta, f.truncate(order + 1))`, with no truncated copy
+    of f made.
     """
     if f.order < 1:
         raise OrderExhaustedError(
             "derivative %sexhausts the truncation order" % (("%s " % label) if label else ""))
-    return MapJet(*(directional(zeta.a, zeta.b, c, order) for c in f))
+    return MapJet.shared(directional(zeta.a, zeta.b, f.components, order))
 
 
 def apply_word(word, f: MapJet, label=None) -> MapJet:
@@ -68,13 +67,6 @@ def apply_word(word, f: MapJet, label=None) -> MapJet:
     for zeta in reversed(list(word)):
         out = apply(zeta, out, label)
     return out
-
-
-def bracket(z1: VectorFieldJet, z2: VectorFieldJet) -> VectorFieldJet:
-    """Lie bracket [z1, z2]."""
-    a = apply_to_jet(z1, z2.a) - apply_to_jet(z2, z1.a)
-    b = apply_to_jet(z1, z2.b) - apply_to_jet(z2, z1.b)
-    return VectorFieldJet(a, b)
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,3 @@ class FramePair:
                                                 ((self.eta.a, self.eta.b), (0, 0)))
         if EXACT.is_zero(a1 * b2 - b1 * a2):
             raise PreconditionError("frame pair is linearly dependent at the origin")
-
-
-def coordinate_pair(order: int) -> FramePair:
-    return FramePair(d_du(order), d_dv(order))

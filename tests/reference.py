@@ -2,7 +2,8 @@
 
 from germclass.applications import _theta_pair
 from germclass.docparse import MapSpecDoc
-from germclass.jets import poly_str
+from germclass.jets import Jet2, poly_str
+from germclass.vfields import FramePair, VectorFieldJet, apply_to_jet, d_du
 
 
 def format_doc(doc: MapSpecDoc) -> str:
@@ -20,6 +21,21 @@ def format_doc(doc: MapSpecDoc) -> str:
         else:
             lines.append("theta = %.17g" % doc.theta)
     return "\n".join(lines) + "\n"
+
+
+def d_dv(order: int) -> VectorFieldJet:
+    return VectorFieldJet(Jet2.zero(order), Jet2.const(1, order))
+
+
+def coordinate_pair(order: int) -> FramePair:
+    return FramePair(d_du(order), d_dv(order))
+
+
+def bracket(z1: VectorFieldJet, z2: VectorFieldJet) -> VectorFieldJet:
+    """Lie bracket [z1, z2]."""
+    a = apply_to_jet(z1, z2.a) - apply_to_jet(z2, z1.a)
+    b = apply_to_jet(z1, z2.b) - apply_to_jet(z2, z1.b)
+    return VectorFieldJet(a, b)
 
 
 def expanded_folded_invariants(m, theta=(1, 0)):

@@ -21,7 +21,8 @@ from germclass.fuzz import (FuzzConfig, check_target_pushforward,
                             pushforward_identity_holds, random_target_diffeo,
                             run_invariance)
 from germclass.jets import PolyMap3, det3
-from germclass.vfields import apply, apply_word, d_du, d_dv
+from germclass.vfields import apply, apply_word, d_du
+from reference import d_dv
 from util import germ, random_branch_germ, random_h_coeffs, random_sb_coeffs
 
 

@@ -78,16 +78,16 @@ def test_the_table_has_one_row_per_metric_and_the_spec_is_only_read():
     assert BENCHMARK.read_bytes() == before
 
 
-def fake_checkout(path, failed):
+def fake_checkout(path, failed, digest="abc"):
     """A checkout whose benchmark prints a fixed result line, and a digest
-    that names the workload it was run on."""
+    `digest`-W that names the workload W it was run on."""
     (path / "perfbench").mkdir(parents=True)
     result = {"correct": True, "attempted": 10, "failed": failed,
               "metrics": {name: {"value": 1.0, "unit": "x"} for name in NAMES}}
     (path / "perfbench" / "run.py").write_text(
         "import sys\n"
-        "print('  verdict_digest  abc-%%s (over 10 inputs)' %% sys.argv[2])\n"
-        "print(%r)\n" % json.dumps(result))
+        "print('  verdict_digest  %s-%%s (over 10 inputs)' %% sys.argv[2])\n"
+        "print(%r)\n" % (digest, json.dumps(result)))
     return path
 
 
@@ -118,3 +118,26 @@ def test_one_table_per_workload(tmp_path, capsys):
     bad = fake_checkout(tmp_path / "bad", 1)
     args[3] = str(bad)
     assert bench_pairs.main(args) == 1
+
+
+def test_a_verdict_change_fails_and_names_the_workload(tmp_path, capsys):
+    good = fake_checkout(tmp_path / "good", 0)
+    other = fake_checkout(tmp_path / "other", 0, digest="xyz")
+    args = ["--workload", "scrambled", "documents", "--seed", "1", "--pairs", "2"]
+    assert bench_pairs.main(["--parent", str(good), "--change", str(good)] + args) == 0
+    assert "verdict digests changed" not in capsys.readouterr().out
+    assert bench_pairs.main(["--parent", str(good), "--change", str(other)] + args) == 1
+    out = capsys.readouterr().out
+    assert "verdict_digest change xyz-scrambled" in out
+    assert [line for line in out.splitlines() if line.startswith("verdict digests")] == [
+        "verdict digests changed on workload scrambled",
+        "verdict digests changed on workload documents"]
+
+
+def test_verdicts_hold_only_on_one_digest_for_every_run():
+    held = bench_pairs.verdicts_held
+    assert held({"parent": {"a"}, "change": {"a"}})
+    assert not held({"parent": {"a"}, "change": {"b"}})
+    # one side reading two digests fails even where the two sets agree
+    assert not held({"parent": {"a", "b"}, "change": {"a", "b"}})
+    assert not held({"parent": {"a", "b"}, "change": {"a"}})

@@ -58,7 +58,7 @@ def test_phi_second_derivatives_examples():
 def test_phi_linear_part_nonzero_for_cross_cap():
     # sb2_adapt rejects the cross cap; phi itself is defined for any pair,
     # and d phi_0 != 0 is exactly the cross-cap condition
-    from germclass.vfields import coordinate_pair
+    from reference import coordinate_pair
 
     f = germ("u", "v^2", "u*v")
     p = phi(f, coordinate_pair(6))

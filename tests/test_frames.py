@@ -11,7 +11,8 @@ from germclass import frames
 from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
                               rank_df0, s3_adapt, sb2_adapt)
 from germclass.jets import Jet2, MapJet, cross3, det3, scaled_coeffs
-from germclass.vfields import FramePair, VectorFieldJet, apply_word, bracket, d_du
+from germclass.vfields import FramePair, VectorFieldJet, apply_word, d_du
+from reference import bracket
 from util import germ, random_branch_germ
 
 

@@ -9,7 +9,8 @@ from germclass.fuzz import (FuzzConfig, act, check_target_pushforward,
                             pushforward_identity_holds, random_source_diffeo,
                             random_target_diffeo, run_invariance)
 from germclass.jets import PolyMap3, det3
-from germclass.vfields import d_du, d_dv
+from germclass.vfields import d_du
+from reference import d_dv
 from util import germ, linear_map, random_branch_germ
 
 

@@ -121,7 +121,8 @@ def test_cross_at0_parallel():
 def test_det3_at0_s2_columns():
     # xi f, xi^3 eta f, eta^2 f of (u, v^2, u^3 v + v^3) at 0
     from util import germ
-    from germclass.vfields import apply_word, d_du, d_dv
+    from germclass.vfields import apply_word, d_du
+    from reference import d_dv
 
     f = germ("u", "v^2", "v*(u^3+v^2)")
     xi, eta = d_du(6), d_dv(6)
@@ -500,33 +501,57 @@ def test_items_come_in_the_canonical_order(a, b):
 
 @st.composite
 def directional_operands(draw):
-    """(a, b, c) with a.order and b.order below, at or above c.order - 1."""
-    c = draw(mixed_jets())
-    a, b = (draw(mixed_jets(order=max(0, c.order - 1 + draw(st.integers(-1, 1)))))
+    """(a, b, cs): three components of one order over different denominators,
+    the last with no degree-1 term, and a.order and b.order below, at or
+    above that order - 1."""
+    order = draw(st.integers(min_value=2, max_value=5))
+    c1, c2, c3 = (draw(mixed_jets(order=order)) * Fraction(1, p) for p in (7, 11, 13))
+    c3 = Jet2(order, {key: x for key, x in c3.items() if sum(key) != 1})
+    a, b = (draw(mixed_jets(order=max(0, order - 1 + draw(st.integers(-1, 1)))))
             for _ in range(2))
-    return a, b, c
+    return a, b, (c1, c2, c3)
+
+
+def products(a, b, c):
+    return a * c.partial_u() + b * c.partial_v()
 
 
 @settings(max_examples=100, deadline=None)
 @given(directional_operands())
 def test_directional_matches_products(operands):
-    a, b, c = operands
-    assert directional(a, b, c) == a * c.partial_u() + b * c.partial_v()
-    for x, y, z in ((Jet2.zero(a.order), b, c), (a, Jet2.zero(b.order), c),
-                    (a, b, Jet2.const(Fraction(4, 9), 1))):
-        assert directional(x, y, z) == x * z.partial_u() + y * z.partial_v()
-    cancelled = directional(c.partial_v(), -c.partial_u(), c)
+    a, b, cs = operands
+    got = directional(a, b, cs)
+    assert len(got) == 3
+    for g, c in zip(got, cs):
+        assert g == products(a, b, c)
+    for x, y in ((Jet2.zero(a.order), b), (a, Jet2.zero(b.order))):
+        for g, c in zip(directional(x, y, cs), cs):
+            assert g == products(x, y, c)
+    const = Jet2.const(Fraction(4, 9), 1)
+    assert directional(a, b, (const,)) == (products(a, b, const),)
+    c = cs[0]
+    cancelled, = directional(c.partial_v(), -c.partial_u(), (c,))
     assert cancelled == Jet2.zero(c.order - 1)
     assert cancelled._den == 1
+    # components of different orders: every result is at the smallest one
+    short = (cs[0], cs[1].truncate(cs[1].order - 1), cs[2])
+    order = min(a.order, b.order, cs[1].order - 2)
+    for g, c in zip(directional(a, b, short), short):
+        assert g.order == order and g == products(a, b, c).truncate(order)
 
 
 @settings(max_examples=100, deadline=None)
 @given(directional_operands(), st.integers(0, 8))
 def test_directional_at_an_order_equals_it_on_the_truncated_input(operands, order):
-    a, b, c = operands
-    got, want = directional(a, b, c, order), directional(a, b, c.truncate(order + 1))
-    assert got == want and got.order == want.order
-    assert list(got.items()) == list(want.items())
+    """Order 0 is the dot product of the field at 0 with the degree-1 terms."""
+    a, b, cs = operands
+    got = directional(a, b, cs, order)
+    want = directional(a, b, tuple(c.truncate(order + 1) for c in cs))
+    assert got == want
+    for g, w, c in zip(got, want, cs):
+        assert g.order == w.order
+        assert list(g.items()) == list(w.items())
+        assert g == products(a, b, c).truncate(g.order)
 
 
 def _mixed_polymap2(rng, order):
@@ -607,6 +632,20 @@ def test_closed_forms_match_compose_map():
                             (shear(g, t), ((1, t), (0, -1)))):
             want = compose_map(f, linear_map(matrix, p_order))
             assert got == want and got.order == want.order, (f, matrix)
+
+@pytest.mark.parametrize("t", [Fraction(3), Fraction(-5, 4)])
+def test_shear_shares_one_weight_table_across_components(t):
+    """`shear` builds its weights at the largest u-exponent over all three
+    components; a zero component, a v-only one and one with u^6 reduce to
+    `compose_map`'s jets all the same."""
+    f = MapJet(Jet2.zero(7),
+               Jet2(7, {(0, 1): Fraction(2, 3), (0, 4): -1}),
+               Jet2(7, {(6, 0): Fraction(1, 5), (1, 1): 3, (2, 3): Fraction(-7, 2)}))
+    got = shear(f, t)
+    want = compose_map(f, linear_map(((1, t), (0, -1)), 7))
+    assert got == want
+    assert got[0] == Jet2.zero(7) and got[0]._den == 1
+
 
 def test_key_cancelled_after_one_head_is_recreated():
     # (u, v) -> (u + v, v) on v^2 - uv + u^2, heads u^0, u^1, u^2 in that order:

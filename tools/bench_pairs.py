@@ -20,10 +20,13 @@ for neither) and two verdicts:
 - worse: the change's median is worse than the parent's by more than the
   metric's `bound`, read as a fraction of the parent's median.
 
-The verdict digests of the two sides are printed too.  The script reads
+The verdict digests of the two sides are printed too; a perf claim
+counts only if they show the verdicts held.  The script reads
 BENCHMARK.json and never writes it; it uses the standard library only.
-It exits 1 when a run fails (at once), or when any run reports
-`correct: false` or has `failed > 0`.
+It exits 1 when a run fails (at once), when any run reports
+`correct: false` or has `failed > 0`, or when a workload's digests
+differ between the two sides or from one run to the next on one side
+(it prints a line naming that workload).
 """
 
 from __future__ import annotations
@@ -81,6 +84,11 @@ def summarize(spec, pairs):
             "worse": -gap > metric["bound"] * abs(pmed),
         })
     return rows
+
+
+def verdicts_held(digests):
+    """Whether every run of both sides read one and the same verdict digest."""
+    return len(digests["parent"] | digests["change"]) == 1
 
 
 def format_rows(rows):
@@ -147,6 +155,9 @@ def main(argv=None) -> int:
         for row in rows:
             if row["worse"]:
                 print("worse than its bound: %s" % row["name"])
+        if not verdicts_held(digests):
+            print("verdict digests changed on workload %s" % workload)
+            all_ok = False
     return 0 if all_ok else 1
 
 
