@@ -16,11 +16,15 @@ Families:
   a2' = -a1 + c3 a3, a3' = -c3 a2 and curve derivative
   gamma' = gamma1 a1 + gamma3 a3.  Singular at 0 iff gamma3(0) = 0, and
   the whole classification is decided by low-order derivatives of
-  gamma1, gamma3, c3 at 0.
+  gamma1, gamma3, c3 at 0.  The map-jet gamma + (u - G1) a1, with
+  G1 = int_0^v gamma1, is built as u a1 + int_0^v (gamma3 a3 - G1 a2):
+  one integral per component.
 
   Euclidean center maps.  For a Monge-form surface (u, v, k + a(u,v))
-  with k = -1/a02 the map c = f - (f.nu) nu to the focal center.  Cross
-  caps, B2 and H2 singularities never occur on center maps; the S-branch
+  with k = -1/a02 the map c = f - (f.nu) nu to the focal center, built
+  as c = f - (f.N) N/(N.N) with the unnormalized normal N = (-a_u, -a_v, 1):
+  one geometric series for 1/(N.N), and no square root.  Cross caps, B2
+  and H2 singularities never occur on center maps; the S-branch
   conditions are polynomial in the a_ij.
 
   Folded surfaces.  A Monge-form surface composed with the fold
@@ -56,8 +60,9 @@ from fractions import Fraction
 
 from .classify import Classification, Verdict
 from .errors import PreconditionError
+from .frames import partials0
 from .jets import (Jet2, MapJet, PolyMap2, compose2, det3,
-                   from_divided_coeffs, invsqrt_series, to_divided_coeff)
+                   from_divided_coeffs, reciprocal_series, to_divided_coeff)
 from .scalars import EXACT, exact_table
 
 Vec3 = tuple
@@ -138,20 +143,20 @@ def ruled_frame(c3: Jet2, order: int | None = None):
 
 
 def ruled_map(d: RuledData) -> MapJet:
-    """The ruled surface gamma(v) + (u - G1(v)) a1(v) as a map-jet.
+    """The ruled surface gamma(v) + (u - G1(v)) a1(v) as a map-jet, G1 = int_0^v gamma1.
 
-    Components are taken in the frozen basis {a1(0), a2(0), a3(0)}, which
-    is the coordinate basis of the frame computation, so no change of
-    basis is needed and the entries stay small.
+    Built as u a1 + int_0^v (gamma3 a3 - G1 a2): since a1' = a2 and
+    gamma' = gamma1 a1 + gamma3 a3, both (gamma - G1 a1)' = gamma3 a3 - G1 a2
+    and the two sides vanish at v = 0.  Components are taken in the frozen
+    basis {a1(0), a2(0), a3(0)}, which is the coordinate basis of the frame
+    computation, so no change of basis is needed and the entries stay small.
     """
     n = d.order
-    a1, _, a3 = ruled_frame(d.c3, n)
-    gamma_prime = tuple(d.gamma1 * a1[i] + d.gamma3 * a3[i] for i in range(3))
-    gamma = tuple(integrate_v(gp, n) for gp in gamma_prime)
+    a1, a2, a3 = ruled_frame(d.c3, n)
     g1 = integrate_v(d.gamma1, n)
     u = Jet2.variable("u", n)
-    comps = tuple(gamma[i] + (u - g1) * a1[i] for i in range(3))
-    return MapJet.germ(*comps)
+    return MapJet.germ(*(u * a1[i] + integrate_v(d.gamma3 * a3[i] - g1 * a2[i], n)
+                         for i in range(3)))
 
 
 def ruled_b_polynomial(g1, g1p, g1pp, g3pp, g3ppp, g3pppp, c3p, c3pp):
@@ -250,31 +255,24 @@ def _require_center(m: MongeCoeffs):
 def center_map(m: MongeCoeffs, order: int = 6) -> MapJet:
     """c = f - (f.nu) nu for f = (u, v, k + a), k = -1/a02, as a germ at 0.
 
-    The Monge polynomial is exact data, so it is expanded one order above
-    the requested output order and everything is truncated at the end; the
-    normalization radicand 1 + a_u^2 + a_v^2 has constant term exactly 1,
-    keeping the whole computation rational.
+    With the unnormalized normal N = (-a_u, -a_v, 1) and nu = N/|N| this is
+    c = f - (f.N) N/(N.N).  N.N = 1 + a_u^2 + a_v^2 has constant term
+    exactly 1, since a has no linear terms, so 1/(N.N) is one geometric
+    series and no square root is taken.  The Monge polynomial is exact
+    data, expanded one order above the output order, which its partials
+    lose.
     """
     _require_center(m)
-    n = order + 1
-    a = m.jet(n)
-    k = -1 / m.a_(0, 2)
-    u = Jet2.variable("u", n)
-    v = Jet2.variable("v", n)
-    au = a.partial_u()
-    av = a.partial_v()
-    w = invsqrt_series(Jet2.const(1, n - 1) + au * au + av * av)
-    nu = (-(au * w), -(av * w), w)
-    f = (u, v, a + k)
-    rho = f[0] * nu[0] + f[1] * nu[1] + f[2] * nu[2]
-    c = tuple(f[i] - rho * nu[i] for i in range(3))
-    if not EXACT.is_zero_vec(tuple(ci.at0() for ci in c)):
+    a = m.jet(order + 1)
+    au, av = a.partial_u(), a.partial_v()
+    u, v = Jet2.variable("u", order), Jet2.variable("v", order)
+    f3 = a - 1 / m.a_(0, 2)
+    # c = f - rho N with rho = (f.N)/(N.N)
+    rho = (f3 - u * au - v * av) * reciprocal_series(1 + au * au + av * av)
+    cm = MapJet.germ(u + rho * au, v + rho * av, f3 - rho)
+    if not EXACT.is_zero_vec(cm.at0()):
         raise PreconditionError("center map does not fix the origin (internal error)")
-    cm = MapJet.germ(*(ci.truncate(order) for ci in c))
-    cu0 = cm.partial_u().at0()
-    cuv0 = cm.partial_u().partial_v().at0()
-    cvv0 = cm.partial_v().partial_v().at0()
-    if not EXACT.is_zero(det3((cu0, cvv0, cuv0))):
+    if not EXACT.is_zero(det3(partials0(cm)[0])):
         raise PreconditionError("center map lost det(c_u, c_vv, c_uv)(0) = 0 (internal error)")
     return cm
 

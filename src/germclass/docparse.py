@@ -50,7 +50,7 @@ from .jets import Jet2, MapJet
 from .oracle import HNormalCoeffs, SBNormalCoeffs
 
 # a token, or any other character that is not whitespace
-_TOKEN = re.compile(r"(\d+|[uv^*+/()-])|(\S)")
+_TOKEN = re.compile(r"([0-9]+|[uv^*+/()-])|(\S)")
 
 
 def _tokenize(src: str):
@@ -239,7 +239,8 @@ _KINDS = {
     "sb-normal": ((), "ab"),
     "h-normal": ((), "ab"),
 }
-_COEFF_KEY = re.compile(r"([ab])(\d)(\d)")
+_COEFF_KEY = re.compile(r"([ab])([0-9])([0-9])")
+_DIGITS = re.compile(r"[0-9]+")
 
 
 @dataclass
@@ -316,10 +317,9 @@ def parse_doc(text: str) -> MapSpecDoc:
         seen.add(key)
         coeff = _COEFF_KEY.fullmatch(key) if letters else None
         if key == "order":
-            try:
-                order = int(value)
-            except ValueError:
+            if not _DIGITS.fullmatch(value) or len(value) > _MAX_DIGITS:
                 raise ParseError("key order: not an integer: %r" % value)
+            order = int(value)
             if not 2 <= order <= 10:
                 raise ParseError("key order: must be within 2..10, got %d" % order)
             doc.order = order

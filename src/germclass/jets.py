@@ -687,18 +687,15 @@ def post_compose(phi: PolyMap3, f: MapJet) -> MapJet:
                                      min(f.order, phi.order)))
 
 
-def invsqrt_series(a: Jet2) -> Jet2:
-    """Inverse square root of a jet with constant term 1, by the binomial series."""
+def reciprocal_series(a: Jet2) -> Jet2:
+    """Reciprocal of a jet with constant term 1, by the geometric series in 1 - a."""
     if a.at0() != 1:
-        raise PreconditionError("invsqrt_series needs constant term 1")
-    e = a - 1
-    result = Jet2.const(1, a.order)
-    term = result
-    binom = Fraction(1)
-    for k in range(1, a.order + 1):
-        binom *= Fraction(-(2 * k - 1), 2 * k)
+        raise PreconditionError("reciprocal_series needs constant term 1")
+    e = 1 - a
+    result = term = Jet2.const(1, a.order)
+    for _ in range(a.order):
         term = term * e
-        result = result + term * binom
+        result = result + term
     return result
 
 

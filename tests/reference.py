@@ -1,8 +1,10 @@
 """Reference-only code kept for the tests: it has no caller in the package."""
 
-from germclass.applications import _theta_pair
+from fractions import Fraction
+
+from germclass.applications import _require_center, _theta_pair, integrate_v, ruled_frame
 from germclass.docparse import MapSpecDoc
-from germclass.jets import Jet2, poly_str
+from germclass.jets import Jet2, MapJet, poly_str
 from germclass.vfields import FramePair, VectorFieldJet, apply_to_jet, d_du
 
 
@@ -36,6 +38,56 @@ def bracket(z1: VectorFieldJet, z2: VectorFieldJet) -> VectorFieldJet:
     a = apply_to_jet(z1, z2.a) - apply_to_jet(z2, z1.a)
     b = apply_to_jet(z1, z2.b) - apply_to_jet(z2, z1.b)
     return VectorFieldJet(a, b)
+
+
+def invsqrt_series(a: Jet2) -> Jet2:
+    """Inverse square root of a jet with constant term 1, by the binomial series."""
+    assert a.at0() == 1
+    e = a - 1
+    result = Jet2.const(1, a.order)
+    term = result
+    binom = Fraction(1)
+    for k in range(1, a.order + 1):
+        binom *= Fraction(-(2 * k - 1), 2 * k)
+        term = term * e
+        result = result + term * binom
+    return result
+
+
+def normalized_center_map(m, order=6) -> MapJet:
+    """c = f - (f.nu) nu with the unit normal nu = N/|N|, |N|^-1 by `invsqrt_series`.
+
+    The construction `applications.center_map` had before it divided by
+    N.N; kept unchanged as the reference it is compared with.
+    """
+    _require_center(m)
+    n = order + 1
+    a = m.jet(n)
+    k = -1 / m.a_(0, 2)
+    u = Jet2.variable("u", n)
+    v = Jet2.variable("v", n)
+    au = a.partial_u()
+    av = a.partial_v()
+    w = invsqrt_series(Jet2.const(1, n - 1) + au * au + av * av)
+    nu = (-(au * w), -(av * w), w)
+    f = (u, v, a + k)
+    rho = f[0] * nu[0] + f[1] * nu[1] + f[2] * nu[2]
+    return MapJet.germ(*((f[i] - rho * nu[i]).truncate(order) for i in range(3)))
+
+
+def integrated_ruled_map(d) -> MapJet:
+    """gamma + (u - G1) a1 with gamma = int_0^v (gamma1 a1 + gamma3 a3), G1 = int_0^v gamma1.
+
+    The construction `applications.ruled_map` had before it integrated
+    gamma3 a3 - G1 a2; kept unchanged as the reference it is compared with.
+    """
+    n = d.order
+    a1, _, a3 = ruled_frame(d.c3, n)
+    gamma_prime = tuple(d.gamma1 * a1[i] + d.gamma3 * a3[i] for i in range(3))
+    gamma = tuple(integrate_v(gp, n) for gp in gamma_prime)
+    g1 = integrate_v(d.gamma1, n)
+    u = Jet2.variable("u", n)
+    return MapJet.germ(*(gamma[i] + (u - g1) * a1[i] for i in range(3)))
 
 
 def expanded_folded_invariants(m, theta=(1, 0)):

@@ -18,7 +18,7 @@ from germclass.jets import (Jet2, PolyMap2, compose2, det3, from_divided_coeffs,
                             to_divided_coeff)
 from germclass.oracle import (HNormalCoeffs, SBNormalCoeffs, h2_check,
                               skbk_classify)
-from reference import expanded_folded_invariants
+from reference import expanded_folded_invariants, integrated_ruled_map, normalized_center_map
 from util import (random_h_coeffs, random_sb_coeffs, rational, reference_ruled_frame,
                   uni)
 
@@ -230,6 +230,31 @@ def test_center_formula_agrees_with_classifier(branch):
                                        Verdict.B2_MINUS, Verdict.H2)
 
 
+# -- the map routes against their references -----------------------------------
+
+def _same_jets(f, g):
+    assert [c.order for c in f] == [c.order for c in g]
+    assert [c.items() for c in f] == [c.items() for c in g]
+
+
+@pytest.mark.parametrize("order", range(5, 11))
+def test_ruled_map_matches_integrated_reference(order):
+    rng = Random("ruled-map|%d" % order)
+    for branch in ("WU", "S1", "S2", "B", "H"):
+        d = _branch_ruled(rng, branch)
+        d = RuledData(*(Jet2(order, dict(getattr(d, name).items()))
+                        for name in ("gamma1", "gamma3", "c3")))
+        _same_jets(ruled_map(d), integrated_ruled_map(d))
+
+
+@pytest.mark.parametrize("order", range(5, 11))
+def test_center_map_matches_normalized_reference(order):
+    rng = Random("center-map|%d" % order)
+    for branch in ("S1", "S2", "H", "any"):
+        m = _random_center(rng, branch)
+        _same_jets(center_map(m, order), normalized_center_map(m, order))
+
+
 # -- folded surfaces -----------------------------------------------------------
 
 def test_folded_identity_angle():
@@ -369,7 +394,7 @@ def test_folded_rational_angle_s_branch():
     assert hits[True] > 0
 
 
-def test_folded_float_mode_matches_exact():
+def test_folded_float_angle_matches_its_exact_point():
     c, s = Fraction(4, 5), Fraction(-3, 5)
     a = {(0, 2): Fraction(1), (2, 0): Fraction(1), (0, 3): Fraction(2),
          (1, 2): Fraction(1, 2), (3, 0): Fraction(-1), (3, 1): Fraction(3)}

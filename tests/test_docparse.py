@@ -357,14 +357,29 @@ def test_overflow_warning_recorded():
      "folded: theta_cos^2 + theta_sin^2 must equal 1 exactly"),
     ("[map]\norder = five\nf1 = u\nf2 = v^2\nf3 = u*v\n", "key order: not an integer: 'five'"),
     ("[map]\norder = 11\nf1 = u\nf2 = v^2\nf3 = u*v\n", "key order: must be within 2..10, got 11"),
+    ("[map]\norder = \uff16\nf1 = u\nf2 = v^2\nf3 = u*v\n",
+     "key order: not an integer: '\uff16'"),
+    ("[map]\norder = 1_0\nf1 = u\nf2 = v^2\nf3 = u*v\n", "key order: not an integer: '1_0'"),
+    ("[map]\nf1 = u\nf2 = v^2\nf3 = \u0663*u*v\n",
+     "key f3: unexpected character '\u0663' at position 0"),
+    ("[center]\na02 = 1\na\u0662\u0661 = 1\n",
+     "line 3: unknown key 'a\u0662\u0661' for kind 'center'"),
     ("[center]\na02 = 1\na21 = 1/0\n", "key a21: zero denominator at position 2"),
     ("[center]\na02 = 1\na03 = 1e10000000\n", "key a03: unexpected character 'e' at position 1"),
 ], ids=["map-missing", "ruled-missing", "center-empty", "folded-empty", "sb-empty", "h-empty",
         "center-b", "folded-b", "sb-b12", "theta-in-center", "unpaired-cos",
-        "theta-and-pair", "off-circle", "order-not-integer", "order-range", "zero-denominator",
-        "exponent-coefficient"])
+        "theta-and-pair", "off-circle", "order-not-integer", "order-range",
+        "order-fullwidth-digit", "order-underscore", "arabic-indic-digit",
+        "arabic-indic-key", "zero-denominator", "exponent-coefficient"])
 def test_document_rule_messages(text, message):
     """Each document rule fails with its own exact message."""
     with pytest.raises(ParseError) as err:
         parse_doc(text)
     assert str(err.value) == message
+
+
+def test_order_past_the_digit_limit_is_not_an_integer():
+    value = "0" * 4300 + "6"
+    with pytest.raises(ParseError) as err:
+        parse_doc("[map]\norder = %s\nf1 = u\nf2 = v^2\nf3 = u*v\n" % value)
+    assert str(err.value) == "key order: not an integer: %r" % value

@@ -12,9 +12,9 @@ import germclass
 from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass.fuzz import FuzzConfig, random_target_diffeo
 from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2, compose_map, cross3,
-                            det3, directional, from_divided_coeffs, invsqrt_series,
-                            poly_str, post_compose, scaled_coeffs, shear, swap,
-                            to_divided_coeff)
+                            det3, directional, from_divided_coeffs, poly_str,
+                            post_compose, reciprocal_series, scaled_coeffs, shear,
+                            swap, to_divided_coeff)
 from util import jet, linear_map, random_jet
 
 
@@ -81,17 +81,22 @@ def test_polymap_rejects_singular_linear_part():
         PolyMap2(Jet2.variable("u", 6), Jet2.variable("u", 6))
 
 
-def test_invsqrt_series_binomial():
+def test_reciprocal_series_inverts():
     a = jet({(0, 0): 1, (1, 0): 1})
-    r = invsqrt_series(a)
-    assert r.coeff(1, 0) == Fraction(-1, 2)
-    assert r.coeff(2, 0) == Fraction(3, 8)
-    assert r.coeff(3, 0) == Fraction(-5, 16)
-    assert r * r * a == Jet2.const(1, 6)
+    r = reciprocal_series(a)
+    assert [r.coeff(k, 0) for k in range(7)] == [(-1) ** k for k in range(7)]
+    assert reciprocal_series(Jet2.const(1, 6)) == Jet2.const(1, 6)
+    rng = Random(7)
+    for order in (1, 2, 5, 8):
+        e = random_jet(rng, order=order, max_degree=order)
+        a = 1 + Jet2(order, {k: c for k, c in e.items() if k != (0, 0)})
+        assert a * reciprocal_series(a) == Jet2.const(1, order)
 
 
-def test_invsqrt_of_one():
-    assert invsqrt_series(Jet2.const(1, 6)) == Jet2.const(1, 6)
+def test_reciprocal_series_needs_constant_term_one():
+    for c in (0, 2, Fraction(1, 2), -1):
+        with pytest.raises(PreconditionError, match="reciprocal_series needs constant term 1"):
+            reciprocal_series(Jet2.const(c, 6) + Jet2.variable("u", 6))
 
 
 def test_from_divided():
@@ -281,7 +286,7 @@ def test_truncation_consistency_all_ops():
         positive_part = Jet2(8, {k: v for k, v in sq.items() if sum(k) > 0})
         unit8 = Jet2.const(1, 8) + positive_part
         unit6 = unit8.truncate(6)
-        assert invsqrt_series(unit8).truncate(6) == invsqrt_series(unit6)
+        assert reciprocal_series(unit8).truncate(6) == reciprocal_series(unit6)
 
 
 def test_truncate_returns_self_when_nothing_is_cut():
