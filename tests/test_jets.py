@@ -15,6 +15,7 @@ from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2, compose_
                             det3, directional, from_divided_coeffs, poly_str,
                             post_compose, reciprocal_series, scaled_coeffs, shear,
                             swap, to_divided_coeff)
+from reference import invsqrt_series
 from util import jet, linear_map, random_jet
 
 
@@ -91,6 +92,19 @@ def test_reciprocal_series_inverts():
         e = random_jet(rng, order=order, max_degree=order)
         a = 1 + Jet2(order, {k: c for k, c in e.items() if k != (0, 0)})
         assert a * reciprocal_series(a) == Jet2.const(1, order)
+
+
+def test_invsqrt_series_binomial():
+    a = jet({(0, 0): 1, (1, 0): 1})
+    r = invsqrt_series(a)
+    assert r.coeff(1, 0) == Fraction(-1, 2)
+    assert r.coeff(2, 0) == Fraction(3, 8)
+    assert r.coeff(3, 0) == Fraction(-5, 16)
+    assert r * r * a == Jet2.const(1, 6)
+
+
+def test_invsqrt_of_one():
+    assert invsqrt_series(Jet2.const(1, 6)) == Jet2.const(1, 6)
 
 
 def test_reciprocal_series_needs_constant_term_one():
