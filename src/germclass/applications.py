@@ -75,8 +75,11 @@ def _univariate(jet: Jet2, name: str) -> Jet2:
 
 
 def integrate_v(jet: Jet2, cap: int) -> Jet2:
-    out = {(0, j + 1): c / (j + 1) for (_, j), c in jet.items()}
-    return Jet2(min(cap, jet.order + 1), out)
+    """int_0^v of a jet in v only, at order min(cap, jet.order + 1)."""
+    terms = [(j + 1, c.numerator, c.denominator * (j + 1)) for (_, j), c in jet.items()]
+    den = math.lcm(*(d for _, _, d in terms))
+    return Jet2.from_numerators(min(cap, jet.order + 1),
+                                {(0, e): n * (den // d) for e, n, d in terms}, den)
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,8 @@ def ruled_frame(c3: Jet2, order: int | None = None):
         S2[k+1] = -D S1[k] + sum_m C_m D^m k!/(k-m)! S3[k-m],
         S3[k+1] = -sum_m C_m D^m k!/(k-m)! S2[k-m],
 
-    from S_i[0] = e_i, and a_i[k] = S_i[k] / (k! D^k) is the one Fraction
-    built per coefficient.
+    from S_i[0] = e_i, and a_i[k] = S_i[k] / (k! D^k).  Each k! D^k divides
+    n! D^n, so a component is built from integer rows over n! D^n.
     """
     _univariate(c3, "c3")
     n = c3.order + 1 if order is None else order
@@ -137,7 +140,8 @@ def ruled_frame(c3: Jet2, order: int | None = None):
         scales.append(scales[-1] * (k + 1) * d)
 
     def pack(rows):
-        return tuple(Jet2(n, {(0, k): Fraction(rows[k][i], scales[k]) for k in range(n + 1)})
+        return tuple(Jet2.from_numerators(n, {(0, k): rows[k][i] * (scales[n] // scales[k])
+                                              for k in range(n + 1)}, scales[n])
                      for i in range(3))
     return pack(s1), pack(s2), pack(s3)
 

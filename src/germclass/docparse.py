@@ -17,6 +17,20 @@ that no power too large to hold is computed; the power itself, summed by
 the binomial theorem in a time that grows with the digits of E and not
 with E, then gets the product's check.
 
+Most sources are plain sums of monomials, and those take a fast path:
+`_scan_sum` reads, in one regex pass, an optional sign and then terms
+joined by '+'/'-', each a coefficient `c`, a monomial
+`var['^'e]('*' var['^'e])*`, or `c '*'` monomial, where c is a rational
+literal or a parenthesized signed one, `(-3/4)`.  Each term adds one
+integer numerator at one key over the lcm of the denominators, and one
+`Jet2.from_numerators` call builds the jet.  It declines (returns None)
+any other shape, a zero coefficient or denominator, a term of total
+degree past the order, and a literal of more than 100 digits or an
+exponent of more than 4 digits; the recursive descent then reads the source as
+if the fast path did not exist.  So the fast path never truncates, and
+every error, its position, the degree-overflow flag and the digit
+guards come from the descent alone.
+
 Documents are line-oriented `key = value` files under a `[kind]` header,
 kind one of map, ruled, center, folded, sb-normal, h-normal.  Blank lines
 and '#' comments are ignored, a line that opens with '[' is a whole header
@@ -28,7 +42,8 @@ by its key:
 - a coefficient key (aij; b0j for sb-normal, bij for h-normal),
   theta_cos and theta_sin hold one signed rational,
   `['+'|'-'] rational`, so `0.5` and `1e3` are errors;
-- theta is a finite float.
+- theta is a finite decimal float literal in ASCII digits
+  (`[+-]` digits with an optional fraction and exponent, no `_`).
 
 A value's error names its key, with the position in that key's value.
 Angles for folded documents are either an exact rational point on the
@@ -218,13 +233,80 @@ class _PolyParser:
         return value
 
 
+# The fast path's literals and exponents stay far below the digit limit, so
+# that no digit guard of the descent could apply to what it accepts
+_FAST_DIGITS = 100
+_FAST_EXPONENT_DIGITS = 4
+_LIT = r"([0-9]{1,%d})(?:\s*/\s*([0-9]{1,%d}))?" % (_FAST_DIGITS, _FAST_DIGITS)
+_VAR = r"[uv](?:\s*\^\s*[0-9]{1,%d})?" % _FAST_EXPONENT_DIGITS
+_MONO = r"(%s(?:\s*\*\s*%s)*)" % (_VAR, _VAR)
+# one signed term: a coefficient c or (c), optionally times a monomial, or a
+# bare monomial; groups: sign, c, its denominator, (c)'s sign, c, its
+# denominator, the monomial after a coefficient, a bare monomial
+_TERM = re.compile(r"\s*([+-]?)\s*(?:(?:%s|\(\s*([+-]?)\s*%s\s*\))(?:\s*\*\s*%s)?|%s)\s*"
+                   % (_LIT, _LIT, _MONO, _MONO))
+_FACTOR = re.compile(r"([uv])(?:\s*\^\s*([0-9]+))?")
+
+
+def _scan_sum(src: str, order: int):
+    """The jet of a sum of terms c*u^i*v^j, in one pass, or None if src is not one.
+
+    None also for a zero coefficient or denominator and for a term of total
+    degree past `order`: those, and every other shape, are left to the
+    descent, so each error, warning and digit guard comes from it alone.
+    """
+    terms = []
+    pos, end = 0, len(src)
+    while True:
+        m = _TERM.match(src, pos)
+        if m is None:
+            return None
+        sign, num, den, inner_sign, inner_num, inner_den, mono, bare = m.groups()
+        if terms and not sign:
+            return None
+        if inner_num is not None:
+            num, den = inner_num, inner_den
+            if inner_sign == "-":
+                sign = "+" if sign == "-" else "-"
+        n = 1 if num is None else int(num)
+        d = 1 if den is None else int(den)
+        if not n or not d:
+            return None
+        i = j = 0
+        mono = mono or bare
+        if mono:
+            for var, exp in _FACTOR.findall(mono):
+                if var == "u":
+                    i += int(exp) if exp else 1
+                else:
+                    j += int(exp) if exp else 1
+            if i + j > order:
+                return None
+        terms.append(((i, j), -n if sign == "-" else n, d))
+        pos = m.end()
+        if pos == end:
+            break
+    common = math.lcm(*(d for _, _, d in terms))
+    num = {}
+    for key, n, d in terms:
+        num[key] = num.get(key, 0) + n * (common // d)
+    return Jet2.from_numerators(order, num, common)
+
+
 def parse_poly(src: str, order: int = 6) -> Jet2:
     """Parse a polynomial expression into a jet of the given order."""
-    return _PolyParser(src, order).parse()
+    return parse_poly_ex(src, order)[0]
 
 
 def parse_poly_ex(src: str, order: int = 6):
-    """Like parse_poly, also reporting whether a product or power ran past the order."""
+    """Like parse_poly, also reporting whether a product or power ran past the order.
+
+    A sum of terms c*u^i*v^j within the order is read by `_scan_sum`; any
+    other source by the recursive descent `_PolyParser`.
+    """
+    jet = _scan_sum(src, order)
+    if jet is not None:
+        return jet, False
     parser = _PolyParser(src, order)
     jet = parser.parse()
     return jet, parser.truncated
@@ -241,6 +323,10 @@ _KINDS = {
 }
 _COEFF_KEY = re.compile(r"([ab])([0-9])([0-9])")
 _DIGITS = re.compile(r"[0-9]+")
+# a decimal float literal in ASCII digits, with no '_'; inf and nan pass here
+# so that the finiteness check names them
+_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                    r"|(?i:inf|infinity|nan))")
 
 
 @dataclass
@@ -333,10 +419,9 @@ def parse_doc(text: str) -> MapSpecDoc:
                 raise ParseError("sb-normal: b-coefficients must be b0j (got b%s%s)" % (i, j))
             doc.coeffs[g][int(i), int(j)] = _keyed(key, _rational, value)
         elif key == "theta" and doc.kind == "folded":
-            try:
-                doc.theta = float(value)
-            except ValueError:
+            if not _FLOAT.fullmatch(value):
                 raise ParseError("key theta: not a number: %r" % value)
+            doc.theta = float(value)
             if not math.isfinite(doc.theta):
                 raise ParseError("key theta: must be finite, got %r" % value)
         elif key in ("theta_cos", "theta_sin") and doc.kind == "folded":

@@ -25,8 +25,12 @@ reduces each result once, in `_jet`; every scalar read out (`coeff`,
 `_num` or `_den`.
 
 Construction.  `Jet2(order, table)` coerces a table of rationals and
-reduces it.  `Jet2.zero`, `Jet2.const` and `Jet2.variable` build their
-canonical form directly, and so does a power of a one-term jet:
+reduces it.  `Jet2.from_numerators(order, num, den)` takes integer
+numerators over one positive denominator, as code that already
+holds them does (a parser, a recursion on integer rows), and reduces
+them once with no `Fraction`.  `Jet2.zero`, `Jet2.const` and
+`Jet2.variable` build their canonical form directly, and so does a
+power of a one-term jet:
 (c u^i v^j)^n = c^n u^(ni) v^(nj) stays in lowest terms because c is in
 them.  `coeffs_below(bound)` is the size test of every coefficient in
 lowest terms; it reduces nothing when the shared numerators and the
@@ -156,6 +160,14 @@ class Jet2:
     @classmethod
     def zero(cls, order: int) -> "Jet2":
         return _canonical(order, {}, 1)
+
+    @classmethod
+    def from_numerators(cls, order: int, num, den: int) -> "Jet2":
+        """The jet with coefficient num[(i, j)] / den at u^i v^j, for int numerators
+        and an int den > 0; keys past `order` are dropped and `num` is not kept."""
+        if den <= 0:
+            raise ValueError("from_numerators needs a positive denominator, got %d" % den)
+        return _jet(order, {(i, j): n for (i, j), n in num.items() if i + j <= order}, den)
 
     @classmethod
     def const(cls, value, order: int) -> "Jet2":
@@ -701,12 +713,14 @@ def reciprocal_series(a: Jet2) -> Jet2:
 
 def from_divided_coeffs(table, order: int) -> Jet2:
     """Build a jet from coefficients in the divided convention c_ij/(i! j!)."""
-    out = {}
+    terms = []
     for (i, j), c in table.items():
         if i < 0 or j < 0 or i + j > order:
             raise PreconditionError("divided coefficient index (%d,%d) out of range" % (i, j))
-        out[(i, j)] = Fraction(1, factorial(i) * factorial(j)) * c
-    return Jet2(order, out)
+        c = as_exact(c)
+        terms.append(((i, j), c.numerator, c.denominator * factorial(i) * factorial(j)))
+    den = lcm(*(d for _, _, d in terms))
+    return Jet2.from_numerators(order, {key: n * (den // d) for key, n, d in terms}, den)
 
 
 def to_divided_coeff(jet: Jet2, i: int, j: int) -> Scalar:

@@ -1,6 +1,7 @@
 """Reference-only code kept for the tests: it has no caller in the package."""
 
 from fractions import Fraction
+from math import factorial
 
 from germclass.applications import _require_center, _theta_pair, integrate_v, ruled_frame
 from germclass.docparse import MapSpecDoc
@@ -38,6 +39,17 @@ def bracket(z1: VectorFieldJet, z2: VectorFieldJet) -> VectorFieldJet:
     a = apply_to_jet(z1, z2.a) - apply_to_jet(z2, z1.a)
     b = apply_to_jet(z1, z2.b) - apply_to_jet(z2, z1.b)
     return VectorFieldJet(a, b)
+
+
+def fraction_divided_coeffs(table, order: int) -> Jet2:
+    """`jets.from_divided_coeffs` as it was built before, one Fraction per coefficient."""
+    return Jet2(order, {(i, j): Fraction(1, factorial(i) * factorial(j)) * c
+                        for (i, j), c in table.items()})
+
+
+def fraction_integrate_v(jet: Jet2, cap: int) -> Jet2:
+    """`applications.integrate_v` as it was built before, one Fraction per coefficient."""
+    return Jet2(min(cap, jet.order + 1), {(0, j + 1): c / (j + 1) for (_, j), c in jet.items()})
 
 
 def invsqrt_series(a: Jet2) -> Jet2:

@@ -10,7 +10,7 @@ from germclass import frames, jets, vfields
 from germclass.applications import (MongeCoeffs, RuledData, _theta_pair,
                                     center_classify_formulas,
                                     center_map, folded_classify_formulas,
-                                    folded_invariants, folded_map,
+                                    folded_invariants, folded_map, integrate_v,
                                     ruled_classify_formulas, ruled_frame, ruled_map)
 from germclass.classify import Verdict, classify
 from germclass.errors import PreconditionError
@@ -18,7 +18,8 @@ from germclass.jets import (Jet2, PolyMap2, compose2, det3, from_divided_coeffs,
                             to_divided_coeff)
 from germclass.oracle import (HNormalCoeffs, SBNormalCoeffs, h2_check,
                               skbk_classify)
-from reference import expanded_folded_invariants, integrated_ruled_map, normalized_center_map
+from reference import (expanded_folded_invariants, fraction_integrate_v, integrated_ruled_map,
+                       normalized_center_map)
 from util import (random_h_coeffs, random_sb_coeffs, rational, reference_ruled_frame,
                   uni)
 
@@ -80,6 +81,18 @@ def test_frame_matches_fraction_recursion(seed):
             got = [c for a in ruled_frame(c3, order) for c in a]
             want = [c for a in reference_ruled_frame(c3, order) for c in a]
             assert got == want
+            assert [(c.order, c.items()) for c in got] == [(c.order, c.items()) for c in want]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integrate_v_matches_the_fraction_construction(seed):
+    rng = Random(seed)
+    for order in range(11):
+        g = uni({j: rational(rng, bound=9, den=rng.choice([1, 3, 10])) for j in range(order + 1)
+                 if rng.random() < 0.7}, order)
+        for cap in (0, 1, order, order + 1, order + 2):
+            got, want = integrate_v(g, cap), fraction_integrate_v(g, cap)
+            assert (got.order, got.items()) == (want.order, want.items())
 
 
 # -- ruled map ---------------------------------------------------------------

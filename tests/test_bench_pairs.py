@@ -141,3 +141,28 @@ def test_verdicts_hold_only_on_one_digest_for_every_run():
     # one side reading two digests fails even where the two sets agree
     assert not held({"parent": {"a", "b"}, "change": {"a", "b"}})
     assert not held({"parent": {"a", "b"}, "change": {"a"}})
+
+
+def test_out_writes_every_workload_and_reads_back(tmp_path, capsys):
+    """--out holds, per workload, the runs behind the printed table and its digests."""
+    good = fake_checkout(tmp_path / "good", 0)
+    other = fake_checkout(tmp_path / "other", 0, digest="xyz")
+    out = tmp_path / "BENCH_test.json"
+    args = ["--parent", str(good), "--change", str(other), "--workload", "scrambled",
+            "documents", "--seed", "7", "--pairs", "3", "--out", str(out)]
+    assert bench_pairs.main(args) == 1
+    printed = capsys.readouterr().out
+    saved = json.loads(out.read_text(encoding="utf-8"))["workloads"]
+    assert list(saved) == ["scrambled", "documents"]
+    for workload, result in saved.items():
+        assert (result["seed"], result["pairs"], result["run_seconds"]) == (
+            7, 3, SPEC["run_seconds"])
+        assert len(result["per_pair"]) == 3
+        assert all(set(pair) == {"parent", "change"} and set(pair["change"]) == set(NAMES)
+                   for pair in result["per_pair"])
+        rows = bench_pairs.summarize(SPEC, result["per_pair"])
+        assert json.loads(json.dumps(rows)) == result["summary"]
+        assert bench_pairs.format_rows(rows) in printed
+        assert result["digests"] == {"parent": ["abc-%s" % workload],
+                                     "change": ["xyz-%s" % workload]}
+        assert result["verdicts_held"] is False

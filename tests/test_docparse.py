@@ -2,6 +2,7 @@ import math
 import re
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from germclass import docparse
 from germclass.docparse import parse_doc, parse_poly, parse_poly_ex
 from germclass.errors import ParseError
-from germclass.jets import Jet2
+from germclass.jets import Jet2, poly_str
 from reference import format_doc
-from util import jet, reference_poly
+from util import jet, random_jet, rational, reference_poly
 
 
 def test_parse_s2_expression():
@@ -149,8 +150,131 @@ def poly_sources(draw, depth=2):
     return text
 
 
+# digit counts on both sides of the fast path's cap and of Python's limit
+_CAP_DIGITS = [1, 2, 99, 100, 101]
+_DIGIT_COUNTS = st.sampled_from(_CAP_DIGITS + [4299, 4300, 4301])
+# exponents on both sides of every order 0..10 and of the fast path's cap of 4 digits
+_FAST_EXPONENT = st.sampled_from(["0", "1", "2", "3", "5", "11", "0003", "9999", "10000"])
+
+
+@st.composite
+def fast_boundary_sources(draw, malformed=False):
+    """A sum of terms on both sides of the fast path's boundary: monomial terms
+    c*u^i*v^j, bare or with a plain or parenthesized coefficient, next to
+    shapes it declines (a zero coefficient, a power or parentheses around a
+    value, a coefficient after a variable, literals past 100 digits and
+    exponents past 4).  Every value stays within the digit limit unless
+    `malformed`; then literals of 4299-4301 digits, powers past the limit
+    and malformed pieces join them (a missing '*', u/2, 1/0, a bad
+    exponent, an unclosed parenthesis)."""
+    gap = draw(_GAP)
+    digits = _DIGIT_COUNTS if malformed else st.sampled_from(_CAP_DIGITS)
+    power = _FAST_EXPONENT if malformed else st.sampled_from(["0", "1", "3"])
+
+    def literal():
+        num = draw(st.integers(0, 12).map(str) | digits.map(lambda n: "1" + "0" * (n - 1)))
+        if draw(st.booleans()):
+            num += gap + "/" + gap + draw(st.integers(0 if malformed else 1, 7).map(str))
+        return num
+
+    def coefficient():
+        c = literal()
+        if draw(st.booleans()):
+            c = "(" + gap + draw(st.sampled_from(["", "+", "-"])) + gap + c + gap + ")"
+        return c
+
+    def monomial():
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            factor = draw(st.sampled_from("uv"))
+            if draw(st.booleans()):
+                factor += gap + "^" + gap + draw(_FAST_EXPONENT)
+            factors.append(factor)
+        return (gap + "*" + gap).join(factors)
+
+    # the shapes the fast path reads, weighted so that whole sums of them are common
+    shapes = 6 * [coefficient, monomial, lambda: coefficient() + gap + "*" + gap + monomial()]
+    shapes += [lambda: "0*" + monomial(), lambda: monomial() + "*" + literal(),
+              lambda: "(" + coefficient() + ")", lambda: "((" + monomial() + "))",
+              lambda: "(" + literal() + "+" + monomial() + ")^2",
+              lambda: coefficient() + "^" + draw(power)]
+    if malformed:
+        shapes += [lambda: "2u", lambda: "u/2", lambda: "1/0*u", lambda: "u^", lambda: "u^-1",
+                   lambda: "(u", lambda: "u)", lambda: "**", lambda: "u w",
+                   lambda: "9" * draw(_DIGIT_COUNTS) + "*u", lambda: "u^" + "9" * 4301]
+    terms = [draw(st.sampled_from(shapes))() for _ in range(draw(st.integers(1, 4)))]
+    text = draw(st.sampled_from(["", "+", "-"])) + gap + terms[0]
+    for term in terms[1:]:
+        text += gap + draw(st.sampled_from("+-")) + gap + term
+    return text
+
+
+def _outcome(parse):
+    """(order, items, truncated) of a parse, or the message and position of its ParseError."""
+    try:
+        jet, truncated = parse()
+    except ParseError as err:
+        return str(err), err.position
+    return jet.order, jet.items(), truncated
+
+
+def _descent(src, order):
+    parser = docparse._PolyParser(src, order)
+    jet = parser.parse()
+    return jet, parser.truncated
+
+
+@settings(max_examples=300, deadline=None)
+@given(fast_boundary_sources(malformed=True) | fast_boundary_sources() | poly_sources(),
+       st.integers(0, 10))
+def test_fast_path_agrees_with_the_descent(src, order):
+    """parse_poly_ex gives the descent's jet and overflow flag, or its exact error,
+    on either side of every boundary of the fast path."""
+    assert _outcome(lambda: parse_poly_ex(src, order)) == _outcome(lambda: _descent(src, order))
+
+
+@pytest.mark.parametrize("src, order", [
+    ("u", 6), ("v^2", 6), ("u*v", 2), ("u*u", 2), ("u^0", 0), ("(3)", 0), ("(-3/4)*v^2", 6),
+    ("- 2 * u ^ 2 * v + 1 / 3", 6), ("9" * 100 + "*u", 6), ("u^0003", 3),
+])
+def test_fast_path_accepts_monomial_sums(src, order):
+    assert docparse._scan_sum(src, order) == _descent(src, order)[0]
+
+
+@pytest.mark.parametrize("src, order", [
+    ("u*u", 1), ("u^7", 6), ("u", 0), ("0*u", 6), ("0", 6), ("1/0", 6), ("2u", 6),
+    ("u*2", 6), ("(1+u)", 6), ("((u))", 6), ("(2)^3", 6), ("2^3", 6), ("u/2", 6), ("--u", 6),
+    ("", 6), (" ", 6), ("9" * 101 + "*u", 6), ("u^10000", 6), ("u v", 6),
+])
+def test_fast_path_declines_everything_else(src, order):
+    assert docparse._scan_sum(src, order) is None
+
+
+class _RefusingParser:
+    def __init__(self, src, order):
+        raise AssertionError("the descent read %r" % src)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 10))
+def test_printed_jets_and_ruled_sums_take_only_the_fast_path(seed, order):
+    """poly_str of any nonzero jet, and a `(c)*v^j` sum as ruled documents write
+    them, parse without the descent, to the same jet."""
+    rng = Random(seed)
+    printed = random_jet(rng, order, max_degree=order, density=0.5)
+    ruled = {j: rational(rng, bound=50, den=9, nonzero=True) for j in range(order + 1)
+             if rng.random() < 0.7} or {0: Fraction(1)}
+    ruled_src = " + ".join("(%s)*v^%d" % (c, j) for j, c in sorted(ruled.items()))
+    want_ruled = Jet2(order, {(0, j): c for j, c in ruled.items()})
+    cases = [(ruled_src, want_ruled)] + ([(poly_str(printed), printed)] if printed.items() else [])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(docparse, "_PolyParser", _RefusingParser)
+        for src, want in cases:
+            assert parse_poly_ex(src, order) == (want, False)
+
+
 @settings(max_examples=120, deadline=None)
-@given(poly_sources(), st.integers(0, 10))
+@given(poly_sources() | fast_boundary_sources(), st.integers(0, 10))
 def test_parse_matches_naive_reference(src, order):
     """Parsing into canonical form gives the naive build's coefficients."""
     assert parse_poly(src, order) == reference_poly(src, order)
@@ -201,19 +325,27 @@ def test_parse_map_doc():
 
 
 def test_map_doc_parses_each_component_once(monkeypatch):
+    """Each component is read once: a monomial sum by the scanner alone, any
+    other source by the scanner declining it and then the descent."""
     calls = []
-    parse = docparse._PolyParser.parse
+    parse, scan = docparse._PolyParser.parse, docparse._scan_sum
 
     def counted(self):
-        calls.append(self.src)
+        calls.append(("descent", self.src))
         return parse(self)
 
+    def scanned(src, order):
+        calls.append(("scan", src))
+        return scan(src, order)
+
     monkeypatch.setattr(docparse._PolyParser, "parse", counted)
+    monkeypatch.setattr(docparse, "_scan_sum", scanned)
     doc = parse_doc(MAP_DOC)
     doc.to_map_jet()
     doc.to_map_jet()
     format_doc(doc)
-    assert sorted(calls) == sorted(["u", "v^2", "v*(u^3+v^2)"])
+    assert calls == [("scan", "u"), ("scan", "v^2"), ("scan", "v*(u^3+v^2)"),
+                     ("descent", "v*(u^3+v^2)")]
 
 
 def test_readme_map_document_builds_no_jet_through_the_constructor(monkeypatch):
@@ -279,6 +411,8 @@ def test_folded_doc_unit_circle_enforced():
 def test_folded_doc_float_angle_kept_and_mode_key_unknown():
     doc = parse_doc("[folded]\na02 = 1\na20 = 1\ntheta = 0.5\n")
     assert doc.theta == 0.5
+    for value in ("+.5", "5.", "-2E-3", "1e+20", "0007.25"):
+        assert parse_doc("[folded]\na02 = 1\ntheta = %s\n" % value).theta == float(value)
     for value in ("float", "exact"):
         with pytest.raises(ParseError) as err:
             parse_doc("[folded]\na02 = 1\na20 = 1\nmode = %s\ntheta = 0.5\n" % value)
@@ -366,11 +500,19 @@ def test_overflow_warning_recorded():
      "line 3: unknown key 'a\u0662\u0661' for kind 'center'"),
     ("[center]\na02 = 1\na21 = 1/0\n", "key a21: zero denominator at position 2"),
     ("[center]\na02 = 1\na03 = 1e10000000\n", "key a03: unexpected character 'e' at position 1"),
+    ("[folded]\na02 = 1\ntheta = \u0663\n", "key theta: not a number: '\u0663'"),
+    ("[folded]\na02 = 1\ntheta = \uff10.5\n", "key theta: not a number: '\uff10.5'"),
+    ("[folded]\na02 = 1\ntheta = 1_0\n", "key theta: not a number: '1_0'"),
+    ("[folded]\na02 = 1\ntheta = 0x1p3\n", "key theta: not a number: '0x1p3'"),
+    ("[folded]\na02 = 1\ntheta = -Infinity\n", "key theta: must be finite, got '-Infinity'"),
+    ("[folded]\na02 = 1\ntheta = nan\n", "key theta: must be finite, got 'nan'"),
 ], ids=["map-missing", "ruled-missing", "center-empty", "folded-empty", "sb-empty", "h-empty",
         "center-b", "folded-b", "sb-b12", "theta-in-center", "unpaired-cos",
         "theta-and-pair", "off-circle", "order-not-integer", "order-range",
         "order-fullwidth-digit", "order-underscore", "arabic-indic-digit",
-        "arabic-indic-key", "zero-denominator", "exponent-coefficient"])
+        "arabic-indic-key", "zero-denominator", "exponent-coefficient",
+        "theta-arabic-indic-digit", "theta-fullwidth-digit", "theta-underscore", "theta-hex",
+        "theta-infinite", "theta-nan"])
 def test_document_rule_messages(text, message):
     """Each document rule fails with its own exact message."""
     with pytest.raises(ParseError) as err:

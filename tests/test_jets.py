@@ -15,7 +15,7 @@ from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2, compose_
                             det3, directional, from_divided_coeffs, poly_str,
                             post_compose, reciprocal_series, scaled_coeffs, shear,
                             swap, to_divided_coeff)
-from reference import invsqrt_series
+from reference import fraction_divided_coeffs, invsqrt_series
 from util import jet, linear_map, random_jet
 
 
@@ -123,6 +123,47 @@ def test_from_divided():
 def test_from_divided_index_out_of_range():
     with pytest.raises(PreconditionError):
         from_divided_coeffs({(4, 4): 1}, 6)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_from_numerators_equals_the_fraction_table(seed):
+    """Integer numerators over one denominator build the jet of their Fractions,
+    keys past the order and zero numerators included, and in canonical form."""
+    rng = Random(seed)
+    for _ in range(40):
+        order = rng.randint(0, 10)
+        den = rng.choice([1, 2, 6, 12, 35, 360, 7 ** 20])
+        g = rng.choice([1, 2, 3, 6])
+        num = {(i, j): g * rng.randint(-9, 9) * rng.choice([1, 1, den])
+               for i in range(12) for j in range(12 - i) if rng.random() < 0.15}
+        got = Jet2.from_numerators(order, num, den)
+        want = Jet2(order, {key: Fraction(n, den) for key, n in num.items()})
+        assert (got.order, got.items()) == (want.order, want.items())
+        assert got == want and hash(got) == hash(want)
+
+
+def test_from_numerators_keeps_no_alias_and_needs_a_positive_denominator():
+    num = {(1, 0): 2, (0, 1): 4, (7, 0): 1}
+    got = Jet2.from_numerators(6, num, 2)
+    num[(1, 0)] = 5
+    assert got == jet({(1, 0): 1, (0, 1): 2})
+    assert Jet2.from_numerators(6, {(1, 0): 0}, 3) == Jet2.zero(6)
+    assert Jet2.from_numerators(6, {}, 1) == Jet2.zero(6)
+    for den in (0, -2):
+        with pytest.raises(ValueError, match="positive denominator"):
+            Jet2.from_numerators(6, {(1, 0): 1}, den)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_divided_coeffs_matches_the_fraction_construction(seed):
+    rng = Random(seed)
+    for _ in range(40):
+        order = rng.randint(0, 10)
+        table = {(i, j): Fraction(rng.randint(-30, 30), rng.choice([1, 2, 7, 120]))
+                 for i in range(order + 1) for j in range(order + 1 - i) if rng.random() < 0.3}
+        got = from_divided_coeffs(table, order)
+        want = fraction_divided_coeffs(table, order)
+        assert (got.order, got.items()) == (want.order, want.items())
 
 
 def test_det3_at0_diagonal():

@@ -2,7 +2,7 @@
 
 Usage:
     python tools/bench_pairs.py --parent DIR --change DIR --workload W [W ...] \
-        --seed S --pairs N
+        --seed S --pairs N [--out BENCH_<label>.json]
 
 For each workload W in turn, each pair runs `perfbench/run.py --workload W
 --seed S --seconds R --trace 0` once in each checkout, one process at a
@@ -21,7 +21,11 @@ for neither) and two verdicts:
   metric's `bound`, read as a fraction of the parent's median.
 
 The verdict digests of the two sides are printed too; a perf claim
-counts only if they show the verdicts held.  The script reads
+counts only if they show the verdicts held.  With --out, the results are
+also written to that JSON file, keyed by workload: its seed, pair count
+and run_seconds, every pair's metrics on each side, the summary rows,
+each side's digests and whether they held.  It is written once every
+workload has run, unless a run failed.  The script reads
 BENCHMARK.json and never writes it; it uses the standard library only.
 It exits 1 when a run fails (at once), when any run reports
 `correct: false` or has `failed > 0`, or when a workload's digests
@@ -135,11 +139,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--pairs", required=True, type=int)
+    parser.add_argument("--out", type=Path, help="write the results as JSON to this file")
     args = parser.parse_args(argv)
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     dirs = {"parent": args.parent, "change": args.change}
     all_ok = True
+    results = {}
     for workload in args.workload:
         done = bench_workload(dirs, workload, args.seed, args.pairs, seconds)
         if done is None:
@@ -158,6 +164,14 @@ def main(argv=None) -> int:
         if not verdicts_held(digests):
             print("verdict digests changed on workload %s" % workload)
             all_ok = False
+        results[workload] = {
+            "seed": args.seed, "pairs": len(pairs), "run_seconds": seconds,
+            "per_pair": pairs, "summary": rows,
+            "digests": {side: sorted(map(str, digests[side])) for side in SIDES},
+            "verdicts_held": verdicts_held(digests)}
+    if args.out:
+        args.out.write_text(json.dumps({"workloads": results}, indent=1) + "\n",
+                            encoding="utf-8")
     return 0 if all_ok else 1
 
 
