@@ -4,7 +4,7 @@ from .classify import (Certificate, Classification, Verdict, classify,
                        normal_forms, phi, second_derivatives_phi)
 from .errors import GermError, OrderExhaustedError, ParseError, PreconditionError
 from .jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2, compose_map,
-                   det3_jet, from_divided_coeffs, post_compose)
+                   from_divided_coeffs, post_compose)
 from .vfields import FramePair, VectorFieldJet, apply, apply_word
 
 __all__ = [
@@ -12,6 +12,6 @@ __all__ = [
     "phi", "second_derivatives_phi",
     "GermError", "OrderExhaustedError", "ParseError", "PreconditionError",
     "Jet2", "MapJet", "PolyMap2", "PolyMap3", "compose2", "compose_map",
-    "det3_jet", "from_divided_coeffs", "post_compose",
+    "from_divided_coeffs", "post_compose",
     "FramePair", "VectorFieldJet", "apply", "apply_word",
 ]

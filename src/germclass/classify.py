@@ -44,7 +44,7 @@ from fractions import Fraction
 from .errors import GermError, OrderExhaustedError, PreconditionError
 from .frames import (b3_adapt, df0_rank, h2_adapt, h4_adapt, linear_normalize,
                      partials0, s3_adapt, sb2_adapt)
-from .jets import Jet2, MapJet, cross3, det3, det3_jet, scaled_coeffs
+from .jets import Jet2, MapJet, cross3, det3, scaled_coeffs
 from .scalars import EXACT, Scalar, fmt_scalar
 from .vfields import FramePair, apply, apply_to_jet
 
@@ -136,7 +136,7 @@ def phi(f: MapJet, pair: FramePair) -> Jet2:
     xif = apply(pair.xi, f, "xi f")
     etaf = apply(pair.eta, f, "eta f")
     eta2f = apply(pair.eta, etaf, "eta^2 f")
-    return det3_jet(xif, etaf, eta2f)
+    return det3((xif, etaf, eta2f))
 
 
 def second_derivatives_phi(f: MapJet, pair: FramePair):

@@ -22,14 +22,14 @@ import functools
 import json
 import sys
 
-from .applications import (center_classify_formulas, center_map,
+from .applications import (MongeCoeffs, RuledData, center_classify_formulas, center_map,
                            folded_classify_formulas, folded_map,
                            ruled_classify_formulas, ruled_map)
 from .classify import classify, normal_forms
 from .docparse import parse_doc
 from .errors import GermError
 from .fuzz import FuzzConfig, run_invariance
-from .oracle import h2_check, skbk_classify
+from .oracle import HNormalCoeffs, SBNormalCoeffs, h2_check, skbk_classify
 from .scalars import fmt_scalar
 
 
@@ -115,21 +115,21 @@ def _dual(args, kind, formula_result, generic_input, warnings):
 
 def cmd_ruled(args):
     doc = _doc(args, "ruled")
-    data = doc.to_ruled_data()
+    data = RuledData(doc.jets["gamma1"], doc.jets["gamma3"], doc.jets["c3"])
     return _dual(args, "ruled", ruled_classify_formulas(data), ruled_map(data),
                  doc.warnings)
 
 
 def cmd_center(args):
     doc = _doc(args, "center")
-    monge = doc.to_monge()
+    monge = MongeCoeffs(doc.coeffs["a"])
     return _dual(args, "center", center_classify_formulas(monge),
                  center_map(monge, doc.order), doc.warnings)
 
 
 def cmd_folded(args):
     doc = _doc(args, "folded")
-    monge = doc.to_monge()
+    monge = MongeCoeffs(doc.coeffs["a"])
     return _dual(args, "folded", folded_classify_formulas(monge, doc.theta),
                  folded_map(monge, doc.theta, doc.order), doc.warnings)
 
@@ -137,10 +137,10 @@ def cmd_folded(args):
 def cmd_oracle(args):
     doc = _doc(args, "sb-normal", "h-normal")
     if doc.kind == "sb-normal":
-        coeffs = doc.to_sb_coeffs()
+        coeffs = SBNormalCoeffs(doc.coeffs["a"], {j: c for (_, j), c in doc.coeffs["b"].items()})
         formula = skbk_classify(coeffs)
     else:
-        coeffs = doc.to_h_coeffs()
+        coeffs = HNormalCoeffs(doc.coeffs["a"], doc.coeffs["b"])
         formula = h2_check(coeffs)
     return _dual(args, doc.kind, (formula, {}), coeffs.to_map_jet(doc.order),
                  doc.warnings)

@@ -59,10 +59,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .applications import MongeCoeffs, RuledData
 from .errors import ParseError
 from .jets import Jet2, MapJet
-from .oracle import HNormalCoeffs, SBNormalCoeffs
 
 # a token, or any other character that is not whitespace
 _TOKEN = re.compile(r"([0-9]+|[uv^*+/()-])|(\S)")
@@ -338,22 +336,8 @@ class MapSpecDoc:
     theta: tuple | float | None = None
     warnings: list = field(default_factory=list)
 
-    # -- builders --------------------------------------------------------
-
     def to_map_jet(self) -> MapJet:
         return MapJet.germ(self.jets["f1"], self.jets["f2"], self.jets["f3"])
-
-    def to_ruled_data(self) -> RuledData:
-        return RuledData(self.jets["gamma1"], self.jets["gamma3"], self.jets["c3"])
-
-    def to_monge(self) -> MongeCoeffs:
-        return MongeCoeffs(self.coeffs["a"])
-
-    def to_sb_coeffs(self) -> SBNormalCoeffs:
-        return SBNormalCoeffs(self.coeffs["a"], {j: c for (_, j), c in self.coeffs["b"].items()})
-
-    def to_h_coeffs(self) -> HNormalCoeffs:
-        return HNormalCoeffs(self.coeffs["a"], self.coeffs["b"])
 
 
 def _keyed(key: str, read, *args):

@@ -24,17 +24,14 @@ reduces each result once, in `_jet`; every scalar read out (`coeff`,
 `at0`, `items()`) is a `Fraction`.  Nothing outside this module reads
 `_num` or `_den`.
 
-Construction.  `Jet2(order, table)` coerces a table of rationals and
-reduces it.  `Jet2.from_numerators(order, num, den)` takes integer
-numerators over one positive denominator, as code that already
-holds them does (a parser, a recursion on integer rows), and reduces
-them once with no `Fraction`.  `Jet2.zero`, `Jet2.const` and
-`Jet2.variable` build their canonical form directly, and so does a
-power of a one-term jet:
-(c u^i v^j)^n = c^n u^(ni) v^(nj) stays in lowest terms because c is in
-them.  `coeffs_below(bound)` is the size test of every coefficient in
-lowest terms; it reduces nothing when the shared numerators and the
-denominator are all below the bound.
+Construction.  `Jet2(order, table)` coerces a table of rationals, keyed
+by pairs of non-negative ints, and reduces it.
+`Jet2.from_numerators(order, num, den)` takes integer numerators over
+one positive denominator, as code that already holds them does (a
+parser, a recursion on integer rows), and reduces them once with no
+`Fraction`.  `Jet2.zero`, `Jet2.const` and `Jet2.variable` build their
+canonical form directly.  `coeffs_below(bound)` is the size test of
+every coefficient in lowest terms.
 
 Integer reads at the origin.  `scaled_coeffs` reads coefficients of
 several jet vectors (MapJets, or the two coefficients of a vector field)
@@ -151,9 +148,14 @@ class Jet2:
 
     def __init__(self, order: int, coeffs=None):
         self.order = order
-        self._num, self._den = _integers(
-            {(i, j): value for (i, j), value in coeffs.items() if i + j <= order}
-            if coeffs else {})
+        table = {}
+        for key, value in coeffs.items() if coeffs else ():
+            if not (type(key) is tuple and len(key) == 2
+                    and type(key[0]) is type(key[1]) is int and key[0] >= 0 <= key[1]):
+                raise PreconditionError("jet key %r is not a pair of non-negative ints" % (key,))
+            if key[0] + key[1] <= order:
+                table[key] = value
+        self._num, self._den = _integers(table)
 
     # -- constructors ------------------------------------------------------
 
@@ -214,17 +216,9 @@ class Jet2:
         return max((i + j for (i, j) in self._num), default=-1)
 
     def coeffs_below(self, bound: int) -> bool:
-        """Whether every coefficient, in lowest terms, has |numerator| and denominator < bound.
-
-        Reducing a coefficient divides its numerator and the shared
-        denominator by their gcd, so when all of them are below the bound
-        the answer is yes without a gcd.
-        """
+        """Whether every coefficient, in lowest terms, has |numerator| and denominator < bound."""
         den = self._den
-        nums = self._num.values()
-        if den < bound and all(-bound < n < bound for n in nums):
-            return True
-        for n in nums:
+        for n in self._num.values():
             g = gcd(n, den)
             if abs(n) // g >= bound or den // g >= bound:
                 return False
@@ -269,16 +263,11 @@ class Jet2:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Jet2):
-            order = min(self.order, other.order)
-            return _jet(order, _convolve(self._num, other._num, order), self._den * other._den)
-        if not isinstance(other, (int, Fraction, float)):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
-        other = as_exact(other)
-        if other == 0:
-            return Jet2.zero(self.order)
-        return _jet(self.order, _scale(self._num, other.numerator),
-                    self._den * other.denominator)
+        order = min(self.order, other.order)
+        return _jet(order, _convolve(self._num, other._num, order), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -291,12 +280,6 @@ class Jet2:
         order = self.order
         if order < 0:
             return self
-        if len(self._num) == 1:
-            # (c u^i v^j)^n = c^n u^(ni) v^(nj), in lowest terms as c is
-            ((i, j), c), = self._num.items()
-            if n * (i + j) > order:
-                return Jet2.zero(order)
-            return _canonical(order, {(n * i, n * j): c ** n}, self._den ** n)
         # the constant term is p/q in lowest terms, with den = g q: over the one
         # denominator q^(n - top) den^top, term k is C(n, k) p^(n - k) g^(top - k) rest^k
         rest = dict(self._num)
@@ -738,13 +721,3 @@ def cross3(x, y):
     return (x[1] * y[2] - x[2] * y[1],
             x[2] * y[0] - x[0] * y[2],
             x[0] * y[1] - x[1] * y[0])
-
-
-def det3_jet(x: MapJet, y: MapJet, z: MapJet) -> Jet2:
-    """Determinant of three jet 3-vectors, expanded in jet arithmetic."""
-    x1, x2, x3 = x
-    y1, y2, y3 = y
-    z1, z2, z3 = z
-    return (x1 * (y2 * z3 - y3 * z2)
-            - x2 * (y1 * z3 - y3 * z1)
-            + x3 * (y1 * z2 - y2 * z1))

@@ -26,9 +26,6 @@ class VectorFieldJet:
     a: Jet2
     b: Jet2
 
-    def at0(self):
-        return (self.a.at0(), self.b.at0())
-
     def __repr__(self):
         from .jets import poly_str
         return "(%s)du + (%s)dv" % (poly_str(self.a), poly_str(self.b))

@@ -52,6 +52,24 @@ def fraction_integrate_v(jet: Jet2, cap: int) -> Jet2:
     return Jet2(min(cap, jet.order + 1), {(0, j + 1): c / (j + 1) for (_, j), c in jet.items()})
 
 
+def expanded_det3(x: MapJet, y: MapJet, z: MapJet) -> Jet2:
+    """Determinant of three jet 3-vectors, expanded in jet arithmetic along x."""
+    x1, x2, x3 = x
+    y1, y2, y3 = y
+    z1, z2, z3 = z
+    return (x1 * (y2 * z3 - y3 * z2)
+            - x2 * (y1 * z3 - y3 * z1)
+            + x3 * (y1 * z2 - y2 * z1))
+
+
+def one_term_power(base: Jet2, n: int) -> Jet2:
+    """(c u^i v^j)^n = c^n u^(ni) v^(nj), or the zero jet past the order."""
+    ((i, j), c), = base.items()
+    if n * (i + j) > base.order:
+        return Jet2.zero(base.order)
+    return Jet2(base.order, {(n * i, n * j): c ** n})
+
+
 def invsqrt_series(a: Jet2) -> Jet2:
     """Inverse square root of a jet with constant term 1, by the binomial series."""
     assert a.at0() == 1

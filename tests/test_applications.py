@@ -95,6 +95,14 @@ def test_integrate_v_matches_the_fraction_construction(seed):
             assert (got.order, got.items()) == (want.order, want.items())
 
 
+def test_integrate_v_rejects_a_term_in_u():
+    u, v = Jet2.variable("u", 6), Jet2.variable("v", 6)
+    for g in (u + v, u, v * v * u + 1):
+        with pytest.raises(PreconditionError, match="jet in v alone"):
+            integrate_v(g, 6)
+    assert integrate_v(v + 1, 6) == uni({1: 1, 2: Fraction(1, 2)})
+
+
 # -- ruled map ---------------------------------------------------------------
 
 def test_ruled_map_derivative_anchors():

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from fractions import Fraction
@@ -349,8 +350,8 @@ def test_map_doc_parses_each_component_once(monkeypatch):
 
 
 def test_readme_map_document_builds_no_jet_through_the_constructor(monkeypatch):
-    """Literals, variables, one-term powers and parser arithmetic build canonical
-    jets directly: the README's S2 document never calls Jet2.__init__."""
+    """Literals, variables, powers and parser arithmetic build canonical jets by
+    the trusted constructors: the README's S2 document never calls Jet2.__init__."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     text = re.search(r"^cat > s2.germ <<'EOF'\n(.*?)^EOF$", readme, re.S | re.M).group(1)
     want = jet({(3, 1): 1, (0, 3): 1})
@@ -387,8 +388,7 @@ def test_doc_round_trip_float_angle(theta):
 
 def test_center_doc_coefficients():
     doc = parse_doc("[center]\na02 = 1\na20 = 2\na03 = 1\na21 = 1\n")
-    m = doc.to_monge()
-    assert m.a_(0, 2) == 1 and m.a_(2, 1) == 1
+    assert doc.coeffs == {"a": {(0, 2): 1, (2, 0): 2, (0, 3): 1, (2, 1): 1}}
 
 
 def test_coefficient_reads_as_a_rational_literal():
@@ -455,15 +455,27 @@ def test_order_range_enforced():
 
 def test_sb_normal_doc():
     doc = parse_doc("[sb-normal]\na21 = 2\na05 = 120\nb03 = 1\n")
-    c = doc.to_sb_coeffs()
-    assert c.a_(2, 1) == 2
-    assert c.b[3] == 1
+    assert doc.coeffs == {"a": {(2, 1): 2, (0, 5): 120}, "b": {(0, 3): 1}}
 
 
 def test_h_normal_doc():
     doc = parse_doc("[h-normal]\nb03 = 6\na05 = 120\n")
-    c = doc.to_h_coeffs()
-    assert c.b_(0, 3) == 6 and c.a_(0, 5) == 120
+    assert doc.coeffs == {"a": {(0, 5): 120}, "b": {(0, 3): 6}}
+
+
+def test_docparse_uses_no_application_or_recognition_code():
+    """A document is parsed into jets and coefficient tables only: docparse imports
+    nothing from applications, oracle, classify or frames, at its top or inside a
+    function, and none of its names is bound to their code."""
+    tree = ast.parse(Path(docparse.__file__).read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported == {"errors", "jets"}
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                and any(alias.name.startswith("germclass") for alias in node.names)]
+    banned = {"germclass." + name for name in ("applications", "oracle", "classify", "frames")}
+    assert not [name for name, value in vars(docparse).items()
+                if getattr(value, "__module__", None) in banned]
 
 
 def test_overflow_warning_recorded():

@@ -15,7 +15,7 @@ from germclass.jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2, compose_
                             det3, directional, from_divided_coeffs, poly_str,
                             post_compose, reciprocal_series, scaled_coeffs, shear,
                             swap, to_divided_coeff)
-from reference import fraction_divided_coeffs, invsqrt_series
+from reference import expanded_det3, fraction_divided_coeffs, invsqrt_series, one_term_power
 from util import jet, linear_map, random_jet
 
 
@@ -229,8 +229,10 @@ def test_constructors_build_the_canonical_form_of_the_table(order):
 
 @pytest.mark.parametrize("order", range(0, 9))
 def test_one_term_power_is_repeated_multiplication(order):
-    """(c u^i v^j)^n is c^n u^(ni) v^(nj), or the zero jet past the order."""
-    for c in (1, -2, Fraction(-3, 4), Fraction(5, 6)):
+    """(c u^i v^j)^n is c^n u^(ni) v^(nj), or the zero jet past the order: term by
+    term the one-term formula of `reference.one_term_power`, and for n < 12 the
+    product of n copies."""
+    for c in (1, -1, -2, Fraction(-3, 4), Fraction(5, 6), Fraction(10 ** 20, 3)):
         for i, j in ((0, 0), (1, 0), (0, 1), (2, 1), (1, 3)):
             if i + j > order:
                 continue
@@ -243,6 +245,9 @@ def test_one_term_power_is_repeated_multiplication(order):
                 if n * (i + j) > order:
                     assert power == Jet2.zero(order)
                 product = product * base
+            for n in (*range(12), 40, 1000) + ((10 ** 400,) if abs(c) == 1 else ()):
+                got, want = base ** n, one_term_power(base, n)
+                assert (got.order, got.items()) == (want.order, want.items()), (base, n)
 
 
 def test_power_is_repeated_multiplication():
@@ -292,6 +297,37 @@ def test_coeffs_below_reads_each_coefficient_in_lowest_terms():
     assert not f.coeffs_below(11) and not f.coeffs_below(2)
     assert Jet2(3, {(0, 0): -12}).coeffs_below(13) and not Jet2(3, {(0, 0): -12}).coeffs_below(12)
     assert Jet2.zero(3).coeffs_below(2)
+
+
+@pytest.mark.parametrize("order", range(0, 8))
+def test_det3_of_map_jet_rows_is_the_expanded_determinant(order):
+    """det3 on three MapJet rows, as phi takes it, is the jet determinant term by term."""
+    rng = Random("det3-%d" % order)
+    for _ in range(40):
+        rows = [MapJet(*(random_jet(rng, order + rng.randint(0, 2), max_degree=order + 1)
+                         for _ in range(3))) for _ in range(3)]
+        got, want = det3(rows), expanded_det3(*rows)
+        assert (got.order, got.items()) == (want.order, want.items())
+
+
+def test_scalar_product_is_the_product_with_the_constant_jet():
+    """a * s and s * a equal a * Jet2.const(s, a.order), for 0, +-1, integers and fractions."""
+    rng = Random("scalar")
+    for _ in range(200):
+        order = rng.randint(-1, 7)
+        a = random_jet(rng, order, max_degree=max(order, 0))
+        for s in (0, 1, -1, 5, Fraction(0), Fraction(-3, 4), Fraction(7, 12), Fraction(1, 1)):
+            want = a * Jet2.const(s, a.order)
+            for got in (a * s, s * a):
+                assert (got.order, got.items()) == (want.order, want.items())
+                assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1), (1.5, 0), (0, Fraction(1)), (True, 0),
+                                 ("u", 1), (1, 2, 3), (1,), 3], ids=str)
+def test_jet_rejects_a_key_that_is_not_a_pair_of_non_negative_ints(key):
+    with pytest.raises(PreconditionError, match="not a pair of non-negative ints"):
+        Jet2(6, {(0, 0): 1, key: 1})
 
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
