@@ -1,7 +1,6 @@
 """Recognition of corank-1 surface map-germ singularities up to codimension two."""
 
-from .classify import (Certificate, Classification, Verdict, classify,
-                       normal_forms, phi, second_derivatives_phi)
+from .classify import Certificate, Classification, Verdict, classify, normal_forms
 from .errors import GermError, OrderExhaustedError, ParseError, PreconditionError
 from .jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose2, compose_map,
                    from_divided_coeffs, post_compose)
@@ -9,7 +8,6 @@ from .vfields import FramePair, VectorFieldJet, apply, apply_word
 
 __all__ = [
     "Certificate", "Classification", "Verdict", "classify", "normal_forms",
-    "phi", "second_derivatives_phi",
     "GermError", "OrderExhaustedError", "ParseError", "PreconditionError",
     "Jet2", "MapJet", "PolyMap2", "PolyMap3", "compose2", "compose_map",
     "from_divided_coeffs", "post_compose",

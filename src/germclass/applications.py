@@ -63,7 +63,7 @@ from .errors import PreconditionError
 from .frames import partials0
 from .jets import (Jet2, MapJet, PolyMap2, compose2, det3,
                    from_divided_coeffs, reciprocal_series, to_divided_coeff)
-from .scalars import EXACT, exact_table
+from .scalars import exact_table, sign
 
 Vec3 = tuple
 
@@ -97,7 +97,7 @@ class RuledData:
     def __post_init__(self):
         for name in ("gamma1", "gamma3", "c3"):
             _univariate(getattr(self, name), name)
-        if not EXACT.is_zero(self.gamma3.at0()):
+        if self.gamma3.at0() != 0:
             raise PreconditionError("gamma3(0) must vanish (origin not singular otherwise)")
 
     @property
@@ -203,32 +203,31 @@ def ruled_classify_formulas(d: RuledData):
     inv = {"gamma3_d1": g3p, "gamma3_d2": g3pp, "gamma3_d3": g3ppp,
            "gamma1_0": g1, "c3_0": c3v, "hess_entry2": hess2}
 
-    if not EXACT.is_zero(g3p):
+    if g3p != 0:
         return Classification(Verdict.WHITNEY_UMBRELLA), inv
-    if not EXACT.is_zero(g1) and not EXACT.is_zero(g3pp) and not EXACT.is_zero(hess2):
+    if g1 != 0 and g3pp != 0 and hess2 != 0:
         # det hess phi is a positive multiple of gamma3''(2 c3 gamma1 - gamma3'')
         # (= -gamma3'' * hess2; established against the generic classifier),
         # and a negative Hessian determinant is S1+.
         q = g3pp * (2 * c3v * g1 - g3pp)
         inv["s1_disc"] = q
-        verdict = Verdict.S1_PLUS if EXACT.sign(q) < 0 else Verdict.S1_MINUS
+        verdict = Verdict.S1_PLUS if q < 0 else Verdict.S1_MINUS
         return Classification(verdict), inv
-    if EXACT.is_zero(g3pp) and not EXACT.is_zero(c3v * g1 * g3ppp):
+    if g3pp == 0 and c3v * g1 * g3ppp != 0:
         inv["s2_value"] = c3v * g1 * g3ppp
         return Classification(Verdict.S2), inv
-    if (not EXACT.is_zero(g1) and EXACT.is_zero(hess2) and not EXACT.is_zero(g3pp)):
+    if g1 != 0 and hess2 == 0 and g3pp != 0:
         b = ruled_b_polynomial(g1, g1p, g1pp, g3pp, g3ppp, g3pppp, c3p, c3pp)
         inv["b_poly"] = b
-        sb = EXACT.sign(b)
-        if sb > 0:
+        if b > 0:
             return Classification(Verdict.B2_PLUS), inv
-        if sb < 0:
+        if b < 0:
             return Classification(Verdict.B2_MINUS), inv
         return Classification(Verdict.MORE_DEGENERATE, "B-type with b = 0"), inv
-    if EXACT.is_zero(g1) and not EXACT.is_zero(g3pp):
+    if g1 == 0 and g3pp != 0:
         h = ruled_h_polynomial(g1p, g1pp, g1ppp, g3pp, g3ppp, g3pppp, c3v, c3p)
         inv["h_poly"] = h
-        if not EXACT.is_zero(h):
+        if h != 0:
             return Classification(Verdict.H2), inv
         return Classification(Verdict.MORE_DEGENERATE, "H-type with h = 0"), inv
     return Classification(Verdict.MORE_DEGENERATE, "no ruled-surface condition matched"), inv
@@ -278,7 +277,7 @@ def center_map(m: MongeCoeffs, order: int = 6) -> MapJet:
     # c = f - rho N with rho = (f.N)/(N.N)
     rho = (f3 - u * au - v * av) * reciprocal_series(1 + au * au + av * av)
     cm = MapJet.germ(u + rho * au, v + rho * av, f3 - rho)
-    if not EXACT.is_zero(det3(partials0(cm)[0])):
+    if det3(partials0(cm)[0]) != 0:
         raise PreconditionError("center map lost det(c_u, c_vv, c_uv)(0) = 0 (internal error)")
     return cm
 
@@ -437,26 +436,24 @@ def folded_classify_formulas(m: MongeCoeffs, theta=(1, 0)):
     of every verdict.
     """
     c, s = _theta_pair(theta)
-    if not EXACT.is_zero(c * s * (m.a_(2, 0) - m.a_(0, 2))):
+    if c * s * (m.a_(2, 0) - m.a_(0, 2)) != 0:
         raise PreconditionError("folded formulas need a'11 = c s (a20 - a02) = 0:"
                                 " an umbilic point or theta a multiple of pi/2")
     h11, h22, r_s, r_b = folded_invariants(m, (c, s))
     inv = {"theta_cos": c, "theta_sin": s, "h11": h11, "h22": h22, "r_s": r_s, "r_b": r_b}
-    s11 = EXACT.sign(h11)
-    s22 = EXACT.sign(h22)
+    s11, s22 = sign(h11), sign(h22)
     if s11 and s22:
         # phi Hessian entries are (2 h11, 2 h22); negative product is S1+.
         verdict = Verdict.S1_PLUS if s11 * s22 < 0 else Verdict.S1_MINUS
         return Classification(verdict), inv
     if not s11 and s22:
-        if not EXACT.is_zero(r_s):
+        if r_s != 0:
             return Classification(Verdict.S2), inv
         return Classification(Verdict.MORE_DEGENERATE, "fold S branch with r_s = 0"), inv
     if s11 and not s22:
-        sb = EXACT.sign(-r_b)
-        if sb > 0:
+        if r_b < 0:
             return Classification(Verdict.B2_PLUS), inv
-        if sb < 0:
+        if r_b > 0:
             return Classification(Verdict.B2_MINUS), inv
         return Classification(Verdict.MORE_DEGENERATE, "fold B branch with r_b = 0"), inv
     return (Classification(Verdict.MORE_DEGENERATE, "fold phi Hessian fully degenerate"),

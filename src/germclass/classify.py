@@ -45,7 +45,7 @@ from .errors import GermError, OrderExhaustedError, PreconditionError
 from .frames import (b3_adapt, df0_rank, h2_adapt, h4_adapt, linear_normalize,
                      partials0, s3_adapt, sb2_adapt)
 from .jets import Jet2, MapJet, cross3, det3, scaled_coeffs
-from .scalars import EXACT, Scalar, fmt_scalar
+from .scalars import fmt_scalar, sign
 from .vfields import FramePair, apply, apply_to_jet
 
 
@@ -99,7 +99,7 @@ class Certificate:
     def note(self, name: str, value) -> None:
         self.trace.append((name, value))
 
-    def record(self, name: str, value: Scalar) -> None:
+    def record(self, name: str, value: Fraction) -> None:
         self.invariants[name] = value
         self.note(name, value)
 
@@ -169,7 +169,7 @@ def classify(f: MapJet):
         raise OrderExhaustedError("classification needs a jet of order >= 5")
     # f(0) and (f_u, f_v)(0) in one integer read
     (f0, fu0, fv0), _ = scaled_coeffs((f, (0, 0)), (f, (1, 0)), (f, (0, 1)))
-    if not EXACT.is_zero_vec(f0):
+    if any(f0):
         raise PreconditionError("classify expects a germ sending the origin to the origin")
     cert = Certificate(order=f.order)
 
@@ -185,13 +185,13 @@ def classify(f: MapJet):
 
     partials, scale = partials0(g)
     gu0, gvv0, guv0 = partials
-    sb_type = not EXACT.is_zero_vec(cross3(gu0, gvv0))
+    sb_type = any(cross3(gu0, gvv0))
     cert.note("sb_type", sb_type)
 
     if sb_type:
         return _classify_sb(g, cert, partials, scale)
 
-    hp_type = not EXACT.is_zero_vec(cross3(gu0, guv0))
+    hp_type = any(cross3(gu0, guv0))
     cert.note("hp_type", hp_type)
     if hp_type:
         return _classify_hp(g, cert)
@@ -218,14 +218,14 @@ def _classify_sb(g, cert, partials, scale):
     """
     whitney_det = det3(partials)
     cert.record("whitney_det", Fraction(whitney_det, scale))
-    if not EXACT.is_zero(whitney_det):
+    if whitney_det != 0:
         return Classification(Verdict.WHITNEY_UMBRELLA), cert
 
     build = sb2_adapt(g)
     cert.frame.update(build.params)
     (xif0, xetaf0, etaxif0, xxetaf0, eta2f0, eta3f0), scale = build.words.scaled(
         "x", "xe", "ex", "xxe", "ee", "eee")
-    if not (EXACT.is_zero_vec(xetaf0) and EXACT.is_zero_vec(etaxif0)):
+    if any(xetaf0) or any(etaxif0):
         raise GermError("mixed phi Hessian entries must vanish on an SB-2 pair")
     A = det3((xif0, xxetaf0, eta2f0))
     C = det3((xif0, eta2f0, eta3f0))
@@ -234,8 +234,7 @@ def _classify_sb(g, cert, partials, scale):
     cert.record("hess_mixed_eta_xi", Fraction(0))
     cert.record("eta2phi", Fraction(C, scale))
 
-    sA = EXACT.sign(A)
-    sC = EXACT.sign(C)
+    sA, sC = sign(A), sign(C)
     if sA and sC:
         # A*C = det hess phi(0); -48 on the S1+ normal form fixes the wiring.
         verdict = Verdict.S1_PLUS if sA * sC < 0 else Verdict.S1_MINUS
@@ -246,7 +245,7 @@ def _classify_sb(g, cert, partials, scale):
         cert.frame.update(s3.params)
         s2_det, scale = _det(s3.words, "x", "xxxe", "ee")
         cert.record("s2_det", Fraction(s2_det, scale))
-        if not EXACT.is_zero(s2_det):
+        if s2_det != 0:
             return Classification(Verdict.S2), cert
         return (Classification(Verdict.MORE_DEGENERATE,
                                "S-type with vanishing S2 determinant (S3 or beyond)"),
@@ -263,10 +262,9 @@ def _classify_sb(g, cert, partials, scale):
         cert.record("b2_det_eta5", Fraction(d3, scale))
         V = -5 * d1 * d1 + 3 * d2 * d3
         cert.record("b2_value", Fraction(V, scale * scale))
-        sV = EXACT.sign(V)
-        if sV > 0:
+        if V > 0:
             return Classification(Verdict.B2_PLUS), cert
-        if sV < 0:
+        if V < 0:
             return Classification(Verdict.B2_MINUS), cert
         return (Classification(Verdict.MORE_DEGENERATE,
                                "B-type with vanishing B2 discriminant (B3 or beyond)"),
@@ -282,14 +280,14 @@ def _classify_hp(g, cert):
     cert.frame.update(h2.params)
     h_type_det, scale = _det(h2.words, "x", "xe", "eee")
     cert.record("h_type_det", Fraction(h_type_det, scale))
-    if EXACT.is_zero(h_type_det):
+    if h_type_det == 0:
         return Classification(Verdict.MORE_DEGENERATE, "P-type or worse"), cert
 
     h4 = h4_adapt(h2)
     cert.frame.update(h4.params)
     h2_det, scale = _det(h4.words, "x", "eeeee", "eee")
     cert.record("h2_det", Fraction(h2_det, scale))
-    if not EXACT.is_zero(h2_det):
+    if h2_det != 0:
         return Classification(Verdict.H2), cert
     return (Classification(Verdict.MORE_DEGENERATE,
                            "H-type with vanishing H2 determinant (H3 or beyond)"),

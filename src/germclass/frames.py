@@ -67,7 +67,6 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .jets import Jet2, MapJet, cross3, det3, scaled_coeffs, shear, swap
-from .scalars import EXACT
 from .vfields import FramePair, VectorFieldJet, apply, d_du
 
 
@@ -159,7 +158,7 @@ def solve(columns, rhs):
         pivots.append(col)
         row += 1
     for k in range(row, m):
-        if not EXACT.is_zero(rows[k][n]):
+        if rows[k][n] != 0:
             raise PreconditionError("linear system is inconsistent")
     for idx, col in enumerate(pivots):
         x[col] = Fraction(rows[idx][n], rows[idx][col])
@@ -182,9 +181,9 @@ def _df0(f: MapJet):
 
 def df0_rank(fu0, fv0) -> int:
     """Rank of df(0) from (f_u, f_v)(0), exact or over one positive scaling."""
-    if not EXACT.is_zero_vec(cross3(fu0, fv0)):
+    if any(cross3(fu0, fv0)):
         return 2
-    if EXACT.is_zero_vec(fu0) and EXACT.is_zero_vec(fv0):
+    if not any(fu0) and not any(fv0):
         return 0
     return 1
 
@@ -209,9 +208,9 @@ def linear_normalize(f: MapJet):
     rank = df0_rank(fu0, fv0)
     if rank != 1:
         raise PreconditionError("linear_normalize needs rank df0 = 1, got %d" % rank)
-    if EXACT.is_zero_vec(fv0):
+    if not any(fv0):
         return f, _matrix(1, 0, 0, 1)
-    if EXACT.is_zero_vec(fu0):
+    if not any(fu0):
         return swap(f), _matrix(0, 1, 1, 0)
     # f_v(0) = t f_u(0); kernel direction (t, -1).
     (t,) = solve([fu0], fv0)
@@ -225,9 +224,9 @@ def _matrix(a, b, c, d):
 def _sb_defect(f: MapJet):
     """alpha, beta with f_uv(0) = alpha f_u(0) + beta f_vv(0), after SB guards."""
     (fu0, fvv0, fuv0), _ = partials0(f)
-    if EXACT.is_zero_vec(cross3(fu0, fvv0)):
+    if not any(cross3(fu0, fvv0)):
         raise PreconditionError("germ is not SB-type: f_u(0) x f_vv(0) = 0")
-    if not EXACT.is_zero(det3((fu0, fvv0, fuv0))):
+    if det3((fu0, fvv0, fuv0)) != 0:
         raise PreconditionError("germ is a Whitney umbrella, no SB-2 pair exists")
     return solve([fu0, fvv0], fuv0)
 
@@ -270,7 +269,7 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     alpha, beta = sb.params["alpha"], sb.params["beta"]
     (xif0, eta2f0, eta3f0, xxef0), _ = sb.words.scaled("x", "ee", "eee", "xxe")
     # S-type guard: C = eta^2 phi(0) = det(xi f, eta^2 f, eta^3 f)(0) must survive.
-    if EXACT.is_zero(det3((xif0, eta2f0, eta3f0))):
+    if det3((xif0, eta2f0, eta3f0)) == 0:
         raise PreconditionError("germ is not S-type: eta^2 phi vanishes at 0")
     try:
         alpha1, beta1 = solve([xif0, eta2f0], xxef0)
@@ -284,7 +283,7 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     c1 = Jet2(n, {(1, 0): -alpha, (2, 0): r})
     words = Words(f, FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, Jet2.const(1, n))),
                   READS["s3"])
-    if not all(map(EXACT.is_zero_vec, words.scaled("xxe", "xex", "exx")[0])):
+    if any(map(any, words.scaled("xxe", "xex", "exx")[0])):
         raise PreconditionError("S-3 correction failed verification")
     return FrameBuild({"alpha": alpha, "beta": beta, "alpha1": alpha1, "beta1": beta1,
                        "corr_xi_uv": p, "corr_xi_u": q, "corr_eta_uu": r}, words)
@@ -303,7 +302,7 @@ def b3_adapt(sb: FrameBuild) -> FrameBuild:
     alpha, beta = sb.params["alpha"], sb.params["beta"]
     (xif0, eta2f0, xxef0, eta3f0), _ = sb.words.scaled("x", "ee", "xxe", "eee")
     # B-type guard: A = xi^2 phi(0) = det(xi f, xi^2 eta f, eta^2 f)(0) must survive.
-    if EXACT.is_zero(det3((xif0, xxef0, eta2f0))):
+    if det3((xif0, xxef0, eta2f0)) == 0:
         raise PreconditionError("germ is not B-type: xi^2 phi vanishes at 0")
     try:
         alpha1, beta1 = solve([xif0, eta2f0], eta3f0)
@@ -322,9 +321,9 @@ def b3_adapt(sb: FrameBuild) -> FrameBuild:
 def h2_adapt(f: MapJet) -> FrameBuild:
     """H-2 pair: xi = du, eta = -alpha v du + dv, where f_vv(0) = alpha f_u(0)."""
     (fu0, fvv0, fuv0), _ = partials0(f)
-    if not EXACT.is_zero_vec(cross3(fu0, fvv0)):
+    if any(cross3(fu0, fvv0)):
         raise PreconditionError("germ is not HP-type: f_u(0) x f_vv(0) != 0")
-    if EXACT.is_zero_vec(cross3(fu0, fuv0)):
+    if not any(cross3(fu0, fuv0)):
         raise PreconditionError("germ is not HP-type: f_u(0) x f_uv(0) = 0")
     (alpha,) = solve([fu0], fvv0)
     n = f.order
@@ -358,7 +357,7 @@ def h4_adapt(h2: FrameBuild) -> FrameBuild:
     f = h2.words.f
     alpha = h2.params["alpha"]
     (*basis, eta4f0), _ = h2.words.scaled("x", "xe", "eee", "eeee")
-    if EXACT.is_zero(det3(basis)):
+    if det3(basis) == 0:
         raise PreconditionError("germ is not H-type: det(xi f, xi eta f, eta^3 f)(0) = 0")
     alpha1, beta1, delta1 = solve(basis, eta4f0)
 
@@ -370,9 +369,9 @@ def h4_adapt(h2: FrameBuild) -> FrameBuild:
     d1 = Jet2(n, {(0, 0): 1, (0, 1): w})
     words = Words(f, FramePair(d_du(n), VectorFieldJet(c1, d1)), READS["h4"])
     eta4f0, eta2f0 = words.scaled("eeee", "ee")[0]
-    if not EXACT.is_zero_vec(eta4f0):
+    if any(eta4f0):
         raise PreconditionError("H-4 correction failed verification")
-    if not EXACT.is_zero_vec(eta2f0):
+    if any(eta2f0):
         raise PreconditionError("H-4 correction broke the H-2 level")
     return FrameBuild({"alpha": alpha, "alpha1": alpha1, "beta1": beta1, "delta1": delta1,
                        "corr_eta_vv": s, "corr_eta_vvv": t, "corr_d_v": w}, words)

@@ -77,7 +77,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 
 from .errors import OrderExhaustedError, PreconditionError
-from .scalars import EXACT, Scalar, as_exact, fmt_scalar
+from .scalars import as_exact, fmt_scalar, is_exponent_pair
 
 _ZERO = Fraction(0)
 
@@ -150,8 +150,7 @@ class Jet2:
         self.order = order
         table = {}
         for key, value in coeffs.items() if coeffs else ():
-            if not (type(key) is tuple and len(key) == 2
-                    and type(key[0]) is type(key[1]) is int and key[0] >= 0 <= key[1]):
+            if not is_exponent_pair(key):
                 raise PreconditionError("jet key %r is not a pair of non-negative ints" % (key,))
             if key[0] + key[1] <= order:
                 table[key] = value
@@ -190,14 +189,14 @@ class Jet2:
 
     # -- basic queries -----------------------------------------------------
 
-    def coeff(self, i: int, j: int) -> Scalar:
+    def coeff(self, i: int, j: int) -> Fraction:
         if i + j > self.order:
             raise OrderExhaustedError(
                 "coefficient (%d,%d) beyond truncation order %d" % (i, j, self.order))
         n = self._num.get((i, j))
         return _ZERO if n is None else Fraction(n, self._den)
 
-    def at0(self) -> Scalar:
+    def at0(self) -> Fraction:
         """Constant term.  Errors if the order has been consumed below 0."""
         if self.order < 0:
             raise OrderExhaustedError("constant term of an order-exhausted jet")
@@ -464,7 +463,7 @@ class MapJet:
     @classmethod
     def germ(cls, f1: Jet2, f2: Jet2, f3: Jet2) -> "MapJet":
         f = cls(f1, f2, f3)
-        if not EXACT.is_zero_vec(f.at0()):
+        if any(f.at0()):
             raise PreconditionError("map-germ must send the origin to the origin")
         return f
 
@@ -508,11 +507,11 @@ class PolyMap2:
 
     def __init__(self, p1: Jet2, p2: Jet2):
         for p in (p1, p2):
-            if not EXACT.is_zero(p.at0()):
+            if p.at0() != 0:
                 raise PreconditionError("coordinate change must fix the origin")
         self.p1 = p1
         self.p2 = p2
-        if EXACT.is_zero(self.linear_det()):
+        if self.linear_det() == 0:
             raise PreconditionError("coordinate change has singular linear part")
 
     @property
@@ -523,7 +522,7 @@ class PolyMap2:
         return ((self.p1.coeff(1, 0), self.p1.coeff(0, 1)),
                 (self.p2.coeff(1, 0), self.p2.coeff(0, 1)))
 
-    def linear_det(self) -> Scalar:
+    def linear_det(self) -> Fraction:
         (a, b), (c, d) = self.linear_matrix()
         return a * d - b * c
 
@@ -558,7 +557,7 @@ class PolyMap3:
         self.comps = tuple(cleaned)
         if len(self.comps) != 3:
             raise PreconditionError("PolyMap3 needs exactly 3 components")
-        if EXACT.is_zero(det3(self.linear_matrix())):
+        if det3(self.linear_matrix()) == 0:
             raise PreconditionError("coordinate change has singular linear part")
 
     def linear_matrix(self):
@@ -706,13 +705,13 @@ def from_divided_coeffs(table, order: int) -> Jet2:
     return Jet2.from_numerators(order, {key: n * (den // d) for key, n, d in terms}, den)
 
 
-def to_divided_coeff(jet: Jet2, i: int, j: int) -> Scalar:
+def to_divided_coeff(jet: Jet2, i: int, j: int) -> Fraction:
     return jet.coeff(i, j) * (factorial(i) * factorial(j))
 
 
 # -- small linear algebra on constant terms ---------------------------------
 
-def det3(m) -> Scalar:
+def det3(m) -> Fraction:
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 

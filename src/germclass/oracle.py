@@ -61,8 +61,8 @@ class SBNormalCoeffs:
         object.__setattr__(self, "a", a)
         b = {}
         for i, c in self.b.items():
-            if not 3 <= i <= 5:
-                raise PreconditionError("b_0%d outside degree 3..5" % i)
+            if type(i) is not int or not 3 <= i <= 5:
+                raise PreconditionError("b index %r is not an int in 3..5" % (i,))
             c = as_exact(c)
             if c:
                 b[i] = c

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .errors import OrderExhaustedError, PreconditionError
 from .jets import Jet2, MapJet, directional, scaled_coeffs
-from .scalars import EXACT
 
 
 @dataclass(frozen=True)
@@ -81,5 +80,5 @@ class FramePair:
     def __post_init__(self):
         ((a1, b1), (a2, b2)), _ = scaled_coeffs(((self.xi.a, self.xi.b), (0, 0)),
                                                 ((self.eta.a, self.eta.b), (0, 0)))
-        if EXACT.is_zero(a1 * b2 - b1 * a2):
+        if a1 * b2 - b1 * a2 == 0:
             raise PreconditionError("frame pair is linearly dependent at the origin")

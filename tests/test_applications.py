@@ -521,6 +521,28 @@ def test_coefficient_tables_reject_floats(make):
         make(0.1)
 
 
+@pytest.mark.parametrize("make", [
+    # center_classify_formulas read this S1- while center_map refused (-1,3)
+    lambda: MongeCoeffs({(0, 2): 1, (2, 0): 2, (0, 3): 1, (2, 1): 1, (-1, 3): 5}),
+    lambda: MongeCoeffs({(0, 2): 1, (1.5, 0.5): 1}),
+    lambda: MongeCoeffs({(0, 2): 1, (1, 1, 1): 1}),
+    lambda: MongeCoeffs({(0, 2): 1, (True, 2): 1}),
+    lambda: MongeCoeffs({(0, 2): 1, (Fraction(1), 2): 1}),
+    lambda: MongeCoeffs({(0, 2): 1, "12": 1}),
+    lambda: SBNormalCoeffs({(2, 1): 2, (-1, 4): 1}),
+    # skbk_classify read this S1+ while to_map_jet raised TypeError
+    lambda: SBNormalCoeffs({(2, 1): 2, (0, 3): 1}, {3.5: 1}),
+    lambda: SBNormalCoeffs({(2, 1): 2, (0, 3): 1}, {Fraction(4): 1}),
+    lambda: HNormalCoeffs({(4, -1): 1}, {(0, 3): 1}),
+    lambda: HNormalCoeffs({(0, 5): 1}, {(0, 3.0): 1}),
+], ids=["monge-negative", "monge-float", "monge-triple", "monge-bool", "monge-fraction",
+        "monge-string", "sb-a-negative", "sb-b-float", "sb-b-fraction", "h-a-negative",
+        "h-b-float"])
+def test_coefficient_tables_reject_keys_their_map_routes_cannot_read(make):
+    with pytest.raises(PreconditionError, match="index .* is not"):
+        make()
+
+
 # -- float fold angles --------------------------------------------------------
 
 # (-84, 13, 85) lies near pi: once the half turn is removed tan(r/2) is

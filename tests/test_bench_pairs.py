@@ -68,12 +68,40 @@ def test_worse_is_judged_against_the_bound_in_the_better_direction():
     assert not row("ops_per_ref", parent, [0.9] * 10)["worse"]
 
 
+# scrambled gmean.Regular reads about 0.022 or 0.035 from one run to the next
+BIMODAL = [0.022, 0.035] * 5
+
+
+def test_a_bimodal_parent_is_unresolved():
+    # lower-better with bound 0.25: the parent's IQR 0.013 exceeds 0.25 * 0.0285
+    r = row("latency_ref.gmean.Regular", BIMODAL, BIMODAL[::-1])
+    assert (r["unresolved"], r["worse"], r["gain"]) == (True, False, False)
+    # the wider of the two spreads counts, whichever side it is on
+    assert row("latency_ref.gmean.Regular", [0.028] * 10, BIMODAL)["unresolved"]
+    assert row("latency_ref.gmean.Regular", BIMODAL, [0.028] * 10)["unresolved"]
+
+
+def test_a_steady_parent_is_resolved():
+    assert not row("ops_per_ref", PARENT, PARENT)["unresolved"]
+    assert not row("ops_per_ref", PARENT, [x - 0.01 for x in PARENT])["unresolved"]
+
+
+def test_a_change_better_on_every_run_is_resolved_however_wide_the_spread():
+    r = row("latency_ref.gmean.Regular", BIMODAL, [0.015, 0.021] * 5)
+    assert (r["unresolved"], r["wins"], r["worse"]) == (False, 10, False)
+    # one change run no better than the best parent run leaves it unresolved
+    assert row("latency_ref.gmean.Regular", BIMODAL, [0.015, 0.021] * 4 + [0.015, 0.022]
+               )["unresolved"]
+
+
 def test_the_table_has_one_row_per_metric_and_the_spec_is_only_read():
     before = BENCHMARK.read_bytes()
     rows = bench_pairs.summarize(SPEC, pairs_of("ops_per_ref", PARENT, PARENT))
     table = bench_pairs.format_rows(rows).splitlines()
     assert len(table) == 2 + len(NAMES)
     assert all("`%s`" % name in line for name, line in zip(NAMES, table[2:]))
+    assert table[0].endswith("| worse | unresolved |")
+    assert all(line.endswith("| no | no |") for line in table[2:])
     assert bench_pairs.BENCHMARK == BENCHMARK
     assert BENCHMARK.read_bytes() == before
 
@@ -162,6 +190,7 @@ def test_out_writes_every_workload_and_reads_back(tmp_path, capsys):
                    for pair in result["per_pair"])
         rows = bench_pairs.summarize(SPEC, result["per_pair"])
         assert json.loads(json.dumps(rows)) == result["summary"]
+        assert all(summary["unresolved"] is False for summary in result["summary"])
         assert bench_pairs.format_rows(rows) in printed
         assert result["digests"] == {"parent": ["abc-%s" % workload],
                                      "change": ["xyz-%s" % workload]}

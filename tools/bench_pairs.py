@@ -12,13 +12,17 @@ Every run is printed as it ends, and each workload's summary after its
 last pair, so one command gives one table per workload.
 For each end-to-end metric of BENCHMARK.json, a summary gives each
 side's quartiles (q1, median, q3), the pairs the change won (ties count
-for neither) and two verdicts:
+for neither) and three verdicts:
 
 - gain: the change won at least nine tenths of the pairs, and its median
   is better than the parent's by more than the parent's interquartile
   range;
 - worse: the change's median is worse than the parent's by more than the
-  metric's `bound`, read as a fraction of the parent's median.
+  metric's `bound`, read as a fraction of the parent's median;
+- unresolved: the wider of the two sides' interquartile ranges exceeds
+  that same bound, unless every run of the change is better than every
+  run of the parent.  The runs spread too widely to tell "unchanged" from
+  "worse", so such a metric is reported as unresolved, not as unchanged.
 
 The verdict digests of the two sides are printed too; a perf claim
 counts only if they show the verdicts held.  With --out, the results are
@@ -80,12 +84,15 @@ def summarize(spec, pairs):
         (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
         wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
         gap = sign * (cmed - pmed)
+        bound = metric["bound"] * abs(pmed)
+        separated = min(sign * c for c in change) > max(sign * p for p in parent)
         rows.append({
             "name": name, "unit": metric["unit"], "better": metric["better"],
             "parent": (pq1, pmed, pq3), "change": (cq1, cmed, cq3),
             "wins": wins, "pairs": len(pairs),
             "gain": 10 * wins >= 9 * len(pairs) and gap > pq3 - pq1,
-            "worse": -gap > metric["bound"] * abs(pmed),
+            "worse": -gap > bound,
+            "unresolved": max(pq3 - pq1, cq3 - cq1) > bound and not separated,
         })
     return rows
 
@@ -97,15 +104,16 @@ def verdicts_held(digests):
 
 def format_rows(rows):
     """The summary as a Markdown table."""
-    out = ["| metric | parent q1 / median / q3 | change q1 / median / q3 | wins | gain | worse |",
-           "|---|---|---|---|---|---|"]
+    out = ["| metric | parent q1 / median / q3 | change q1 / median / q3 | wins | gain | worse"
+           " | unresolved |",
+           "|---|---|---|---|---|---|---|"]
     for row in rows:
-        out.append("| `%s` (%s, %s better) | %s | %s | %d/%d | %s | %s |" % (
+        out.append("| `%s` (%s, %s better) | %s | %s | %d/%d | %s | %s | %s |" % (
             row["name"], row["unit"], row["better"],
             " / ".join("%.4g" % x for x in row["parent"]),
             " / ".join("%.4g" % x for x in row["change"]),
             row["wins"], row["pairs"], "yes" if row["gain"] else "no",
-            "WORSE" if row["worse"] else "no"))
+            "WORSE" if row["worse"] else "no", "UNRESOLVED" if row["unresolved"] else "no"))
     return "\n".join(out)
 
 
