@@ -16,8 +16,9 @@ an error, not a silent False.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from itertools import product
+from math import lcm
 from random import Random
 
 from .errors import PreconditionError
@@ -45,29 +46,40 @@ class FuzzConfig:
             raise PreconditionError("diffeo degree must not exceed the jet order")
 
 
-def random_rational(rng: Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
-def _monomials(nvars: int, degree: int):
+@cache
+def _monomials(nvars: int, degree: int) -> tuple:
     """Exponent tuples of total degree 1..degree, by degree, then lexicographically."""
-    return [key for d in range(1, degree + 1)
-            for key in product(range(d + 1), repeat=nvars) if sum(key) == d]
+    return tuple(key for d in range(1, degree + 1)
+                 for key in product(range(d + 1), repeat=nvars) if sum(key) == d)
 
 
 def _random_change(cfg: FuzzConfig, rng: Random, degree, nvars: int, density: float, build):
     """build(tables) on nvars random coefficient tables, redrawn while it raises.
 
-    Each monomial of degree <= `degree` gets a coefficient with probability
-    `density`; the constructors raise on a singular linear part.
+    Each monomial of degree <= `degree`, in `_monomials` order, gets a
+    coefficient p/q with probability `density`: rng.random() < density,
+    then p = rng.randint(-bound, bound), then q = rng.randint(1, bound).
+    That draw order is the stream contract: every corpus drawn through the
+    samplers (criterion-2 trials, scrambled germs, the certificate and
+    benchmark digests) depends on it.  A table is handed to `build` as
+    integer numerators over the lcm of its q's, and the constructors raise
+    on a singular linear part.
     """
     degree = cfg.degree if degree is None else degree
     if degree < 1:
         raise PreconditionError("diffeo degree must be >= 1")
+    if degree > cfg.order:
+        raise PreconditionError("diffeo degree must not exceed the jet order")
     monos = _monomials(nvars, degree)
+    bound = cfg.bound
+    draw, randint = rng.random, rng.randint
     while True:
-        tables = [{key: random_rational(rng, cfg.bound) for key in monos
-                   if rng.random() < density} for _ in range(nvars)]
+        tables = []
+        for _ in range(nvars):
+            terms = [(key, randint(-bound, bound), randint(1, bound))
+                     for key in monos if draw() < density]
+            den = lcm(*(q for _, _, q in terms))
+            tables.append(({key: p * (den // q) for key, p, q in terms}, den))
         try:
             return build(tables)
         except PreconditionError:
@@ -78,13 +90,14 @@ def random_source_diffeo(cfg: FuzzConfig, rng: Random,
                          degree: int | None = None) -> PolyMap2:
     """A random polynomial source change with invertible linear part."""
     return _random_change(cfg, rng, degree, 2, 0.7, lambda t: PolyMap2(
-        Jet2(cfg.order, t[0]), Jet2(cfg.order, t[1])))
+        Jet2.from_numerators(cfg.order, *t[0]), Jet2.from_numerators(cfg.order, *t[1])))
 
 
 def random_target_diffeo(cfg: FuzzConfig, rng: Random,
                          degree: int | None = None) -> PolyMap3:
     """A random polynomial target change with invertible linear part."""
-    return _random_change(cfg, rng, degree, 3, 0.5, lambda t: PolyMap3(t, cfg.order))
+    return _random_change(cfg, rng, degree, 3, 0.5,
+                          lambda t: PolyMap3.from_numerators(t, cfg.order))
 
 
 def act(f: MapJet, phi_s: PolyMap2, phi_t: PolyMap3) -> MapJet:

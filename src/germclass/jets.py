@@ -59,9 +59,16 @@ kernel of every vector-field application.
 or a derivative of one; `MapJet.shared` takes three jets that already
 share it, and the kernels build their results with it); `PolyMap2` /
 `PolyMap3` are polynomial coordinate changes with invertible linear part,
-used only through composition.  Source
-changes (`compose2`, `compose_map`) and target changes (`post_compose`)
-share one substitution loop, `_substitute`.  The linear source changes of
+used only through composition.  A `PolyMap3` holds each component's
+table {(i, j, k): c} as integer numerators over one denominator, in the
+canonical form of a jet: `PolyMap3(comps, order)` coerces a table of
+rationals, `PolyMap3.from_numerators(tables, order)` takes (numerators,
+denominator) pairs with no `Fraction`, and the singular-linear-part test
+is a determinant of the integer rows (a positive row scaling keeps the
+rank).  `comps` and `linear_matrix` are `Fraction` views built on read.
+Source changes (`compose2`, `compose_map`) and target changes
+(`post_compose`, which hands `_substitute` the stored numerators) share
+one substitution loop, `_substitute`.  The linear source changes of
 `frames.linear_normalize` other than the identity take no map at all:
 `swap(f)` swaps f's keys and `shear(f, t)`, for (u, v) -> (u + t v, -v), is
 the binomial theorem on integers.  `_substitute` makes one pass per
@@ -80,6 +87,7 @@ from .errors import OrderExhaustedError, PreconditionError
 from .scalars import as_exact, fmt_scalar, is_exponent_pair
 
 _ZERO = Fraction(0)
+_BASIS3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _integers(table):
@@ -132,6 +140,20 @@ def _jet(order: int, num, den: int) -> "Jet2":
         num = {key: n // g for key, n in num.items()}
         den //= g
     return _canonical(order, num, den)
+
+
+def _table(num, den: int, order: int):
+    """A `PolyMap3` component from int numerators over an int den > 0: the keys
+    past total degree `order` and the zero numerators dropped, and the rest
+    reduced by the gcd, as `_jet` reduces a jet."""
+    if den <= 0:
+        raise ValueError("from_numerators needs a positive denominator, got %d" % den)
+    num = {key: n for key, n in num.items() if n and sum(key) <= order}
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {key: n // g for key, n in num.items()}
+        den //= g
+    return num, den
 
 
 def _canonical(order: int, num, den: int) -> "Jet2":
@@ -533,36 +555,51 @@ class PolyMap2:
 class PolyMap3:
     """Polynomial target coordinate change (R^3,0)->(R^3,0).
 
-    Components are coefficient tables {(i,j,k): c} of x^i y^j z^k with zero
-    constant term; only evaluation along a map-jet is exposed, never
-    inversion.
+    Component k is a coefficient table {(i,j,k): c} of x^i y^j z^k with zero
+    constant term, held as integer numerators over one denominator in the
+    canonical form of `Jet2`; only evaluation along a map-jet is exposed,
+    never inversion.
     """
 
-    __slots__ = ("comps", "order")
+    __slots__ = ("order", "_tables")
 
     def __init__(self, comps, order: int):
+        self._build((_integers({key: value for key, value in table.items() if sum(key) <= order})
+                     for table in comps), order)
+
+    @classmethod
+    def from_numerators(cls, tables, order: int) -> "PolyMap3":
+        """The change whose component k has coefficient num[key] / den at each key,
+        for tables[k] = (num, den) with int numerators and an int den > 0; keys
+        past `order` are dropped and `num` is not kept."""
+        phi = object.__new__(cls)
+        phi._build((_table(num, den, order) for num, den in tables), order)
+        return phi
+
+    def _build(self, tables, order: int):
+        """Hold the canonical tables, checked one at a time as they are made."""
         self.order = order
-        cleaned = []
-        for table in comps:
-            clean = {}
-            for key, value in table.items():
-                if sum(key) > order:
-                    continue
-                value = as_exact(value)
-                if value != 0:
-                    clean[key] = value
-            if clean.get((0, 0, 0)):
+        held = []
+        for num, den in tables:
+            if num.get((0, 0, 0)):
                 raise PreconditionError("coordinate change must fix the origin")
-            cleaned.append(clean)
-        self.comps = tuple(cleaned)
-        if len(self.comps) != 3:
+            held.append((num, den))
+        if len(held) != 3:
             raise PreconditionError("PolyMap3 needs exactly 3 components")
-        if det3(self.linear_matrix()) == 0:
+        # each row scaled by its positive denominator: the rank is unchanged
+        if det3([[num.get(e, 0) for e in _BASIS3] for num, _ in held]) == 0:
             raise PreconditionError("coordinate change has singular linear part")
+        self._tables = tuple(held)
+
+    @property
+    def comps(self):
+        """The components as tables {(i, j, k): Fraction} of their nonzero coefficients."""
+        return tuple({key: Fraction(n, den) for key, n in num.items()}
+                     for num, den in self._tables)
 
     def linear_matrix(self):
-        basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        return tuple(tuple(t.get(e, _ZERO) for e in basis) for t in self.comps)
+        return tuple(tuple(Fraction(num.get(e, 0), den) for e in _BASIS3)
+                     for num, den in self._tables)
 
     @classmethod
     def identity(cls, order: int) -> "PolyMap3":
@@ -677,8 +714,7 @@ def shear(f: MapJet, t: Fraction) -> MapJet:
 
 def post_compose(phi: PolyMap3, f: MapJet) -> MapJet:
     """Evaluate each component polynomial of phi at (f1, f2, f3)."""
-    return MapJet.shared(_substitute([_integers(t) for t in phi.comps], tuple(f),
-                                     min(f.order, phi.order)))
+    return MapJet.shared(_substitute(phi._tables, tuple(f), min(f.order, phi.order)))
 
 
 def reciprocal_series(a: Jet2) -> Jet2:

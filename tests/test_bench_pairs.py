@@ -106,14 +106,17 @@ def test_the_table_has_one_row_per_metric_and_the_spec_is_only_read():
     assert BENCHMARK.read_bytes() == before
 
 
-def fake_checkout(path, failed, digest="abc"):
+def fake_checkout(path, failed, digest="abc", log=None):
     """A checkout whose benchmark prints a fixed result line, and a digest
-    `digest`-W that names the workload W it was run on."""
+    `digest`-W that names the workload W it was run on; with `log`, each run
+    appends "<checkout name> W" to that file."""
     (path / "perfbench").mkdir(parents=True)
     result = {"correct": True, "attempted": 10, "failed": failed,
               "metrics": {name: {"value": 1.0, "unit": "x"} for name in NAMES}}
+    record = ("open(%r, 'a').write('%s %%s\\n' %% sys.argv[2])\n" % (str(log), path.name)
+              if log else "")
     (path / "perfbench" / "run.py").write_text(
-        "import sys\n"
+        "import sys\n" + record +
         "print('  verdict_digest  %s-%%s (over 10 inputs)' %% sys.argv[2])\n"
         "print(%r)\n" % (digest, json.dumps(result)))
     return path
@@ -140,12 +143,48 @@ def test_one_table_per_workload(tmp_path, capsys):
     assert [line for line in out.splitlines() if line.startswith("workload ")] == [
         "workload %s  seed 1  2 pairs at %g s" % (w, seconds) for w in ("scrambled", "documents")]
     assert out.count("| metric |") == 2
-    assert sum(line.startswith("pair ") for line in out.splitlines()) == 8
+    # pair by pair: each pair runs both workloads, and the summaries follow the last pair
+    runs = [line.split()[:3] for line in out.splitlines() if line.startswith("pair ")]
+    assert runs == [["pair", "1", "scrambled"], ["pair", "1", "scrambled"],
+                    ["pair", "1", "documents"], ["pair", "1", "documents"],
+                    ["pair", "2", "scrambled"], ["pair", "2", "scrambled"],
+                    ["pair", "2", "documents"], ["pair", "2", "documents"]]
+    assert out.index("workload scrambled") > out.index("pair 2 documents")
     for workload in ("scrambled", "documents"):
         assert "verdict_digest change abc-%s" % workload in out
     bad = fake_checkout(tmp_path / "bad", 1)
     args[3] = str(bad)
     assert bench_pairs.main(args) == 1
+
+
+def test_runs_go_pair_by_pair_with_alternating_sides(tmp_path, capsys):
+    """Pair k runs every workload on both sides before pair k + 1 starts; the
+    parent goes first in odd pairs and the change first in even ones."""
+    log = tmp_path / "runs.log"
+    parent = fake_checkout(tmp_path / "parent", 0, log=log)
+    change = fake_checkout(tmp_path / "change", 0, log=log)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload",
+                             "scrambled", "invariance", "documents", "--seed", "1",
+                             "--pairs", "3"]) == 0
+    capsys.readouterr()
+    one = ["%s %s" % (side, w) for w in ("scrambled", "invariance", "documents")
+           for side in ("parent", "change")]
+    other = ["%s %s" % (side, w) for w in ("scrambled", "invariance", "documents")
+             for side in ("change", "parent")]
+    assert log.read_text().splitlines() == one + other + one
+
+
+def test_a_failed_run_stops_every_workload(tmp_path, capsys):
+    log = tmp_path / "runs.log"
+    good = fake_checkout(tmp_path / "good", 0, log=log)
+    (tmp_path / "broken" / "perfbench").mkdir(parents=True)
+    (tmp_path / "broken" / "perfbench" / "run.py").write_text("raise SystemExit(2)\n")
+    args = ["--parent", str(good), "--change", str(tmp_path / "broken"), "--workload",
+            "scrambled", "documents", "--seed", "1", "--pairs", "2"]
+    assert bench_pairs.main(args) == 1
+    out = capsys.readouterr().out
+    assert "pair 1 scrambled change: FAILED" in out and "| metric |" not in out
+    assert log.read_text().splitlines() == ["good scrambled"]
 
 
 def test_a_verdict_change_fails_and_names_the_workload(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -51,6 +52,37 @@ def test_degree_one_draw_is_linear():
 def test_sampler_rejects_degree_below_one(sampler, degree):
     with pytest.raises(PreconditionError):
         sampler(FuzzConfig(), Random(1), degree)
+
+
+@pytest.mark.parametrize("sampler", [random_source_diffeo, random_target_diffeo])
+def test_sampler_rejects_degree_past_the_jet_order(sampler):
+    with pytest.raises(PreconditionError, match="diffeo degree must not exceed the jet order"):
+        sampler(FuzzConfig(degree=2, order=2), Random(1), degree=5)
+    assert sampler(FuzzConfig(degree=2, order=2), Random(1), degree=2).order == 2
+
+
+# (bound, order, explicit degree): bound 1 draws numerators in {-1, 0, 1} over
+# 1 and is rejected most often; degree None draws at the config's degree
+SAMPLER_SETTINGS = [(9, 6, None), (9, 6, 6), (1, 6, 3), (1, 2, 2), (5, 2, 1), (2, 3, 3),
+                    (3, 4, 2)]
+# recorded with the Fraction-per-coefficient samplers, before the draws were
+# kept on integers: the integer draws must consume the same random stream
+SAMPLER_DIGEST = "40d7e445cb8b5dcb2645fdd6e66b8a59c95f3744"
+
+
+def test_samplers_draw_the_recorded_stream():
+    """25 source and target draws per setting: their tables, then the next
+    rng.random(), so a draw that took more or fewer numbers shows too."""
+    record = []
+    for bound, order, degree in SAMPLER_SETTINGS:
+        cfg = FuzzConfig(bound=bound, order=order, degree=min(3, order))
+        rng = Random("%d|%d|%s" % (bound, order, degree))
+        for _ in range(25):
+            s = random_source_diffeo(cfg, rng, degree)
+            t = random_target_diffeo(cfg, rng, degree)
+            record.append((s.p1.order, s.p1.items(), s.p2.order, s.p2.items(), t.order,
+                           [list(c.items()) for c in t.comps], rng.random()))
+    assert hashlib.sha1(repr(record).encode()).hexdigest() == SAMPLER_DIGEST
 
 
 @pytest.mark.parametrize("field", ["bound", "degree"])

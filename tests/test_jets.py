@@ -154,6 +154,97 @@ def test_from_numerators_keeps_no_alias_and_needs_a_positive_denominator():
             Jet2.from_numerators(6, {(1, 0): 1}, den)
 
 
+def _polymap_or_error(build):
+    try:
+        return build()
+    except (PreconditionError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polymap3_from_numerators_equals_the_fraction_table(seed):
+    """Int numerators over unreduced denominators, zero numerators and keys past
+    the order build the change of their Fractions: the same comps, linear
+    matrix and post_compose, or the same error."""
+    rng = Random("polymap3|%d" % seed)
+    keys = [(i, j, k) for i in range(5) for j in range(5 - i) for k in range(5 - i - j)]
+    built = 0
+    for _ in range(60):
+        order = rng.randint(1, 4)
+        tables, fractions = [], []
+        for _ in range(3):
+            den = rng.choice([1, 2, 6, 12, 35, 360]) * rng.choice([1, 2, 3])
+            num = {key: rng.choice([0, 1, den]) * rng.randint(-9, 9)
+                   for key in keys[1:] if rng.random() < (0.8 if sum(key) == 1 else 0.3)}
+            if rng.random() < 0.2:
+                num[(0, 0, 0)] = 0
+            tables.append((num, den))
+            fractions.append({key: Fraction(n, den) for key, n in num.items()})
+        got = _polymap_or_error(lambda: PolyMap3.from_numerators(tables, order))
+        want = _polymap_or_error(lambda: PolyMap3(fractions, order))
+        if isinstance(want, tuple):
+            assert got == want == (PreconditionError, "coordinate change has singular linear part")
+            continue
+        built += 1
+        assert got.order == want.order == order
+        assert got.comps == want.comps
+        assert [list(t) for t in got.comps] == [list(t) for t in want.comps]
+        assert all(type(c) is Fraction and c for t in got.comps for c in t.values())
+        assert all(sum(key) <= order for t in got.comps for key in t)
+        assert got.linear_matrix() == want.linear_matrix()
+        f = MapJet(*(random_jet(rng, max_degree=3) * Jet2.variable("u", 6) for _ in range(3)))
+        for a, b in zip(post_compose(got, f), post_compose(want, f)):
+            assert a == b and a.items() == b.items()
+    assert built > 20
+
+
+def test_polymap3_from_numerators_keeps_no_alias():
+    num = {(1, 0, 0): 4, (0, 1, 0): 0, (2, 0, 0): 6, (7, 0, 0): 1}
+    phi = PolyMap3.from_numerators([(num, 2), ({(0, 1, 0): 3}, 3), ({(0, 0, 1): -1}, 1)], 6)
+    num[(1, 0, 0)] = 5
+    assert phi.comps == ({(1, 0, 0): 2, (2, 0, 0): 3}, {(0, 1, 0): 1}, {(0, 0, 1): -1})
+    assert phi.linear_matrix() == ((2, 0, 0), (0, 1, 0), (0, 0, -1))
+    for den in (0, -2):
+        with pytest.raises(ValueError, match="positive denominator"):
+            PolyMap3.from_numerators([({(1, 0, 0): 1}, den)] * 3, 6)
+
+
+ORIGIN = "coordinate change must fix the origin"
+COUNT = "PolyMap3 needs exactly 3 components"
+SINGULAR = "coordinate change has singular linear part"
+
+
+@pytest.mark.parametrize("tables, error", [
+    # a float is read before its own table's constant term ...
+    ([{(0, 0, 0): 1, (1, 0, 0): 0.5}, {(0, 1, 0): 1}, {(0, 0, 1): 1}], (TypeError, "float")),
+    # ... but after the constant term of an earlier table
+    ([{(0, 0, 0): 1, (1, 0, 0): 1}, {(0, 1, 0): 0.5}, {(0, 0, 1): 1}], (PreconditionError, ORIGIN)),
+    # a float past the order is dropped unread
+    ([{(1, 0, 0): 1, (7, 0, 0): 0.5}, {(0, 1, 0): 1}], (PreconditionError, COUNT)),
+    # every table is read before the count, and the count before the linear part
+    ([{(1, 0, 0): 1}, {(1, 0, 0): 1}], (PreconditionError, COUNT)),
+    ([{(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}, {(0, 0, 0): 2}], (PreconditionError, ORIGIN)),
+    ([{(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}, {(0, 0, 0): 0.5}], (TypeError, "float")),
+    ([{(1, 0, 0): 1}] * 4, (PreconditionError, COUNT)),
+    ([{(1, 0, 0): 1}, {(1, 0, 0): 2, (0, 1, 0): 0}, {(0, 0, 1): 1}],
+     (PreconditionError, SINGULAR)),
+    # a zero constant term, or a nonzero one past the order, is no error
+    ([{(0, 0, 0): 0, (1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}], None),
+])
+def test_polymap3_errors_keep_their_messages_and_order(tables, error):
+    if error is None:
+        assert PolyMap3(tables, 6).linear_matrix() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        return
+    kind, message = error
+    with pytest.raises(kind, match=message):
+        PolyMap3(tables, 6)
+    if kind is PreconditionError:
+        # the integer constructor raises the same, in the same order
+        ints = [({key: Fraction(c).numerator for key, c in t.items()}, 1) for t in tables]
+        with pytest.raises(kind, match=message):
+            PolyMap3.from_numerators(ints, 6)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_from_divided_coeffs_matches_the_fraction_construction(seed):
     rng = Random(seed)

@@ -4,12 +4,14 @@ Usage:
     python tools/bench_pairs.py --parent DIR --change DIR --workload W [W ...] \
         --seed S --pairs N [--out BENCH_<label>.json]
 
-For each workload W in turn, each pair runs `perfbench/run.py --workload W
---seed S --seconds R --trace 0` once in each checkout, one process at a
-time, where R is `run_seconds` of this repository's BENCHMARK.json; the
-parent goes first in the odd pairs and the change first in the even ones.
-Every run is printed as it ends, and each workload's summary after its
-last pair, so one command gives one table per workload.
+The runs go pair by pair: pair k runs `perfbench/run.py --workload W
+--seed S --seconds R --trace 0` once in each checkout for every workload
+W, in the order given, before pair k + 1 starts, one process at a time,
+where R is `run_seconds` of this repository's BENCHMARK.json; the parent
+goes first in the odd pairs and the change first in the even ones.  So a
+spell of load on the machine lands on every workload alike, not on the
+pairs of one.  Every run is printed as it ends, and once every pair has
+run, each workload's summary, so one command gives one table per workload.
 For each end-to-end metric of BENCHMARK.json, a summary gives each
 side's quartiles (q1, median, q3), the pairs the change won (ties count
 for neither) and three verdicts:
@@ -117,27 +119,32 @@ def format_rows(rows):
     return "\n".join(out)
 
 
-def bench_workload(dirs, workload, seed, n_pairs, seconds):
-    """Run one workload's pairs, printing each run: (pairs, digests, ok), or None if a run fails."""
-    pairs, digests, ok = [], {side: set() for side in SIDES}, True
+def run_pairs(dirs, workloads, seed, n_pairs, seconds):
+    """Run the pairs, printing each run: {workload: (pairs, digests, ok)}, or None if a run fails."""
+    done = {workload: ([], {side: set() for side in SIDES}) for workload in workloads}
+    bad = set()
     for k in range(n_pairs):
-        pair = {}
-        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            try:
-                result, digest = run_once(dirs[side], workload, seed, seconds)
-            except (RuntimeError, ValueError) as exc:
-                print("pair %d %s: FAILED %s" % (k + 1, side, exc), flush=True)
-                return None
-            metrics = {name: m["value"] for name, m in result["metrics"].items()}
-            bad = not result["correct"] or result["failed"] > 0
-            ok = ok and not bad
-            digests[side].add(digest)
-            pair[side] = metrics
-            print("pair %d %-6s correct %s failed %d/%d  %s" % (
-                k + 1, side, result["correct"], result["failed"], result["attempted"],
-                " ".join("%s=%.4g" % kv for kv in metrics.items())), flush=True)
-        pairs.append(pair)
-    return pairs, digests, ok
+        for workload in workloads:
+            pairs, digests = done[workload]
+            pair = {}
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                try:
+                    result, digest = run_once(dirs[side], workload, seed, seconds)
+                except (RuntimeError, ValueError) as exc:
+                    print("pair %d %s %s: FAILED %s" % (k + 1, workload, side, exc), flush=True)
+                    return None
+                metrics = {name: m["value"] for name, m in result["metrics"].items()}
+                if not result["correct"] or result["failed"] > 0:
+                    bad.add(workload)
+                digests[side].add(digest)
+                pair[side] = metrics
+                print("pair %d %s %-6s correct %s failed %d/%d  %s" % (
+                    k + 1, workload, side, result["correct"], result["failed"],
+                    result["attempted"], " ".join("%s=%.4g" % kv for kv in metrics.items())),
+                    flush=True)
+            pairs.append(pair)
+    return {workload: (pairs, digests, workload not in bad)
+            for workload, (pairs, digests) in done.items()}
 
 
 def main(argv=None) -> int:
@@ -154,11 +161,10 @@ def main(argv=None) -> int:
     dirs = {"parent": args.parent, "change": args.change}
     all_ok = True
     results = {}
-    for workload in args.workload:
-        done = bench_workload(dirs, workload, args.seed, args.pairs, seconds)
-        if done is None:
-            return 1
-        pairs, digests, ok = done
+    done = run_pairs(dirs, args.workload, args.seed, args.pairs, seconds)
+    if done is None:
+        return 1
+    for workload, (pairs, digests, ok) in done.items():
         all_ok = all_ok and ok
         print("workload %s  seed %d  %d pairs at %g s" % (workload, args.seed, len(pairs),
                                                         seconds))
