@@ -61,7 +61,7 @@ from fractions import Fraction
 from .classify import Classification, Verdict
 from .errors import PreconditionError
 from .frames import partials0
-from .jets import (Jet2, MapJet, PolyMap2, compose2, det3,
+from .jets import (Jet2, MapJet, PolyMap, compose2, det3,
                    from_divided_coeffs, reciprocal_series, to_divided_coeff)
 from .scalars import exact_table, sign
 
@@ -374,8 +374,7 @@ def folded_map(m: MongeCoeffs, theta=(1, 0), order: int = 6) -> MapJet:
     c, s = _theta_pair(theta)
     n = order + 1
     a = m.jet(n)
-    rot = PolyMap2(Jet2(n, {(1, 0): c, (0, 1): s}),
-                   Jet2(n, {(1, 0): -s, (0, 1): c}))
+    rot = PolyMap(({(1, 0): c, (0, 1): s}, {(1, 0): -s, (0, 1): c}), n)
     f3 = compose2(a, rot).truncate(order)
     u = Jet2.variable("u", order)
     v = Jet2.variable("v", order)

@@ -22,8 +22,7 @@ from math import lcm
 from random import Random
 
 from .errors import PreconditionError
-from .jets import (Jet2, MapJet, PolyMap2, PolyMap3, compose_map,
-                   post_compose)
+from .jets import MapJet, PolyMap, compose_map, post_compose
 from .vfields import VectorFieldJet, apply, apply_word
 
 
@@ -53,17 +52,19 @@ def _monomials(nvars: int, degree: int) -> tuple:
                  for key in product(range(d + 1), repeat=nvars) if sum(key) == d)
 
 
-def _random_change(cfg: FuzzConfig, rng: Random, degree, nvars: int, density: float, build):
-    """build(tables) on nvars random coefficient tables, redrawn while it raises.
+def _random_change(cfg: FuzzConfig, rng: Random, degree, nvars: int,
+                   density: float) -> PolyMap:
+    """A `PolyMap` of nvars variables from random coefficient tables, redrawn
+    while its linear part is singular.
 
     Each monomial of degree <= `degree`, in `_monomials` order, gets a
     coefficient p/q with probability `density`: rng.random() < density,
     then p = rng.randint(-bound, bound), then q = rng.randint(1, bound).
     That draw order is the stream contract: every corpus drawn through the
     samplers (criterion-2 trials, scrambled germs, the certificate and
-    benchmark digests) depends on it.  A table is handed to `build` as
-    integer numerators over the lcm of its q's, and the constructors raise
-    on a singular linear part.
+    benchmark digests) depends on it.  Each table goes to
+    `PolyMap.from_numerators` as integer numerators over the lcm of its
+    q's, with no `Fraction`; it raises on a singular linear part.
     """
     degree = cfg.degree if degree is None else degree
     if degree < 1:
@@ -81,26 +82,24 @@ def _random_change(cfg: FuzzConfig, rng: Random, degree, nvars: int, density: fl
             den = lcm(*(q for _, _, q in terms))
             tables.append(({key: p * (den // q) for key, p, q in terms}, den))
         try:
-            return build(tables)
+            return PolyMap.from_numerators(tables, cfg.order)
         except PreconditionError:
             continue
 
 
 def random_source_diffeo(cfg: FuzzConfig, rng: Random,
-                         degree: int | None = None) -> PolyMap2:
-    """A random polynomial source change with invertible linear part."""
-    return _random_change(cfg, rng, degree, 2, 0.7, lambda t: PolyMap2(
-        Jet2.from_numerators(cfg.order, *t[0]), Jet2.from_numerators(cfg.order, *t[1])))
+                         degree: int | None = None) -> PolyMap:
+    """A random polynomial source change (2 variables) with invertible linear part."""
+    return _random_change(cfg, rng, degree, 2, 0.7)
 
 
 def random_target_diffeo(cfg: FuzzConfig, rng: Random,
-                         degree: int | None = None) -> PolyMap3:
-    """A random polynomial target change with invertible linear part."""
-    return _random_change(cfg, rng, degree, 3, 0.5,
-                          lambda t: PolyMap3.from_numerators(t, cfg.order))
+                         degree: int | None = None) -> PolyMap:
+    """A random polynomial target change (3 variables) with invertible linear part."""
+    return _random_change(cfg, rng, degree, 3, 0.5)
 
 
-def act(f: MapJet, phi_s: PolyMap2, phi_t: PolyMap3) -> MapJet:
+def act(f: MapJet, phi_s: PolyMap, phi_t: PolyMap) -> MapJet:
     """The A-action phi_t o f o phi_s (an action by group elements, so this
     reaches the same orbit as composing with an inverse would)."""
     return compose_map(post_compose(phi_t, f), phi_s)
@@ -189,13 +188,13 @@ def _word_hypothesis(f: MapJet, word) -> str:
     raise PreconditionError("word does not match any pushforward hypothesis")
 
 
-def check_target_pushforward(f: MapJet, phi: PolyMap3, word) -> bool:
+def check_target_pushforward(f: MapJet, phi: PolyMap, word) -> bool:
     """True iff word(Phi o f)(0) = J_Phi(0) word(f)(0), under T-1..T-7."""
     _word_hypothesis(f, word)
     return pushforward_identity_holds(f, phi, word)
 
 
-def pushforward_identity_holds(f: MapJet, phi: PolyMap3, word) -> bool:
+def pushforward_identity_holds(f: MapJet, phi: PolyMap, word) -> bool:
     """The raw identity test, with no hypothesis validation (negative controls)."""
     lhs = apply_word(word, post_compose(phi, f)).at0()
     vec = apply_word(word, f).at0()

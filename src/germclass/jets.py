@@ -57,25 +57,30 @@ kernel of every vector-field application.
 
 `MapJet` is a triple of jets sharing one order (a map germ into 3-space,
 or a derivative of one; `MapJet.shared` takes three jets that already
-share it, and the kernels build their results with it); `PolyMap2` /
-`PolyMap3` are polynomial coordinate changes with invertible linear part,
-used only through composition.  A `PolyMap3` holds each component's
-table {(i, j, k): c} as integer numerators over one denominator, in the
-canonical form of a jet: `PolyMap3(comps, order)` coerces a table of
-rationals, `PolyMap3.from_numerators(tables, order)` takes (numerators,
-denominator) pairs with no `Fraction`, and the singular-linear-part test
-is a determinant of the integer rows (a positive row scaling keeps the
+share it, and the kernels build their results with it).  A `PolyMap` is a
+polynomial coordinate change (R^n,0)->(R^n,0) with invertible linear part,
+n = 2 (a source change) or 3 (a target change), used only through
+composition.  Component k is a table {(e_1, .., e_n): c} held as integer
+numerators over one denominator, in the canonical form of a jet:
+`PolyMap(comps, order)` coerces tables of rationals keyed by exponent
+n-tuples, the key rule of `Jet2` with n in place of 2, and
+`PolyMap.from_numerators(tables, order)` takes (numerators, denominator)
+pairs with no `Fraction`.  Both reduce through `_reduced`, as `_jet` and
+`Jet2.from_numerators` do, and test the linear part by an integer
+determinant of the numerator rows (a positive row scaling keeps the
 rank).  `comps` and `linear_matrix` are `Fraction` views built on read.
-Source changes (`compose2`, `compose_map`) and target changes
-(`post_compose`, which hands `_substitute` the stored numerators) share
-one substitution loop, `_substitute`.  The linear source changes of
-`frames.linear_normalize` other than the identity take no map at all:
-`swap(f)` swaps f's keys and `shear(f, t)`, for (u, v) -> (u + t v, -v), is
-the binomial theorem on integers.  `_substitute` makes one pass per
-output: each value's power table holds the raw numerator powers, every
-term carries one integer factor that puts it over the output's one
-denominator, a term group's sum of last-variable powers is accumulated in
-place, and the outermost product is accumulated straight into the output.
+Source changes (`compose2`, `compose_map`, which take n = 2) and target
+changes (`post_compose`, which takes n = 3) share one substitution loop,
+`_substitute`, which reads its tables and its values as (numerators,
+denominator) pairs; a map of the other arity is refused.  The linear
+source changes of `frames.linear_normalize` other than the identity take
+no map at all: `swap(f)` swaps f's keys and `shear(f, t)`, for
+(u, v) -> (u + t v, -v), is the binomial theorem on integers.
+`_substitute` makes one pass per output: each value's power table holds
+the raw numerator powers, every term carries one integer factor that puts
+it over the output's one denominator, a term group's sum of last-variable
+powers is accumulated in place, and the outermost product is accumulated
+straight into the output.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ from .errors import OrderExhaustedError, PreconditionError
 from .scalars import as_exact, fmt_scalar, is_exponent_pair
 
 _ZERO = Fraction(0)
-_BASIS3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_BASES = {2: ((1, 0), (0, 1)), 3: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
 
 
 def _integers(table):
@@ -127,33 +132,41 @@ def _convolve(a, b, order):
     return out
 
 
-def _jet(order: int, num, den: int) -> "Jet2":
-    """The trusted constructor of arithmetic results: keys within `order`, den > 0.
+def _within(table, n: int, order: int, label: str):
+    """The entries of a table up to total degree `order`; a key that is not an
+    exponent n-tuple (`is_exponent_pair`) raises, past the order too."""
+    out = {}
+    for key, value in table.items():
+        if not is_exponent_pair(key, n):
+            raise PreconditionError("%s key %r is not %s of non-negative ints"
+                                    % (label, key, "a pair" if n == 2 else "a %d-tuple" % n))
+        if sum(key) <= order:
+            out[key] = value
+    return out
 
-    Drops zero numerators and reduces once by the gcd; it skips the
-    coercion and order filter of `Jet2.__init__`.
-    """
+
+def _reduced(num, den: int):
+    """Numerators over a den > 0 in canonical form: zero numerators dropped and
+    the gcd divided out once."""
     if 0 in num.values():
         num = {key: n for key, n in num.items() if n}
     g = gcd(den, *num.values())
     if g != 1:
         num = {key: n // g for key, n in num.items()}
         den //= g
-    return _canonical(order, num, den)
-
-
-def _table(num, den: int, order: int):
-    """A `PolyMap3` component from int numerators over an int den > 0: the keys
-    past total degree `order` and the zero numerators dropped, and the rest
-    reduced by the gcd, as `_jet` reduces a jet."""
-    if den <= 0:
-        raise ValueError("from_numerators needs a positive denominator, got %d" % den)
-    num = {key: n for key, n in num.items() if n and sum(key) <= order}
-    g = gcd(den, *num.values())
-    if g != 1:
-        num = {key: n // g for key, n in num.items()}
-        den //= g
     return num, den
+
+
+def _jet(order: int, num, den: int) -> "Jet2":
+    """The trusted constructor of arithmetic results: keys within `order`, den > 0.
+
+    Reduces once, in `_reduced`; it skips the coercion and order filter of
+    `Jet2.__init__`.
+    """
+    jet = object.__new__(Jet2)
+    jet.order = order
+    jet._num, jet._den = _reduced(num, den)
+    return jet
 
 
 def _canonical(order: int, num, den: int) -> "Jet2":
@@ -170,13 +183,7 @@ class Jet2:
 
     def __init__(self, order: int, coeffs=None):
         self.order = order
-        table = {}
-        for key, value in coeffs.items() if coeffs else ():
-            if not is_exponent_pair(key):
-                raise PreconditionError("jet key %r is not a pair of non-negative ints" % (key,))
-            if key[0] + key[1] <= order:
-                table[key] = value
-        self._num, self._den = _integers(table)
+        self._num, self._den = _integers(_within(coeffs or {}, 2, order, "jet"))
 
     # -- constructors ------------------------------------------------------
 
@@ -522,99 +529,84 @@ class MapJet:
         return "MapJet(%s)" % ", ".join(poly_str(c) for c in self.components)
 
 
-class PolyMap2:
-    """Polynomial source coordinate change (R^2,0)->(R^2,0), invertible linear part."""
+class PolyMap:
+    """Polynomial coordinate change (R^n,0)->(R^n,0), n = 2 or 3, with invertible
+    linear part.
 
-    __slots__ = ("p1", "p2")
-
-    def __init__(self, p1: Jet2, p2: Jet2):
-        for p in (p1, p2):
-            if p.at0() != 0:
-                raise PreconditionError("coordinate change must fix the origin")
-        self.p1 = p1
-        self.p2 = p2
-        if self.linear_det() == 0:
-            raise PreconditionError("coordinate change has singular linear part")
-
-    @property
-    def order(self) -> int:
-        return min(self.p1.order, self.p2.order)
-
-    def linear_matrix(self):
-        return ((self.p1.coeff(1, 0), self.p1.coeff(0, 1)),
-                (self.p2.coeff(1, 0), self.p2.coeff(0, 1)))
-
-    def linear_det(self) -> Fraction:
-        (a, b), (c, d) = self.linear_matrix()
-        return a * d - b * c
-
-    def __repr__(self):
-        return "PolyMap2(%s, %s)" % (poly_str(self.p1), poly_str(self.p2))
-
-
-class PolyMap3:
-    """Polynomial target coordinate change (R^3,0)->(R^3,0).
-
-    Component k is a coefficient table {(i,j,k): c} of x^i y^j z^k with zero
-    constant term, held as integer numerators over one denominator in the
-    canonical form of `Jet2`; only evaluation along a map-jet is exposed,
-    never inversion.
+    Component k is a coefficient table {(e_1, .., e_n): c} of the monomial
+    with those exponents, zero at the origin, held as integer numerators
+    over one denominator in the canonical form of `Jet2`; only composition
+    is exposed, never inversion.
     """
 
     __slots__ = ("order", "_tables")
 
     def __init__(self, comps, order: int):
-        self._build((_integers({key: value for key, value in table.items() if sum(key) <= order})
-                     for table in comps), order)
+        n = len(comps)
+        self._build((_integers(_within(table, n, order, "coordinate change")) for table in comps),
+                    n, order)
 
     @classmethod
-    def from_numerators(cls, tables, order: int) -> "PolyMap3":
+    def from_numerators(cls, tables, order: int) -> "PolyMap":
         """The change whose component k has coefficient num[key] / den at each key,
-        for tables[k] = (num, den) with int numerators and an int den > 0; keys
-        past `order` are dropped and `num` is not kept."""
+        for tables[k] = (num, den) with int numerators keyed by exponent n-tuples
+        and an int den > 0; keys past `order` are dropped and `num` is not kept."""
         phi = object.__new__(cls)
-        phi._build((_table(num, den, order) for num, den in tables), order)
+        phi._build(tables, len(tables), order)
         return phi
 
-    def _build(self, tables, order: int):
-        """Hold the canonical tables, checked one at a time as they are made."""
+    def _build(self, tables, n: int, order: int):
+        """Hold the (numerators, den) tables in canonical form, each checked as it
+        is reached: den > 0, then cut at `order` and reduced, then the origin."""
         self.order = order
+        origin = (0,) * n
         held = []
         for num, den in tables:
-            if num.get((0, 0, 0)):
+            if den <= 0:
+                raise ValueError("from_numerators needs a positive denominator, got %d" % den)
+            num, den = _reduced({key: c for key, c in num.items() if sum(key) <= order}, den)
+            if num.get(origin):
                 raise PreconditionError("coordinate change must fix the origin")
             held.append((num, den))
-        if len(held) != 3:
-            raise PreconditionError("PolyMap3 needs exactly 3 components")
+        if n not in _BASES:
+            raise PreconditionError("PolyMap needs 2 or 3 components, got %d" % n)
         # each row scaled by its positive denominator: the rank is unchanged
-        if det3([[num.get(e, 0) for e in _BASIS3] for num, _ in held]) == 0:
+        rows = [[num.get(e, 0) for e in _BASES[n]] for num, _ in held]
+        if (det3(rows) if n == 3 else rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) == 0:
             raise PreconditionError("coordinate change has singular linear part")
         self._tables = tuple(held)
 
     @property
     def comps(self):
-        """The components as tables {(i, j, k): Fraction} of their nonzero coefficients."""
+        """The components as tables {exponents: Fraction} of their nonzero coefficients."""
         return tuple({key: Fraction(n, den) for key, n in num.items()}
                      for num, den in self._tables)
 
     def linear_matrix(self):
-        return tuple(tuple(Fraction(num.get(e, 0), den) for e in _BASIS3)
+        """Row k: component k's coefficients of the n variables."""
+        basis = _BASES[len(self._tables)]
+        return tuple(tuple(Fraction(num.get(e, 0), den) for e in basis)
                      for num, den in self._tables)
 
-    @classmethod
-    def identity(cls, order: int) -> "PolyMap3":
-        return cls(({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}), order)
+
+def _of_arity(phi: PolyMap, n: int, name: str):
+    """phi's tables, if phi is a change of n variables."""
+    if len(phi._tables) != n:
+        raise PreconditionError("%s needs a change of %d variables, got one of %d"
+                                % (name, n, len(phi._tables)))
+    return phi._tables
 
 
 def _substitute(tables, values, order: int):
-    """Evaluate polynomials at jets: each table {(e_1, .., e_n): c} at values[0..n-1], n >= 2.
+    """Evaluate polynomials at jet values: each table {(e_1, .., e_n): c} at
+    values[0..n-1], n >= 2.
 
     A table is given as (numerators, D): its coefficients are the integer
-    numerators over one denominator D.  Value k is N_k / d_k (its numerator
-    dict over its denominator); its power table holds the raw N_k^e up to
-    its largest exponent top_k.  Every term is put over the one denominator
-    D * prod_k d_k^top_k by the integer factor c * prod_k d_k^(top_k - e_k),
-    so each output is reduced once.
+    numerators over one denominator D.  Value k is given the same way, as
+    (N_k, d_k) with keys (i, j); its power table holds the raw N_k^e,
+    truncated at `order`, up to its largest exponent top_k.  Every term is
+    put over the one denominator D * prod_k d_k^top_k by the integer factor
+    c * prod_k d_k^(top_k - e_k), so each output is reduced once.
 
     One pass per output.  Terms are grouped by their head, all exponents
     but the last.  A head sums its terms' last-variable powers in place,
@@ -626,14 +618,13 @@ def _substitute(tables, values, order: int):
              for num, den in tables]
     pows = []
     lifts = []
-    for k, value in enumerate(values):
-        value = value.truncate(order)
+    for k, (num, den) in enumerate(values):
         top = max((key[k] for group, _ in terms for key, _ in group), default=0)
         powers = [{(0, 0): 1}]
         for _ in range(top):
-            powers.append(_convolve(powers[-1], value._num, order))
+            powers.append(_convolve(powers[-1], num, order))
         pows.append(powers)
-        lifts.append([value._den ** (top - e) for e in range(top + 1)])
+        lifts.append([den ** (top - e) for e in range(top + 1)])
     common = prod(lift[0] for lift in lifts)
     last = len(values) - 1
     last_pows, last_lifts = pows[last], lifts[last]
@@ -668,14 +659,15 @@ def _substitute(tables, values, order: int):
     return out
 
 
-def compose2(a: Jet2, p: PolyMap2) -> Jet2:
-    """Substitute (u, v) -> (p1, p2) into a."""
-    return _substitute([(a._num, a._den)], (p.p1, p.p2), min(a.order, p.order))[0]
+def compose2(a: Jet2, p: PolyMap) -> Jet2:
+    """Substitute (u, v) -> (p_1, p_2) into a, for a change p of 2 variables."""
+    return _substitute([(a._num, a._den)], _of_arity(p, 2, "compose2"), min(a.order, p.order))[0]
 
 
-def compose_map(f: MapJet, p: PolyMap2) -> MapJet:
-    """Substitute (u, v) -> (p1, p2) into each component of f."""
-    return MapJet.shared(_substitute([(c._num, c._den) for c in f], (p.p1, p.p2),
+def compose_map(f: MapJet, p: PolyMap) -> MapJet:
+    """Substitute (u, v) -> (p_1, p_2) into each component of f, for a change p of
+    2 variables."""
+    return MapJet.shared(_substitute([(c._num, c._den) for c in f], _of_arity(p, 2, "compose_map"),
                                      min(f.order, p.order)))
 
 
@@ -712,9 +704,10 @@ def shear(f: MapJet, t: Fraction) -> MapJet:
     return MapJet.shared(out)
 
 
-def post_compose(phi: PolyMap3, f: MapJet) -> MapJet:
-    """Evaluate each component polynomial of phi at (f1, f2, f3)."""
-    return MapJet.shared(_substitute(phi._tables, tuple(f), min(f.order, phi.order)))
+def post_compose(phi: PolyMap, f: MapJet) -> MapJet:
+    """Evaluate each component polynomial of phi, a change of 3 variables, at (f1, f2, f3)."""
+    return MapJet.shared(_substitute(_of_arity(phi, 3, "post_compose"),
+                                     [(c._num, c._den) for c in f], min(f.order, phi.order)))
 
 
 def reciprocal_series(a: Jet2) -> Jet2:

@@ -30,10 +30,15 @@ def as_exact(value) -> Fraction:
     return Fraction(value)
 
 
-def is_exponent_pair(key) -> bool:
-    """Whether key is (i, j) for u^i v^j: a tuple of two non-negative ints, not bools."""
-    return (type(key) is tuple and len(key) == 2
-            and type(key[0]) is type(key[1]) is int and key[0] >= 0 <= key[1])
+def is_exponent_pair(key, n: int) -> bool:
+    """Whether key is the exponent tuple of a monomial in n variables, (i, j) for
+    u^i v^j when n = 2: a tuple of n non-negative ints, not bools."""
+    if type(key) is not tuple or len(key) != n:
+        return False
+    for e in key:
+        if type(e) is not int or e < 0:
+            return False
+    return True
 
 
 def exact_table(table, lo, hi, label) -> dict:
@@ -44,7 +49,7 @@ def exact_table(table, lo, hi, label) -> dict:
     """
     out = {}
     for key, c in table.items():
-        if not is_exponent_pair(key):
+        if not is_exponent_pair(key, 2):
             raise PreconditionError("%s index %r is not a pair of non-negative ints"
                                     % (label, key))
         i, j = key

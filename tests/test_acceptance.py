@@ -20,7 +20,7 @@ from germclass.frames import (b3_adapt, h2_adapt, h4_adapt, linear_normalize,
 from germclass.fuzz import (FuzzConfig, check_target_pushforward,
                             pushforward_identity_holds, random_target_diffeo,
                             run_invariance)
-from germclass.jets import PolyMap3, det3
+from germclass.jets import PolyMap, det3
 from germclass.vfields import apply, apply_word, d_du
 from reference import d_dv
 from util import germ, random_branch_germ, random_h_coeffs, random_sb_coeffs
@@ -171,7 +171,7 @@ def test_criterion_4_pushforward_identities():
 
     # documented negative control: hypotheses matter
     f = germ("u", "v^2", "u*v")
-    quad = PolyMap3(({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1, (2, 0, 0): 1}), 6)
+    quad = PolyMap(({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1, (2, 0, 0): 1}), 6)
     assert not pushforward_identity_holds(f, quad, [d_du(6), d_du(6)])
     with pytest.raises(PreconditionError):
         check_target_pushforward(f, quad, [d_du(6), d_du(6)])

@@ -14,7 +14,7 @@ from germclass.applications import (MongeCoeffs, RuledData, _theta_pair,
                                     ruled_classify_formulas, ruled_frame, ruled_map)
 from germclass.classify import Verdict, classify
 from germclass.errors import PreconditionError
-from germclass.jets import (Jet2, PolyMap2, compose2, det3, from_divided_coeffs,
+from germclass.jets import (Jet2, PolyMap, compose2, det3, from_divided_coeffs,
                             to_divided_coeff)
 from germclass.oracle import (HNormalCoeffs, SBNormalCoeffs, h2_check,
                               skbk_classify)
@@ -176,6 +176,42 @@ def test_ruled_formula_agrees_with_classifier(branch):
         assert formula.verdict == generic.verdict, (branch, d)
 
 
+# each row: (sampled branch, formula value, the generic invariant it equals)
+RULED_IDENTITIES = {
+    "S1": ("S1", "s1_disc", lambda g, inv: g["xi2phi"] * g["eta2phi"]),
+    "B2": ("B", "b_poly", lambda g, inv: g["b2_value"] * inv["gamma1_0"] ** 2),
+    "S2": ("S2", "gamma3_d3", lambda g, inv: g["s2_det"] * inv["gamma1_0"] ** 2),
+    "H2": ("H", "h_poly", lambda g, inv: -4 * inv["gamma3_d2"] * g["h2_det"]),
+}
+
+
+def _identity_samples(draw, formulas, generic, key, count=25):
+    """(formula, generic) invariant pairs of samples whose formula route reached
+    `key`, until `count` of them have a nonzero value there."""
+    out, nonzero = [], 0
+    for _ in range(8 * count):
+        data = draw()
+        _, inv = formulas(data)
+        if key in inv:
+            out.append((data, inv, generic(data).invariants))
+            nonzero += inv[key] != 0
+            if nonzero == count:
+                return out
+    raise AssertionError("too few samples reached %s" % key)
+
+
+@pytest.mark.parametrize("row", sorted(RULED_IDENTITIES))
+def test_ruled_formula_is_the_generic_invariant_exactly(row):
+    """The formula route's value equals the classifier's invariant times a factor
+    that the branch makes nonzero (a square where the sign is read), on every
+    sample: a formula with the right zero set and sign but the wrong value fails."""
+    branch, key, generic = RULED_IDENTITIES[row]
+    rng = Random("ruled-identity|" + row)
+    for d, inv, g in _identity_samples(lambda: _branch_ruled(rng, branch), ruled_classify_formulas,
+                                       lambda d: classify(ruled_map(d))[1], key):
+        assert generic(g, inv) == inv[key], (row, d)
+
+
 # -- center maps ---------------------------------------------------------------
 
 def test_center_one_jet():
@@ -249,6 +285,35 @@ def test_center_formula_agrees_with_classifier(branch):
         assert formula.verdict == generic.verdict, m
         assert generic.verdict not in (Verdict.WHITNEY_UMBRELLA, Verdict.B2_PLUS,
                                        Verdict.B2_MINUS, Verdict.H2)
+
+
+def _center_s1_factor(m):
+    a03, a20, a02 = m.a_(0, 3), m.a_(2, 0), m.a_(0, 2)
+    return 3 * a03 ** 2 * (a20 - a02) ** 2 / a02 ** 4
+
+
+def _center_s2_factor(m):
+    a03, a20, a02 = m.a_(0, 3), m.a_(2, 0), m.a_(0, 2)
+    return -2 * (a20 - a02) / (a02 ** 2 * a03 ** 2)
+
+
+# each row: (formula value, the generic invariant it is a multiple of, the factor)
+CENTER_IDENTITIES = {
+    "S1": ("s1_disc", lambda g: g["xi2phi"] * g["eta2phi"], _center_s1_factor),
+    "S2": ("s2_poly", lambda g: g["s2_det"], _center_s2_factor),
+}
+
+
+@pytest.mark.parametrize("row", sorted(CENTER_IDENTITIES))
+def test_center_formula_is_the_generic_invariant_exactly(row):
+    """As for ruled maps: the classifier's invariant is the formula's value times
+    a factor of a02, a20 and a03 that a center map makes nonzero."""
+    key, generic, factor = CENTER_IDENTITIES[row]
+    rng = Random("center-identity|" + row)
+    for m, inv, g in _identity_samples(lambda: _random_center(rng, row), center_classify_formulas,
+                                       lambda m: classify(center_map(m))[1], key):
+        assert factor(m) != 0
+        assert generic(g) == factor(m) * inv[key], (row, m)
 
 
 # -- the map routes against their references -----------------------------------
@@ -435,8 +500,7 @@ def test_folded_float_angle_matches_its_exact_point():
 def _pulled_back(rotated, point, order=6):
     """Monge data whose rotated coefficients at point are `rotated`: a = a' o R^-1."""
     c, s = point
-    inverse = PolyMap2(Jet2(order, {(1, 0): c, (0, 1): -s}),
-                       Jet2(order, {(1, 0): s, (0, 1): c}))
+    inverse = PolyMap(({(1, 0): c, (0, 1): -s}, {(1, 0): s, (0, 1): c}), order)
     a = compose2(from_divided_coeffs(rotated, order), inverse)
     return MongeCoeffs({(i, j): to_divided_coeff(a, i, j) for (i, j), _ in a.items()})
 

@@ -11,7 +11,7 @@ from germclass import frames, jets
 from germclass.errors import GermError, OrderExhaustedError, PreconditionError
 from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
                               s3_adapt, sb2_adapt)
-from germclass.jets import Jet2, MapJet, PolyMap2, det3
+from germclass.jets import Jet2, MapJet, PolyMap, det3
 from germclass.vfields import apply, apply_word
 from util import germ, linear_map, random_branch_germ, rational, scramble
 
@@ -437,14 +437,14 @@ def _refuse_to_build(*_, **__):
 
 def test_classify_builds_no_map_and_formats_nothing(monkeypatch):
     """The normalization is a matrix and the certificate holds exact values:
-    no `PolyMap2` and no `fmt_scalar` on the classify path."""
+    no `PolyMap` (either constructor) and no `fmt_scalar` on the classify path."""
     classify_module = importlib.import_module("germclass.classify")
     scalars = importlib.import_module("germclass.scalars")
     rng = Random("builds-nothing")
     germs = list(normal_forms().values()) + [germ("u", "v", "0"), germ("u^2", "v^2", "u*v")]
     germs += [random_branch_germ(rng, branch) for branch in BRANCHES for _ in range(3)]
     before = [classify(f) for f in germs]
-    monkeypatch.setattr(PolyMap2, "__init__", _refuse_to_build)
+    monkeypatch.setattr(PolyMap, "_build", _refuse_to_build)
     monkeypatch.setattr(classify_module, "fmt_scalar", _refuse_to_build)
     monkeypatch.setattr(scalars, "fmt_scalar", _refuse_to_build)
     for f, (cls, cert) in zip(germs, before):

@@ -51,16 +51,20 @@ def test_reports_functions_not_entered_and_statements_not_run(tmp_path):
     path = package / "toy.py"
     path.write_text(TOY)
 
-    def run():
-        toy_spec = importlib.util.spec_from_file_location("toy", path)
-        toy = importlib.util.module_from_spec(toy_spec)
-        toy_spec.loader.exec_module(toy)
+    toy_spec = importlib.util.spec_from_file_location("toy", path)
+    toy = importlib.util.module_from_spec(toy_spec)
+
+    def calls():
         assert toy.used(1) == 1 and toy.decorated(2) == 2 and toy.C().value == 5
 
-    report = reach.reach(package, run)
+    report, events = reach.reach(package, {"import": lambda: toy_spec.loader.exec_module(toy),
+                                           "calls": calls})
     assert report == {"toy.py": (
         ["unused", "C.value.inner", "C.never"],
         [("used", _line("    return 2")), ("decorated", _line("        y = None"))])}
+    # the calls: used 2, decorated 6 (try, the assignment, the list
+    # comprehension's entry and its two turns, return) and value 2
+    assert events == {"import": 14, "calls": 10}
 
 
 def test_a_statement_inside_one_that_did_not_run_is_not_listed():

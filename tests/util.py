@@ -6,7 +6,7 @@ from random import Random
 
 from germclass.docparse import parse_poly
 from germclass.fuzz import FuzzConfig, act, random_source_diffeo, random_target_diffeo
-from germclass.jets import Jet2, MapJet, PolyMap2
+from germclass.jets import Jet2, MapJet, PolyMap
 from germclass.oracle import HNormalCoeffs, SBNormalCoeffs
 
 
@@ -22,11 +22,15 @@ def germ(f1, f2, f3, order=6):
     return MapJet.germ(parse_poly(f1, order), parse_poly(f2, order), parse_poly(f3, order))
 
 
-def linear_map(matrix, order=6) -> PolyMap2:
+def linear_map(matrix, order=6) -> PolyMap:
     """The source change (u, v) -> (a u + b v, c u + d v) of matrix ((a, b), (c, d))."""
     (a, b), (c, d) = matrix
-    return PolyMap2(Jet2(order, {(1, 0): a, (0, 1): b}),
-                    Jet2(order, {(1, 0): c, (0, 1): d}))
+    return PolyMap(({(1, 0): a, (0, 1): b}, {(1, 0): c, (0, 1): d}), order)
+
+
+def target_identity(order=6) -> PolyMap:
+    """The identity target change (x, y, z) -> (x, y, z)."""
+    return PolyMap(({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}), order)
 
 
 def rational(rng: Random, bound=5, den=3, nonzero=False) -> Fraction:

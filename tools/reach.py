@@ -9,10 +9,17 @@ each judged as the benchmark judges it, under a `sys.settrace` line trace
 limited to src/germclass.  Set-up itself is not traced.  It prints, per
 module, the functions that no operation enters, then the statements that
 no operation runs inside the functions that are entered; then each
-workload's operation count and how many of them failed.
+workload's operation count, how many of them failed, and its package line
+events per operation: the "line" events the trace saw in src/germclass
+while the workload ran, over its operation count.
 
 This is the traffic check for deleting code: a branch that no operation
-runs costs the benchmark nothing to delete.  The package is imported
+runs costs the benchmark nothing to delete.  The line-event count is a
+work count that does not drift with the machine's load: two runs of one
+checkout give the same count, so two checkouts' counts show whether a
+change made the package do more or less Python work per operation.  It
+does not see work done in C (bigint products, dict operations), so it
+goes beside the benchmark's timings, not in their place.  The package is imported
 from src/ and the workloads from perfbench/ of this checkout; both are
 only read.  One pass takes about 16 s on a 2-core machine.  The script
 uses the standard library only.
@@ -24,6 +31,7 @@ import ast
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,15 +112,18 @@ def _unrun(statements, hit):
     return out, ran_any
 
 
-def trace(root: Path, run):
-    """Run `run()` under a line trace of the files under root.
+def trace(root: Path, runs):
+    """Call each callable of `runs`, a dict {name: callable}, in turn under one
+    line trace of the files under root.
 
-    Returns ({file: lines run}, {file: co_firstlineno of the code entered}),
-    keyed by resolved path.
+    Returns ({file: lines run}, {file: co_firstlineno of the code entered},
+    {name: line events in those files during its call}), files keyed by
+    resolved path.
     """
     root = Path(root).resolve()
     files = {}   # co_filename -> (lines, entered) for files under root, else None
     by_path = {}
+    events = 0
 
     def sets(filename):
         if filename not in files:
@@ -132,26 +143,33 @@ def trace(root: Path, run):
         entered.add(code.co_firstlineno)
 
         def local(frame, event, arg):
+            nonlocal events
             if event == "line":
                 lines.add(frame.f_lineno)
+                events += 1
             return local
         return local
 
+    counts = {}
     sys.settrace(tracer)
     try:
-        run()
+        for name, run in runs.items():
+            before = events
+            run()
+            counts[name] = events - before
     finally:
         sys.settrace(None)
     return ({path: found[0] for path, found in by_path.items()},
-            {path: found[1] for path, found in by_path.items()})
+            {path: found[1] for path, found in by_path.items()}, counts)
 
 
-def reach(root: Path, run) -> dict:
-    """Per module under root (a path relative to it): the functions `run()` never
-    enters, and the statements it never runs inside the functions it enters,
-    as (qualified name, line)."""
+def reach(root: Path, runs):
+    """Per module under root (a path relative to it): the functions that no
+    callable of `runs` ({name: callable}) enters, and the statements that none
+    runs inside the functions entered, as (qualified name, line); and, per name,
+    the line events under root during its call."""
     root = Path(root).resolve()
-    lines, entered = trace(root, run)
+    lines, entered, counts = trace(root, runs)
     report = {}
     for path in sorted(root.rglob("*.py")):
         hit = lines.get(path, set())
@@ -163,7 +181,7 @@ def reach(root: Path, run) -> dict:
             else:
                 unrun += [(name, line) for line in _unrun(statements, hit)[0]]
         report[path.relative_to(root).as_posix()] = (missed, unrun)
-    return report
+    return report, counts
 
 
 def main() -> int:
@@ -172,17 +190,15 @@ def main() -> int:
     import workloads
 
     G = bench.import_germclass()
-    results = []
+    failures = {}
     with tempfile.TemporaryDirectory(prefix="reach-") as workdir:
         corpora = {name: build(G, SEED, Path(workdir) / name)
                    for name, build in workloads.WORKLOADS.items()}
 
-        def every_op():
-            for name, corpus in corpora.items():
-                failed = sum(not bench.run_checked(op)[1] for op in corpus.ops)
-                results.append((name, len(corpus.ops), failed))
+        def every_op(name):
+            failures[name] = sum(not bench.run_checked(op)[1] for op in corpora[name].ops)
 
-        report = reach(PACKAGE, every_op)
+        report, events = reach(PACKAGE, {name: partial(every_op, name) for name in corpora})
     for name, (missed, unrun) in report.items():
         if not missed and not unrun:
             continue
@@ -192,9 +208,11 @@ def main() -> int:
             print("  not entered: %s" % function)
         for function, line in unrun:
             print("  not run: %d in %s: %s" % (line, function, source[line - 1].strip()))
-    for name, ops, failed in results:
-        print("%s: %d ops, %d failed" % (name, ops, failed))
-    return 1 if any(failed for _, _, failed in results) else 0
+    for name, corpus in corpora.items():
+        ops = len(corpus.ops)
+        print("%s: %d ops, %d failed, %.1f package line events per op"
+              % (name, ops, failures[name], events[name] / ops))
+    return 1 if any(failures.values()) else 0
 
 
 if __name__ == "__main__":
