@@ -59,10 +59,14 @@ def _random_change(cfg: FuzzConfig, rng: Random, degree, nvars: int,
 
     Each monomial of degree <= `degree`, in `_monomials` order, gets a
     coefficient p/q with probability `density`: rng.random() < density,
-    then p = rng.randint(-bound, bound), then q = rng.randint(1, bound).
-    That draw order is the stream contract: every corpus drawn through the
-    samplers (criterion-2 trials, scrambled germs, the certificate and
-    benchmark digests) depends on it.  Each table goes to
+    then p = -bound + r for the first r < 2 bound + 1 among draws of
+    rng.getrandbits(k), k = (2 bound + 1).bit_length(), then q = 1 + r for
+    the first r < bound among draws of rng.getrandbits(bound.bit_length()).
+    Those are the draws of rng.randint(-bound, bound) and
+    rng.randint(1, bound) on CPython 3.11, made without their two calls
+    per value.  That draw order is the stream contract: every corpus drawn
+    through the samplers (criterion-2 trials, scrambled germs, the
+    certificate and benchmark digests) depends on it.  Each table goes to
     `PolyMap.from_numerators` as integer numerators over the lcm of its
     q's, with no `Fraction`; it raises on a singular linear part.
     """
@@ -73,12 +77,22 @@ def _random_change(cfg: FuzzConfig, rng: Random, degree, nvars: int,
         raise PreconditionError("diffeo degree must not exceed the jet order")
     monos = _monomials(nvars, degree)
     bound = cfg.bound
-    draw, randint = rng.random, rng.randint
+    draw, bits = rng.random, rng.getrandbits
+    width = 2 * bound + 1
+    kp, kq = width.bit_length(), bound.bit_length()
     while True:
         tables = []
         for _ in range(nvars):
-            terms = [(key, randint(-bound, bound), randint(1, bound))
-                     for key in monos if draw() < density]
+            terms = []
+            for key in monos:
+                if draw() < density:
+                    p = bits(kp)
+                    while p >= width:
+                        p = bits(kp)
+                    q = bits(kq)
+                    while q >= bound:
+                        q = bits(kq)
+                    terms.append((key, p - bound, q + 1))
             den = lcm(*(q for _, _, q in terms))
             tables.append(({key: p * (den // q) for key, p, q in terms}, den))
         try:

@@ -76,11 +76,15 @@ denominator) pairs; a map of the other arity is refused.  The linear
 source changes of `frames.linear_normalize` other than the identity take
 no map at all: `swap(f)` swaps f's keys and `shear(f, t)`, for
 (u, v) -> (u + t v, -v), is the binomial theorem on integers.
-`_substitute` makes one pass per output: each value's power table holds
-the raw numerator powers, every term carries one integer factor that puts
-it over the output's one denominator, a term group's sum of last-variable
-powers is accumulated in place, and the outermost product is accumulated
-straight into the output.
+`_substitute` makes one pass per output, by Horner's rule in the first
+variable: from the largest first exponent e_0 down to 0, the running sum
+is multiplied by the first value's raw numerators and the e_0 group's
+inner sum is added in place, so no power of the first value is formed.  The inner sums take the other values' powers from tables of
+raw numerator powers.  Each step and inner sum is cut at degree
+order - e_0 * low, low the first value's lowest degree, since the rest of
+the evaluation multiplies it by a polynomial of degree >= e_0 * low.
+Every term carries one integer factor that puts it over the output's one
+denominator, so each output is reduced once.
 """
 
 from __future__ import annotations
@@ -115,9 +119,10 @@ def _scale(a, s):
     return a if s == 1 else {key: n * s for key, n in a.items()}
 
 
-def _convolve(a, b, order):
-    """Product of two numerator dicts keyed (i, j), truncated at total degree `order`."""
-    out = {}
+def _convolve(a, b, order, out=None):
+    """Product of two numerator dicts keyed (i, j), truncated at total degree `order`;
+    added into `out` in place when it is given."""
+    out = {} if out is None else out
     b = b.items()
     for (i1, j1), c1 in a.items():
         room = order - i1 - j1
@@ -598,63 +603,67 @@ def _of_arity(phi: PolyMap, n: int, name: str):
 
 
 def _substitute(tables, values, order: int):
-    """Evaluate polynomials at jet values: each table {(e_1, .., e_n): c} at
-    values[0..n-1], n >= 2.
+    """Evaluate polynomials at jet values: each table {(e_0, .., e_{n-1}): c}
+    at values[0..n-1], n = 2 or 3.
 
     A table is given as (numerators, D): its coefficients are the integer
     numerators over one denominator D.  Value k is given the same way, as
-    (N_k, d_k) with keys (i, j); its power table holds the raw N_k^e,
-    truncated at `order`, up to its largest exponent top_k.  Every term is
-    put over the one denominator D * prod_k d_k^top_k by the integer factor
-    c * prod_k d_k^(top_k - e_k), so each output is reduced once.
+    (N_k, d_k) with keys (i, j), and top_k is its largest exponent over
+    the tables.  Every term is put over the one denominator
+    D * prod_k d_k^top_k by the integer factor c * prod_k d_k^(top_k - e_k),
+    so each output is reduced once.
 
-    One pass per output.  Terms are grouped by their head, all exponents
-    but the last.  A head sums its terms' last-variable powers in place,
-    each scaled by its factor; then it multiplies in the middle powers
-    pows[k][e_k] (k = n-2 .. 1, skipped when e_k = 0), and accumulates the
-    outermost product by pows[0][e_0] straight into the output.
+    One pass per output, by Horner's rule in the first variable: terms
+    are grouped by e_0, and from the largest e_0 down to 0 the running sum
+    is multiplied by the raw N_0 and the group's inner sum is added in
+    place.  An inner sum adds its terms' powers of the last value, from a
+    table of the raw N_{n-1}^e, each scaled by its factor; for n = 3 the
+    terms are grouped by e_1 too, and a group with e_1 > 0 multiplies its
+    sum by N_1^(e_1), from a second power table, into the running sum.
+    The step for e_0 and its inner sum are cut at degree
+    order - e_0 * low, low being the lowest degree in N_0: the rest of the
+    evaluation multiplies them by N_0^(e_0), so nothing cut reaches the
+    order.  A zero N_0 never reaches it: only e_0 = 0 is kept.
     """
     terms = [([(key, c) for key, c in num.items() if sum(key) <= order], den)
              for num, den in tables]
-    pows = []
+    first = values[0][0]
+    low = min((i + j for i, j in first), default=order + 1)
+    pows = []  # of values 1..n-1: Horner's rule multiplies by N_0 itself
     lifts = []
     for k, (num, den) in enumerate(values):
         top = max((key[k] for group, _ in terms for key, _ in group), default=0)
-        powers = [{(0, 0): 1}]
-        for _ in range(top):
-            powers.append(_convolve(powers[-1], num, order))
-        pows.append(powers)
         lifts.append([den ** (top - e) for e in range(top + 1)])
+        if k:
+            powers = [{(0, 0): 1}]
+            for _ in range(top):
+                powers.append(_convolve(powers[-1], num, order))
+            pows.append(powers)
     common = prod(lift[0] for lift in lifts)
-    last = len(values) - 1
-    last_pows, last_lifts = pows[last], lifts[last]
+    last_pows, last_lifts, first_lifts = pows[-1], lifts[-1], lifts[0]
+    mid_pows, mid_lifts = (pows[0], lifts[1]) if len(values) == 3 else (None, [1])
     out = []
     for group, den in terms:
-        rows = {}
+        steps = {}
         for key, c in group:
-            rows.setdefault(key[:-1], []).append((key[-1], c))
+            e1 = key[1] if mid_pows else 0
+            steps.setdefault(key[0], {}).setdefault(e1, []).append((key[-1], c))
         total = {}
-        for head, entries in rows.items():
-            lift = prod(lifts[k][e] for k, e in enumerate(head))
-            inner = {}
-            for e, c in entries:
-                m = c * lift * last_lifts[e]
-                for key, n in last_pows[e].items():
-                    got = inner.get(key)
-                    inner[key] = m * n if got is None else got + m * n
-            for k in range(last - 1, 0, -1):
-                if head[k]:
-                    inner = _convolve(pows[k][head[k]], inner, order)
-            inner = inner.items()
-            for (i1, j1), c1 in pows[0][head[0]].items():
-                room = order - i1 - j1
-                if room < 0:
-                    continue
-                for (i2, j2), c2 in inner:
-                    if i2 + j2 <= room:
-                        key = (i1 + i2, j1 + j2)
-                        got = total.get(key)
-                        total[key] = c1 * c2 if got is None else got + c1 * c2
+        for e0 in range(max(steps, default=0), -1, -1):
+            cut = order - e0 * low
+            if total:
+                total = _convolve(first, total, cut)
+            for e1, entries in steps.get(e0, {}).items():
+                lift = first_lifts[e0] * mid_lifts[e1]
+                inner = {} if e1 else total
+                for e, c in entries:
+                    m = c * lift * last_lifts[e]
+                    for key, n in last_pows[e].items():
+                        if key[0] + key[1] <= cut:
+                            got = inner.get(key)
+                            inner[key] = m * n if got is None else got + m * n
+                if e1:
+                    _convolve(mid_pows[e1], inner, cut, total)
         out.append(_jet(order, total, den * common))
     return out
 

@@ -166,14 +166,31 @@ def _branch_ruled(rng, branch):
     return RuledData(uni(g1), uni(g3), uni(c3))
 
 
+def _branch_samples(draw, formulas, generic, verdicts, count=25):
+    """(sample, formula verdict, classifier verdict) of each draw until `count`
+    of them have a formula verdict in `verdicts`, the sampled branch's; the
+    draws that leave the branch are listed too."""
+    out, hits = [], 0
+    for _ in range(8 * count):
+        data = draw()
+        out.append((data, formulas(data)[0].verdict, classify(generic(data))[0].verdict))
+        hits += out[-1][1] in verdicts
+        if hits == count:
+            return out
+    raise AssertionError("too few samples in the branch %s" % sorted(v.value for v in verdicts))
+
+
+RULED_BRANCHES = {"WU": {Verdict.WHITNEY_UMBRELLA}, "S1": {Verdict.S1_PLUS, Verdict.S1_MINUS},
+                  "S2": {Verdict.S2}, "B": {Verdict.B2_PLUS, Verdict.B2_MINUS}, "H": {Verdict.H2}}
+
+
 @pytest.mark.parametrize("branch", ["WU", "S1", "S2", "B", "H"])
 def test_ruled_formula_agrees_with_classifier(branch):
     rng = Random("ruled|" + branch)
-    for _ in range(25):
-        d = _branch_ruled(rng, branch)
-        formula, _ = ruled_classify_formulas(d)
-        generic, _ = classify(ruled_map(d))
-        assert formula.verdict == generic.verdict, (branch, d)
+    for d, formula, generic in _branch_samples(lambda: _branch_ruled(rng, branch),
+                                               ruled_classify_formulas, ruled_map,
+                                               RULED_BRANCHES[branch]):
+        assert formula == generic, (branch, d)
 
 
 # each row: (sampled branch, formula value, the generic invariant it equals)
@@ -275,16 +292,20 @@ def _random_center(rng, branch):
     return MongeCoeffs(a)
 
 
+# a center map is never H2: its H branch is MoreDegenerate
+CENTER_BRANCHES = {"S1": {Verdict.S1_PLUS, Verdict.S1_MINUS}, "S2": {Verdict.S2},
+                   "H": {Verdict.MORE_DEGENERATE}}
+
+
 @pytest.mark.parametrize("branch", ["S1", "S2", "H"])
 def test_center_formula_agrees_with_classifier(branch):
     rng = Random("center|" + branch)
-    for _ in range(25):
-        m = _random_center(rng, branch)
-        formula, _ = center_classify_formulas(m)
-        generic, _ = classify(center_map(m))
-        assert formula.verdict == generic.verdict, m
-        assert generic.verdict not in (Verdict.WHITNEY_UMBRELLA, Verdict.B2_PLUS,
-                                       Verdict.B2_MINUS, Verdict.H2)
+    for m, formula, generic in _branch_samples(lambda: _random_center(rng, branch),
+                                               center_classify_formulas, center_map,
+                                               CENTER_BRANCHES[branch]):
+        assert formula == generic, m
+        assert generic not in (Verdict.WHITNEY_UMBRELLA, Verdict.B2_PLUS,
+                               Verdict.B2_MINUS, Verdict.H2)
 
 
 def _center_s1_factor(m):

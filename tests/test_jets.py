@@ -18,7 +18,7 @@ from germclass.jets import (Jet2, MapJet, PolyMap, compose2, compose_map, cross3
                             post_compose, reciprocal_series, scaled_coeffs, shear,
                             swap, to_divided_coeff)
 from reference import expanded_det3, fraction_divided_coeffs, invsqrt_series, one_term_power
-from util import jet, linear_map, random_jet, target_identity
+from util import jet, linear_map, random_jet, reference_poly, target_identity
 
 
 def test_add_mul_distribute():
@@ -907,6 +907,62 @@ def test_last_variable_powers_cancel_inside_one_head():
     got = compose2(a, p)
     assert got.coeff(1, 3) == 1
     assert_matches_reference(got, ref_substitute([dict(a.items())], ref_values(p), 6)[0])
+
+
+# -- edge cases of Horner's rule in the first variable ---------------------------
+
+def _post_composed_matches_reference(phi, f):
+    got = post_compose(phi, f)
+    want = ref_substitute(phi.comps, tuple(ref(c) for c in f), f.order)
+    for x, w in zip(got, want):
+        assert_matches_reference(x, w)
+    return got
+
+
+# x^3 and x^0 terms only in the first component, so Horner's rule steps
+# through the empty groups x^2 and x^1; every component has a cubic term
+GAPPED = PolyMap([{(0, 0, 1): 1, (3, 0, 0): Fraction(1, 2), (0, 2, 1): -3},
+                  {(1, 0, 0): Fraction(2, 5), (2, 1, 0): 1, (1, 1, 1): Fraction(-1, 3)},
+                  {(0, 1, 0): -1, (1, 0, 2): 4, (3, 0, 0): Fraction(5, 7)}], 6)
+
+
+def test_first_exponents_with_gaps():
+    a = Jet2(6, {(3, 0): Fraction(2, 3), (3, 2): -1, (0, 1): 5, (0, 4): Fraction(1, 7)})
+    p = PolyMap(({(1, 0): Fraction(1, 2), (0, 1): 3, (1, 1): -1, (0, 2): Fraction(2, 9)},
+                 {(1, 0): 1, (0, 1): Fraction(-4, 5), (2, 0): 7}), 6)
+    assert_matches_reference(compose2(a, p), ref_substitute([dict(a.items())], ref_values(p), 6)[0])
+    f = MapJet(Jet2(6, {(1, 0): 2, (0, 2): Fraction(1, 3)}), Jet2(6, {(0, 1): 1, (1, 1): -1}),
+               Jet2(6, {(2, 0): Fraction(3, 4), (0, 3): 1}))
+    _post_composed_matches_reference(GAPPED, f)
+
+
+@pytest.mark.parametrize("f", [("u", "v^2", "u*v"), ("v^2", "u*v", "u"), ("u*v", "u", "v^2")])
+def test_degree_cut_on_a_first_value_of_low_degree(f):
+    """The first value's lowest degree is 1 or 2, so the steps for x^3 are cut
+    at order - 3 or order - 6 and drop terms that x^3 would lift past the order."""
+    f = MapJet(*(reference_poly(c, 6) for c in f))
+    got = _post_composed_matches_reference(GAPPED, f)
+    if f[0] == reference_poly("v^2", 6):
+        # x^3 = v^6 sits exactly at the order; x^3 z would be degree 8
+        assert got[0].coeff(0, 6) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_a_zero_component(k):
+    """A zero first value never reaches the order: only its x^0 group counts."""
+    f = [Jet2(6, {(1, 0): 1, (0, 2): Fraction(2, 3)}), Jet2(6, {(0, 1): -1, (1, 1): 1}),
+         Jet2(6, {(2, 0): 1, (0, 3): Fraction(-1, 5)})]
+    f[k] = Jet2.zero(6)
+    _post_composed_matches_reference(GAPPED, MapJet(*f))
+
+
+def test_a_constant_term_leaves_the_degree_uncut():
+    """post_compose takes any MapJet: a first value with a constant term has
+    lowest degree 0, so no step is cut."""
+    f = MapJet(Jet2(6, {(0, 0): Fraction(3, 2), (1, 0): 1, (0, 2): -1}),
+               Jet2(6, {(0, 0): -1, (0, 1): 1}), Jet2(6, {(1, 1): Fraction(1, 4), (3, 0): 2}))
+    got = _post_composed_matches_reference(GAPPED, f)
+    assert got[0].at0() == Fraction(1, 2) * Fraction(3, 2) ** 3
 
 
 # -- integer reads at the origin -----------------------------------------------

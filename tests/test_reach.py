@@ -62,9 +62,13 @@ def test_reports_functions_not_entered_and_statements_not_run(tmp_path):
     assert report == {"toy.py": (
         ["unused", "C.value.inner", "C.never"],
         [("used", _line("    return 2")), ("decorated", _line("        y = None"))])}
-    # the calls: used 2, decorated 6 (try, the assignment, the list
-    # comprehension's entry and its two turns, return) and value 2
-    assert events == {"import": 14, "calls": 10}
+    # (package, all-Python) line events.  The calls: used 2, decorated 6 (try,
+    # the assignment, the list comprehension's entry and its two turns,
+    # return) and value 2 in the package, and the one line of `calls` outside
+    # it.  The import also runs importlib's Python code, whose line count
+    # depends on the interpreter.
+    assert events["calls"] == (10, 11)
+    assert events["import"][0] == 14 and events["import"][1] > 14
 
 
 def test_a_statement_inside_one_that_did_not_run_is_not_listed():

@@ -9,19 +9,24 @@ each judged as the benchmark judges it, under a `sys.settrace` line trace
 limited to src/germclass.  Set-up itself is not traced.  It prints, per
 module, the functions that no operation enters, then the statements that
 no operation runs inside the functions that are entered; then each
-workload's operation count, how many of them failed, and its package line
-events per operation: the "line" events the trace saw in src/germclass
-while the workload ran, over its operation count.
+workload's operation count, how many of them failed, its package line
+events per operation (the "line" events the trace saw in src/germclass
+while the workload ran, over its operation count) and its all-Python line
+events per operation (the same count over every Python file, the standard
+library's included).
 
 This is the traffic check for deleting code: a branch that no operation
 runs costs the benchmark nothing to delete.  The line-event count is a
 work count that does not drift with the machine's load: two runs of one
 checkout give the same count, so two checkouts' counts show whether a
-change made the package do more or less Python work per operation.  It
-does not see work done in C (bigint products, dict operations), so it
-goes beside the benchmark's timings, not in their place.  The package is imported
+change made the package do more or less Python work per operation.  The
+all-Python count also sees work that a change moves between the package
+and the standard library (a draw made through `random`'s Python methods
+or on `getrandbits` directly).  Neither sees work done in C (bigint
+products, dict operations), so they go beside the benchmark's timings,
+not in their place.  The package is imported
 from src/ and the workloads from perfbench/ of this checkout; both are
-only read.  One pass takes about 16 s on a 2-core machine.  The script
+only read.  One pass takes about 10 s on a 2-core machine.  The script
 uses the standard library only.
 """
 
@@ -117,13 +122,13 @@ def trace(root: Path, runs):
     line trace of the files under root.
 
     Returns ({file: lines run}, {file: co_firstlineno of the code entered},
-    {name: line events in those files during its call}), files keyed by
-    resolved path.
+    {name: (line events in those files, line events in every Python file)
+    during its call}), files keyed by resolved path.
     """
     root = Path(root).resolve()
     files = {}   # co_filename -> (lines, entered) for files under root, else None
     by_path = {}
-    events = 0
+    events = every = 0
 
     def sets(filename):
         if filename not in files:
@@ -134,19 +139,26 @@ def trace(root: Path, runs):
                 files[filename] = None
         return files[filename]
 
+    def outside(frame, event, arg):
+        nonlocal every
+        if event == "line":
+            every += 1
+        return outside
+
     def tracer(frame, event, arg):
         code = frame.f_code
         found = sets(code.co_filename)
         if found is None:
-            return None
+            return outside
         lines, entered = found
         entered.add(code.co_firstlineno)
 
         def local(frame, event, arg):
-            nonlocal events
+            nonlocal events, every
             if event == "line":
                 lines.add(frame.f_lineno)
                 events += 1
+                every += 1
             return local
         return local
 
@@ -154,9 +166,9 @@ def trace(root: Path, runs):
     sys.settrace(tracer)
     try:
         for name, run in runs.items():
-            before = events
+            before = events, every
             run()
-            counts[name] = events - before
+            counts[name] = (events - before[0], every - before[1])
     finally:
         sys.settrace(None)
     return ({path: found[0] for path, found in by_path.items()},
@@ -167,7 +179,7 @@ def reach(root: Path, runs):
     """Per module under root (a path relative to it): the functions that no
     callable of `runs` ({name: callable}) enters, and the statements that none
     runs inside the functions entered, as (qualified name, line); and, per name,
-    the line events under root during its call."""
+    the line events under root and in every Python file during its call."""
     root = Path(root).resolve()
     lines, entered, counts = trace(root, runs)
     report = {}
@@ -210,8 +222,9 @@ def main() -> int:
             print("  not run: %d in %s: %s" % (line, function, source[line - 1].strip()))
     for name, corpus in corpora.items():
         ops = len(corpus.ops)
-        print("%s: %d ops, %d failed, %.1f package line events per op"
-              % (name, ops, failures[name], events[name] / ops))
+        package, every = events[name]
+        print("%s: %d ops, %d failed, %.1f package and %.1f all-Python line events per op"
+              % (name, ops, failures[name], package / ops, every / ops))
     return 1 if any(failures.values()) else 0
 
 
