@@ -61,8 +61,8 @@ from fractions import Fraction
 from .classify import Classification, Verdict
 from .errors import PreconditionError
 from .frames import partials0
-from .jets import (Jet2, MapJet, PolyMap, compose2, det3,
-                   from_divided_coeffs, reciprocal_series, to_divided_coeff)
+from .jets import (Jet2, MapJet, PolyMap, compose2, det3, from_divided_coeffs,
+                   over_lcm, reciprocal_series, to_divided_coeff)
 from .scalars import exact_table, sign
 
 Vec3 = tuple
@@ -80,10 +80,8 @@ def integrate_v(jet: Jet2, cap: int) -> Jet2:
     for (i, j), c in jet.items():
         if i:
             raise PreconditionError("integrate_v needs a jet in v alone, got a u^%d term" % i)
-        terms.append((j + 1, c.numerator, c.denominator * (j + 1)))
-    den = math.lcm(*(d for _, _, d in terms))
-    return Jet2.from_numerators(min(cap, jet.order + 1),
-                                {(0, e): n * (den // d) for e, n, d in terms}, den)
+        terms.append(((0, j + 1), c.numerator, c.denominator * (j + 1)))
+    return Jet2.from_numerators(min(cap, jet.order + 1), *over_lcm(terms))
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,9 @@ class MongeCoeffs:
         return self.a.get((i, j), Fraction(0))
 
     def jet(self, order: int) -> Jet2:
-        return from_divided_coeffs(self.a, order)
+        """The jet of a at `order`; a term past the order is dropped."""
+        return from_divided_coeffs({key: c for key, c in self.a.items() if sum(key) <= order},
+                                   order)
 
 
 def _require_center(m: MongeCoeffs):
@@ -372,10 +372,8 @@ def folded_map(m: MongeCoeffs, theta=(1, 0), order: int = 6) -> MapJet:
     diffeomorphism.  (c, s) is the exact point `_theta_pair` reads theta as.
     """
     c, s = _theta_pair(theta)
-    n = order + 1
-    a = m.jet(n)
-    rot = PolyMap(({(1, 0): c, (0, 1): s}, {(1, 0): -s, (0, 1): c}), n)
-    f3 = compose2(a, rot).truncate(order)
+    rot = PolyMap(({(1, 0): c, (0, 1): s}, {(1, 0): -s, (0, 1): c}), order)
+    f3 = compose2(m.jet(order), rot)
     u = Jet2.variable("u", order)
     v = Jet2.variable("v", order)
     return MapJet.germ(u, v * v, f3)

@@ -165,8 +165,6 @@ def _det(words, *names):
 
 def classify(f: MapJet):
     """Classify a map-germ; returns (Classification, Certificate)."""
-    if f.order < 5:
-        raise OrderExhaustedError("classification needs a jet of order >= 5")
     # f(0) and (f_u, f_v)(0) in one integer read
     (f0, fu0, fv0), _ = scaled_coeffs((f, (0, 0)), (f, (1, 0)), (f, (0, 1)))
     if any(f0):

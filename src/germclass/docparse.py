@@ -21,8 +21,8 @@ Most sources are plain sums of monomials, and those take a fast path:
 `_scan_sum` reads, in one regex pass, an optional sign and then terms
 joined by '+'/'-', each a coefficient `c`, a monomial
 `var['^'e]('*' var['^'e])*`, or `c '*'` monomial, where c is a rational
-literal or a parenthesized signed one, `(-3/4)`.  Each term adds one
-integer numerator at one key over the lcm of the denominators, and one
+literal or a parenthesized signed one, `(-3/4)`.  Each term is one
+(key, numerator, denominator) term of `jets.over_lcm`, and one
 `Jet2.from_numerators` call builds the jet.  It declines (returns None)
 any other shape, a zero coefficient or denominator, a term of total
 degree past the order, and a literal of more than 100 digits or an
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError
-from .jets import Jet2, MapJet
+from .jets import Jet2, MapJet, over_lcm
 
 # a token, or any other character that is not whitespace
 _TOKEN = re.compile(r"([0-9]+|[uv^*+/()-])|(\S)")
@@ -284,11 +284,7 @@ def _scan_sum(src: str, order: int):
         pos = m.end()
         if pos == end:
             break
-    common = math.lcm(*(d for _, _, d in terms))
-    num = {}
-    for key, n, d in terms:
-        num[key] = num.get(key, 0) + n * (common // d)
-    return Jet2.from_numerators(order, num, common)
+    return Jet2.from_numerators(order, *over_lcm(terms))
 
 
 def parse_poly(src: str, order: int = 6) -> Jet2:

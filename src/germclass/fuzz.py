@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from math import lcm
 from random import Random
 
 from .errors import PreconditionError
-from .jets import MapJet, PolyMap, compose_map, post_compose
+from .jets import MapJet, PolyMap, compose_map, over_lcm, post_compose
 from .vfields import VectorFieldJet, apply, apply_word
 
 
@@ -66,9 +65,9 @@ def _random_change(cfg: FuzzConfig, rng: Random, degree, nvars: int,
     rng.randint(1, bound) on CPython 3.11, made without their two calls
     per value.  That draw order is the stream contract: every corpus drawn
     through the samplers (criterion-2 trials, scrambled germs, the
-    certificate and benchmark digests) depends on it.  Each table goes to
-    `PolyMap.from_numerators` as integer numerators over the lcm of its
-    q's, with no `Fraction`; it raises on a singular linear part.
+    certificate and benchmark digests) depends on it.  Each table goes
+    through `jets.over_lcm` to `PolyMap.from_numerators`, with no
+    `Fraction`; it raises on a singular linear part.
     """
     degree = cfg.degree if degree is None else degree
     if degree < 1:
@@ -93,8 +92,7 @@ def _random_change(cfg: FuzzConfig, rng: Random, degree, nvars: int,
                     while q >= bound:
                         q = bits(kq)
                     terms.append((key, p - bound, q + 1))
-            den = lcm(*(q for _, _, q in terms))
-            tables.append(({key: p * (den // q) for key, p, q in terms}, den))
+            tables.append(over_lcm(terms))
         try:
             return PolyMap.from_numerators(tables, cfg.order)
         except PreconditionError:

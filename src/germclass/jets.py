@@ -24,14 +24,20 @@ reduces each result once, in `_jet`; every scalar read out (`coeff`,
 `at0`, `items()`) is a `Fraction`.  Nothing outside this module reads
 `_num` or `_den`.
 
-Construction.  `Jet2(order, table)` coerces a table of rationals, keyed
-by pairs of non-negative ints, and reduces it.
-`Jet2.from_numerators(order, num, den)` takes integer numerators over
-one positive denominator, as code that already holds them does (a
-parser, a recursion on integer rows), and reduces them once with no
-`Fraction`.  `Jet2.zero`, `Jet2.const` and `Jet2.variable` build their
-canonical form directly.  `coeffs_below(bound)` is the size test of
-every coefficient in lowest terms.
+Construction.  `over_lcm(terms)` is the one route from rational terms
+to the integer form: it takes terms (key, p, q), each p/q at key, and
+returns the numerators over the lcm of the q's, equal keys summed.
+`Jet2(order, table)` coerces a table of rationals through it, and
+`from_divided_coeffs`, `docparse`'s monomial sums, `integrate_v` and the
+fuzz draws build their terms for it.  `Jet2.from_numerators(order, num,
+den)` takes integer numerators over one positive denominator and reduces
+them once with no `Fraction`.  A table's keys are pairs of non-negative
+ints (`is_exponent_pair`).  `Jet2.zero`, `Jet2.const` and
+`Jet2.variable` build their canonical form directly.  A sum or
+difference scales both numerator dicts to the lcm of the two
+denominators in one pass at the smaller order and reduces once.
+`coeffs_below(bound)` is the size test of every coefficient in lowest
+terms.
 
 Integer reads at the origin.  `scaled_coeffs` reads coefficients of
 several jet vectors (MapJets, or the two coefficients of a vector field)
@@ -79,8 +85,9 @@ no map at all: `swap(f)` swaps f's keys and `shear(f, t)`, for
 `_substitute` makes one pass per output, by Horner's rule in the first
 variable: from the largest first exponent e_0 down to 0, the running sum
 is multiplied by the first value's raw numerators and the e_0 group's
-inner sum is added in place, so no power of the first value is formed.  The inner sums take the other values' powers from tables of
-raw numerator powers.  Each step and inner sum is cut at degree
+inner sum is added in place, so no power of the first value is formed.
+The inner sums take the other values' powers from tables of raw
+numerator powers.  Each step and inner sum is cut at degree
 order - e_0 * low, low the first value's lowest degree, since the rest of
 the evaluation multiplies it by a polynomial of degree >= e_0 * low.
 Every term carries one integer factor that puts it over the output's one
@@ -99,24 +106,21 @@ _ZERO = Fraction(0)
 _BASES = {2: ((1, 0), (0, 1)), 3: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
 
 
+def over_lcm(terms):
+    """A list of terms (key, p, q), each the rational p/q at key for ints p and
+    q > 0, as (numerators, den): den is the lcm of the q's, each p is scaled to
+    it and the numerators at one key are summed; zeros are kept."""
+    den = lcm(*(q for _, _, q in terms))
+    num = {}
+    for key, p, q in terms:
+        num[key] = num.get(key, 0) + p * (den // q)
+    return num, den
+
+
 def _integers(table):
     """A table {key: rational} as (numerators, lcm of the denominators), zeros dropped."""
-    values = {key: as_exact(value) for key, value in table.items()}
-    den = lcm(*(value.denominator for value in values.values()))
-    return {key: value.numerator * (den // value.denominator)
-            for key, value in values.items() if value}, den
-
-
-def _add(a, b):
-    """Sum of two numerator dicts over one denominator; zeros are kept."""
-    out = dict(a)
-    for key, n in b.items():
-        out[key] = out.get(key, 0) + n
-    return out
-
-
-def _scale(a, s):
-    return a if s == 1 else {key: n * s for key, n in a.items()}
+    values = [(key, as_exact(value)) for key, value in table.items()]
+    return over_lcm([(key, value.numerator, value.denominator) for key, value in values if value])
 
 
 def _convolve(a, b, order, out=None):
@@ -266,19 +270,25 @@ class Jet2:
             return Jet2.const(other, self.order)
         return None
 
-    def _over_lcm(self, other):
-        """Both numerator dicts at the smaller order, over their common denominator."""
-        order = min(self.order, other.order)
-        a, b = self.truncate(order), other.truncate(order)
-        den = lcm(a._den, b._den)
-        return order, _scale(a._num, den // a._den), _scale(b._num, den // b._den), den
-
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
+        """self + sign * other at the smaller order: both numerator dicts are
+        scaled to their common denominator in one pass, terms past the order
+        skipped, and the sum is reduced once."""
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        order, a, b, den = self._over_lcm(other)
-        return _jet(order, _add(a, b), den)
+        order = min(self.order, other.order)
+        den = lcm(self._den, other._den)
+        s = den // self._den
+        out = {key: n * s for key, n in self._num.items() if key[0] + key[1] <= order}
+        s = sign * (den // other._den)
+        for key, n in other._num.items():
+            if key[0] + key[1] <= order:
+                out[key] = out.get(key, 0) + n * s
+        return _jet(order, out, den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -286,11 +296,7 @@ class Jet2:
         return _jet(self.order, {key: -n for key, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        order, a, b, den = self._over_lcm(other)
-        return _jet(order, _add(a, {key: -n for key, n in b.items()}), den)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -734,13 +740,16 @@ def reciprocal_series(a: Jet2) -> Jet2:
 def from_divided_coeffs(table, order: int) -> Jet2:
     """Build a jet from coefficients in the divided convention c_ij/(i! j!)."""
     terms = []
-    for (i, j), c in table.items():
-        if i < 0 or j < 0 or i + j > order:
-            raise PreconditionError("divided coefficient index (%d,%d) out of range" % (i, j))
+    for key, c in table.items():
+        if not is_exponent_pair(key, 2):
+            raise PreconditionError("divided coefficient key %r is not a pair of non-negative"
+                                    " ints" % (key,))
+        i, j = key
+        if i + j > order:
+            raise PreconditionError("divided coefficient index (%d,%d) out of range" % key)
         c = as_exact(c)
-        terms.append(((i, j), c.numerator, c.denominator * factorial(i) * factorial(j)))
-    den = lcm(*(d for _, _, d in terms))
-    return Jet2.from_numerators(order, {key: n * (den // d) for key, n, d in terms}, den)
+        terms.append((key, c.numerator, c.denominator * factorial(i) * factorial(j)))
+    return Jet2.from_numerators(order, *over_lcm(terms))
 
 
 def to_divided_coeff(jet: Jet2, i: int, j: int) -> Fraction:

@@ -563,6 +563,55 @@ def test_folded_invariants_equal_the_expansion():
         assert all(type(v) is Fraction for v in values)
 
 
+def _random_fold(rng, point, solve=None):
+    """Random Monge data that the folded formulas take at `point` (umbilic unless
+    the point is on an axis); with solve = (k, key), coefficient `key` is solved
+    for so that invariant k of `folded_invariants` vanishes (it is linear in it)."""
+    c, s = point
+    a = {(i, j): rational(rng) for i in range(7) for j in range(7)
+         if 2 <= i + j <= 6 and (i, j) != (1, 1) and rng.random() < 0.6}
+    a[(0, 2)] = rational(rng, nonzero=True)
+    if c * s:
+        a[(2, 0)] = a[(0, 2)]
+    if solve:
+        k, key = solve
+        a[key] = 0
+        base = folded_invariants(MongeCoeffs(a), point)[k]
+        a[key] = 1
+        a[key] = -base / (folded_invariants(MongeCoeffs(a), point)[k] - base)
+    return MongeCoeffs(a)
+
+
+# each row: (formula value, factor, the (invariant, coefficient) solved to reach the row)
+FOLDED_IDENTITIES = {
+    "xi2phi": ("h11", 2, None),
+    "eta2phi": ("h22", 2, None),
+    "s2_det": ("r_s", 2, (0, (2, 1))),
+    "b2_value": ("r_b", -4, (1, (0, 3))),
+}
+
+
+@pytest.mark.parametrize("row", sorted(FOLDED_IDENTITIES))
+def test_folded_formula_is_the_generic_invariant_exactly(row):
+    """The classifier's invariant is the fold's Hessian entry or discriminant times
+    a constant, at an axis point and two rational points off the axes: 25
+    samples with a nonzero formula value per point, each reaching the row."""
+    key, factor, solve = FOLDED_IDENTITIES[row]
+    for point in ((1, 0), (Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(-12, 13))):
+        rng = Random("folded-identity|%s|%s" % (row, point))
+        nonzero = 0
+        for _ in range(8 * 25):
+            m = _random_fold(rng, point, solve)
+            g = classify(folded_map(m, point))[1].invariants
+            if row in g:
+                value = folded_classify_formulas(m, point)[1][key]
+                assert g[row] == factor * value, (row, point, m)
+                nonzero += value != 0
+                if nonzero == 25:
+                    break
+        assert nonzero == 25, (row, point)
+
+
 def _refuse(*_, **__):
     raise AssertionError("a formula route reached the generic machinery")
 

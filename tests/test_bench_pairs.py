@@ -11,6 +11,7 @@ spec.loader.exec_module(bench_pairs)
 BENCHMARK = ROOT / "BENCHMARK.json"
 SPEC = json.loads(BENCHMARK.read_text(encoding="utf-8"))
 NAMES = [metric["name"] for metric in SPEC["end_to_end"]]
+SIDES = ("parent", "change")
 
 
 def pairs_of(name, parent, change):
@@ -106,11 +107,25 @@ def test_the_table_has_one_row_per_metric_and_the_spec_is_only_read():
     assert BENCHMARK.read_bytes() == before
 
 
-def fake_checkout(path, failed, digest="abc", log=None):
+# the count line of tools/reach.py, as it formats it
+REACH_LINE = ("%s: %d ops, %d failed, %.1f package and %.1f all-Python line events per op\"\n"
+              "              % (name, ops, failures[name], package / ops, every / ops)")
+
+
+def fake_checkout(path, failed, digest="abc", log=None, events=1000.0):
     """A checkout whose benchmark prints a fixed result line, and a digest
     `digest`-W that names the workload W it was run on; with `log`, each run
-    appends "<checkout name> W" to that file."""
+    appends "<checkout name> W" to that file.  Its tools/reach.py prints, for
+    each workload k of perfbench, `events` + k package and 2 `events` + k
+    all-Python line events per op; with events=None it has no reach.py."""
     (path / "perfbench").mkdir(parents=True)
+    if events is not None:
+        (path / "tools").mkdir()
+        (path / "tools" / "reach.py").write_text(
+            "for k, name in enumerate(('scrambled', 'invariance', 'documents')):\n"
+            "    failures, ops = {name: 0}, 10\n"
+            "    package, every = 10 * (%r + k), 10 * (2 * %r + k)\n"
+            "    print(\"%s)\n" % (events, events, REACH_LINE))
     result = {"correct": True, "attempted": 10, "failed": failed,
               "metrics": {name: {"value": 1.0, "unit": "x"} for name in NAMES}}
     record = ("open(%r, 'a').write('%s %%s\\n' %% sys.argv[2])\n" % (str(log), path.name)
@@ -234,3 +249,30 @@ def test_out_writes_every_workload_and_reads_back(tmp_path, capsys):
         assert result["digests"] == {"parent": ["abc-%s" % workload],
                                      "change": ["xyz-%s" % workload]}
         assert result["verdicts_held"] is False
+    k = {"scrambled": 0, "documents": 2}
+    assert {w: r["line_events"] for w, r in saved.items()} == {
+        w: dict.fromkeys(SIDES, {"package": 1000.0 + k[w], "all_python": 2000.0 + k[w]})
+        for w in saved}
+    assert "line_events change 1002.0 package, 2002.0 all-Python per op" in printed
+
+
+def test_the_fake_reach_prints_as_the_real_one_does():
+    assert REACH_LINE in (ROOT / "tools" / "reach.py").read_text(encoding="utf-8")
+
+
+def test_line_events_are_read_with_out_only_and_null_without_reach(tmp_path, capsys):
+    good = fake_checkout(tmp_path / "good", 0, events=1.5)
+    bare = fake_checkout(tmp_path / "bare", 0, events=None)
+    args = ["--parent", str(bare), "--change", str(good), "--workload", "invariance",
+            "--seed", "7", "--pairs", "1"]
+    assert bench_pairs.main(args) == 0
+    assert "line_events" not in capsys.readouterr().out
+    out = tmp_path / "BENCH_test.json"
+    assert bench_pairs.main(args + ["--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "no tools/reach.py in %s: parent line events recorded as null" % bare in printed
+    assert "line_events parent null" in printed
+    assert "line_events change 2.5 package, 4.0 all-Python per op" in printed
+    saved = json.loads(out.read_text(encoding="utf-8"))["workloads"]["invariance"]
+    assert saved["line_events"] == {"parent": None,
+                                    "change": {"package": 2.5, "all_python": 4.0}}

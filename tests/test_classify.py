@@ -92,7 +92,7 @@ def test_more_degenerate_reasons():
 
 
 def test_order_too_low_reports_word():
-    with pytest.raises(OrderExhaustedError):
+    with pytest.raises(OrderExhaustedError, match="eeeee"):
         classify(germ("u", "v^2", "u^2*v+v^5", order=4))
 
 
@@ -364,6 +364,56 @@ def test_truncation_is_exact(branch):
                 for word in reads:
                     full = apply_word([fields[letter] for letter in word], g)
                     assert words.at0(word) == full.at0(), (level, word)
+
+
+# the largest degree of f that each verdict reads: its longest word, or the
+# degree-1 and degree-2 partials at 0
+READ_DEGREE = {Verdict.REGULAR: 1, Verdict.CORANK2: 1, Verdict.WHITNEY_UMBRELLA: 2,
+               Verdict.S1_PLUS: 3, Verdict.S1_MINUS: 3, Verdict.S2: 4,
+               Verdict.B2_PLUS: 5, Verdict.B2_MINUS: 5, Verdict.H2: 5}
+MORE_DEGENERATE_READ_DEGREE = {"2-jet equivalent": 2, "fully degenerate": 3, "P-type": 3,
+                               "S3 or beyond": 4, "B3 or beyond": 5, "H3 or beyond": 5}
+
+
+def _read_degree(cls):
+    """The verdict's read degree, and the key of READ_DEGREE or of
+    MORE_DEGENERATE_READ_DEGREE that gave it."""
+    if cls.verdict is not Verdict.MORE_DEGENERATE:
+        return READ_DEGREE[cls.verdict], cls.verdict
+    ((phrase, degree),) = [(phrase, d) for phrase, d in MORE_DEGENERATE_READ_DEGREE.items()
+                           if phrase in cls.reason]
+    return degree, phrase
+
+
+def _decision(cls, cert):
+    """Everything a verdict was decided on, types included; not the order or the
+    normalized germ, which follow the input's order."""
+    return repr((cls, cert.trace, cert.invariants, cert.frame, cert.normalization))
+
+
+MODEL_GERMS = {"Regular": ("u", "v", "u*v"), "Corank2": ("u^2", "v^2", "u*v"),
+               "2-jet": ("u", "u^2*v", "u^3*v")}
+
+
+def test_the_read_degree_is_enough_and_needed():
+    """No order gate: a jet of the verdict's read degree d gives the verdict of the
+    order-8 germ, bit for bit, and a jet of order d - 1 raises.  25 scrambled
+    germs per branch, and per model germ, reach every row of the table."""
+    seen = set()
+    for branch in BRANCHES + sorted(MODEL_GERMS):
+        rng = Random("read-degree|" + branch)
+        for _ in range(25):
+            if branch in MODEL_GERMS:
+                f = scramble(germ(*MODEL_GERMS[branch], order=8), rng, order=8)
+            else:
+                f = random_branch_germ(rng, branch, order=8)
+            cls, cert = classify(f)
+            degree, row = _read_degree(cls)
+            seen.add(row)
+            assert _decision(*classify(f.truncate(degree))) == _decision(cls, cert), branch
+            with pytest.raises(OrderExhaustedError):
+                classify(f.truncate(degree - 1))
+    assert seen == set(READ_DEGREE) | set(MORE_DEGENERATE_READ_DEGREE)
 
 
 def test_every_declared_read_is_read(monkeypatch):

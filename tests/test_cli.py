@@ -78,6 +78,28 @@ def test_input_error_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_any_order_that_covers_the_read_degree_classifies(tmp_path, capsys):
+    """S1+ reads degree 3 and S2 degree 4: an order-3 document gives the one and
+    an error line naming the word past the order for the other."""
+    path = write(tmp_path, "s1.germ", "[map]\norder = 3\nf1 = u\nf2 = v^2\nf3 = u^2*v+v^3\n")
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 0 and "verdict: S1+" in out and "order: 3" in out
+    path = write(tmp_path, "s2.germ", S2_DOC.replace("[map]\n", "[map]\norder = 3\n"))
+    code, out, err = run(capsys, "classify", path)
+    assert (code, out) == (1, "")
+    assert err == "error: derivative xxxe f exhausts the truncation order\n"
+
+
+def test_monge_terms_past_the_order_are_dropped(tmp_path, capsys):
+    """A Monge coefficient of degree 6 in a document of order 4 is past the jet;
+    it is dropped, as a polynomial's terms past the order are."""
+    for kind in ("folded", "center"):
+        path = write(tmp_path, "monge.germ", "[%s]\norder = 4\na02 = 1\na20 = 2\na03 = 1\n"
+                     "a21 = 1\na06 = 1\n" % kind)
+        code, out, _ = run(capsys, kind, path)
+        assert code == 0 and "agreement: yes" in out, kind
+
+
 FOLDED_HEAD = "[folded]\na02 = 1\na20 = 1\na03 = 1\na21 = 2\n"
 MALFORMED = [
     ("classify", "[map]\nf1 = %s*u\nf2 = v^2\nf3 = u*v\n" % ("7" * 5000)),

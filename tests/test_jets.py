@@ -154,7 +154,7 @@ def test_from_divided():
 
 
 def test_from_divided_index_out_of_range():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"divided coefficient index \(4,4\) out of range"):
         from_divided_coeffs({(4, 4): 1}, 6)
 
 
@@ -458,10 +458,13 @@ def test_scalar_product_is_the_product_with_the_constant_jet():
 
 
 @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (1.5, 0), (0, Fraction(1)), (True, 0),
-                                 ("u", 1), (1, 2, 3), (1,), 3], ids=str)
+                                 ("u", 1), (1, 2, 3), (1,), 3, (1.0, 2), "ab"], ids=str)
 def test_jet_rejects_a_key_that_is_not_a_pair_of_non_negative_ints(key):
+    """Both constructors from tables keep the one key rule."""
     with pytest.raises(PreconditionError, match="not a pair of non-negative ints"):
         Jet2(6, {(0, 0): 1, key: 1})
+    with pytest.raises(PreconditionError, match="not a pair of non-negative ints"):
+        from_divided_coeffs({(0, 0): 1, key: 1}, 6)
 
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)

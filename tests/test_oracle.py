@@ -118,6 +118,48 @@ def test_b2_coefficient_condition_fails_off_slice():
     assert cert.invariants["b2_value"] == -10
 
 
+def _shifted_b2_discriminant(c):
+    """3 a05 a21 - 5 a13^2 on a13 and a05 shifted by b03, as `skbk_classify` reads it."""
+    b03 = c.b.get(3, 0)
+    a13 = c.a_(1, 3) - c.a_(1, 2) * b03
+    a05 = c.a_(0, 5) - Fraction(10, 3) * c.a_(0, 4) * b03
+    return 3 * a05 * c.a_(2, 1) - 5 * a13 ** 2
+
+
+# each row: (sampler, (generic side, oracle side) from the coefficients and the invariants)
+ORACLE_IDENTITIES = {
+    "SB xi2phi": (lambda rng: random_sb_coeffs(rng, "SB"),
+                  lambda c, g: (g["xi2phi"], -c.a_(2, 1))),
+    "SB eta2phi": (lambda rng: random_sb_coeffs(rng, "SB"),
+                   lambda c, g: (g["eta2phi"], c.a_(0, 3))),
+    "SB s2_det": (lambda rng: random_sb_coeffs(rng, "S"),
+                  lambda c, g: (g["s2_det"], -c.a_(3, 1))),
+    "SB b2_value": (lambda rng: random_sb_coeffs(rng, "B"),
+                    lambda c, g: (g["b2_value"], _shifted_b2_discriminant(c))),
+    "H h_type_det": (lambda rng: random_h_coeffs(rng, "HP2"),
+                     lambda c, g: (g["h_type_det"], c.b_(0, 3))),
+    "H h2_det": (lambda rng: random_h_coeffs(rng, "H"),
+                 lambda c, g: (4 * c.b_(0, 3) * g["h2_det"], h2_discriminant(c))),
+}
+
+
+@pytest.mark.parametrize("row", sorted(ORACLE_IDENTITIES))
+def test_oracle_conditions_are_the_generic_invariants_exactly(row):
+    """On the normal shapes the classifier's invariants are the oracle's values,
+    not only of the same sign: 25 samples with a nonzero oracle value per row."""
+    draw, sides = ORACLE_IDENTITIES[row]
+    rng = Random("oracle-identity|" + row)
+    nonzero = 0
+    for _ in range(8 * 25):
+        c = draw(rng)
+        generic, oracle = sides(c, classify(c.to_map_jet())[1].invariants)
+        assert generic == oracle, (row, c)
+        nonzero += oracle != 0
+        if nonzero == 25:
+            break
+    assert nonzero == 25, row
+
+
 # -- exhaustive {-1, 0, 1}^8 boxes -------------------------------------------
 
 # (u, v) -> (u + 2v, -u + v): a normal-shape germ g has g_u(0) = e1, g_v(0) = 0,

@@ -30,8 +30,14 @@ The verdict digests of the two sides are printed too; a perf claim
 counts only if they show the verdicts held.  With --out, the results are
 also written to that JSON file, keyed by workload: its seed, pair count
 and run_seconds, every pair's metrics on each side, the summary rows,
-each side's digests and whether they held.  It is written once every
-workload has run, unless a run failed.  The script reads
+each side's digests and whether they held, and each side's line events
+per operation.  Those come from one run of each checkout's own
+tools/reach.py once every pair has run: its package and all-Python line
+events per op of each workload, a work count that does not drift with
+the machine's load (about 11 s a run).  They are printed beside each
+table, and a checkout without tools/reach.py records null, which is
+said too.  The file is written once every workload has run, unless a
+run failed.  The script reads
 BENCHMARK.json and never writes it; it uses the standard library only.
 It exits 1 when a run fails (at once), when any run reports
 `correct: false` or has `failed > 0`, or when a workload's digests
@@ -65,6 +71,26 @@ def run_once(checkout, workload, seed, seconds):
                                                          proc.stderr.strip()[-500:]))
     digest = re.search(r"verdict_digest\s+(\S+)", proc.stdout)
     return json.loads(lines[-1]), digest.group(1) if digest else None
+
+
+# the count line tools/reach.py prints for each workload
+_EVENTS = re.compile(r"^(\S+): \d+ ops, \d+ failed, ([0-9.]+) package and ([0-9.]+)"
+                     r" all-Python line events per op$", re.M)
+
+
+def line_events(checkout):
+    """{workload: {"package": x, "all_python": y}}, the line events per op of one
+    run of the checkout's tools/reach.py, or None if it has none."""
+    if not (Path(checkout) / "tools" / "reach.py").is_file():
+        return None
+    proc = subprocess.run([sys.executable, "tools/reach.py"], cwd=checkout,
+                          capture_output=True, text=True)
+    counts = {m.group(1): {"package": float(m.group(2)), "all_python": float(m.group(3))}
+              for m in _EVENTS.finditer(proc.stdout)}
+    if not counts:
+        raise RuntimeError("reach.py in %s exited %d with no counts: %s"
+                           % (checkout, proc.returncode, proc.stderr.strip()[-500:]))
+    return counts
 
 
 def quartiles(values):
@@ -164,12 +190,29 @@ def main(argv=None) -> int:
     done = run_pairs(dirs, args.workload, args.seed, args.pairs, seconds)
     if done is None:
         return 1
+    events = dict.fromkeys(SIDES)
+    if args.out:
+        try:
+            events = {side: line_events(dirs[side]) for side in SIDES}
+        except RuntimeError as exc:
+            print("line events: FAILED %s" % exc, flush=True)
+            return 1
+        for side in SIDES:
+            if events[side] is None:
+                print("no tools/reach.py in %s: %s line events recorded as null"
+                      % (dirs[side], side))
     for workload, (pairs, digests, ok) in done.items():
         all_ok = all_ok and ok
         print("workload %s  seed %d  %d pairs at %g s" % (workload, args.seed, len(pairs),
                                                         seconds))
         for side in SIDES:
             print("verdict_digest %-6s %s" % (side, " ".join(sorted(map(str, digests[side])))))
+        counts = {side: (events[side] or {}).get(workload) for side in SIDES}
+        if args.out:
+            for side in SIDES:
+                print("line_events %-6s %s" % (side, "null" if counts[side] is None else
+                                               "%(package).1f package, %(all_python).1f"
+                                               " all-Python per op" % counts[side]))
         rows = summarize(spec, pairs)
         print(format_rows(rows))
         for row in rows:
@@ -182,7 +225,7 @@ def main(argv=None) -> int:
             "seed": args.seed, "pairs": len(pairs), "run_seconds": seconds,
             "per_pair": pairs, "summary": rows,
             "digests": {side: sorted(map(str, digests[side])) for side in SIDES},
-            "verdicts_held": verdicts_held(digests)}
+            "verdicts_held": verdicts_held(digests), "line_events": counts}
     if args.out:
         args.out.write_text(json.dumps({"workloads": results}, indent=1) + "\n",
                             encoding="utf-8")
