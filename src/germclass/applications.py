@@ -185,16 +185,10 @@ def ruled_h_polynomial(g1p, g1pp, g1ppp, g3pp, g3ppp, g3pppp, c3v, c3p):
 def ruled_classify_formulas(d: RuledData):
     """Evaluate the ruled-surface conditions in order; first match wins."""
     g1 = to_divided_coeff(d.gamma1, 0, 0)
-    g1p = to_divided_coeff(d.gamma1, 0, 1)
-    g1pp = to_divided_coeff(d.gamma1, 0, 2)
-    g1ppp = to_divided_coeff(d.gamma1, 0, 3)
     g3p = to_divided_coeff(d.gamma3, 0, 1)
     g3pp = to_divided_coeff(d.gamma3, 0, 2)
     g3ppp = to_divided_coeff(d.gamma3, 0, 3)
-    g3pppp = to_divided_coeff(d.gamma3, 0, 4)
     c3v = to_divided_coeff(d.c3, 0, 0)
-    c3p = to_divided_coeff(d.c3, 0, 1)
-    c3pp = to_divided_coeff(d.c3, 0, 2)
     # Second Hessian entry of phi, divided by gamma1(0): vanishes exactly on
     # the B branch (equivalent to the B condition c3 = gamma3''/(2 gamma1)).
     hess2 = -2 * c3v * g1 + g3pp
@@ -214,15 +208,20 @@ def ruled_classify_formulas(d: RuledData):
     if g3pp == 0 and c3v * g1 * g3ppp != 0:
         inv["s2_value"] = c3v * g1 * g3ppp
         return Classification(Verdict.S2), inv
-    if g1 != 0 and hess2 == 0 and g3pp != 0:
-        b = ruled_b_polynomial(g1, g1p, g1pp, g3pp, g3ppp, g3pppp, c3p, c3pp)
-        inv["b_poly"] = b
-        if b > 0:
-            return Classification(Verdict.B2_PLUS), inv
-        if b < 0:
-            return Classification(Verdict.B2_MINUS), inv
-        return Classification(Verdict.MORE_DEGENERATE, "B-type with b = 0"), inv
-    if g1 == 0 and g3pp != 0:
+    if g3pp != 0:
+        # hess2 == 0 (B) or g1 == 0 (H) here; only these two branches read
+        # gamma1', gamma1'', gamma1''', gamma3'''' (degree 4), c3' and c3''
+        g1p, g1pp, g1ppp = (to_divided_coeff(d.gamma1, 0, k) for k in (1, 2, 3))
+        g3pppp = to_divided_coeff(d.gamma3, 0, 4)
+        c3p, c3pp = (to_divided_coeff(d.c3, 0, k) for k in (1, 2))
+        if g1 != 0:
+            b = ruled_b_polynomial(g1, g1p, g1pp, g3pp, g3ppp, g3pppp, c3p, c3pp)
+            inv["b_poly"] = b
+            if b > 0:
+                return Classification(Verdict.B2_PLUS), inv
+            if b < 0:
+                return Classification(Verdict.B2_MINUS), inv
+            return Classification(Verdict.MORE_DEGENERATE, "B-type with b = 0"), inv
         h = ruled_h_polynomial(g1p, g1pp, g1ppp, g3pp, g3ppp, g3pppp, c3v, c3p)
         inv["h_poly"] = h
         if h != 0:

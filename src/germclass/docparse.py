@@ -46,6 +46,12 @@ by its key:
   (`[+-]` digits with an optional fraction and exponent, no `_`).
 
 A value's error names its key, with the position in that key's value.
+What a map route drops gives a warning under its key, such as `f3:
+degree overflow truncated to order 4`: a polynomial's terms past the
+order, and, in key order, each nonzero Monge coefficient of a center or
+folded document past the degree its map route builds (the order for
+folded, one more for center, whose partials lose one).
+
 Angles for folded documents are either an exact rational point on the
 unit circle (theta_cos/theta_sin) or a float (theta), kept as given here
 and read as an exact point on the unit circle by
@@ -419,6 +425,12 @@ def parse_doc(text: str) -> MapSpecDoc:
             doc.warnings.append("%s: degree overflow truncated to order %d" % (key, doc.order))
     if letters and not any(doc.coeffs.values()):
         raise ParseError("kind %r: no coefficients given" % doc.kind)
+    if doc.kind in ("center", "folded"):
+        # the map route builds the Monge jet at the order, or one above it for
+        # center, whose partials lose one: a coefficient past that is dropped
+        top = doc.order + (doc.kind == "center")
+        doc.warnings += ["a%d%d: degree overflow truncated to order %d" % (i, j, doc.order)
+                         for (i, j), c in sorted(doc.coeffs["a"].items()) if c and i + j > top]
     if doc.kind == "folded":
         if len(pair) == 1:
             raise ParseError("folded: theta_cos and theta_sin must be given together")

@@ -27,14 +27,19 @@ reduces each result once, in `_jet`; every scalar read out (`coeff`,
 Construction.  `over_lcm(terms)` is the one route from rational terms
 to the integer form: it takes terms (key, p, q), each p/q at key, and
 returns the numerators over the lcm of the q's, equal keys summed.
-`Jet2(order, table)` coerces a table of rationals through it, and
 `from_divided_coeffs`, `docparse`'s monomial sums, `integrate_v` and the
-fuzz draws build their terms for it.  `Jet2.from_numerators(order, num,
-den)` takes integer numerators over one positive denominator and reduces
-them once with no `Fraction`.  A table's keys are pairs of non-negative
-ints (`is_exponent_pair`).  `Jet2.zero`, `Jet2.const` and
-`Jet2.variable` build their canonical form directly.  A sum or
-difference scales both numerator dicts to the lcm of the two
+fuzz draws build their terms for it, and `_integers(table, n, order,
+label)` builds them from a table of rationals: it checks every key first
+(an exponent n-tuple, `is_exponent_pair`, past the order too), then cuts
+the table at the order, and serves `Jet2(order, table)` (n = 2) and
+`PolyMap(comps, order)`.  Integer numerators over one denominator are
+held by `_held(num, den, order)`, the one check that den > 0, a cut at
+the order and a reduction, which `Jet2.from_numerators` and
+`PolyMap.from_numerators` share.  Past `Jet2.__init__`, `_canonical` is
+the one place a `Jet2` is made, from numerators already in canonical
+form; `_jet`, which every arithmetic result goes through, reduces first.  `Jet2.zero`,
+`Jet2.const` and `Jet2.variable` build their canonical form directly.
+A sum or difference scales both numerator dicts to the lcm of the two
 denominators in one pass at the smaller order and reduces once.
 `coeffs_below(bound)` is the size test of every coefficient in lowest
 terms.
@@ -61,9 +66,13 @@ numerators, stopped at the output order and reduced once.  At order 0 it
 is a dot product of the field at 0 with c's degree-1 terms.  It is the
 kernel of every vector-field application.
 
-`MapJet` is a triple of jets sharing one order (a map germ into 3-space,
-or a derivative of one; `MapJet.shared` takes three jets that already
-share it, and the kernels build their results with it).  A `PolyMap` is a
+A `MapJet` is a plain tuple of three jets sharing one order (a map germ
+into 3-space, or a derivative of one): it compares, hashes, indexes and
+iterates as its tuple does, and `+` concatenates as on any tuple; the jets
+inside carry the ring operations.  `MapJet(f1, f2, f3)` truncates to the
+shared order, `MapJet.shared` takes three jets that already share it (the
+kernels build their results with it), and `__getnewargs__` gives `pickle`
+and `copy` the three jets back.  A `PolyMap` is a
 polynomial coordinate change (R^n,0)->(R^n,0) with invertible linear part,
 n = 2 (a source change) or 3 (a target change), used only through
 composition.  Component k is a table {(e_1, .., e_n): c} held as integer
@@ -71,8 +80,8 @@ numerators over one denominator, in the canonical form of a jet:
 `PolyMap(comps, order)` coerces tables of rationals keyed by exponent
 n-tuples, the key rule of `Jet2` with n in place of 2, and
 `PolyMap.from_numerators(tables, order)` takes (numerators, denominator)
-pairs with no `Fraction`.  Both reduce through `_reduced`, as `_jet` and
-`Jet2.from_numerators` do, and test the linear part by an integer
+pairs with no `Fraction`.  Both hold their tables through `_held`, and
+test the linear part by an integer
 determinant of the numerator rows (a positive row scaling keeps the
 rank).  `comps` and `linear_matrix` are `Fraction` views built on read.
 Source changes (`compose2`, `compose_map`, which take n = 2) and target
@@ -117,9 +126,15 @@ def over_lcm(terms):
     return num, den
 
 
-def _integers(table):
-    """A table {key: rational} as (numerators, lcm of the denominators), zeros dropped."""
-    values = [(key, as_exact(value)) for key, value in table.items()]
+def _integers(table, n: int, order: int, label: str):
+    """A table {key: rational} as (numerators, lcm of the denominators), cut at
+    total degree `order` and zeros dropped.  Every key is checked first: one that
+    is not an exponent n-tuple (`is_exponent_pair`) raises, past the order too."""
+    for key in table:
+        if not is_exponent_pair(key, n):
+            raise PreconditionError("%s key %r is not %s of non-negative ints"
+                                    % (label, key, "a pair" if n == 2 else "a %d-tuple" % n))
+    values = [(key, as_exact(value)) for key, value in table.items() if sum(key) <= order]
     return over_lcm([(key, value.numerator, value.denominator) for key, value in values if value])
 
 
@@ -141,19 +156,6 @@ def _convolve(a, b, order, out=None):
     return out
 
 
-def _within(table, n: int, order: int, label: str):
-    """The entries of a table up to total degree `order`; a key that is not an
-    exponent n-tuple (`is_exponent_pair`) raises, past the order too."""
-    out = {}
-    for key, value in table.items():
-        if not is_exponent_pair(key, n):
-            raise PreconditionError("%s key %r is not %s of non-negative ints"
-                                    % (label, key, "a pair" if n == 2 else "a %d-tuple" % n))
-        if sum(key) <= order:
-            out[key] = value
-    return out
-
-
 def _reduced(num, den: int):
     """Numerators over a den > 0 in canonical form: zero numerators dropped and
     the gcd divided out once."""
@@ -166,20 +168,22 @@ def _reduced(num, den: int):
     return num, den
 
 
-def _jet(order: int, num, den: int) -> "Jet2":
-    """The trusted constructor of arithmetic results: keys within `order`, den > 0.
+def _held(num, den: int, order: int):
+    """Int numerators over an int den > 0, cut at total degree `order` and reduced."""
+    if den <= 0:
+        raise ValueError("from_numerators needs a positive denominator, got %d" % den)
+    return _reduced({key: n for key, n in num.items() if sum(key) <= order}, den)
 
-    Reduces once, in `_reduced`; it skips the coercion and order filter of
-    `Jet2.__init__`.
-    """
-    jet = object.__new__(Jet2)
-    jet.order = order
-    jet._num, jet._den = _reduced(num, den)
-    return jet
+
+def _jet(order: int, num, den: int) -> "Jet2":
+    """The trusted constructor of arithmetic results: keys within `order`, den > 0,
+    reduced once, in `_reduced`."""
+    return _canonical(order, *_reduced(num, den))
 
 
 def _canonical(order: int, num, den: int) -> "Jet2":
-    """A jet from numerators already in canonical form: no zero, reduced, den > 0."""
+    """A jet from numerators already in canonical form: no zero, reduced, den > 0;
+    the one place a `Jet2` is made without `Jet2.__init__`."""
     jet = object.__new__(Jet2)
     jet.order = order
     jet._num = num
@@ -192,7 +196,7 @@ class Jet2:
 
     def __init__(self, order: int, coeffs=None):
         self.order = order
-        self._num, self._den = _integers(_within(coeffs or {}, 2, order, "jet"))
+        self._num, self._den = _integers(coeffs or {}, 2, order, "jet")
 
     # -- constructors ------------------------------------------------------
 
@@ -204,9 +208,7 @@ class Jet2:
     def from_numerators(cls, order: int, num, den: int) -> "Jet2":
         """The jet with coefficient num[(i, j)] / den at u^i v^j, for int numerators
         and an int den > 0; keys past `order` are dropped and `num` is not kept."""
-        if den <= 0:
-            raise ValueError("from_numerators needs a positive denominator, got %d" % den)
-        return _jet(order, {(i, j): n for (i, j), n in num.items() if i + j <= order}, den)
+        return _canonical(order, *_held(num, den, order))
 
     @classmethod
     def const(cls, value, order: int) -> "Jet2":
@@ -479,26 +481,27 @@ def poly_str(jet: Jet2) -> str:
     return text
 
 
-class MapJet:
-    """A triple of jets sharing one truncation order.
+class MapJet(tuple):
+    """A triple of jets sharing one truncation order, held as a plain tuple.
 
     Used both for map-germs into 3-space and for their iterated directional
     derivatives, so the components are not required to vanish at the origin;
     `MapJet.germ` is the validating constructor for actual germ input.
     """
 
-    __slots__ = ("components",)
+    __slots__ = ()
 
-    def __init__(self, f1: Jet2, f2: Jet2, f3: Jet2):
+    def __new__(cls, f1: Jet2, f2: Jet2, f3: Jet2):
         order = min(f1.order, f2.order, f3.order)
-        self.components = (f1.truncate(order), f2.truncate(order), f3.truncate(order))
+        return tuple.__new__(cls, (f1.truncate(order), f2.truncate(order), f3.truncate(order)))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @classmethod
     def shared(cls, components) -> "MapJet":
         """A MapJet from three jets that already share one order; nothing is truncated."""
-        f = object.__new__(cls)
-        f.components = tuple(components)
-        return f
+        return tuple.__new__(cls, components)
 
     @classmethod
     def germ(cls, f1: Jet2, f2: Jet2, f3: Jet2) -> "MapJet":
@@ -509,35 +512,24 @@ class MapJet:
 
     @property
     def order(self) -> int:
-        return self.components[0].order
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __getitem__(self, k):
-        return self.components[k]
-
-    def __eq__(self, other):
-        if not isinstance(other, MapJet):
-            return NotImplemented
-        return self.components == other.components
+        return self[0].order
 
     def partial_u(self) -> "MapJet":
-        return MapJet.shared(c.partial_u() for c in self.components)
+        return MapJet.shared(c.partial_u() for c in self)
 
     def partial_v(self) -> "MapJet":
-        return MapJet.shared(c.partial_v() for c in self.components)
+        return MapJet.shared(c.partial_v() for c in self)
 
     def at0(self):
-        return tuple(c.at0() for c in self.components)
+        return tuple(c.at0() for c in self)
 
     def truncate(self, order: int) -> "MapJet":
         if order >= self.order:
             return self
-        return MapJet.shared(c.truncate(order) for c in self.components)
+        return MapJet.shared(c.truncate(order) for c in self)
 
     def __repr__(self):
-        return "MapJet(%s)" % ", ".join(poly_str(c) for c in self.components)
+        return "MapJet(%s)" % ", ".join(poly_str(c) for c in self)
 
 
 class PolyMap:
@@ -554,8 +546,7 @@ class PolyMap:
 
     def __init__(self, comps, order: int):
         n = len(comps)
-        self._build((_integers(_within(table, n, order, "coordinate change")) for table in comps),
-                    n, order)
+        self._build((_integers(table, n, order, "coordinate change") for table in comps), n, order)
 
     @classmethod
     def from_numerators(cls, tables, order: int) -> "PolyMap":
@@ -573,9 +564,7 @@ class PolyMap:
         origin = (0,) * n
         held = []
         for num, den in tables:
-            if den <= 0:
-                raise ValueError("from_numerators needs a positive denominator, got %d" % den)
-            num, den = _reduced({key: c for key, c in num.items() if sum(key) <= order}, den)
+            num, den = _held(num, den, order)
             if num.get(origin):
                 raise PreconditionError("coordinate change must fix the origin")
             held.append((num, den))
@@ -703,7 +692,7 @@ def shear(f: MapJet, t: Fraction) -> MapJet:
     """
     T, D = t.numerator, t.denominator
     top = max((i for c in f for i, _ in c._num), default=0)
-    weights = [[comb(i, a) * T ** a * D ** (top - a) for a in range(i + 1 if T else 1)]
+    weights = [[comb(i, a) * T ** a * D ** (top - a) for a in range(i + 1)]
                for i in range(top + 1)]
     lift = D ** top
     out = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OrderExhaustedError, PreconditionError
-from .jets import Jet2, MapJet, directional, scaled_coeffs
+from .jets import Jet2, MapJet, directional, poly_str, scaled_coeffs
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,6 @@ class VectorFieldJet:
     b: Jet2
 
     def __repr__(self):
-        from .jets import poly_str
         return "(%s)du + (%s)dv" % (poly_str(self.a), poly_str(self.b))
 
 
@@ -54,7 +53,7 @@ def apply(zeta: VectorFieldJet, f: MapJet, label=None, order=None) -> MapJet:
     if f.order < 1:
         raise OrderExhaustedError(
             "derivative %sexhausts the truncation order" % (("%s " % label) if label else ""))
-    return MapJet.shared(directional(zeta.a, zeta.b, f.components, order))
+    return MapJet.shared(directional(zeta.a, zeta.b, f, order))
 
 
 def apply_word(word, f: MapJet, label=None) -> MapJet:

@@ -90,14 +90,44 @@ def test_any_order_that_covers_the_read_degree_classifies(tmp_path, capsys):
     assert err == "error: derivative xxxe f exhausts the truncation order\n"
 
 
+def test_ruled_formulas_read_degree_4_only_on_the_b_and_h_branches(tmp_path, capsys):
+    """An order-3 [ruled] document classifies on the WU and S1 branches, whose
+    reads stop at degree 3; B reads gamma3'''' at degree 4 and S2's map route
+    the word xxxe, so both exit 1, as order 2 does on every branch (the
+    recorded gamma3_d3 reads degree 3)."""
+    cases = [("1", "v", "1", "verdict: WhitneyUmbrella"), ("1", "v^2", "-3", "verdict: S1+"),
+             ("1", "v^2", "1", "error: coefficient (0,4) beyond truncation order 3"),
+             ("1 + v", "v^3", "1", "error: derivative xxxe f exhausts the truncation order")]
+    for gamma1, gamma3, c3, line in cases:
+        for order in (3, 2):
+            path = write(tmp_path, "ruled.germ", "[ruled]\norder = %d\ngamma1 = %s\n"
+                         "gamma3 = %s\nc3 = %s\n" % (order, gamma1, gamma3, c3))
+            code, out, err = run(capsys, "ruled", path)
+            if order == 2:
+                assert (code, out, err) == (
+                    1, "", "error: coefficient (0,3) beyond truncation order 2\n")
+            elif line.startswith("error:"):
+                assert (code, out, err) == (1, "", line + "\n")
+            else:
+                assert code == 0 and line in out and "agreement: yes" in out, (gamma3, c3)
+
+
 def test_monge_terms_past_the_order_are_dropped(tmp_path, capsys):
-    """A Monge coefficient of degree 6 in a document of order 4 is past the jet;
-    it is dropped, as a polynomial's terms past the order are."""
-    for kind in ("folded", "center"):
-        path = write(tmp_path, "monge.germ", "[%s]\norder = 4\na02 = 1\na20 = 2\na03 = 1\n"
-                     "a21 = 1\na06 = 1\n" % kind)
+    """A Monge coefficient past the degree that the map route builds (the order
+    for folded, one more for center, whose partials lose one) is dropped with a
+    warning under its key, as a polynomial's terms past the order are."""
+    head = "order = 4\na02 = 1\na20 = 2\na03 = 1\na21 = 1\n"
+    cases = [("folded", "a15 = 2\na06 = 1\n", ["a06", "a15"]), ("folded", "a05 = 1\n", ["a05"]),
+             ("center", "a15 = 2\na06 = 1\n", ["a06", "a15"]), ("center", "a05 = 1\n", [])]
+    for kind, extra, dropped in cases:
+        path = write(tmp_path, "monge.germ", "[%s]\n%s%s" % (kind, head, extra))
+        lines = ["%s: degree overflow truncated to order 4" % key for key in dropped]
         code, out, _ = run(capsys, kind, path)
         assert code == 0 and "agreement: yes" in out, kind
+        assert [line for line in out.splitlines() if line.startswith("warning:")] == [
+            "warning: " + line for line in lines]
+        code, out, _ = run(capsys, kind, path, "--json")
+        assert code == 0 and json.loads(out)["warnings"] == lines
 
 
 FOLDED_HEAD = "[folded]\na02 = 1\na20 = 1\na03 = 1\na21 = 2\n"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from fractions import Fraction
 from functools import partial
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import germclass
+from germclass.classify import classify, normal_forms
 from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass.fuzz import FuzzConfig, random_target_diffeo
 from germclass.jets import (Jet2, MapJet, PolyMap, compose2, compose_map, cross3,
@@ -699,9 +702,24 @@ def test_equal_polynomials_compare_and_hash_equal(a, b, c, s, k):
               (a - a, Jet2.zero(a.order)),
               ((a * s) * b, a * (b * s)),
               ((a - a.truncate(k)).truncate(k), Jet2.zero(min(a.order, k)))]
+    # one germ by each MapJet constructor: a MapJet is a tuple, hashed by its jets
+    parts = [x - x.at0() for x in (a, b, c)]
+    order = min(x.order for x in parts)
+    germs = [MapJet(*parts), MapJet.shared(x.truncate(order) for x in parts), MapJet.germ(*parts)]
+    routes += [(germs[0], g) for g in germs[1:]]
     for x, y in routes:
         assert x == y
         assert hash(x) == hash(y)
+    assert len(set(germs)) == 1
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_germs_and_certificates_survive_deepcopy_and_pickle(copy_of):
+    for f in normal_forms().values():
+        for x in (f, classify(f)[1]):
+            y = copy_of(x)
+            assert type(y) is type(x) and y == x
 
 
 def _canonical_keys(keys):

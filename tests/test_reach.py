@@ -57,8 +57,8 @@ def test_reports_functions_not_entered_and_statements_not_run(tmp_path):
     def calls():
         assert toy.used(1) == 1 and toy.decorated(2) == 2 and toy.C().value == 5
 
-    report, events = reach.reach(package, {"import": lambda: toy_spec.loader.exec_module(toy),
-                                           "calls": calls})
+    report, events, per_function = reach.reach(
+        package, {"import": lambda: toy_spec.loader.exec_module(toy), "calls": calls})
     assert report == {"toy.py": (
         ["unused", "C.value.inner", "C.never"],
         [("used", _line("    return 2")), ("decorated", _line("        y = None"))])}
@@ -69,6 +69,15 @@ def test_reports_functions_not_entered_and_statements_not_run(tmp_path):
     # depends on the interpreter.
     assert events["calls"] == (10, 11)
     assert events["import"][0] == 14 and events["import"][1] > 14
+    # self line events: the list comprehension's entry and turns count under
+    # its own qualified name, not under `decorated`; the import runs the
+    # module's statements and the class body
+    assert per_function == {
+        "import": {"toy.<module>": 8, "toy.C": 6},
+        "calls": {"toy.used": 2, "toy.decorated": 3, "toy.decorated.<locals>.<listcomp>": 3,
+                  "toy.C.value": 2}}
+    for name, (package_events, _) in events.items():
+        assert sum(per_function[name].values()) == package_events
 
 
 def test_a_statement_inside_one_that_did_not_run_is_not_listed():

@@ -13,7 +13,13 @@ workload's operation count, how many of them failed, its package line
 events per operation (the "line" events the trace saw in src/germclass
 while the workload ran, over its operation count) and its all-Python line
 events per operation (the same count over every Python file, the standard
-library's included).
+library's included).  Under each count line come the ten functions of
+src/germclass with the most self line events per operation, one to a line:
+the events seen in the function's own frame, so a comprehension or
+generator expression counts under its own qualified name
+(`directional.<locals>.<genexpr>`), and the self counts of a workload sum
+to its package count.  That is a per-layer profile that does not drift
+with the load either.
 
 This is the traffic check for deleting code: a branch that no operation
 runs costs the benchmark nothing to delete.  The line-event count is a
@@ -123,11 +129,13 @@ def trace(root: Path, runs):
 
     Returns ({file: lines run}, {file: co_firstlineno of the code entered},
     {name: (line events in those files, line events in every Python file)
-    during its call}), files keyed by resolved path.
+    during its call}, {name: {code object run under root: line events in its
+    own frames during its call}}), files keyed by resolved path.
     """
     root = Path(root).resolve()
     files = {}   # co_filename -> (lines, entered) for files under root, else None
     by_path = {}
+    own = {}     # code object under root -> [line events in its own frames]
     events = every = 0
 
     def sets(filename):
@@ -152,6 +160,7 @@ def trace(root: Path, runs):
             return outside
         lines, entered = found
         entered.add(code.co_firstlineno)
+        cell = own.setdefault(code, [0])
 
         def local(frame, event, arg):
             nonlocal events, every
@@ -159,29 +168,34 @@ def trace(root: Path, runs):
                 lines.add(frame.f_lineno)
                 events += 1
                 every += 1
+                cell[0] += 1
             return local
         return local
 
-    counts = {}
+    counts, selves = {}, {}
     sys.settrace(tracer)
     try:
         for name, run in runs.items():
+            start = {code: cell[0] for code, cell in own.items()}
             before = events, every
             run()
             counts[name] = (events - before[0], every - before[1])
+            selves[name] = {code: cell[0] - start.get(code, 0) for code, cell in own.items()}
     finally:
         sys.settrace(None)
     return ({path: found[0] for path, found in by_path.items()},
-            {path: found[1] for path, found in by_path.items()}, counts)
+            {path: found[1] for path, found in by_path.items()}, counts, selves)
 
 
 def reach(root: Path, runs):
     """Per module under root (a path relative to it): the functions that no
     callable of `runs` ({name: callable}) enters, and the statements that none
-    runs inside the functions entered, as (qualified name, line); and, per name,
-    the line events under root and in every Python file during its call."""
+    runs inside the functions entered, as (qualified name, line); per name, the
+    line events under root and in every Python file during its call; and per
+    name, the self line events of each function under root during its call,
+    keyed "module.qualified name" (module the dotted path under root)."""
     root = Path(root).resolve()
-    lines, entered, counts = trace(root, runs)
+    lines, entered, counts, selves = trace(root, runs)
     report = {}
     for path in sorted(root.rglob("*.py")):
         hit = lines.get(path, set())
@@ -193,7 +207,15 @@ def reach(root: Path, runs):
             else:
                 unrun += [(name, line) for line in _unrun(statements, hit)[0]]
         report[path.relative_to(root).as_posix()] = (missed, unrun)
-    return report, counts
+    per_function = {}
+    for name, by_code in selves.items():
+        per_function[name] = named = {}
+        for code, n in by_code.items():
+            if n:
+                module = Path(os.path.realpath(code.co_filename)).relative_to(root).with_suffix("")
+                key = "%s.%s" % (module.as_posix().replace("/", "."), code.co_qualname)
+                named[key] = named.get(key, 0) + n
+    return report, counts, per_function
 
 
 def main() -> int:
@@ -210,7 +232,8 @@ def main() -> int:
         def every_op(name):
             failures[name] = sum(not bench.run_checked(op)[1] for op in corpora[name].ops)
 
-        report, events = reach(PACKAGE, {name: partial(every_op, name) for name in corpora})
+        report, events, per_function = reach(
+            PACKAGE, {name: partial(every_op, name) for name in corpora})
     for name, (missed, unrun) in report.items():
         if not missed and not unrun:
             continue
@@ -225,6 +248,9 @@ def main() -> int:
         package, every = events[name]
         print("%s: %d ops, %d failed, %.1f package and %.1f all-Python line events per op"
               % (name, ops, failures[name], package / ops, every / ops))
+        top = sorted(per_function[name].items(), key=lambda item: (-item[1], item[0]))[:10]
+        for function, n in top:
+            print("  %8.1f  %s" % (n / ops, function))
     return 1 if any(failures.values()) else 0
 
 
