@@ -187,13 +187,16 @@ def ruled_classify_formulas(d: RuledData):
     g1 = to_divided_coeff(d.gamma1, 0, 0)
     g3p = to_divided_coeff(d.gamma3, 0, 1)
     g3pp = to_divided_coeff(d.gamma3, 0, 2)
-    g3ppp = to_divided_coeff(d.gamma3, 0, 3)
     c3v = to_divided_coeff(d.c3, 0, 0)
     # Second Hessian entry of phi, divided by gamma1(0): vanishes exactly on
     # the B branch (equivalent to the B condition c3 = gamma3''/(2 gamma1)).
     hess2 = -2 * c3v * g1 + g3pp
-    inv = {"gamma3_d1": g3p, "gamma3_d2": g3pp, "gamma3_d3": g3ppp,
-           "gamma1_0": g1, "c3_0": c3v, "hess_entry2": hess2}
+    inv = {"gamma3_d1": g3p, "gamma3_d2": g3pp}
+    # gamma3''' (degree 3) is recorded only where the order covers it, so an
+    # order-2 document classifies on the WU and S1 branches, which read degree 2
+    if d.gamma3.order >= 3:
+        inv["gamma3_d3"] = to_divided_coeff(d.gamma3, 0, 3)
+    inv.update(gamma1_0=g1, c3_0=c3v, hess_entry2=hess2)
 
     if g3p != 0:
         return Classification(Verdict.WHITNEY_UMBRELLA), inv
@@ -205,6 +208,7 @@ def ruled_classify_formulas(d: RuledData):
         inv["s1_disc"] = q
         verdict = Verdict.S1_PLUS if q < 0 else Verdict.S1_MINUS
         return Classification(verdict), inv
+    g3ppp = to_divided_coeff(d.gamma3, 0, 3)    # S2, B and H read degree 3
     if g3pp == 0 and c3v * g1 * g3ppp != 0:
         inv["s2_value"] = c3v * g1 * g3ppp
         return Classification(Verdict.S2), inv

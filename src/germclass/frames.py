@@ -6,14 +6,15 @@ A word read at 0 reads f only to degree len(word), so the words a level
 reads at 0 fix all the work it does.  `READS` declares them, one row per
 level; words are written as in `Words` ("xxe" is xi^2 eta f), and the sb2
 row also covers the guards that `s3_adapt` and `b3_adapt` read on the
-SB-2 pair:
+SB-2 pair.  `CHECKS` declares the words that verify the S-3 and H-4
+corrections, which the forward evaluator `forward_at0` reads, not `Words`:
 
-  level  longest read  reads at 0               words killed at 0
-  sb2    3             x xe ex xxe ee eee       xe = ex = 0
-  s3     4             xxe xex exx x xxxe ee    additionally xxe = xex = exx = 0
-  b3     5             x ee eeex exx eeeee      additionally eee = 0
-  h2     4             x xe eee eeee            ee = 0
-  h4     5             eeee ee x eeeee eee      additionally eeee = 0
+  level  longest read  reads at 0             checks         words killed at 0
+  sb2    3             x xe ex xxe ee eee                    xe = ex = 0
+  s3     4             x xxxe ee              xxe xex exx    additionally xxe = xex = exx = 0
+  b3     5             x ee eeex exx eeeee                   additionally eee = 0
+  h2     4             x xe eee eeee                         ee = 0
+  h4     5             x eeeee eee            eeee ee        additionally eeee = 0
 
 All constructors assume the germ has been put through `linear_normalize`
 first, so that f_v(0) = 0 and f_u(0) != 0 and the pair can be built as an
@@ -37,27 +38,37 @@ parent's words with constant coefficients.  `s3_adapt` and `h4_adapt`
 give the derivations.
 
 Derivative words are read through `Words`, a per-pair table built for its
-level's reads, which evaluates each word once, at the order its reads
-need (B-3 computes xi f at order 3, for eta^3 xi f; H-4 reads xi f at 0
-only and computes it at order 0).  Each constructor returns the table of
-its pair (`build.words`, which holds the pair), so the criteria in
-`classify` reuse what the frame solve already computed.  The deeper
-levels B-3 and H-4 extend their parent's build: `b3_adapt(sb)` and
+level's reads.  w f(0) is linear in f, and the functional l_w that reads
+it depends on the pair alone, so the table builds l_w once per prefix of
+its reads, by the transpose of one field per letter
+(`jets.Functional.after`), and reads each word as one dot product per
+component of f; no jet of a word is made.  Each constructor returns the
+table of its pair (`build.words`, which holds the pair), so the criteria
+in `classify` reuse the functionals the frame solve already built.  The
+deeper levels B-3 and H-4 extend their parent's build: `b3_adapt(sb)` and
 `h4_adapt(h2)` take the SB-2 or H-2 build and read the germ, alpha, beta
-and their guard and solve words from it, so a word that `classify` has
-already read on the parent pair costs nothing again.  S-3 still builds
-its own SB-2 pair (see `s3_adapt`).  The phi Hessian that splits the SB
-branch is read the same way: on the SB-2 pair its entries are the
-determinants A = det(xi f, xi^2 eta f, eta^2 f)(0) and
-C = det(xi f, eta^2 f, eta^3 f)(0), which read f to degree 3.  The
-vectors f_u, f_v, f_vv, f_uv at 0 are read straight from f's coefficients.
+and their guard and solve words from it.  S-3 still builds its own SB-2
+pair (see `s3_adapt`).  The phi Hessian that splits the SB branch is read
+the same way: on the SB-2 pair its entries are the determinants
+A = det(xi f, xi^2 eta f, eta^2 f)(0) and C = det(xi f, eta^2 f,
+eta^3 f)(0), which read f to degree 3.  The vectors f_u, f_v, f_vv, f_uv
+at 0 are read straight from f's coefficients.
+
+The S-3 and H-4 corrections are verified by a second evaluator, so that a
+fault in the transpose step cannot confirm itself: `forward_at0` applies
+the fields to f with `vfields.apply`, each suffix of the check words once,
+at the order max(len(w) - len(s)) over the check words w ending in the
+suffix s (S-3 applies xi at order 2, for xex f; H-4 applies eta at order
+3, for eta^4 f), so each check word is exact at 0 and no step runs past
+what the checks need.
 
 Everything at 0 is integer arithmetic.  `Words.scaled` and `partials0`
 read the vectors one test needs together, through `jets.scaled_coeffs`,
 as integer vectors over one positive diagonal scaling; the guards, the
-rank test, the solves and the verifications run on those integers, whose
-zero tests and solutions are the exact ones.  Only the solved parameters
-become `Fraction`s, one per unknown, in `solve`.
+rank test and the solves run on those integers, whose zero tests and
+solutions are the exact ones.  Only the solved parameters become
+`Fraction`s, one per unknown, in `solve`, and the checks test the exact
+values that `forward_at0` reads.
 """
 
 from __future__ import annotations
@@ -65,59 +76,98 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
-from .jets import Jet2, MapJet, cross3, det3, scaled_coeffs, shear, swap
+from .errors import OrderExhaustedError, PreconditionError
+from .jets import Functional, Jet2, MapJet, cross3, det3, scaled_coeffs, shear, swap
 from .vfields import FramePair, VectorFieldJet, apply, d_du
 
 
 READS = {
     "sb2": ("x", "xe", "ex", "xxe", "ee", "eee"),
-    "s3": ("xxe", "xex", "exx", "x", "xxxe", "ee"),
+    "s3": ("x", "xxxe", "ee"),
     "b3": ("x", "ee", "eeex", "exx", "eeeee"),
     "h2": ("x", "xe", "eee", "eeee"),
-    "h4": ("eeee", "ee", "x", "eeeee", "eee"),
+    "h4": ("x", "eeeee", "eee"),
+}
+
+CHECKS = {
+    "s3": ("xxe", "xex", "exx"),
+    "h4": ("eeee", "ee"),
 }
 
 
 class Words:
-    """The derivative words of f on one pair, each evaluated once.
+    """The derivative words of f on one pair, each read at 0 as a linear
+    functional of f.
 
     A word is a string over the letters x (xi) and e (eta), read as the
     operator product: "xxe" is xi(xi(eta f)).  The empty word is f itself.
 
-    The table is built for the words its level reads at 0 (`READS`, the
-    level table of this module).  It computes each suffix s of a read
-    once, at the order max(len(r) - len(s)) over the reads r that end in
-    s, by one `apply` on its cached suffix that stops at that order; no
-    truncated copy of f or of a suffix is made.  So every read is exact at
-    0, and no word is computed past what its reads need.  A word
-    that is neither a read nor a suffix of one raises `KeyError`; a read
-    past the order of f raises `OrderExhaustedError`.  `f` is the germ as
-    given, which the deeper levels extend.
+    w f(0) = l_w(f) for a functional l_w that depends on the pair alone:
+    l_"" is the evaluation at 0 and l_(w z) = l_w o z, one
+    `jets.Functional.after` step per letter.  The table builds l_p once for
+    each prefix p of the words it reads, so reads share prefixes (xxe and
+    xxxe share x and xx), and each read is one dot product per component of
+    f, in `jets.scaled_coeffs`.  No jet of a word is made.
+
+    The table serves the words its level reads at 0 (`READS`, the level
+    table of this module) and their suffixes.  Any other word raises
+    `KeyError`, a code defect; a word longer than the order of f raises
+    `OrderExhaustedError`, naming its suffix one longer than the order, the
+    first derivative that exhausts it.  `f` is the germ as given, which
+    the deeper levels extend.
     """
 
     def __init__(self, f: MapJet, pair: FramePair, reads):
         self.f = f
         self.pair = pair
-        # over reads ending in s, len(r) - len(s) grows with len(r): the longest wins
-        self.orders = {r[k:]: k for r in sorted(reads, key=len) for k in range(len(r) + 1)}
-        self._jets = {"": f}
+        self._served = {r[k:] for r in reads for k in range(len(r) + 1)}
+        self._functionals = {"": Functional()}
 
-    def jet(self, word: str) -> MapJet:
-        """w f at order `orders[w]`."""
-        out = self._jets.get(word)
+    def _functional(self, word: str) -> Functional:
+        """l_word, built on its longest prefix."""
+        out = self._functionals.get(word)
         if out is None:
-            field = self.pair.xi if word[0] == "x" else self.pair.eta
-            out = self._jets[word] = apply(field, self.jet(word[1:]), word + " f",
-                                           self.orders[word])
+            field = self.pair.xi if word[-1] == "x" else self.pair.eta
+            out = self._functionals[word] = self._functional(word[:-1]).after(field.a, field.b)
         return out
 
-    def at0(self, word: str):
-        return self.jet(word).at0()
+    def _read(self, word: str) -> Functional:
+        """l_word, for a word the table serves and the order of f covers."""
+        if word not in self._served:
+            raise KeyError(word)
+        order = self.f.order
+        if len(word) > order:
+            raise OrderExhaustedError(
+                "derivative %s f exhausts the truncation order" % word[-1 - order:])
+        return self._functional(word)
 
     def scaled(self, *words):
         """The words at 0 as integer vectors over one scaling, and its scale."""
-        return scaled_coeffs(*((self.jet(word), (0, 0)) for word in words))
+        return scaled_coeffs(*[(self.f, self._read(word)) for word in words])
+
+    def at0(self, word: str):
+        """w f(0) as exact values, one read per component."""
+        functional = self._read(word)
+        out = []
+        for c in self.f:
+            ((n,),), d = scaled_coeffs(((c,), functional))
+            out.append(Fraction(n, d))
+        return tuple(out)
+
+
+def forward_at0(f: MapJet, pair: FramePair, words):
+    """The words at 0, by forward `apply`: the second evaluator, independent of
+    the functionals of `Words`, that verifies the S-3 and H-4 corrections
+    (`CHECKS`).  Each suffix s of the words is applied once, on its cached
+    suffix, at the order max(len(w) - len(s)) over the words w ending in s,
+    so each word is exact at 0 and no step runs past what the words need."""
+    # over words ending in s, len(w) - len(s) grows with len(w): the longest wins
+    orders = {w[k:]: k for w in sorted(words, key=len) for k in range(len(w) + 1)}
+    jets = {"": f}
+    for s in sorted(orders, key=len)[1:]:
+        field = pair.xi if s[0] == "x" else pair.eta
+        jets[s] = apply(field, jets[s[1:]], s + " f", orders[s])
+    return [jets[w].at0() for w in words]
 
 
 @dataclass(frozen=True)
@@ -254,7 +304,7 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     writes corrections into three fixed coefficient slots -- p, a uv term in
     xi's du-coefficient; q, a u term in its dv-coefficient; r, a u^2 term
     in eta's du-coefficient -- so that xxe f = xex f = exx f = 0 at 0, then
-    verifies the three words.  Over (xxe, xex, exx) at 0 the slots add
+    verifies the three words by `forward_at0`.  Over (xxe, xex, exx) at 0 the slots add
     p (0, xi f, xi f), q (eta^2 f, eta^2 f, eta^2 f) and r (2 xi f, 0, 0).
 
     xex f(0) and exx f(0) follow from xxe f(0) by one bracket.  On the SB-2
@@ -281,12 +331,12 @@ def s3_adapt(f: MapJet) -> FrameBuild:
     a1 = Jet2(n, {(0, 0): 1, (0, 1): -alpha, (1, 1): p})
     b1 = Jet2(n, {(0, 0): -beta, (1, 0): q})
     c1 = Jet2(n, {(1, 0): -alpha, (2, 0): r})
-    words = Words(f, FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, Jet2.const(1, n))),
-                  READS["s3"])
-    if any(map(any, words.scaled("xxe", "xex", "exx")[0])):
+    pair = FramePair(VectorFieldJet(a1, b1), VectorFieldJet(c1, Jet2.const(1, n)))
+    if any(map(any, forward_at0(f, pair, CHECKS["s3"]))):
         raise PreconditionError("S-3 correction failed verification")
     return FrameBuild({"alpha": alpha, "beta": beta, "alpha1": alpha1, "beta1": beta1,
-                       "corr_xi_uv": p, "corr_xi_u": q, "corr_eta_uu": r}, words)
+                       "corr_xi_uv": p, "corr_xi_u": q, "corr_eta_uu": r},
+                      Words(f, pair, READS["s3"]))
 
 
 def b3_adapt(sb: FrameBuild) -> FrameBuild:
@@ -353,6 +403,7 @@ def h4_adapt(h2: FrameBuild) -> FrameBuild:
     so eta^4 f(0) = 0 on the basis gives
       w = -delta1 / 6,  sigma = -beta1 / 8,  s = sigma - alpha w,
       t = -alpha1 / 6 - w sigma.
+    `forward_at0` then verifies eta^4 f(0) = 0 and eta^2 f(0) = 0 on the H-4 pair.
     """
     f = h2.words.f
     alpha = h2.params["alpha"]
@@ -367,11 +418,12 @@ def h4_adapt(h2: FrameBuild) -> FrameBuild:
     n = f.order
     c1 = Jet2(n, {(0, 1): -alpha, (0, 2): s, (0, 3): t})
     d1 = Jet2(n, {(0, 0): 1, (0, 1): w})
-    words = Words(f, FramePair(d_du(n), VectorFieldJet(c1, d1)), READS["h4"])
-    eta4f0, eta2f0 = words.scaled("eeee", "ee")[0]
+    pair = FramePair(d_du(n), VectorFieldJet(c1, d1))
+    eta4f0, eta2f0 = forward_at0(f, pair, CHECKS["h4"])
     if any(eta4f0):
         raise PreconditionError("H-4 correction failed verification")
     if any(eta2f0):
         raise PreconditionError("H-4 correction broke the H-2 level")
     return FrameBuild({"alpha": alpha, "alpha1": alpha1, "beta1": beta1, "delta1": delta1,
-                       "corr_eta_vv": s, "corr_eta_vvv": t, "corr_d_v": w}, words)
+                       "corr_eta_vv": s, "corr_eta_vvv": t, "corr_d_v": w},
+                      Words(f, pair, READS["h4"]))

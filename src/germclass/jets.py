@@ -44,15 +44,27 @@ denominators in one pass at the smaller order and reduces once.
 `coeffs_below(bound)` is the size test of every coefficient in lowest
 terms.
 
-Integer reads at the origin.  `scaled_coeffs` reads coefficients of
-several jet vectors (MapJets, or the two coefficients of a vector field)
-as integer vectors: component k of every vector in one read is scaled by
-one positive D_k, and the read returns the product of the D_k too.  That
+Integer reads at the origin.  `scaled_coeffs` reads several jet vectors
+(MapJets, or the two coefficients of a vector field), each at one
+coefficient or by one linear functional, as integer vectors: component k
+of every vector in one read is scaled by one positive D_k, and the read
+returns the product of the D_k too.  That
 positive diagonal scaling leaves each zero test, each cross-product zero
 test and each linear solution unchanged, and a determinant of the exact
 vectors is the integer determinant over the product.  So the frame guards,
 solves and criteria at 0 run on integers (in Bareiss's fraction-free
 manner), and build one `Fraction` only for a value they record.
+
+Derivative words at the origin.  A `Functional` is a linear functional
+on jets, c -> sum_k n_k c_k / d over monomials k, held as integer
+numerators over one denominator in a jet's canonical form; `Functional()`
+is the evaluation at 0.  For a field z = a d/du + b d/dv,
+`l.after(a, b)` is l o z, the transpose of the field on l's support, so a
+word's value at 0, w f(0), is l_w(f) with l_"" the evaluation at 0 and
+l_(w z) = l_w o z: a functional that depends on the fields alone, which
+`frames.Words` builds once per prefix and `scaled_coeffs` reads by one
+dot product per component (reverse-mode evaluation; A. Griewank and
+A. Walther, Evaluating Derivatives, 2nd ed., SIAM 2008).
 
 `items()` is the one place that fixes an order: it yields the terms by
 total degree, then by u-exponent, the order `poly_str` prints and a
@@ -64,7 +76,8 @@ the tuple `cs` at one output order: the field's terms, its denominators
 and the order are set up once, then each c takes one pass over its
 numerators, stopped at the output order and reduced once.  At order 0 it
 is a dot product of the field at 0 with c's degree-1 terms.  It is the
-kernel of every vector-field application.
+kernel of every vector-field application, the forward checks of
+`frames.forward_at0` included.
 
 A `MapJet` is a plain tuple of three jets sharing one order (a map germ
 into 3-space, or a derivative of one): it compares, hashes, indexes and
@@ -419,27 +432,85 @@ def directional(a: Jet2, b: Jet2, cs, order: int | None = None) -> tuple:
     return tuple(out)
 
 
-def scaled_coeffs(*reads):
-    """Coefficients of jet vectors as integer vectors over one diagonal scaling.
+class Functional:
+    """A linear functional on jets, c -> sum_k _num[k] c_k / _den over the
+    monomials k = (i, j) of its support, c_k the coefficient of u^i v^j.
 
-    A read is (vector, (i, j)): a sequence of n jets -- a MapJet, or a
-    field's (a, b) -- read at their u^i v^j coefficients.  Returns
-    (vectors, scale): component k of every vector is the exact coefficient
-    times D_k, the lcm of the component-k denominators of the read, and
-    scale = D_1 ... D_n.  Every zero test, cross-product zero test and
-    `frames.solve` solution on the vectors is the exact one, and an n x n
-    determinant of the exact vectors is det(vectors) / scale.
+    It reads c to total degree `degree`.  The numerators over the one
+    positive denominator are in the canonical form of a jet's.
+    `Functional()` is the evaluation at 0, and `after` composes with a
+    vector field.
+    """
+
+    __slots__ = ("degree", "_num", "_den")
+
+    def __init__(self, degree: int = 0, num=None, den: int = 1):
+        self.degree = degree
+        self._num = {(0, 0): 1} if num is None else num
+        self._den = den
+
+    def after(self, a: Jet2, b: Jet2) -> "Functional":
+        """self o (a d/du + b d/dv), the transpose of the field, of degree one more.
+
+        A term x u^k v^l of a sends the monomial u^i v^j of the support to
+        u^(i-k+1) v^(j-l) with weight (i-k+1) x, where k <= i and l <= j; a
+        term of b sends it to u^(i-k) v^(j-l+1) with weight (j-l+1) x.  The
+        terms of a carry the factor b._den and those of b the factor a._den,
+        so the sum is over self._den a._den b._den, reduced once.
+        """
+        a_terms = [(k, l, x * b._den) for (k, l), x in a._num.items()]
+        b_terms = [(k, l, x * a._den) for (k, l), x in b._num.items()]
+        total = {}
+        for (i, j), n in self._num.items():
+            for k, l, x in a_terms:
+                if k <= i and l <= j:
+                    m = i - k + 1
+                    key = (m, j - l)
+                    total[key] = total.get(key, 0) + m * n * x
+            for k, l, x in b_terms:
+                if k <= i and l <= j:
+                    m = j - l + 1
+                    key = (i - k, m)
+                    total[key] = total.get(key, 0) + m * n * x
+        return Functional(self.degree + 1, *_reduced(total, self._den * a._den * b._den))
+
+
+def scaled_coeffs(*reads):
+    """Values at jet vectors, as integer vectors over one diagonal scaling.
+
+    A read is (vector, key): a sequence of n jets -- a MapJet, or a
+    field's (a, b) -- read at their u^i v^j coefficients for a key (i, j),
+    or by one dot product per component with a `Functional`'s numerators
+    for a key that is one.  Returns (vectors, scale): component k of every
+    vector is the exact value times D_k, the lcm of the component-k
+    denominators of the read, and scale = D_1 ... D_n.  Every zero test,
+    cross-product zero test and `frames.solve` solution on the vectors is
+    the exact one, and an n x n determinant of the exact vectors is
+    det(vectors) / scale.
     """
     nums, dens = [], []
     for vector, key in reads:
-        i, j = key
         ns, ds = [], []
-        for c in vector:
-            if i + j > c.order:
-                raise OrderExhaustedError(
-                    "coefficient (%d,%d) beyond truncation order %d" % (i, j, c.order))
-            ns.append(c._num.get(key, 0))
-            ds.append(c._den)
+        if key.__class__ is Functional:
+            terms, den = key._num.items(), key._den
+            for c in vector:
+                if key.degree > c.order:
+                    raise OrderExhaustedError("functional of degree %d beyond truncation order %d"
+                                              % (key.degree, c.order))
+                get = c._num.get
+                n = 0
+                for k, x in terms:
+                    n += x * get(k, 0)
+                ns.append(n)
+                ds.append(den * c._den)
+        else:
+            i, j = key
+            for c in vector:
+                if i + j > c.order:
+                    raise OrderExhaustedError(
+                        "coefficient (%d,%d) beyond truncation order %d" % (i, j, c.order))
+                ns.append(c._num.get(key, 0))
+                ds.append(c._den)
         nums.append(ns)
         dens.append(ds)
     common = dens[0]

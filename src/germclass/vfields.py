@@ -10,6 +10,11 @@ Words of fields are applied right to left: apply_word([z3, z2, z1], F)
 means z3(z2(z1 F)), matching the usual reading of z3 z2 z1 F.  All the
 recognition criteria are asymmetric in their words, so this convention is
 fixed here once and pinned by tests.
+
+This is the forward evaluator.  The classifier reads its words at 0 as
+linear functionals of f (`frames.Words`), and applies fields only in
+`frames.forward_at0`, the second evaluator that verifies the S-3 and H-4
+corrections; `fuzz` and the tests use `apply` and `apply_word` too.
 """
 
 from __future__ import annotations

@@ -180,17 +180,20 @@ def test_classify_multiplies_no_jets(monkeypatch):
     assert not products
 
 
-# (SB-2 builds, H-2 builds, frames.apply calls) per classify of each model germ
+# (SB-2 builds, H-2 builds, frames.apply calls) per classify of each model germ;
+# the words are read as functionals, and `apply` runs only in the forward checks
+# of the S-3 and H-4 corrections: the 8 suffixes of xxe, xex, exx and the 4 of
+# eeee, ee, each once
 PARENT_BUILDS = {
     "S0": (0, 0, 0),
-    "S1+": (1, 0, 7),
-    "S1-": (1, 0, 7),
+    "S1+": (1, 0, 0),
+    "S1-": (1, 0, 0),
     # s3_adapt still builds its own SB-2 pair: perfbench/tests/test_perfbench.py::
     # test_tracer_wraps_every_binding_site pins two sb2_adapt calls per S2 classify
-    "S2": (2, 0, 23),
-    "B2+": (1, 0, 18),
-    "B2-": (1, 0, 18),
-    "H2": (0, 1, 12),
+    "S2": (2, 0, 8),
+    "B2+": (1, 0, 0),
+    "B2-": (1, 0, 0),
+    "H2": (0, 1, 4),
 }
 
 
@@ -218,8 +221,10 @@ def test_b3_and_h4_extend_the_parent_build(monkeypatch):
 
 
 def test_classify_applies_each_word_once(monkeypatch):
-    """The `apply` calls of a classify are the words cached in the tables it built."""
+    """A classify builds each prefix functional once per table, and applies each
+    suffix of the forward check words once."""
     tables = []
+    built = []
     applies = []
 
     class Recorded(Words):
@@ -227,23 +232,64 @@ def test_classify_applies_each_word_once(monkeypatch):
             super().__init__(*args)
             tables.append(self)
 
+    after = jets.Functional.after
+
+    def counted_after(self, a, b):
+        built.append(self)
+        return after(self, a, b)
+
     def counted(*args):
-        applies.append(args[-1])
+        applies.append(args[2])
         return apply(*args)
 
     monkeypatch.setattr(frames, "Words", Recorded)
+    monkeypatch.setattr(jets.Functional, "after", counted_after)
     monkeypatch.setattr(frames, "apply", counted)
     rng = Random("applies-once")
     germs = list(normal_forms().items())
     germs += [(branch, random_branch_germ(rng, branch))
               for branch in ("S1", "S", "S2", "B", "B2", "SB", "HP2", "H", "H2", "WU")
               for _ in range(3)]
+    levels = set()
     for name, f in germs:
         tables.clear()
+        built.clear()
         applies.clear()
-        classify(f)
-        # every table caches f itself as the empty word, at no `apply`
-        assert len(applies) == sum(len(t._jets) - 1 for t in tables), name
+        cls, cert = classify(f)
+        # every table holds the evaluation at 0 as the empty word, built by no step
+        assert len(built) == sum(len(t._functionals) - 1 for t in tables), name
+        assert len(applies) == len(set(applies)), name
+        # the levels with checks whose pair the classify built, by their frame keys
+        checked = [level for level, key in (("s3", "corr_xi_uv"), ("h4", "corr_d_v"))
+                   if key in cert.frame]
+        suffixes = {w[k:] + " f" for level in checked for w in frames.CHECKS[level]
+                    for k in range(len(w))}
+        assert set(applies) == suffixes, name
+        levels.update(checked)
+    assert levels == set(frames.CHECKS)
+
+
+def test_forward_checks_catch_a_faulty_transpose(monkeypatch):
+    """The S-3 and H-4 corrections are verified by forward `apply`, not by the
+    functionals that computed them: a transpose step that adds f_u(0) to every
+    read of length >= 3 leaves each guard determinant with its xi f column as
+    it is, but moves the solved corrections, and the checks refuse them."""
+    after = jets.Functional.after
+
+    def faulty(self, a, b):
+        out = after(self, a, b)
+        if out.degree >= 3:
+            out._num[(1, 0)] = out._num.get((1, 0), 0) + out._den
+        return out
+
+    models = normal_forms()
+    for name in ("S2", "H2"):
+        assert classify(models[name])[0].verdict is NORMAL_FORM_VERDICTS[name]
+    monkeypatch.setattr(jets.Functional, "after", faulty)
+    with pytest.raises(PreconditionError, match="S-3 correction failed verification"):
+        classify(models["S2"])
+    with pytest.raises(PreconditionError, match="H-4 correction failed verification"):
+        classify(models["H2"])
 
 
 def test_three_way_nonvanishing_equivalence():
@@ -366,6 +412,36 @@ def test_truncation_is_exact(branch):
                     assert words.at0(word) == full.at0(), (level, word)
 
 
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_word_functionals_match_forward_words(branch):
+    """The differential test of the functionals: at orders 5 to 8, three germs
+    each, every level's reads and check words, read by `Words.scaled` on the
+    level's own pair, equal `apply_word` at 0 exactly; and on f cut one below a
+    word's length, the read raises naming that word."""
+    rng = Random("functionals|" + branch)
+    levels = set()
+    for order in [5, 6, 7, 8] * 3:
+        g, _ = linear_normalize(random_branch_germ(rng, branch, order=order))
+        for level, constructor in CONSTRUCTORS.items():
+            try:
+                pair = constructor(g).words.pair
+            except PreconditionError:
+                continue
+            levels.add(level)
+            fields = {"x": pair.xi, "e": pair.eta}
+            words = frames.READS[level] + frames.CHECKS.get(level, ())
+            table = Words(g, pair, words)
+            for word in words:
+                assert table.at0(word) == apply_word([fields[w] for w in word], g).at0(), (
+                    level, word)
+                short = Words(g.truncate(len(word) - 1), pair, words)
+                with pytest.raises(OrderExhaustedError) as info:
+                    short.scaled(word)
+                assert str(info.value) == "derivative %s f exhausts the truncation order" % word
+    # the Whitney umbrella has no adapted pair
+    assert bool(levels) == (branch != "WU"), branch
+
+
 # the largest degree of f that each verdict reads: its longest word, or the
 # degree-1 and degree-2 partials at 0
 READ_DEGREE = {Verdict.REGULAR: 1, Verdict.CORANK2: 1, Verdict.WHITNEY_UMBRELLA: 2,
@@ -417,8 +493,10 @@ def test_the_read_degree_is_enough_and_needed():
 
 
 def test_every_declared_read_is_read(monkeypatch):
-    """No dead declarations: each level's reads are all read on some branch."""
+    """No dead declarations: each level's reads are all read on some branch, and
+    each of its check words is checked, by the forward evaluator alone."""
     read = set()
+    checked = set()
 
     class Recorded(Words):
         def __init__(self, f, pair, reads):
@@ -429,12 +507,22 @@ def test_every_declared_read_is_read(monkeypatch):
             read.update((self.level, w) for w in words)
             return super().scaled(*words)
 
+    forward_at0 = frames.forward_at0
+
+    def recorded(f, pair, words):
+        checked.update((next(k for k, v in frames.CHECKS.items() if v is words), w)
+                       for w in words)
+        return forward_at0(f, pair, words)
+
     monkeypatch.setattr(frames, "Words", Recorded)
+    monkeypatch.setattr(frames, "forward_at0", recorded)
     rng = Random("declared-reads")
     for branch in BRANCHES:
         for _ in range(3):
             classify(random_branch_germ(rng, branch))
     assert read == {(level, w) for level, reads in frames.READS.items() for w in reads}
+    assert checked == {(level, w) for level, words in frames.CHECKS.items() for w in words}
+    assert not read & checked
 
 
 def _refuse(*_, **__):

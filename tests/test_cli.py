@@ -93,23 +93,32 @@ def test_any_order_that_covers_the_read_degree_classifies(tmp_path, capsys):
 def test_ruled_formulas_read_degree_4_only_on_the_b_and_h_branches(tmp_path, capsys):
     """An order-3 [ruled] document classifies on the WU and S1 branches, whose
     reads stop at degree 3; B reads gamma3'''' at degree 4 and S2's map route
-    the word xxxe, so both exit 1, as order 2 does on every branch (the
-    recorded gamma3_d3 reads degree 3)."""
-    cases = [("1", "v", "1", "verdict: WhitneyUmbrella"), ("1", "v^2", "-3", "verdict: S1+"),
-             ("1", "v^2", "1", "error: coefficient (0,4) beyond truncation order 3"),
-             ("1 + v", "v^3", "1", "error: derivative xxxe f exhausts the truncation order")]
-    for gamma1, gamma3, c3, line in cases:
-        for order in (3, 2):
+    the word xxxe, so both exit 1.  At order 2 the WU branch, which reads
+    degree 2 on both routes, still classifies (gamma3_d3 is recorded only
+    where the order covers it); S1's map route reads the word xxe, and S2 and
+    B read gamma3''' at degree 3, so they exit 1."""
+    cases = [("1", "v", "1", ["verdict: WhitneyUmbrella", "verdict: WhitneyUmbrella"]),
+             ("1", "v^2", "-3",
+              ["verdict: S1+", "error: derivative xxe f exhausts the truncation order"]),
+             ("1", "v^2", "1", ["error: coefficient (0,4) beyond truncation order 3",
+                                "error: coefficient (0,3) beyond truncation order 2"]),
+             ("1 + v", "v^3", "1", ["error: derivative xxxe f exhausts the truncation order",
+                                    "error: coefficient (0,3) beyond truncation order 2"])]
+    for gamma1, gamma3, c3, lines in cases:
+        for order, line in zip((3, 2), lines):
             path = write(tmp_path, "ruled.germ", "[ruled]\norder = %d\ngamma1 = %s\n"
                          "gamma3 = %s\nc3 = %s\n" % (order, gamma1, gamma3, c3))
             code, out, err = run(capsys, "ruled", path)
-            if order == 2:
-                assert (code, out, err) == (
-                    1, "", "error: coefficient (0,3) beyond truncation order 2\n")
-            elif line.startswith("error:"):
-                assert (code, out, err) == (1, "", line + "\n")
+            if line.startswith("error:"):
+                assert (code, out, err) == (1, "", line + "\n"), (gamma3, c3, order)
             else:
-                assert code == 0 and line in out and "agreement: yes" in out, (gamma3, c3)
+                assert code == 0 and line in out and "agreement: yes" in out, (gamma3, c3, order)
+    # the order-2 WU document records no gamma3_d3; at order 3 it does
+    for order, recorded in ((2, False), (3, True)):
+        path = write(tmp_path, "ruled.germ",
+                     "[ruled]\norder = %d\ngamma1 = 1\ngamma3 = v\nc3 = 1\n" % order)
+        code, out, _ = run(capsys, "ruled", path)
+        assert code == 0 and ("gamma3_d3 = " in out) == recorded, order
 
 
 def test_monge_terms_past_the_order_are_dropped(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from germclass.classify import normal_forms
 from germclass.errors import OrderExhaustedError, PreconditionError
-from germclass import frames
+from germclass import frames, jets
 from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
                               rank_df0, s3_adapt, sb2_adapt)
 from germclass.jets import Jet2, MapJet, cross3, det3, scaled_coeffs
@@ -497,43 +497,49 @@ def test_words_reads_operator_product():
     pair = sb2_adapt(germ("u", "v^2", "u^2*v+v^3")).words.pair
     words = Words(f, pair, ["x" * (f.order - 1) + "e"])
     xi, eta = pair.xi, pair.eta
-    assert words.jet("xxe") == apply_word([xi, xi, eta], f)
-    assert words.jet("") == f
+    assert words.at0("xxe") == apply_word([xi, xi, eta], f).at0()
+    assert words.at0("") == f.at0()
 
 
-def test_words_applies_once_per_distinct_word(monkeypatch):
-    """Each word costs one `apply`, once, at the order its reads need."""
-    calls = []
-    apply = frames.apply
+def test_words_builds_each_prefix_functional_once(monkeypatch):
+    """Each read is one functional, built once, on its longest prefix: reads
+    share prefixes, and no `apply` runs."""
+    built = []
+    after = jets.Functional.after
 
-    def counted(zeta, g, label, order=None):
-        out = apply(zeta, g, label, order)
-        calls.append((label, out.order))
+    def counted(self, a, b):
+        out = after(self, a, b)
+        built.append(out)
         return out
 
-    monkeypatch.setattr(frames, "apply", counted)
+    monkeypatch.setattr(jets.Functional, "after", counted)
+    monkeypatch.setattr(frames, "apply", None)
     f = germ("u", "v^2", "v*(u^3+v^2)")
     pair = sb2_adapt(f).words.pair
     words = Words(f, pair, ("exxe", "xxee"))
-    calls.clear()
+    built.clear()
     words.at0("xxe")
-    assert calls == [("e f", 3), ("xe f", 2), ("xxe f", 1)]
+    assert [words._functionals[w] for w in ("x", "xx", "xxe")] == built
     for word in ("xe", "e", "xxe", "exxe", "ee", "exxe"):
         words.at0(word)
-    assert calls[3:] == [("exxe f", 0), ("ee f", 2)]
-    with pytest.raises(OrderExhaustedError):
+    # xe; e; exxe on e, ex and exx; ee
+    assert len(built) == 3 + 1 + 1 + 3 + 1
+    assert set(words._functionals) == {"", "x", "xx", "xxe", "xe", "e", "ex", "exx", "exxe", "ee"}
+    with pytest.raises(OrderExhaustedError, match="derivative eeee f exhausts"):
         Words(f.truncate(3), pair, ("eeee",)).at0("eeee")
 
-    # one read: each word once, at its derived order, and the vectors in the given order
+    # one read: each prefix once, and the vectors, in the given order, are the
+    # exact values over one positive scaling per component
     read = frames.READS["sb2"]
     words = Words(f, pair, read)
-    calls.clear()
-    vectors = words.scaled(*read)
-    orders = {"e": 2, "x": 1, "xe": 1, "ex": 0, "xxe": 0, "ee": 1, "eee": 0}
-    assert sorted(calls) == sorted((w + " f", order) for w, order in orders.items())
+    built.clear()
+    vectors, scale = words.scaled(*read)
+    assert len(built) == len({w[:k] for w in read for k in range(1, len(w) + 1)})
     fields = {"x": pair.xi, "e": pair.eta}
-    full = [apply_word([fields[letter] for letter in w], f) for w in read]
-    assert vectors == scaled_coeffs(*((w.truncate(0), (0, 0)) for w in full))
+    exact = [apply_word([fields[letter] for letter in w], f).at0() for w in read]
+    dens = [next(v[k] / e[k] for v, e in zip(vectors, exact) if e[k]) for k in range(3)]
+    assert min(dens) > 0 and dens[0] * dens[1] * dens[2] == scale
+    assert list(vectors) == [tuple(d * x for d, x in zip(dens, e)) for e in exact]
 
 
 def test_undeclared_word_raises_key_error():
@@ -546,19 +552,31 @@ def test_undeclared_word_raises_key_error():
             words.at0(word)
 
 
-def test_derived_orders():
-    """Each word is computed at max(len(r) - len(w)) over the reads r ending in w."""
+def test_derived_orders(monkeypatch):
+    """Each forward check applies each suffix s of its words once, at
+    max(len(w) - len(s)) over the check words w ending in s; and each read's
+    functional reads f to the degree of the word's length."""
+    calls = []
+    apply = frames.apply
+
+    def counted(zeta, g, label, order):
+        out = apply(zeta, g, label, order)
+        calls.append((label, out.order))
+        return out
+
+    monkeypatch.setattr(frames, "apply", counted)
     forms = normal_forms(8)
-    sb = sb2_adapt(forms["S2"])
     h2 = h2_adapt(forms["H2"])
-    builds = {"sb2": sb, "s3": s3_adapt(forms["S2"]),
-              "b3": b3_adapt(sb2_adapt(forms["B2+"])), "h2": h2, "h4": h4_adapt(h2)}
-    pinned = {("sb2", "x"): 1, ("s3", "x"): 2, ("b3", "x"): 3, ("b3", "exx"): 0,
-              ("b3", "eeex"): 0, ("h2", "x"): 0, ("h2", "xe"): 0, ("h4", "x"): 0}
-    for (level, word), order in pinned.items():
-        assert builds[level].words.orders[word] == order, (level, word)
+    calls.clear()
+    s3 = s3_adapt(forms["S2"])
+    assert sorted(calls) == sorted([("e f", 2), ("xe f", 1), ("xxe f", 0), ("x f", 2), ("ex f", 1),
+                                    ("xex f", 0), ("xx f", 1), ("exx f", 0)])
+    calls.clear()
+    h4 = h4_adapt(h2)
+    assert calls == [("e f", 3), ("ee f", 2), ("eee f", 1), ("eeee f", 0)]
+    builds = {"sb2": sb2_adapt(forms["S2"]), "s3": s3, "b3": b3_adapt(sb2_adapt(forms["B2+"])),
+              "h2": h2, "h4": h4}
     for level, build in builds.items():
-        reads = frames.READS[level]
-        assert build.words.orders[""] == max(map(len, reads)), level
-        for word in reads:
-            assert build.words.jet(word).order == build.words.orders[word], (level, word)
+        for word in frames.READS[level]:
+            build.words.scaled(word)
+            assert build.words._functionals[word].degree == len(word), (level, word)
