@@ -41,17 +41,18 @@ Derivative words are read through `Words`, a per-pair table built for its
 level's reads.  w f(0) is linear in f, and the functional l_w that reads
 it depends on the pair alone, so the table builds l_w once per prefix of
 its reads, by the transpose of one field per letter
-(`jets.Functional.after`), and reads each word as one dot product per
-component of f; no jet of a word is made.  Each constructor returns the
-table of its pair (`build.words`, which holds the pair), so the criteria
-in `classify` reuse the functionals the frame solve already built.  The
-deeper levels B-3 and H-4 extend their parent's build: `b3_adapt(sb)` and
-`h4_adapt(h2)` take the SB-2 or H-2 build and read the germ, alpha, beta
-and their guard and solve words from it.  S-3 still builds its own SB-2
-pair (see `s3_adapt`).  The phi Hessian that splits the SB branch is read
-the same way: on the SB-2 pair its entries are the determinants
-A = det(xi f, xi^2 eta f, eta^2 f)(0) and C = det(xi f, eta^2 f,
-eta^3 f)(0), which read f to degree 3.  The vectors f_u, f_v, f_vv, f_uv
+(`jets.Functional.after`), and computes each word's value at 0 once, one
+dot product per component of f (`jets.Functional.read`), which it keeps;
+no jet of a word is made.  Each constructor returns the table of its pair
+(`build.words`, which holds the pair), so the criteria in `classify` reuse
+the values the frame solve already computed.  The deeper levels B-3 and
+H-4 extend their parent's build: `b3_adapt(sb)` and `h4_adapt(h2)` take
+the SB-2 or H-2 build and read the germ, alpha, beta and their guard and
+solve words from it, values that `classify` has already computed there.
+S-3 still builds its own SB-2 pair (see `s3_adapt`).  The phi Hessian
+that splits the SB branch is read the same way: on the SB-2 pair its
+entries are the determinants A = det(xi f, xi^2 eta f, eta^2 f)(0) and
+C = det(xi f, eta^2 f, eta^3 f)(0), which read f to degree 3.  The vectors f_u, f_v, f_vv, f_uv
 at 0 are read straight from f's coefficients.
 
 The S-3 and H-4 corrections are verified by a second evaluator, so that a
@@ -62,13 +63,14 @@ suffix s (S-3 applies xi at order 2, for xex f; H-4 applies eta at order
 3, for eta^4 f), so each check word is exact at 0 and no step runs past
 what the checks need.
 
-Everything at 0 is integer arithmetic.  `Words.scaled` and `partials0`
-read the vectors one test needs together, through `jets.scaled_coeffs`,
-as integer vectors over one positive diagonal scaling; the guards, the
-rank test and the solves run on those integers, whose zero tests and
-solutions are the exact ones.  Only the solved parameters become
-`Fraction`s, one per unknown, in `solve`, and the checks test the exact
-values that `forward_at0` reads.
+Everything at 0 is integer arithmetic.  `Words.scaled` (through
+`jets.scaled_values`, from the kept values) and `partials0` (through
+`jets.scaled_coeffs`, from f's coefficients) give the vectors one test
+needs together as integer vectors over one positive diagonal scaling;
+the guards, the rank test and the solves run on those integers, whose
+zero tests and solutions are the exact ones.  Only the solved parameters
+become `Fraction`s, one per unknown, in `solve`, and the checks test the
+exact values that `forward_at0` reads.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OrderExhaustedError, PreconditionError
-from .jets import Functional, Jet2, MapJet, cross3, det3, scaled_coeffs, shear, swap
+from .jets import (Functional, Jet2, MapJet, cross3, det3, scaled_coeffs, scaled_values, shear,
+                   swap)
 from .vfields import FramePair, VectorFieldJet, apply, d_du
 
 
@@ -106,8 +109,11 @@ class Words:
     l_"" is the evaluation at 0 and l_(w z) = l_w o z, one
     `jets.Functional.after` step per letter.  The table builds l_p once for
     each prefix p of the words it reads, so reads share prefixes (xxe and
-    xxxe share x and xx), and each read is one dot product per component of
-    f, in `jets.scaled_coeffs`.  No jet of a word is made.
+    xxxe share x and xx), and computes each word's value at 0 once, one dot
+    product per component of f (`jets.Functional.read`), as numerators
+    over denominators that it keeps.  `scaled` and `at0` are built from
+    the kept values, so a word read by a criterion and again by a deeper
+    level's guard is computed once.  No jet of a word is made.
 
     The table serves the words its level reads at 0 (`READS`, the level
     table of this module) and their suffixes.  Any other word raises
@@ -122,6 +128,7 @@ class Words:
         self.pair = pair
         self._served = {r[k:] for r in reads for k in range(len(r) + 1)}
         self._functionals = {"": Functional()}
+        self._values = {}
 
     def _functional(self, word: str) -> Functional:
         """l_word, built on its longest prefix."""
@@ -131,28 +138,27 @@ class Words:
             out = self._functionals[word] = self._functional(word[:-1]).after(field.a, field.b)
         return out
 
-    def _read(self, word: str) -> Functional:
-        """l_word, for a word the table serves and the order of f covers."""
-        if word not in self._served:
-            raise KeyError(word)
-        order = self.f.order
-        if len(word) > order:
-            raise OrderExhaustedError(
-                "derivative %s f exhausts the truncation order" % word[-1 - order:])
-        return self._functional(word)
+    def _value(self, word: str):
+        """w f(0) as (numerators, denominators), computed once, for a word the
+        table serves and the order of f covers."""
+        out = self._values.get(word)
+        if out is None:
+            if word not in self._served:
+                raise KeyError(word)
+            order = self.f.order
+            if len(word) > order:
+                raise OrderExhaustedError(
+                    "derivative %s f exhausts the truncation order" % word[-1 - order:])
+            out = self._values[word] = self._functional(word).read(self.f)
+        return out
 
     def scaled(self, *words):
         """The words at 0 as integer vectors over one scaling, and its scale."""
-        return scaled_coeffs(*[(self.f, self._read(word)) for word in words])
+        return scaled_values([self._value(word) for word in words])
 
     def at0(self, word: str):
-        """w f(0) as exact values, one read per component."""
-        functional = self._read(word)
-        out = []
-        for c in self.f:
-            ((n,),), d = scaled_coeffs(((c,), functional))
-            out.append(Fraction(n, d))
-        return tuple(out)
+        """w f(0) as exact values."""
+        return tuple(map(Fraction, *self._value(word)))
 
 
 def forward_at0(f: MapJet, pair: FramePair, words):
@@ -224,11 +230,6 @@ def partials0(f: MapJet):
     return (fu, tuple(2 * c for c in fv2), fuv), scale
 
 
-def _df0(f: MapJet):
-    """(f_u, f_v)(0) as integer vectors over one scaling."""
-    return scaled_coeffs((f, (1, 0)), (f, (0, 1)))[0]
-
-
 def df0_rank(fu0, fv0) -> int:
     """Rank of df(0) from (f_u, f_v)(0), exact or over one positive scaling."""
     if any(cross3(fu0, fv0)):
@@ -236,11 +237,6 @@ def df0_rank(fu0, fv0) -> int:
     if not any(fu0) and not any(fv0):
         return 0
     return 1
-
-
-def rank_df0(f: MapJet) -> int:
-    """Rank of df(0), decided on integer vectors."""
-    return df0_rank(*_df0(f))
 
 
 def linear_normalize(f: MapJet):
@@ -254,7 +250,7 @@ def linear_normalize(f: MapJet):
     itself, `jets.swap` or `jets.shear`: the classify path makes no
     substitution and builds no map.
     """
-    fu0, fv0 = _df0(f)
+    fu0, fv0 = scaled_coeffs((f, (1, 0)), (f, (0, 1)))[0]
     rank = df0_rank(fu0, fv0)
     if rank != 1:
         raise PreconditionError("linear_normalize needs rank df0 = 1, got %d" % rank)

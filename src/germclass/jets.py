@@ -44,16 +44,19 @@ denominators in one pass at the smaller order and reduces once.
 `coeffs_below(bound)` is the size test of every coefficient in lowest
 terms.
 
-Integer reads at the origin.  `scaled_coeffs` reads several jet vectors
-(MapJets, or the two coefficients of a vector field), each at one
-coefficient or by one linear functional, as integer vectors: component k
-of every vector in one read is scaled by one positive D_k, and the read
-returns the product of the D_k too.  That
-positive diagonal scaling leaves each zero test, each cross-product zero
-test and each linear solution unchanged, and a determinant of the exact
-vectors is the integer determinant over the product.  So the frame guards,
-solves and criteria at 0 run on integers (in Bareiss's fraction-free
-manner), and build one `Fraction` only for a value they record.
+Integer reads at the origin.  `scaled_values` takes exact vectors, each
+given as (numerators, denominators) per component, and returns them as
+integer vectors: component k of every vector is scaled by one positive
+D_k, the lcm of its denominators, and the product of the D_k comes back
+too.  It builds new tuples and leaves the given numerators as they are,
+so a caller may keep them.  That positive diagonal scaling leaves each
+zero test, each cross-product zero test and each linear solution
+unchanged, and a determinant of the exact vectors is the integer
+determinant over the product.  So the frame guards, solves and criteria
+at 0 run on integers (in Bareiss's fraction-free manner), and build one
+`Fraction` only for a value they record.  `scaled_coeffs` reads jet
+vectors (MapJets, or the two coefficients of a vector field) at one
+coefficient key (i, j) each and scales them so.
 
 Derivative words at the origin.  A `Functional` is a linear functional
 on jets, c -> sum_k n_k c_k / d over monomials k, held as integer
@@ -62,9 +65,10 @@ is the evaluation at 0.  For a field z = a d/du + b d/dv,
 `l.after(a, b)` is l o z, the transpose of the field on l's support, so a
 word's value at 0, w f(0), is l_w(f) with l_"" the evaluation at 0 and
 l_(w z) = l_w o z: a functional that depends on the fields alone, which
-`frames.Words` builds once per prefix and `scaled_coeffs` reads by one
-dot product per component (reverse-mode evaluation; A. Griewank and
-A. Walther, Evaluating Derivatives, 2nd ed., SIAM 2008).
+`frames.Words` builds once per prefix (reverse-mode evaluation;
+A. Griewank and A. Walther, Evaluating Derivatives, 2nd ed., SIAM 2008).
+`l.read(f)` is its value at each component of f, one dot product each,
+as (numerators, denominators), the form `scaled_values` takes.
 
 `items()` is the one place that fixes an order: it yields the terms by
 total degree, then by u-exponent, the order `poly_str` prints and a
@@ -436,21 +440,19 @@ class Functional:
     """A linear functional on jets, c -> sum_k _num[k] c_k / _den over the
     monomials k = (i, j) of its support, c_k the coefficient of u^i v^j.
 
-    It reads c to total degree `degree`.  The numerators over the one
-    positive denominator are in the canonical form of a jet's.
-    `Functional()` is the evaluation at 0, and `after` composes with a
-    vector field.
+    The numerators over the one positive denominator are in the canonical
+    form of a jet's.  `Functional()` is the evaluation at 0, `after`
+    composes with a vector field, and `read` takes its values.
     """
 
-    __slots__ = ("degree", "_num", "_den")
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, degree: int = 0, num=None, den: int = 1):
-        self.degree = degree
+    def __init__(self, num=None, den: int = 1):
         self._num = {(0, 0): 1} if num is None else num
         self._den = den
 
     def after(self, a: Jet2, b: Jet2) -> "Functional":
-        """self o (a d/du + b d/dv), the transpose of the field, of degree one more.
+        """self o (a d/du + b d/dv), the transpose of the field.
 
         A term x u^k v^l of a sends the monomial u^i v^j of the support to
         u^(i-k+1) v^(j-l) with weight (i-k+1) x, where k <= i and l <= j; a
@@ -472,56 +474,65 @@ class Functional:
                     m = j - l + 1
                     key = (i - k, m)
                     total[key] = total.get(key, 0) + m * n * x
-        return Functional(self.degree + 1, *_reduced(total, self._den * a._den * b._den))
+        return Functional(*_reduced(total, self._den * a._den * b._den))
+
+    def read(self, vector):
+        """The values at the jets of `vector`, as (numerators, denominators):
+        one dot product of the numerators per jet, over _den times its own.
+
+        The caller checks that each jet's order covers the support."""
+        terms, den = self._num.items(), self._den
+        ns, ds = [], []
+        for c in vector:
+            get = c._num.get
+            n = 0
+            for k, x in terms:
+                n += x * get(k, 0)
+            ns.append(n)
+            ds.append(den * c._den)
+        return tuple(ns), tuple(ds)
 
 
 def scaled_coeffs(*reads):
-    """Values at jet vectors, as integer vectors over one diagonal scaling.
+    """Coefficients of jet vectors, as integer vectors over one diagonal scaling.
 
-    A read is (vector, key): a sequence of n jets -- a MapJet, or a
-    field's (a, b) -- read at their u^i v^j coefficients for a key (i, j),
-    or by one dot product per component with a `Functional`'s numerators
-    for a key that is one.  Returns (vectors, scale): component k of every
-    vector is the exact value times D_k, the lcm of the component-k
-    denominators of the read, and scale = D_1 ... D_n.  Every zero test,
-    cross-product zero test and `frames.solve` solution on the vectors is
-    the exact one, and an n x n determinant of the exact vectors is
-    det(vectors) / scale.
+    A read is (vector, (i, j)): a sequence of n jets -- a MapJet, or a
+    field's (a, b) -- read at their u^i v^j coefficients.  Returns
+    `scaled_values` of the reads' (numerators, denominators).
     """
-    nums, dens = [], []
+    values = []
     for vector, key in reads:
+        i, j = key
         ns, ds = [], []
-        if key.__class__ is Functional:
-            terms, den = key._num.items(), key._den
-            for c in vector:
-                if key.degree > c.order:
-                    raise OrderExhaustedError("functional of degree %d beyond truncation order %d"
-                                              % (key.degree, c.order))
-                get = c._num.get
-                n = 0
-                for k, x in terms:
-                    n += x * get(k, 0)
-                ns.append(n)
-                ds.append(den * c._den)
-        else:
-            i, j = key
-            for c in vector:
-                if i + j > c.order:
-                    raise OrderExhaustedError(
-                        "coefficient (%d,%d) beyond truncation order %d" % (i, j, c.order))
-                ns.append(c._num.get(key, 0))
-                ds.append(c._den)
-        nums.append(ns)
-        dens.append(ds)
+        for c in vector:
+            if i + j > c.order:
+                raise OrderExhaustedError(
+                    "coefficient (%d,%d) beyond truncation order %d" % (i, j, c.order))
+            ns.append(c._num.get(key, 0))
+            ds.append(c._den)
+        values.append((tuple(ns), tuple(ds)))
+    return scaled_values(values)
+
+
+def scaled_values(values):
+    """Exact vectors, each given as (numerators, denominators), as integer
+    vectors over one diagonal scaling.
+
+    Returns (vectors, scale): component k of every vector is the exact value
+    times D_k, the lcm of the component-k denominators, and scale =
+    D_1 ... D_n.  Every zero test, cross-product zero test and `frames.solve`
+    solution on the vectors is the exact one, and an n x n determinant of
+    the exact vectors is det(vectors) / scale.  The vectors are new tuples;
+    the given numerators are left as they are.
+    """
+    dens = [ds for _, ds in values]
     common = dens[0]
-    # when every read has the same denominators (one vector, say), D_k is its own
-    if dens.count(common) < len(dens):
-        common = list(map(lcm, *dens))
-        for ns, ds in zip(nums, dens):
-            for k, d in enumerate(ds):
-                if d != common[k]:
-                    ns[k] *= common[k] // d
-    return tuple(map(tuple, nums)), prod(common)
+    # when every vector has the same denominators (one vector, say), D_k is its own
+    if dens.count(common) == len(dens):
+        return tuple([ns for ns, _ in values]), prod(common)
+    common = tuple(map(lcm, *dens))
+    return tuple([tuple([n * (m // d) for n, d, m in zip(ns, ds, common)])
+                  for ns, ds in values]), prod(common)
 
 
 def poly_str(jet: Jet2) -> str:
@@ -584,12 +595,6 @@ class MapJet(tuple):
     @property
     def order(self) -> int:
         return self[0].order
-
-    def partial_u(self) -> "MapJet":
-        return MapJet.shared(c.partial_u() for c in self)
-
-    def partial_v(self) -> "MapJet":
-        return MapJet.shared(c.partial_v() for c in self)
 
     def at0(self):
         return tuple(c.at0() for c in self)

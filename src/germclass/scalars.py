@@ -7,7 +7,7 @@ each is written where it is made, as `x == 0`, `x != 0`, `any(v)` or
 (`jets.Jet2`); every scalar read out of a jet, and every scalar in a
 certificate, is a `fractions.Fraction`.  The vectors at the origin that the
 frame guards, solves and criteria use are read as integers over a positive
-scaling (`jets.scaled_coeffs`), so those tests see ints as often as
+scaling (`jets.scaled_values`), so those tests see ints as often as
 Fractions; either way the test is exact.  The one irrational input the
 package accepts, a folding angle given as a float, is read as an exact
 rational point on the unit circle (`applications._theta_pair`) before any

@@ -40,6 +40,10 @@ def test_phi_expansion_s1():
     p = phi(g, pair)
     assert p.coeff(2, 0) == -2
     assert p.coeff(0, 2) == 6
+    # phi reads f to degree 3: order 3 is enough and order 2 is not
+    assert phi(g.truncate(3), pair) == p.truncate(1)
+    with pytest.raises(OrderExhaustedError, match="phi needs a jet of order >= 3"):
+        phi(g.truncate(2), pair)
     assert second_derivatives_phi(g, pair) == (-4, 0, 0, 12)
 
 
@@ -220,11 +224,18 @@ def test_b3_and_h4_extend_the_parent_build(monkeypatch):
         assert (calls["sb2_adapt"], calls["h2_adapt"], calls["apply"]) == PARENT_BUILDS[name], name
 
 
+# word values at 0 that one classify computes: B-3 and H-4 reuse the values
+# classify read on the SB-2 or H-2 table, and S-3 reads its own SB-2 table
+WORD_VALUES = {"S0": 0, "S1+": 6, "S1-": 6, "S2": 13, "B2+": 11, "B2-": 11, "H2": 7}
+
+
 def test_classify_applies_each_word_once(monkeypatch):
-    """A classify builds each prefix functional once per table, and applies each
-    suffix of the forward check words once."""
+    """A classify builds each prefix functional once per table, computes each
+    word's value at 0 once per table, and applies each suffix of the forward
+    check words once."""
     tables = []
     built = []
+    read = []
     applies = []
 
     class Recorded(Words):
@@ -233,10 +244,15 @@ def test_classify_applies_each_word_once(monkeypatch):
             tables.append(self)
 
     after = jets.Functional.after
+    read_values = jets.Functional.read
 
     def counted_after(self, a, b):
         built.append(self)
         return after(self, a, b)
+
+    def counted_read(self, vector):
+        read.append(self)
+        return read_values(self, vector)
 
     def counted(*args):
         applies.append(args[2])
@@ -244,20 +260,26 @@ def test_classify_applies_each_word_once(monkeypatch):
 
     monkeypatch.setattr(frames, "Words", Recorded)
     monkeypatch.setattr(jets.Functional, "after", counted_after)
+    monkeypatch.setattr(jets.Functional, "read", counted_read)
     monkeypatch.setattr(frames, "apply", counted)
     rng = Random("applies-once")
     germs = list(normal_forms().items())
-    germs += [(branch, random_branch_germ(rng, branch))
+    germs += [("random " + branch, random_branch_germ(rng, branch))
               for branch in ("S1", "S", "S2", "B", "B2", "SB", "HP2", "H", "H2", "WU")
               for _ in range(3)]
     levels = set()
     for name, f in germs:
         tables.clear()
         built.clear()
+        read.clear()
         applies.clear()
         cls, cert = classify(f)
         # every table holds the evaluation at 0 as the empty word, built by no step
         assert len(built) == sum(len(t._functionals) - 1 for t in tables), name
+        # a functional belongs to one word of one table
+        assert len(read) == len(set(map(id, read))), name
+        if name in WORD_VALUES:
+            assert len(read) == WORD_VALUES[name], name
         assert len(applies) == len(set(applies)), name
         # the levels with checks whose pair the classify built, by their frame keys
         checked = [level for level, key in (("s3", "corr_xi_uv"), ("h4", "corr_d_v"))
@@ -278,7 +300,7 @@ def test_forward_checks_catch_a_faulty_transpose(monkeypatch):
 
     def faulty(self, a, b):
         out = after(self, a, b)
-        if out.degree >= 3:
+        if max(map(sum, out._num)) >= 3:
             out._num[(1, 0)] = out._num.get((1, 0), 0) + out._den
         return out
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from germclass.classify import normal_forms
 from germclass.errors import OrderExhaustedError, PreconditionError
 from germclass import frames, jets
-from germclass.frames import (Words, b3_adapt, h2_adapt, h4_adapt, linear_normalize,
-                              rank_df0, s3_adapt, sb2_adapt)
+from germclass.frames import (Words, b3_adapt, df0_rank, h2_adapt, h4_adapt, linear_normalize,
+                              s3_adapt, sb2_adapt)
 from germclass.jets import Jet2, MapJet, cross3, det3, scaled_coeffs
 from germclass.vfields import FramePair, VectorFieldJet, apply_word, d_du
 from reference import bracket
@@ -59,8 +59,8 @@ def test_normalize_identity_when_already_normalized():
 def test_normalize_parallel_columns():
     f = germ("u+v", "(u-v)^2", "0")
     g, L = linear_normalize(f)
-    assert all(c == 0 for c in g.partial_v().at0())
-    assert any(c != 0 for c in g.partial_u().at0())
+    assert all(c.coeff(0, 1) == 0 for c in g)
+    assert any(c.coeff(1, 0) != 0 for c in g)
 
 
 def test_normalize_rejects_rank0_and_rank2():
@@ -68,12 +68,12 @@ def test_normalize_rejects_rank0_and_rank2():
         linear_normalize(germ("u^2", "v^2", "u*v"))
     with pytest.raises(PreconditionError):
         linear_normalize(germ("u", "v", "0"))
-    assert rank_df0(germ("u^2", "v^2", "u*v")) == 0
-    assert rank_df0(germ("u", "v", "0")) == 2
+    for f, rank in ((germ("u^2", "v^2", "u*v"), 0), (germ("u", "v", "0"), 2)):
+        assert df0_rank(*scaled_coeffs((f, (1, 0)), (f, (0, 1)))[0]) == rank
 
 
 def _fraction_rank(f):
-    """rank df(0) from the Fraction cross product, as rank_df0 decided it before."""
+    """rank df(0) from the Fraction cross product, as it was decided before the integer reads."""
     fu0 = tuple(c.coeff(1, 0) for c in f)
     fv0 = tuple(c.coeff(0, 1) for c in f)
     if any(cross3(fu0, fv0)):
@@ -109,7 +109,7 @@ def test_rank_df0_matches_fraction_cross_product():
             comps.append(Jet2(6, table))
         f = MapJet.germ(*comps)
         seen.append(_fraction_rank(f))
-        assert rank_df0(f) == seen[-1]
+        assert df0_rank(*scaled_coeffs((f, (1, 0)), (f, (0, 1)))[0]) == seen[-1]
     assert seen.count(0) >= 60 and seen.count(1) >= 100 and seen.count(2) >= 50
 
 
@@ -267,11 +267,10 @@ def test_sb2_solves_mixed_defect():
 
 def test_sb2_rejects_whitney_umbrella():
     f = germ("u", "v^2", "u*v")
-    fu0 = f.partial_u().at0()
-    fvv0 = f.partial_v().partial_v().at0()
-    fuv0 = f.partial_u().partial_v().at0()
-    assert det3((f.partial_u().at0(), f.partial_v().partial_v().at0(),
-                 f.partial_u().partial_v().at0())) == 2
+    fu0 = tuple(c.coeff(1, 0) for c in f)
+    fvv0 = tuple(2 * c.coeff(0, 2) for c in f)
+    fuv0 = tuple(c.coeff(1, 1) for c in f)
+    assert det3((fu0, fvv0, fuv0)) == 2
     assert (fu0, fvv0, fuv0) == ((1, 0, 0), (0, 2, 0), (0, 0, 1))
     with pytest.raises(PreconditionError):
         sb2_adapt(f)
@@ -542,6 +541,27 @@ def test_words_builds_each_prefix_functional_once(monkeypatch):
     assert list(vectors) == [tuple(d * x for d, x in zip(dens, e)) for e in exact]
 
 
+@pytest.mark.parametrize("level, branch", [("sb2", "SB"), ("s3", "S"), ("b3", "B"),
+                                           ("h2", "HP2"), ("h4", "H")])
+def test_kept_values_serve_every_later_read(level, branch):
+    """A table keeps each word's value at 0 and scales copies of it: read by
+    `at0` first and by `scaled` twice after, it gives the vectors and values
+    of a fresh table, so no read scales a kept value in place."""
+    constructors = {"sb2": sb2_adapt, "s3": s3_adapt, "b3": lambda g: b3_adapt(sb2_adapt(g)),
+                    "h2": h2_adapt, "h4": lambda g: h4_adapt(h2_adapt(g))}
+    reads = frames.READS[level]
+    rng = Random("kept-values|" + level)
+    for _ in range(5):
+        g, _ = linear_normalize(random_branch_germ(rng, branch))
+        pair = constructors[level](g).words.pair
+        table = Words(g, pair, reads)
+        exact = [table.at0(word) for word in reads]
+        fresh = Words(g, pair, reads).scaled(*reads)
+        assert table.scaled(*reads) == fresh
+        assert table.scaled(*reads) == fresh
+        assert [table.at0(word) for word in reads] == exact
+
+
 def test_undeclared_word_raises_key_error():
     """A word that is neither a read nor a suffix of one is a code defect, not an input error."""
     f = germ("u", "v^2", "v*(u^3+v^2)")
@@ -555,7 +575,7 @@ def test_undeclared_word_raises_key_error():
 def test_derived_orders(monkeypatch):
     """Each forward check applies each suffix s of its words once, at
     max(len(w) - len(s)) over the check words w ending in s; and each read's
-    functional reads f to the degree of the word's length."""
+    functional has support to the degree of the word's length."""
     calls = []
     apply = frames.apply
 
@@ -579,4 +599,5 @@ def test_derived_orders(monkeypatch):
     for level, build in builds.items():
         for word in frames.READS[level]:
             build.words.scaled(word)
-            assert build.words._functionals[word].degree == len(word), (level, word)
+            support = build.words._functionals[word]._num
+            assert max(map(sum, support)) == len(word), (level, word)

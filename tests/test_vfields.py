@@ -149,7 +149,7 @@ def old_apply_to_jet(zeta, g):
 
 
 def old_apply(zeta, f):
-    return MapJet(*(zeta.a * cu + zeta.b * cv for cu, cv in zip(f.partial_u(), f.partial_v())))
+    return MapJet(*(old_apply_to_jet(zeta, c) for c in f))
 
 
 def old_apply_word(word, f):
